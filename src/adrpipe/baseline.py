@@ -6,6 +6,11 @@ Features are character or word n-gram counts hashed with crc32 into a
 power-of-two bucket space; training is plain per-example gradient descent on a
 class-weighted logistic loss, with the example order reshuffled each epoch by
 a seeded Fisher-Yates pass. Everything is deterministic given (data, config).
+
+The protocol hashes each spec's train side and dev side once, each into a CSR
+matrix (indptr/indices/data arrays) whose rows all R runs of the spec share.
+l2 weight decay is applied through a lazy scale factor (weights = scale * v),
+so an SGD step costs O(nonzeros of the example) rather than O(feature_buckets).
 """
 
 from __future__ import annotations
@@ -55,6 +60,11 @@ class BaselineConfig:
             raise ValueError("learning_rate must be > 0")
         if self.l2 < 0:
             raise ValueError("l2 must be >= 0")
+        if self.learning_rate * self.l2 >= 1:
+            raise ValueError(
+                f"learning_rate * l2 must be < 1 (the per-step weight decay), "
+                f"got {self.learning_rate * self.l2}"
+            )
         if self.positive_weight < 1:
             raise ValueError(f"positive_weight must be >= 1, got {self.positive_weight}")
         if self.feature_mode not in FEATURE_MODES:
@@ -94,16 +104,9 @@ def hashed_features(text: str, cfg: BaselineConfig) -> tuple[np.ndarray, np.ndar
     crc32 keeps the hash stable across platforms and processes, unlike the
     salted builtin hash().
     """
-    mask = cfg.feature_buckets - 1
-    counts: dict[int, int] = {}
-    for gram in _ngrams(text, cfg):
-        bucket = zlib.crc32(gram.encode("utf-8")) & mask
-        counts[bucket] = counts.get(bucket, 0) + 1
-    if not counts:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    idx = np.asarray(sorted(counts), dtype=np.int64)
-    val = np.asarray([counts[i] for i in idx], dtype=np.float64)
-    return idx, val
+    hashes = np.fromiter(map(zlib.crc32, map(str.encode, _ngrams(text, cfg))), dtype=np.int64)
+    idx, counts = np.unique(hashes & (cfg.feature_buckets - 1), return_counts=True)
+    return idx, counts.astype(np.float64)
 
 
 def _sigmoid(z: float) -> float:
@@ -141,43 +144,92 @@ def loss_and_grad(
     return loss, grad_w, grad_b
 
 
+def _csr(texts: Sequence[str], cfg: BaselineConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hash every text once into a CSR matrix (indptr, indices, data).
+
+    Row i, indices[indptr[i]:indptr[i + 1]] with its data, is exactly
+    hashed_features(texts[i], cfg).
+    """
+    rows = [hashed_features(t, cfg) for t in texts]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([idx.size for idx, _ in rows], out=indptr[1:])
+    indices = np.concatenate([idx for idx, _ in rows] or [np.empty(0, dtype=np.int64)])
+    data = np.concatenate([val for _, val in rows] or [np.empty(0, dtype=np.float64)])
+    return indptr, indices, data
+
+
+def _rows(csr: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (indices, data) view of each CSR row; views share the matrix's memory."""
+    indptr, indices, data = csr
+    bounds = indptr.tolist()
+    return [(indices[a:b], data[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _prob(
+    weights: np.ndarray, bias: float, idx: np.ndarray, val: np.ndarray, scale: float = 1.0
+) -> float:
+    """sigmoid(scale * (weights . x) + bias) for the sparse row x = (idx, val)."""
+    return _sigmoid(scale * float(weights[idx] @ val) + bias)
+
+
+def _require_both_labels(d: Dataset) -> None:
+    if d.positive_count == 0 or d.negative_count == 0:
+        raise ValueError("training data must contain both labels")
+
+
+# Below this the lazy weight scale is folded back into the weights, long
+# before the scaled-up stored weights could overflow.
+_MIN_SCALE = 1e-9
+
+
+def _fit(
+    rows: Sequence[tuple[np.ndarray, np.ndarray]], labels: Sequence[int], cfg: BaselineConfig
+) -> BaselineModel:
+    """Per-example SGD over seeded-shuffled epochs on pre-hashed rows.
+
+    The true weights are scale * weights. Decay multiplies only the scalar,
+    and the update to the example's buckets is divided by it, so a step
+    touches just those buckets. At l2 == 0 the scale stays exactly 1.0 and the
+    arithmetic is the plain dense update.
+    """
+    targets = [float(y) for y in labels]
+    sample_weights = [cfg.positive_weight if y == 1 else 1.0 for y in labels]
+    weights = np.zeros(cfg.feature_buckets, dtype=np.float64)
+    bias = 0.0
+    scale = 1.0
+    lr = cfg.learning_rate
+    decay = 1.0 - lr * cfg.l2
+    rng = random.Random(cfg.seed)
+    order = list(range(len(rows)))
+    for _ in range(cfg.epochs):
+        seeded_shuffle(order, rng)
+        for i in order:
+            idx, val = rows[i]
+            g = sample_weights[i] * (_prob(weights, bias, idx, val, scale) - targets[i])
+            scale *= decay
+            if scale < _MIN_SCALE:
+                weights *= scale
+                scale = 1.0
+            weights[idx] -= (lr * g / scale) * val
+            bias -= lr * g
+    weights *= scale
+    return BaselineModel(weights=weights, bias=bias, config=cfg)
+
+
 def train(d: Dataset, cfg: BaselineConfig) -> BaselineModel:
     """Fit by per-example gradient descent over seeded-shuffled epochs.
 
     Positive examples carry cfg.positive_weight in the loss; training twice
     with the same inputs gives bit-identical weights.
     """
-    if d.positive_count == 0 or d.negative_count == 0:
-        raise ValueError("training data must contain both labels")
-    feats = [hashed_features(r.text, cfg) for r in d.records]
-    labels = [float(r.label) for r in d.records]
-    sample_weights = [cfg.positive_weight if r.label == 1 else 1.0 for r in d.records]
-
-    weights = np.zeros(cfg.feature_buckets, dtype=np.float64)
-    bias = 0.0
-    lr = cfg.learning_rate
-    decay = 1.0 - lr * cfg.l2
-    rng = random.Random(cfg.seed)
-    order = list(range(len(d.records)))
-    for _ in range(cfg.epochs):
-        seeded_shuffle(order, rng)
-        for i in order:
-            idx, val = feats[i]
-            z = float(weights[idx] @ val) + bias
-            g = sample_weights[i] * (_sigmoid(z) - labels[i])
-            if cfg.l2 > 0.0:
-                weights *= decay
-            if idx.size:
-                weights[idx] -= lr * g * val
-            bias -= lr * g
-    return BaselineModel(weights=weights, bias=bias, config=cfg)
+    _require_both_labels(d)
+    rows = _rows(_csr([r.text for r in d.records], cfg))
+    return _fit(rows, [r.label for r in d.records], cfg)
 
 
 def predict_prob(m: BaselineModel, text: str) -> float:
     """Positive-class probability: sigmoid of the hashed-feature linear score."""
-    idx, val = hashed_features(text, m.config)
-    z = float(m.weights[idx] @ val) + m.bias if idx.size else m.bias
-    return _sigmoid(z)
+    return _prob(m.weights, m.bias, *hashed_features(text, m.config))
 
 
 def save_model(m: BaselineModel, path: str | Path) -> None:
@@ -206,6 +258,25 @@ def load_model(path: str | Path) -> BaselineModel:
         return BaselineModel(weights=data["weights"], bias=float(data["bias"]), config=cfg)
 
 
+def _spec_predictions(
+    train_set: Dataset, eval_set: Dataset, model_id: str, cfg: BaselineConfig, runs: int
+):
+    """Yield the eval-set predictions of `runs` seeded fits of one spec.
+
+    Each side is hashed once into a CSR matrix whose rows every run shares;
+    both are freed once the spec's last prediction is yielded.
+    """
+    labels = [r.label for r in train_set.records]
+    train_rows = _rows(_csr([r.text for r in train_set.records], cfg))
+    eval_rows = _rows(_csr([r.text for r in eval_set.records], cfg))
+    for k in range(runs):
+        model = _fit(train_rows, labels, dataclasses.replace(cfg, seed=cfg.seed + k))
+        run_id = f"r{k + 1}"
+        for rec, (idx, val) in zip(eval_set.records, eval_rows):
+            prob = _prob(model.weights, model.bias, idx, val)
+            yield PredictionRecord(model_id, run_id, rec.tweet_id, prob)
+
+
 def run_protocol(
     train_set: Dataset,
     eval_set: Dataset,
@@ -221,16 +292,12 @@ def run_protocol(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    records = []
-    for model_id, cfg in model_specs:
-        eval_feats = [hashed_features(r.text, cfg) for r in eval_set.records]
-        for k in range(runs):
-            run_cfg = dataclasses.replace(cfg, seed=cfg.seed + k)
-            model = train(train_set, run_cfg)
-            run_id = f"r{k + 1}"
-            for rec, (idx, val) in zip(eval_set.records, eval_feats):
-                z = float(model.weights[idx] @ val) + model.bias if idx.size else model.bias
-                records.append(PredictionRecord(model_id, run_id, rec.tweet_id, _sigmoid(z)))
+    _require_both_labels(train_set)
+    records = [
+        rec
+        for model_id, cfg in model_specs
+        for rec in _spec_predictions(train_set, eval_set, model_id, cfg, runs)
+    ]
     out_path = Path(out_path)
     write_predictions(records, out_path)
     return out_path

@@ -1,12 +1,15 @@
 import dataclasses
 import math
 import random
+import zlib
 
 import numpy as np
 import pytest
 
+from adrpipe import baseline
 from adrpipe.baseline import (
     BaselineConfig,
+    _csr,
     hashed_features,
     load_model,
     loss_and_grad,
@@ -15,7 +18,7 @@ from adrpipe.baseline import (
     save_model,
     train,
 )
-from adrpipe.corpus import Dataset, LabeledTweet
+from adrpipe.corpus import Dataset, LabeledTweet, seeded_shuffle
 from adrpipe.predictions import average_runs, load_predictions
 from adrpipe.synthetic import make_synthetic_dataset
 
@@ -30,6 +33,42 @@ def toy_separable(n_per_class=10):
         for i in range(n_per_class)
     ]
     return Dataset.from_records(records)
+
+
+def dense_reference_fit(d, cfg):
+    """The textbook trainer: re-hash every text, decay all weights on every step."""
+
+    def sigmoid(z):
+        if z >= 0:
+            return 1.0 / (1.0 + math.exp(-z))
+        e = math.exp(z)
+        return e / (1.0 + e)
+
+    feats = [hashed_features(r.text, cfg) for r in d.records]
+    labels = [float(r.label) for r in d.records]
+    sample_weights = [cfg.positive_weight if r.label == 1 else 1.0 for r in d.records]
+    weights = np.zeros(cfg.feature_buckets, dtype=np.float64)
+    bias = 0.0
+    lr = cfg.learning_rate
+    decay = 1.0 - lr * cfg.l2
+    rng = random.Random(cfg.seed)
+    order = list(range(len(d.records)))
+    for _ in range(cfg.epochs):
+        seeded_shuffle(order, rng)
+        for i in order:
+            idx, val = feats[i]
+            z = float(weights[idx] @ val) + bias
+            g = sample_weights[i] * (sigmoid(z) - labels[i])
+            if cfg.l2 > 0.0:
+                weights *= decay
+            if idx.size:
+                weights[idx] -= lr * g * val
+            bias -= lr * g
+    return weights, bias
+
+
+def rel_err(a, b):
+    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
 
 
 class TestConfig:
@@ -50,6 +89,8 @@ class TestConfig:
             {"feature_mode": "bytes"},
             {"epochs": 0},
             {"l2": -1.0},
+            {"l2": 10.0},  # learning_rate * l2 == 1 zeroes every weight each step
+            {"learning_rate": 0.5, "l2": 4.0},  # decay -1 flips every weight's sign
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -75,11 +116,60 @@ class TestFeatures:
         idx, val = hashed_features("", BaselineConfig())
         assert idx.size == 0 and val.size == 0
 
+    def test_matches_plain_bucket_counting(self):
+        texts = ["", "ab", "abab", "Quetiapine → dizzy  again\tand again", "a b c a b c a b"]
+        cfgs = [
+            BaselineConfig(ngram_range=(2, 4), feature_buckets=2**6),
+            BaselineConfig(ngram_range=(1, 3), feature_mode="word", feature_buckets=2**4),
+        ]
+        for cfg in cfgs:
+            lo, hi = cfg.ngram_range
+            for text in texts:
+                units = list(text) if cfg.feature_mode == "char" else text.split()
+                joiner = "" if cfg.feature_mode == "char" else " "
+                counts = {}
+                for n in range(lo, hi + 1):
+                    for i in range(len(units) - n + 1):
+                        gram = joiner.join(units[i : i + n])
+                        b = zlib.crc32(gram.encode("utf-8")) % cfg.feature_buckets
+                        counts[b] = counts.get(b, 0) + 1
+                idx, val = hashed_features(text, cfg)
+                assert idx.dtype == np.int64 and val.dtype == np.float64
+                assert idx.tolist() == sorted(counts)
+                assert val.tolist() == [counts[b] for b in sorted(counts)]
+
     def test_hashing_is_stable(self):
         cfg = BaselineConfig()
         a = hashed_features("quetiapine makes me dizzy", cfg)
         b = hashed_features("quetiapine makes me dizzy", cfg)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+class TestCSR:
+    TEXTS = ["abab", "", "ab", "seroquel made me dizzy", "a", "dizzy  again\tand again"]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            BaselineConfig(ngram_range=(3, 5), feature_buckets=2**10),
+            BaselineConfig(ngram_range=(2, 2), feature_buckets=2**4),
+            BaselineConfig(ngram_range=(2, 3), feature_mode="word", feature_buckets=2**10),
+            BaselineConfig(ngram_range=(1, 1), feature_mode="word"),
+        ],
+    )
+    def test_rows_equal_hashed_features(self, cfg):
+        indptr, indices, data = _csr(self.TEXTS, cfg)
+        assert indptr.shape == (len(self.TEXTS) + 1,) and indptr[0] == 0
+        assert indptr[-1] == indices.size == data.size
+        for i, text in enumerate(self.TEXTS):
+            idx, val = hashed_features(text, cfg)
+            row_idx, row_val = indices[indptr[i] : indptr[i + 1]], data[indptr[i] : indptr[i + 1]]
+            assert row_idx.dtype == idx.dtype and row_val.dtype == val.dtype
+            assert np.array_equal(row_idx, idx) and np.array_equal(row_val, val)
+
+    def test_no_texts(self):
+        indptr, indices, data = _csr([], BaselineConfig())
+        assert indptr.tolist() == [0] and indices.size == 0 and data.size == 0
 
 
 class TestTrain:
@@ -108,6 +198,35 @@ class TestTrain:
         d = Dataset.from_records([LabeledTweet("t1", "x", 0), LabeledTweet("t2", "y", 0)])
         with pytest.raises(ValueError, match="both labels"):
             train(d, BaselineConfig())
+
+    def test_l2_zero_is_bit_identical_to_dense_reference(self, fixture_corpus):
+        cfgs = (
+            BaselineConfig(seed=3, epochs=3),
+            BaselineConfig(seed=4, epochs=2, positive_weight=2.5, feature_mode="word", ngram_range=(1, 2)),
+        )
+        for cfg in cfgs:
+            model = train(fixture_corpus, cfg)
+            weights, bias = dense_reference_fit(fixture_corpus, cfg)
+            assert np.array_equal(model.weights, weights)
+            assert model.bias == bias
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"l2": 1e-4},
+            {"l2": 1e-2, "positive_weight": 3.0, "feature_buckets": 2**12},
+            # decay 0.7 per step: 160 steps take the scale below 1e-9 twice,
+            # so it is folded back into the weights mid-training
+            {"l2": 3.0, "learning_rate": 0.1},
+        ],
+    )
+    def test_lazy_l2_matches_dense_reference(self, kwargs):
+        d = toy_separable()
+        cfg = BaselineConfig(seed=11, **kwargs)
+        model = train(d, cfg)
+        weights, bias = dense_reference_fit(d, cfg)
+        assert rel_err(model.weights, weights) < 1e-12
+        assert abs(model.bias - bias) <= 1e-12 * abs(bias)
 
     def test_positive_weight_lifts_training_recall(self, fixture_corpus):
         base = BaselineConfig(seed=5, epochs=4)
@@ -238,6 +357,37 @@ class TestProtocol:
             m: {t for t, p in avg[m].items() if p >= 0.5} for m in ("charview", "wordview")
         }
         assert pos["charview"] != pos["wordview"]
+
+    def test_rows_equal_single_model_predictions(self, tmp_path):
+        data = make_synthetic_dataset(160, 0.25, seed=8)
+        train_set = Dataset.from_records(data.records[:100])
+        eval_set = Dataset.from_records([*data.records[100:], LabeledTweet("empty", "", 0)])
+        specs = [
+            ("char", BaselineConfig(ngram_range=(2, 4), feature_buckets=2**12, epochs=2, seed=1)),
+            ("word", BaselineConfig(ngram_range=(1, 2), feature_mode="word", epochs=2, seed=2)),
+            ("l2", BaselineConfig(feature_buckets=2**12, epochs=2, l2=1e-3, positive_weight=2.0, seed=3)),
+        ]
+        runs = 3
+        out = run_protocol(train_set, eval_set, specs, runs=runs, out_path=tmp_path / "p.tsv")
+        rows = {}
+        for line in out.read_text(encoding="utf-8").splitlines()[1:]:
+            model_id, run_id, tweet_id, prob = line.split("\t")
+            rows[(model_id, run_id, tweet_id)] = prob
+        expected = {}
+        for model_id, cfg in specs:
+            for k in range(runs):
+                model = train(train_set, dataclasses.replace(cfg, seed=cfg.seed + k))
+                for r in eval_set.records:
+                    expected[(model_id, f"r{k + 1}", r.tweet_id)] = f"{predict_prob(model, r.text):.6f}"
+        assert rows == expected
+
+    def test_single_label_rejected_before_hashing(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(baseline, "hashed_features", lambda *a: calls.append(a))
+        d = Dataset.from_records([LabeledTweet("t1", "x", 0), LabeledTweet("t2", "y", 0)])
+        with pytest.raises(ValueError, match="^training data must contain both labels$"):
+            run_protocol(d, toy_separable(), [("m", BaselineConfig())], runs=2, out_path=tmp_path / "p.tsv")
+        assert calls == [] and not (tmp_path / "p.tsv").exists()
 
     def test_zero_runs_rejected(self, tmp_path):
         d = toy_separable()
