@@ -62,11 +62,11 @@ with tempfile.TemporaryDirectory() as tmp:
 gold = dev_set.labels()
 
 print("\nper-run F1 before averaging (why averaging is worth it):")
-for model_id in matrix.models:
-    f1s = [
-        metrics(confusion(matrix.run_verdicts(model_id, run_id), gold)).f1
-        for run_id in matrix.runs_per_model[model_id]
-    ]
+run_f1s: dict[str, list[float]] = {}
+for (model_id, _), row in zip(matrix.keys, matrix.probs):  # one row per run, sorted
+    verdicts = dict(zip(matrix.tweet_ids, (row >= 0.5).astype(int).tolist()))
+    run_f1s.setdefault(model_id, []).append(metrics(confusion(verdicts, gold)).f1)
+for model_id, f1s in run_f1s.items():
     print(f"  {model_id:9s} {[f'{x:.3f}' for x in f1s]}  stdev {statistics.stdev(f1s):.4f}")
 
 decisions = decide(average_runs(matrix), EnsembleConfig())  # 0.5 everywhere

@@ -56,6 +56,10 @@ class BaselineConfig:
             raise ValueError(f"feature_buckets must be a power of two, got {self.feature_buckets}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        for name in ("learning_rate", "l2", "positive_weight"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.l2 < 0:

@@ -132,13 +132,24 @@ def _round4(x: float) -> float:
     return round(x, 4)
 
 
-def _member_rows(decisions, gold) -> dict[str, dict]:
-    rows = {}
+@dataclass(frozen=True)
+class _Scores:
+    """Confusion counts per member and for the ensemble, and the attribution."""
+
+    members: dict[str, evaluate.ConfusionCounts]
+    ensemble: evaluate.ConfusionCounts
+    attribution: evaluate.AttributionBreakdown
+
+
+def _score(decisions, gold) -> _Scores:
+    ensemble_counts = evaluate.confusion({d.tweet_id: d.ensemble_verdict for d in decisions}, gold)
+    ab = evaluate.attribution(decisions, gold)
     models = sorted(decisions[0].per_model_verdict) if decisions else []
-    for m in models:
-        verdicts = {d.tweet_id: d.per_model_verdict[m] for d in decisions}
-        rows[m] = _metric_row(evaluate.confusion(verdicts, gold))
-    return rows
+    members = {
+        m: evaluate.confusion({d.tweet_id: d.per_model_verdict[m] for d in decisions}, gold)
+        for m in models
+    }
+    return _Scores(members=members, ensemble=ensemble_counts, attribution=ab)
 
 
 def _metric_row(c: evaluate.ConfusionCounts) -> dict:
@@ -155,16 +166,14 @@ def _subset_key(s: frozenset[str]) -> str:
     return "+".join(sorted(s))
 
 
-def _build_report(decisions, gold, manifest: RunManifest, thresholds: dict[str, float]) -> dict:
-    ens_verdicts = {d.tweet_id: d.ensemble_verdict for d in decisions}
-    ens_counts = evaluate.confusion(ens_verdicts, gold)
-    ab = evaluate.attribution(decisions, gold)
+def _build_report(scores: _Scores, manifest: RunManifest, thresholds: dict[str, float]) -> dict:
+    ab = scores.attribution
     subsets = sorted(set(ab.tp_by_subset) | set(ab.fp_by_subset), key=lambda s: (len(s), _subset_key(s)))
     return {
         "manifest": manifest.to_dict(),
         "thresholds": {m: _round4(t) for m, t in thresholds.items()},
-        "members": _member_rows(decisions, gold),
-        "ensemble": _metric_row(ens_counts),
+        "members": {m: _metric_row(c) for m, c in scores.members.items()},
+        "ensemble": _metric_row(scores.ensemble),
         "attribution": {
             "tp_by_subset": {_subset_key(s): ab.tp_by_subset.get(s, 0) for s in subsets},
             "fp_by_subset": {_subset_key(s): ab.fp_by_subset.get(s, 0) for s in subsets},
@@ -199,16 +208,11 @@ def _write_report(report: dict, path: str | Path) -> None:
         atomic_write_text(path, _report_to_tsv(report))
 
 
-def _print_report(decisions, gold) -> None:
-    models = sorted(decisions[0].per_model_verdict) if decisions else []
-    columns = {}
-    for m in models:
-        verdicts = {d.tweet_id: d.per_model_verdict[m] for d in decisions}
-        columns[m] = evaluate.metrics(evaluate.confusion(verdicts, gold))
-    ens = {d.tweet_id: d.ensemble_verdict for d in decisions}
-    columns["ensemble"] = evaluate.metrics(evaluate.confusion(ens, gold))
+def _print_report(scores: _Scores) -> None:
+    columns = {m: evaluate.metrics(c) for m, c in scores.members.items()}
+    columns["ensemble"] = evaluate.metrics(scores.ensemble)
     print(evaluate.metrics_table(columns))
-    ab = evaluate.attribution(decisions, gold)
+    ab = scores.attribution
     if ab.tp_by_subset or ab.fp_by_subset:
         print()
         print(evaluate.attribution_table(ab))
@@ -270,11 +274,7 @@ def cmd_ingest(args) -> int:
         runs = matrix.runs_per_model[model_id]
         print(f"  {model_id}: {len(runs)} runs ({', '.join(runs)})")
     if args.output:
-        records = [
-            predictions.PredictionRecord(m, r, t, matrix.probs[(m, r, t)])
-            for (m, r, t) in matrix.probs
-        ]
-        predictions.write_predictions(records, args.output)
+        predictions.write_predictions(matrix, args.output)
         print(f"wrote merged predictions to {args.output}")
     return 0
 
@@ -299,9 +299,9 @@ def cmd_evaluate(args) -> int:
         config={},
         seeds={},
     )
-    report = _build_report(decisions, gold, manifest, thresholds={})
-    _write_report(report, args.report)
-    _print_report(decisions, gold)
+    scores = _score(decisions, gold)
+    _write_report(_build_report(scores, manifest, thresholds={}), args.report)
+    _print_report(scores)
     print(f"\nwrote report to {args.report}")
     return 0
 
@@ -500,14 +500,14 @@ def cmd_reproduce(args) -> int:
         seeds=seeds,
     )
     try:
-        report = _build_report(
-            decisions, gold, manifest,
-            thresholds={m: ens_cfg.threshold_for(m) for m in matrix.models},
-        )
+        scores = _score(decisions, gold)
     except ValueError as e:
         raise ValueError(f"evaluate: {e}") from None
+    report = _build_report(
+        scores, manifest, thresholds={m: ens_cfg.threshold_for(m) for m in matrix.models}
+    )
     _write_report(report, report_path)
-    _print_report(decisions, gold)
+    _print_report(scores)
     print(f"\nwrote {decisions_path} and {report_path}")
     return 0
 

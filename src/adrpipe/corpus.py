@@ -57,6 +57,11 @@ class Dataset:
             if r.tweet_id in seen:
                 raise ValueError(f"duplicate tweet_id {r.tweet_id!r}")
             seen.add(r.tweet_id)
+        return cls._counted(records)
+
+    @classmethod
+    def _counted(cls, records: tuple[LabeledTweet, ...]) -> "Dataset":
+        """A Dataset over records whose tweet_ids are already known to be unique."""
         pos = sum(1 for r in records if r.label == 1)
         return cls(records=records, positive_count=pos, negative_count=len(records) - pos)
 
@@ -95,7 +100,7 @@ def load_dataset(path: str | Path) -> Dataset:
                 raise ValueError(f"duplicate tweet_id {tweet_id!r} at line {lineno}")
             seen.add(tweet_id)
             records.append(LabeledTweet(tweet_id=tweet_id, text=text, label=int(label_text)))
-    return Dataset.from_records(records)
+    return Dataset._counted(tuple(records))
 
 
 def save_dataset(d: Dataset, path: str | Path, header: bool = True) -> None:

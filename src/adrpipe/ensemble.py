@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from ._io import atomic_write_text
+from ._io import atomic_write_text, truncate_ids
 
 RULE = "max-positive"
 
@@ -77,9 +77,8 @@ def decide(
     for m in models[1:]:
         if tweet_sets[m] != reference:
             diff = sorted(tweet_sets[m] ^ reference)
-            shown = ", ".join(diff[:10]) + (f", ... ({len(diff) - 10} more)" if len(diff) > 10 else "")
             raise ValueError(
-                f"models {models[0]} and {m} cover different tweets: {shown}"
+                f"models {models[0]} and {m} cover different tweets: {truncate_ids(diff)}"
             )
     thresholds = {m: cfg.threshold_for(m) for m in models}
 
@@ -113,11 +112,20 @@ def write_decisions(decisions: list[EnsembleDecision], path: str | Path) -> None
 
 
 def read_decisions(path: str | Path) -> list[EnsembleDecision]:
-    """Parse a decisions file; the header line is optional."""
+    """Parse a decisions file; the header line is optional.
+
+    Every line must be consistent with itself and with the first line: each
+    model named once in both model_probs and model_verdicts, the same models
+    as the first line, probabilities in [0, 1], 0/1 verdicts, an ensemble
+    verdict equal to the OR of the member verdicts, and an unseen tweet_id.
+    Errors name the file and the line.
+    """
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
     start = 2 if lines and lines[0] == DECISIONS_HEADER else 1
     decisions = []
+    seen: set[str] = set()
+    first: tuple[int, list[str]] | None = None  # line number and sorted models of the first decision
     for lineno, line in enumerate(lines[start - 1 :], start=start):
         if not line:
             continue
@@ -126,17 +134,33 @@ def read_decisions(path: str | Path) -> list[EnsembleDecision]:
             raise ValueError(f"{path}: expected 4 fields at line {lineno}")
         tweet_id, prob_text, verdict_text, ens_text = fields
         try:
-            probs = dict(
-                (k, float(v)) for k, v in (kv.rsplit(":", 1) for kv in prob_text.split(","))
-            )
-            verdicts = dict(
-                (k, int(v)) for k, v in (kv.rsplit(":", 1) for kv in verdict_text.split(","))
-            )
+            prob_pairs = [(k, float(v)) for k, v in (kv.rsplit(":", 1) for kv in prob_text.split(","))]
+            verdict_pairs = [(k, int(v)) for k, v in (kv.rsplit(":", 1) for kv in verdict_text.split(","))]
             ens = int(ens_text)
         except ValueError:
             raise ValueError(f"{path}: malformed decision at line {lineno}") from None
+        probs, verdicts = dict(prob_pairs), dict(verdict_pairs)
+        if tweet_id in seen:
+            raise ValueError(f"{path}: duplicate tweet_id {tweet_id!r} at line {lineno}")
+        seen.add(tweet_id)
         if ens not in (0, 1) or any(v not in (0, 1) for v in verdicts.values()):
             raise ValueError(f"{path}: verdicts must be 0 or 1 at line {lineno}")
+        if not all(0.0 <= p <= 1.0 for p in probs.values()):
+            raise ValueError(f"{path}: probability out of range at line {lineno}")
+        models = sorted(probs)
+        if len(probs) != len(prob_pairs) or sorted(k for k, _ in verdict_pairs) != models:
+            raise ValueError(
+                f"{path}: model_probs and model_verdicts must name the same models, "
+                f"each once, at line {lineno}"
+            )
+        if first is None:
+            first = (lineno, models)
+        elif models != first[1]:
+            raise ValueError(f"{path}: models differ from those at line {first[0]} at line {lineno}")
+        if ens != int(any(verdicts.values())):
+            raise ValueError(
+                f"{path}: ensemble verdict {ens} is not the OR of the member verdicts at line {lineno}"
+            )
         decisions.append(
             EnsembleDecision(
                 tweet_id=tweet_id,

@@ -12,6 +12,8 @@ import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ._io import truncate_ids
+
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -61,21 +63,15 @@ class VariabilityReport:
     n_runs: int
 
 
-def _truncate(ids: list[str], limit: int = 10) -> str:
-    if len(ids) <= limit:
-        return ", ".join(ids)
-    return ", ".join(ids[:limit]) + f", ... ({len(ids) - limit} more)"
-
-
 def _check_coverage(verdicts: Mapping[str, int], gold: Mapping[str, int]) -> None:
     if set(verdicts) != set(gold):
         only_verdicts = sorted(set(verdicts) - set(gold))
         only_gold = sorted(set(gold) - set(verdicts))
         parts = []
         if only_verdicts:
-            parts.append(f"only in verdicts: {_truncate(only_verdicts)}")
+            parts.append(f"only in verdicts: {truncate_ids(only_verdicts)}")
         if only_gold:
-            parts.append(f"only in gold: {_truncate(only_gold)}")
+            parts.append(f"only in gold: {truncate_ids(only_gold)}")
         raise ValueError("verdict/gold coverage mismatch; " + "; ".join(parts))
 
 
@@ -100,8 +96,7 @@ def metrics(c: ConfusionCounts) -> Metrics:
     """Precision, recall, and their harmonic mean (0 on empty denominators)."""
     precision = c.tp / (c.tp + c.fp) if c.tp + c.fp else 0.0
     recall = c.tp / (c.tp + c.fn) if c.tp + c.fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return Metrics(precision=precision, recall=recall, f1=f1)
+    return Metrics(precision=precision, recall=recall, f1=f1_from(precision, recall))
 
 
 def f1_from(precision: float, recall: float) -> float:

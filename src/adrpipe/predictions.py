@@ -16,15 +16,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ._io import atomic_write_text
+import numpy as np
+
+from ._io import atomic_write_text, truncate_ids
+from .evaluate import ConfusionCounts, metrics
 
 HEADER = "model_id\trun_id\ttweet_id\tprob"
 
-
-def _truncate(ids: list[str], limit: int = 10) -> str:
-    if len(ids) <= limit:
-        return ", ".join(ids)
-    return ", ".join(ids[:limit]) + f", ... ({len(ids) - limit} more)"
+# (model_id, run_id) -> (tweet ids, probabilities), in the order they were read.
+_Columns = dict[tuple[str, str], tuple[list[str], list[float]]]
 
 
 @dataclass(frozen=True)
@@ -44,74 +44,111 @@ class PredictionRecord:
             raise ValueError(f"probability out of range: {self.prob}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunMatrix:
-    """Validated (model, run, tweet) -> probability table with rectangular coverage."""
+    """Validated probabilities with rectangular coverage.
 
-    probs: dict[tuple[str, str, str], float]
-    models: tuple[str, ...]
-    runs_per_model: dict[str, tuple[str, ...]]
+    probs[i, j] is the probability that run keys[i] = (model_id, run_id) gave
+    tweet tweet_ids[j]; keys and tweet_ids are sorted, so a model's runs are
+    adjacent rows in run_id order. One row per run rather than a models x
+    runs x tweets tensor, because models may have different run counts.
+    """
+
+    keys: tuple[tuple[str, str], ...]
     tweet_ids: tuple[str, ...]
+    probs: np.ndarray
+
+    def __post_init__(self):
+        if self.probs.shape != (len(self.keys), len(self.tweet_ids)):
+            raise ValueError(
+                f"probs has shape {self.probs.shape}, expected "
+                f"{(len(self.keys), len(self.tweet_ids))}"
+            )
+        self.probs.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, RunMatrix):
+            return NotImplemented
+        return (
+            self.keys == other.keys
+            and self.tweet_ids == other.tweet_ids
+            and np.array_equal(self.probs, other.probs)
+        )
+
+    @property
+    def models(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(m for m, _ in self.keys))
+
+    @property
+    def runs_per_model(self) -> dict[str, tuple[str, ...]]:
+        runs: dict[str, list[str]] = {}
+        for model_id, run_id in self.keys:
+            runs.setdefault(model_id, []).append(run_id)
+        return {m: tuple(r) for m, r in runs.items()}
 
     @classmethod
     def from_records(cls, records: Iterable[PredictionRecord]) -> "RunMatrix":
-        probs: dict[tuple[str, str, str], float] = {}
+        columns: _Columns = {}
         for rec in records:
-            key = (rec.model_id, rec.run_id, rec.tweet_id)
-            if key in probs:
+            ids, probs = columns.setdefault((rec.model_id, rec.run_id), ([], []))
+            ids.append(rec.tweet_id)
+            probs.append(rec.prob)
+        return _from_columns(columns)
+
+
+def _from_columns(columns: _Columns) -> RunMatrix:
+    """Check duplicates and coverage, then lay the columns out as sorted rows."""
+    if not columns:
+        raise ValueError("no prediction records")
+    keys = tuple(sorted(columns))
+    covered = {key: set(columns[key][0]) for key in keys}
+    for (model_id, run_id), tweets in covered.items():
+        ids = columns[model_id, run_id][0]
+        if len(tweets) == len(ids):
+            continue
+        seen: set[str] = set()
+        for tweet_id in ids:
+            if tweet_id in seen:
                 raise ValueError(
-                    f"duplicate prediction for model {rec.model_id}, "
-                    f"run {rec.run_id}, tweet {rec.tweet_id}"
+                    f"duplicate prediction for model {model_id}, run {run_id}, tweet {tweet_id}"
                 )
-            probs[key] = rec.prob
-        if not probs:
-            raise ValueError("no prediction records")
+            seen.add(tweet_id)
 
-        tweets_by_run: dict[tuple[str, str], set[str]] = {}
-        for model_id, run_id, tweet_id in probs:
-            tweets_by_run.setdefault((model_id, run_id), set()).add(tweet_id)
-        all_tweets = set().union(*tweets_by_run.values())
-        problems = []
-        for (model_id, run_id), covered in sorted(tweets_by_run.items()):
-            missing = sorted(all_tweets - covered)
-            if missing:
-                noun = "tweet" if len(missing) == 1 else "tweets"
-                problems.append(
-                    f"run {run_id} of {model_id} missing {noun} {_truncate(missing)}"
-                )
-        if problems:
-            raise ValueError("ragged tweet coverage: " + "; ".join(problems))
+    all_tweets = set().union(*covered.values())
+    problems = []
+    for (model_id, run_id), tweets in covered.items():
+        if len(tweets) != len(all_tweets):
+            missing = sorted(all_tweets - tweets)
+            noun = "tweet" if len(missing) == 1 else "tweets"
+            problems.append(f"run {run_id} of {model_id} missing {noun} {truncate_ids(missing)}")
+    if problems:
+        raise ValueError("ragged tweet coverage: " + "; ".join(problems))
 
-        models = tuple(sorted({m for m, _, _ in probs}))
-        runs_per_model = {
-            m: tuple(sorted({r for mm, r, _ in probs if mm == m})) for m in models
-        }
-        return cls(
-            probs=probs,
-            models=models,
-            runs_per_model=runs_per_model,
-            tweet_ids=tuple(sorted(all_tweets)),
-        )
-
-    def run_verdicts(self, model_id: str, run_id: str, threshold: float = 0.5) -> dict[str, int]:
-        """Hard 0/1 calls for a single run (used e.g. to screen out bad runs)."""
-        return {
-            t: int(self.probs[(model_id, run_id, t)] >= threshold) for t in self.tweet_ids
-        }
+    tweet_ids = tuple(sorted(all_tweets))
+    column_of = {t: j for j, t in enumerate(tweet_ids)}
+    probs = np.empty((len(keys), len(tweet_ids)))
+    order: list[str] = []
+    index: list[int] = []
+    for i, key in enumerate(keys):
+        ids, values = columns[key]
+        if ids != order:  # runs written in the same tweet order share one index
+            order, index = ids, [column_of[t] for t in ids]
+        probs[i, index] = values
+    return RunMatrix(keys=keys, tweet_ids=tweet_ids, probs=probs)
 
 
-def _parse_file(path: str | Path) -> list[PredictionRecord]:
-    records = []
+def _parse_file(path: str | Path, columns: _Columns) -> None:
+    """Append each line's tweet id and probability to its (model, run) column."""
     with open(path, encoding="utf-8") as f:
         first = f.readline().rstrip("\n")
         if first != HEADER:
             raise ValueError(f"{path}: missing or malformed header (expected {HEADER!r})")
+        key = None
         for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
+            fields = line.rstrip("\n").split("\t")
             if len(fields) != 4:
+                if fields == [""]:
+                    continue
                 raise ValueError(f"{path}: expected 4 fields at line {lineno}")
             model_id, run_id, tweet_id, prob_text = fields
             try:
@@ -120,8 +157,15 @@ def _parse_file(path: str | Path) -> list[PredictionRecord]:
                 raise ValueError(f"{path}: bad probability {prob_text!r} at line {lineno}") from None
             if not 0.0 <= prob <= 1.0:
                 raise ValueError(f"{path}: probability out of range at line {lineno}: {prob_text}")
-            records.append(PredictionRecord(model_id, run_id, tweet_id, prob))
-    return records
+            if not (model_id and run_id and tweet_id):
+                raise ValueError(
+                    f"{path}: model_id, run_id and tweet_id must be non-empty at line {lineno}"
+                )
+            if (model_id, run_id) != key:
+                key = (model_id, run_id)
+                ids, probs = columns.setdefault(key, ([], []))
+            ids.append(tweet_id)
+            probs.append(prob)
 
 
 def load_predictions(paths: Sequence[str | Path], expected_runs: int | None = 5) -> RunMatrix:
@@ -130,41 +174,58 @@ def load_predictions(paths: Sequence[str | Path], expected_runs: int | None = 5)
     Warns (without failing) when a model's run count differs from
     expected_runs; pass None to skip that check.
     """
-    records: list[PredictionRecord] = []
+    columns: _Columns = {}
     for path in paths:
-        records.extend(_parse_file(path))
-    matrix = RunMatrix.from_records(records)
+        _parse_file(path, columns)
+    matrix = _from_columns(columns)
     if expected_runs is not None:
-        for model_id in matrix.models:
-            n = len(matrix.runs_per_model[model_id])
-            if n != expected_runs:
+        for model_id, runs in matrix.runs_per_model.items():
+            if len(runs) != expected_runs:
                 warnings.warn(
-                    f"model {model_id} has {n} runs (expected {expected_runs})",
+                    f"model {model_id} has {len(runs)} runs (expected {expected_runs})",
                     stacklevel=2,
                 )
     return matrix
 
 
-def write_predictions(records: Iterable[PredictionRecord], path: str | Path) -> None:
-    """Write records in the standard format, sorted for byte-stable output."""
-    rows = sorted(records, key=lambda r: (r.model_id, r.run_id, r.tweet_id))
+def write_predictions(records: Iterable[PredictionRecord] | RunMatrix, path: str | Path) -> None:
+    """Write records, or every cell of a RunMatrix, in the standard format.
+
+    Lines are sorted by (model_id, run_id, tweet_id) for byte-stable output;
+    a RunMatrix is already in that order.
+    """
+    if isinstance(records, RunMatrix):
+        rows = (
+            (model_id, run_id, t, p)
+            for (model_id, run_id), probs in zip(records.keys, records.probs)
+            for t, p in zip(records.tweet_ids, probs.tolist())
+        )
+    else:
+        rows = (
+            (r.model_id, r.run_id, r.tweet_id, r.prob)
+            for r in sorted(records, key=lambda r: (r.model_id, r.run_id, r.tweet_id))
+        )
     lines = [HEADER]
-    lines.extend(f"{r.model_id}\t{r.run_id}\t{r.tweet_id}\t{r.prob:.6f}" for r in rows)
+    lines.extend(f"{m}\t{r}\t{t}\t{p:.6f}" for m, r, t, p in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def average_runs(m: RunMatrix) -> dict[str, dict[str, float]]:
     """Arithmetic mean of each model's runs, per tweet.
 
-    Runs are summed in sorted run_id order so the result is bit-identical
-    no matter how the files were loaded.
+    Runs are added one row at a time in sorted run_id order, starting from
+    +0.0 as sum() does, then divided once, so the result is bit-identical to
+    summing in that order no matter how the files were loaded.
     """
+    rows: dict[str, list[int]] = {}
+    for i, (model_id, _) in enumerate(m.keys):
+        rows.setdefault(model_id, []).append(i)
     out: dict[str, dict[str, float]] = {}
-    for model_id in m.models:
-        runs = m.runs_per_model[model_id]
-        out[model_id] = {
-            t: sum(m.probs[(model_id, r, t)] for r in runs) / len(runs) for t in m.tweet_ids
-        }
+    for model_id, idx in rows.items():
+        total = np.zeros(len(m.tweet_ids))
+        for i in idx:
+            total += m.probs[i]
+        out[model_id] = dict(zip(m.tweet_ids, (total / len(idx)).tolist()))
     return out
 
 
@@ -180,33 +241,31 @@ def filter_runs(
     scores F1 = 0 and is excluded by any positive min_f1). Models losing all
     their runs are dropped with a warning; an empty result is an error.
     """
-    from .evaluate import confusion, metrics  # local import to avoid a cycle
-
     missing = sorted(t for t in m.tweet_ids if t not in gold)
     if missing:
-        raise ValueError(f"gold labels missing for tweets: {_truncate(missing)}")
-    gold_subset = {t: gold[t] for t in m.tweet_ids}
-    kept: list[PredictionRecord] = []
-    dropped_models = []
-    for model_id in m.models:
-        kept_runs = []
-        for run_id in m.runs_per_model[model_id]:
-            verdicts = m.run_verdicts(model_id, run_id, threshold)
-            f1 = metrics(confusion(verdicts, gold_subset)).f1
-            if f1 >= min_f1:
-                kept_runs.append(run_id)
-        if not kept_runs:
-            dropped_models.append(model_id)
-        kept.extend(
-            PredictionRecord(model_id, r, t, m.probs[(model_id, r, t)])
-            for r in kept_runs
-            for t in m.tweet_ids
-        )
+        raise ValueError(f"gold labels missing for tweets: {truncate_ids(missing)}")
+    labels = np.array([gold[t] for t in m.tweet_ids])
+    positive, negative = labels == 1, labels == 0
+    voted = m.probs >= threshold
+    tp = (voted & positive).sum(axis=1).tolist()
+    fp = (voted & negative).sum(axis=1).tolist()
+    tn = (~voted & negative).sum(axis=1).tolist()
+    n = len(m.tweet_ids)
+    keep = [
+        metrics(ConfusionCounts(tp=a, fp=b, tn=c, fn=n - a - b - c)).f1 >= min_f1
+        for a, b, c in zip(tp, fp, tn)
+    ]
+    kept_models = {model_id for (model_id, _), k in zip(m.keys, keep) if k}
+    dropped_models = [model_id for model_id in m.models if model_id not in kept_models]
     if dropped_models:
         warnings.warn(
             f"all runs below min F1 {min_f1} for: {', '.join(dropped_models)}",
             stacklevel=2,
         )
-    if not kept:
+    if not kept_models:
         raise ValueError(f"no runs left after filtering at min F1 {min_f1}")
-    return RunMatrix.from_records(kept)
+    return RunMatrix(
+        keys=tuple(key for key, k in zip(m.keys, keep) if k),
+        tweet_ids=m.tweet_ids,
+        probs=m.probs[np.array(keep)],
+    )

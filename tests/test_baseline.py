@@ -97,6 +97,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             BaselineConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("l2", float("nan")),
+            ("l2", float("inf")),
+            ("positive_weight", float("nan")),
+            ("positive_weight", float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_values(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            BaselineConfig(**{name: value})
+
 
 class TestFeatures:
     def test_char_ngram_counts(self):
@@ -339,8 +354,9 @@ class TestProtocol:
         )
         matrix = load_predictions([out], expected_runs=1)
         avg = average_runs(matrix)["m"]
-        for t in matrix.tweet_ids:
-            assert avg[t] == matrix.probs[("m", "r1", t)]
+        assert matrix.keys == (("m", "r1"),)
+        for j, t in enumerate(matrix.tweet_ids):
+            assert avg[t] == matrix.probs[0, j]
 
     def test_char_and_word_members_diverge(self, tmp_path):
         data = make_synthetic_dataset(1200, 0.15, seed=6)

@@ -53,7 +53,7 @@ class TestLoadDataset:
     def test_duplicate_id_is_named(self, tmp_path):
         p = tmp_path / "d.tsv"
         write_lines(p, ["t1\t0\ta", "t1\t1\tb"])
-        with pytest.raises(ValueError, match="duplicate tweet_id 't1'"):
+        with pytest.raises(ValueError, match="duplicate tweet_id 't1' at line 2"):
             load_dataset(p)
 
     def test_round_trip(self, tmp_path, fixture_corpus):

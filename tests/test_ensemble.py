@@ -160,3 +160,51 @@ class TestDecisionsFile:
         decisions = decide(avg, EnsembleConfig())
         with pytest.raises(ValueError, match="cannot be encoded"):
             write_decisions(decisions, tmp_path / "d.tsv")
+
+
+HEADER_LINE = "tweet_id\tmodel_probs\tmodel_verdicts\tensemble\n"
+GOOD_LINE = "t1\ta:0.900000,b:0.100000\ta:1,b:0\t1\n"
+
+
+class TestDecisionsFileRejects:
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("t2\ta:nan,b:0.1\ta:0,b:0\t0", "probability out of range at line 3"),
+            ("t2\ta:1.5,b:0.1\ta:1,b:0\t1", "probability out of range at line 3"),
+            ("t2\ta:-0.1,b:0.1\ta:0,b:0\t0", "probability out of range at line 3"),
+            ("t2\ta:0.9,b:0.1\ta:1,b:0\t0", "ensemble verdict 0 is not the OR of the member verdicts at line 3"),
+            ("t2\ta:0.1,b:0.1\ta:0,b:0\t1", "ensemble verdict 1 is not the OR of the member verdicts at line 3"),
+            ("t2\ta:0.1,b:0.1\ta:0,c:0\t0",
+             "model_probs and model_verdicts must name the same models, each once, at line 3"),
+            ("t2\ta:0.1,a:0.2\ta:0,a:0\t0",
+             "model_probs and model_verdicts must name the same models, each once, at line 3"),
+            ("t2\ta:0.1,c:0.1\ta:0,c:0\t0", "models differ from those at line 2 at line 3"),
+            ("t2\ta:0.1\ta:0\t0", "models differ from those at line 2 at line 3"),
+            ("t1\ta:0.1,b:0.1\ta:0,b:0\t0", "duplicate tweet_id 't1' at line 3"),
+        ],
+        ids=[
+            "nan-prob", "prob-above-1", "negative-prob", "ensemble-0-with-positive-member",
+            "ensemble-1-without-positive-member", "probs-verdicts-models-differ", "repeated-model",
+            "models-differ-from-first-line", "model-missing", "duplicate-tweet-id",
+        ],
+    )
+    def test_inconsistent_line_named(self, tmp_path, line, message):
+        p = tmp_path / "d.tsv"
+        p.write_text(HEADER_LINE + GOOD_LINE + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as e:
+            read_decisions(p)
+        assert str(e.value) == f"{p}: {message}"
+
+    def test_consistent_file_accepted(self, tmp_path):
+        p = tmp_path / "d.tsv"
+        p.write_text(HEADER_LINE + GOOD_LINE + "t2\ta:0.0,b:1.0\ta:0,b:1\t1\n", encoding="utf-8")
+        assert [d.tweet_id for d in read_decisions(p)] == ["t1", "t2"]
+
+    def test_uncovered_tweets_truncated_in_message(self):
+        tweets = [f"t{i:02d}" for i in range(12)]
+        avg = {"a": {t: 0.5 for t in tweets}, "b": {"t00": 0.5}}
+        shown = ", ".join(tweets[1:11])
+        with pytest.raises(ValueError) as e:
+            decide(avg, EnsembleConfig())
+        assert str(e.value) == f"models a and b cover different tweets: {shown}, ... (1 more)"

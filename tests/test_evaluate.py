@@ -42,6 +42,15 @@ class TestConfusion:
         with pytest.raises(ValueError, match="only in verdicts: t3"):
             confusion({"t1": 0, "t3": 0}, {"t1": 1})
 
+    def test_coverage_mismatch_truncates_long_id_lists(self):
+        gold = {f"t{i:02d}": 0 for i in range(15)}
+        with pytest.raises(ValueError) as e:
+            confusion({"t00": 0, "x": 1}, gold)
+        shown = ", ".join(f"t{i:02d}" for i in range(1, 11))
+        assert str(e.value) == (
+            f"verdict/gold coverage mismatch; only in verdicts: x; only in gold: {shown}, ... (4 more)"
+        )
+
 
 class TestMetrics:
     def test_run_average_row(self):

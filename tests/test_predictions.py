@@ -1,7 +1,12 @@
 import random
+import struct
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from adrpipe.evaluate import confusion, metrics
 from adrpipe.predictions import (
     HEADER,
     PredictionRecord,
@@ -68,6 +73,30 @@ class TestLoad:
         with pytest.raises(ValueError, match="duplicate prediction"):
             load_predictions([p])
 
+    def test_duplicate_across_files(self, tmp_path):
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        write_pred_file(a, [("m", "r1", "t1", 0.5)])
+        write_pred_file(b, [("m", "r1", "t1", 0.6)])
+        with pytest.raises(ValueError, match="duplicate prediction for model m, run r1, tweet t1"):
+            load_predictions([a, b], expected_runs=None)
+
+    @pytest.mark.parametrize("row", [("", "r1", "t1", 0.5), ("m", "", "t1", 0.5), ("m", "r1", "", 0.5)])
+    def test_empty_identifier_names_file_and_line(self, tmp_path, row):
+        p = tmp_path / "p.tsv"
+        write_pred_file(p, [("m", "r1", "t0", 0.5), row])
+        with pytest.raises(ValueError) as e:
+            load_predictions([p], expected_runs=None)
+        assert str(e.value) == f"{p}: model_id, run_id and tweet_id must be non-empty at line 3"
+
+    def test_ragged_message_truncates_long_id_lists(self, tmp_path):
+        p = tmp_path / "p.tsv"
+        tweets = [f"t{i:02d}" for i in range(13)]
+        write_pred_file(p, grid_rows("m", 1, tweets) + [("m", "r2", "t00", 0.5)])
+        with pytest.raises(ValueError) as e:
+            load_predictions([p], expected_runs=None)
+        shown = ", ".join(tweets[1:11])
+        assert str(e.value) == f"ragged tweet coverage: run r2 of m missing tweets {shown}, ... (2 more)"
+
     def test_missing_header(self, tmp_path):
         p = tmp_path / "p.tsv"
         write_pred_file(p, [("m", "r1", "t1", 0.5)], header="model\trun\ttweet\tp")
@@ -84,8 +113,10 @@ class TestLoad:
         p = tmp_path / "p.tsv"
         write_pred_file(p, [("m", "r1", "t1", "0"), ("m", "r1", "t2", "1")])
         m = load_predictions([p], expected_runs=None)
-        assert m.probs[("m", "r1", "t1")] == 0.0
-        assert m.probs[("m", "r1", "t2")] == 1.0
+        assert m.keys == (("m", "r1"),)
+        assert m.tweet_ids == ("t1", "t2")
+        assert m.probs[0, 0] == 0.0
+        assert m.probs[0, 1] == 1.0
 
     def test_write_read_round_trip(self, tmp_path):
         records = [
@@ -96,7 +127,7 @@ class TestLoad:
         out = tmp_path / "preds.tsv"
         write_predictions(records, out)
         m = load_predictions([out], expected_runs=2)
-        assert m.probs[("m", "r2", "t3")] == pytest.approx(0.5)
+        assert m.probs[m.keys.index(("m", "r2")), m.tweet_ids.index("t3")] == pytest.approx(0.5)
 
 
 class TestAverageRuns:
@@ -168,3 +199,115 @@ class TestRecordValidation:
     def test_prob_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             PredictionRecord("m", "r1", "t1", -0.01)
+
+
+# ------------------------------------------------------------------ properties
+
+PROBS = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.just(-0.0))
+
+
+@st.composite
+def run_grids(draw):
+    """(model, run, tweet, prob) rows with rectangular coverage; runs per model vary."""
+    tweets = draw(st.lists(st.sampled_from([f"t{i}" for i in range(8)]), min_size=1, unique=True))
+    models = draw(st.lists(st.sampled_from(["bert", "biobert", "roberta"]), min_size=1, unique=True))
+    rows = []
+    for model in models:
+        runs = draw(st.lists(st.sampled_from(["r1", "r2", "r3", "r10", "x"]), min_size=1, unique=True))
+        rows.extend((model, run, t, draw(PROBS)) for run in runs for t in tweets)
+    return rows
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+HYPOTHESIS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestProperties:
+    @HYPOTHESIS
+    @given(rows=run_grids(), seed=st.integers(0, 2**16), n_files=st.integers(1, 3))
+    def test_load_ignores_file_and_line_order(self, tmp_path, rows, seed, n_files):
+        reference = tmp_path / "sorted.tsv"
+        write_pred_file(reference, sorted(rows, key=lambda r: r[:3]))
+        expected = load_predictions([reference], expected_runs=None)
+        shuffled = list(rows)
+        random.Random(seed).shuffle(shuffled)
+        paths = []
+        for k in range(n_files):
+            path = tmp_path / f"part{k}.tsv"
+            write_pred_file(path, shuffled[k::n_files])
+            paths.append(path)
+        m = load_predictions(paths, expected_runs=None)
+        assert m == expected
+        assert m.keys == tuple(sorted({r[:2] for r in rows}))
+        assert m.tweet_ids == tuple(sorted({r[2] for r in rows}))
+        for model_id, run_id, tweet_id, prob in rows:
+            cell = m.probs[m.keys.index((model_id, run_id)), m.tweet_ids.index(tweet_id)]
+            assert bits(cell) == bits(prob)
+
+    @HYPOTHESIS
+    @given(rows=run_grids())
+    def test_write_load_round_trip(self, tmp_path, rows):
+        records = [PredictionRecord(*r) for r in rows]
+        m = RunMatrix.from_records(records)
+        write_predictions(m, tmp_path / "matrix.tsv")
+        write_predictions(records, tmp_path / "records.tsv")
+        text = (tmp_path / "matrix.tsv").read_text(encoding="utf-8")
+        assert text == (tmp_path / "records.tsv").read_text(encoding="utf-8")
+        again = load_predictions([tmp_path / "matrix.tsv"], expected_runs=None)
+        assert again == RunMatrix.from_records(
+            PredictionRecord(mm, r, t, float(f"{p:.6f}")) for mm, r, t, p in rows
+        )
+        write_predictions(again, tmp_path / "again.tsv")
+        assert (tmp_path / "again.tsv").read_text(encoding="utf-8") == text
+
+    @HYPOTHESIS
+    @given(rows=run_grids())
+    def test_average_matches_sorted_run_order_reference_bit_for_bit(self, rows):
+        m = RunMatrix.from_records(PredictionRecord(*r) for r in rows)
+        prob = {r[:3]: r[3] for r in rows}
+        avg = average_runs(m)
+        assert list(avg) == sorted({r[0] for r in rows})
+        for model_id, runs in m.runs_per_model.items():
+            assert list(runs) == sorted(runs)
+            for t in m.tweet_ids:
+                total = 0
+                for run_id in runs:
+                    total = total + prob[(model_id, run_id, t)]
+                assert bits(avg[model_id][t]) == bits(total / len(runs))
+
+    @HYPOTHESIS
+    @given(
+        rows=run_grids(),
+        labels=st.lists(st.integers(0, 1), min_size=8, max_size=8),
+        min_f1=st.floats(min_value=0.0, max_value=1.0),
+        threshold=st.sampled_from([0.25, 0.5, 0.75]),
+    )
+    def test_filter_keeps_exactly_runs_at_or_above_min_f1(self, rows, labels, min_f1, threshold):
+        m = RunMatrix.from_records(PredictionRecord(*r) for r in rows)
+        gold = {f"t{i}": y for i, y in enumerate(labels)}
+        subset = {t: gold[t] for t in m.tweet_ids}
+        prob = {r[:3]: r[3] for r in rows}
+        expected = tuple(
+            (model_id, run_id)
+            for model_id, run_id in m.keys
+            if metrics(
+                confusion({t: int(prob[(model_id, run_id, t)] >= threshold) for t in m.tweet_ids}, subset)
+            ).f1
+            >= min_f1
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if not expected:
+                with pytest.raises(ValueError, match="no runs left"):
+                    filter_runs(m, gold, min_f1, threshold)
+                return
+            kept = filter_runs(m, gold, min_f1, threshold)
+        assert kept.keys == expected
+        assert kept.tweet_ids == m.tweet_ids
+        for i, key in enumerate(kept.keys):
+            assert (kept.probs[i] == m.probs[m.keys.index(key)]).all()
