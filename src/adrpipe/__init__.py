@@ -1,5 +1,11 @@
 """adrpipe: preprocessing, subword analysis, prediction ensembling, and
-recall-oriented evaluation for adverse-drug-reaction tweet classification."""
+recall-oriented evaluation for adverse-drug-reaction tweet classification.
+
+The prediction and baseline names are imported on first use (PEP 562), so
+the text-only modules load without numpy.
+"""
+
+import importlib
 
 from .corpus import (
     Dataset,
@@ -27,14 +33,6 @@ from .tokenize import (
     overlap_report,
     wordpiece_tokenize,
 )
-from .predictions import (
-    PredictionRecord,
-    RunMatrix,
-    average_runs,
-    filter_runs,
-    load_predictions,
-    write_predictions,
-)
 from .ensemble import EnsembleConfig, EnsembleDecision, decide, single_model_decide
 from .evaluate import (
     AttributionBreakdown,
@@ -46,15 +44,32 @@ from .evaluate import (
     metrics,
     variability,
 )
-from .baseline import (
-    BaselineConfig,
-    BaselineModel,
-    load_model,
-    predict_prob,
-    run_protocol,
-    save_model,
-    train,
-)
 from .synthetic import make_synthetic_dataset
 
 __version__ = "0.1.0"
+
+# Exported name -> the numpy-backed module that defines it.
+_LAZY = {
+    **dict.fromkeys(
+        ("PredictionRecord", "RunMatrix", "average_runs", "filter_runs",
+         "load_predictions", "write_predictions"),
+        "predictions",
+    ),
+    **dict.fromkeys(
+        ("BaselineConfig", "BaselineModel", "load_model", "predict_prob",
+         "run_protocol", "save_model", "train"),
+        "baseline",
+    ),
+}
+
+
+def __getattr__(name):
+    if name in _LAZY.values():  # the submodules themselves, as `adrpipe.baseline`
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

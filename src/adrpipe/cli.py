@@ -7,6 +7,10 @@ Exit codes: 0 success, 1 validation/usage error, 2 I/O error. Output files
 are written atomically (temp + rename), so a failing command never leaves a
 partial file behind. Every report embeds a run manifest (inputs, outputs,
 config echo, seeds, tool version, timestamp) sufficient to rerun it.
+
+The numpy-backed modules (baseline, predictions) are imported inside the
+commands that use them, so preprocess, tokens, split, evaluate and
+variability run without loading numpy.
 """
 
 from __future__ import annotations
@@ -18,11 +22,15 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, baseline, corpus, ensemble, evaluate, predictions, tokenize
-from ._io import atomic_write_text
+from . import __version__, corpus, ensemble, evaluate, tokenize
+from ._io import atomic_write_text, truncate_ids
 from .preprocess import STAGES, PipelineConfig, load_lexicon
 from .preprocess import preprocess as apply_pipeline
+
+if TYPE_CHECKING:
+    from . import baseline, predictions
 
 PROG = "adrpipe"
 
@@ -91,6 +99,8 @@ def _load_json(path: str | Path) -> dict:
 
 
 def _baseline_config(d: dict) -> baseline.BaselineConfig:
+    from . import baseline
+
     d = dict(d)
     d.pop("model_id", None)
     if "ngram_range" in d:
@@ -257,6 +267,8 @@ def cmd_tokens(args) -> int:
 
 
 def _load_matrix(args) -> predictions.RunMatrix:
+    from . import predictions
+
     expected = None if args.expect_runs == 0 else args.expect_runs
     matrix = predictions.load_predictions(args.pred, expected_runs=expected)
     if args.min_dev_f1 is not None:
@@ -268,6 +280,8 @@ def _load_matrix(args) -> predictions.RunMatrix:
 
 
 def cmd_ingest(args) -> int:
+    from . import predictions
+
     matrix = _load_matrix(args)
     print(f"models: {len(matrix.models)}, tweets: {len(matrix.tweet_ids)}")
     for model_id in matrix.models:
@@ -280,6 +294,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
+    from . import predictions
+
     matrix = _load_matrix(args)
     cfg = _threshold_config(args.threshold, None if args.no_default else args.default_threshold)
     decisions = ensemble.decide(predictions.average_runs(matrix), cfg)
@@ -360,6 +376,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    from . import baseline, predictions
+
     doc = _load_json(args.config)
     if args.action == "train":
         for key in ("train", "model_out"):
@@ -400,6 +418,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from . import baseline, predictions
+
     doc = _load_json(args.config)
     for key in ("dataset", "output_dir"):
         if key not in doc:
@@ -466,7 +486,7 @@ def cmd_reproduce(args) -> int:
         all_labels = data.labels()
         missing = [t for t in matrix.tweet_ids if t not in all_labels]
         if missing:
-            raise ValueError(f"ingest: dataset lacks labels for: {', '.join(sorted(missing))}")
+            raise ValueError(f"ingest: dataset lacks labels for: {truncate_ids(sorted(missing))}")
         gold = {t: all_labels[t] for t in matrix.tweet_ids}
 
     if doc.get("min_dev_f1") is not None:

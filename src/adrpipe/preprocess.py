@@ -15,6 +15,13 @@ Stage behavior:
                   names with generic names; requires lowercased input.
 
 Output whitespace is always collapsed to single spaces and trimmed.
+
+Every stage runs in time linear in the length of the text, adversarial text
+included: emails are found from each "@" (walking left over the local part,
+matching the domain rightwards) instead of by retrying the email pattern at
+every position, and a stage is skipped when it needs something the text
+lacks: "@" for emails and handles, "http" or "www." for URLs, "#" for
+hashtags, a non-ASCII character for the symbols.
 """
 
 from __future__ import annotations
@@ -31,7 +38,10 @@ STAGES = ("anonymize", "handles", "hashtags", "lowercase", "drugnorm")
 _DELIM_PUNCT = "".join(c for c in string.punctuation if c not in "-'")
 _NON_DELIM = f"[^\\s{re.escape(_DELIM_PUNCT)}]"
 
-_EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@([A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)+)")
+# An email is a run of local-part characters, "@", then a dotted domain; it is
+# replaced by the domain. _strip_emails finds each "@" and matches around it.
+_LOCAL_CHARS = frozenset(string.ascii_letters + string.digits + "._%+-")
+_DOMAIN_RE = re.compile(r"[A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)+")
 _URL_RE = re.compile(r"https?://\S+|(?<![A-Za-z0-9.-])www\.\S+")
 _SYMBOL_TABLE = str.maketrans("", "", "©™®")  # (c) (tm) (r)
 _HANDLE_RE = re.compile(rf"(?<!{_NON_DELIM})@[A-Za-z0-9_]+")
@@ -130,21 +140,49 @@ class PipelineConfig:
                 raise ValueError("lexicon required when drugnorm is enabled")
 
 
+def _strip_emails(text: str) -> str:
+    """Replace each email with its domain, left to right without overlaps.
+
+    Gives exactly what ``re.sub`` of ``local+@domain`` gives: the leftmost
+    match starts where the run of local-part characters before an "@"
+    starts, but never before the end of the previous match. Each character
+    is walked over at most once leftwards and matched at most once.
+    """
+    at = text.find("@")
+    out = []
+    done = 0  # text[:done] is already emitted or replaced
+    while at >= 0:
+        start = at
+        while start > done and text[start - 1] in _LOCAL_CHARS:
+            start -= 1
+        domain = _DOMAIN_RE.match(text, at + 1) if start < at else None
+        if domain is None:
+            at = text.find("@", at + 1)
+            continue
+        out.append(text[done:start])
+        out.append(domain.group())
+        done = domain.end()
+        at = text.find("@", done)
+    out.append(text[done:])
+    return "".join(out)
+
+
 def anonymize(text: str) -> str:
     """Strip emails to their domain, replace URLs with -URL-, drop (c)/(tm)/(r)."""
-    text = _EMAIL_RE.sub(lambda m: m.group(1), text)
-    text = _URL_RE.sub("-URL-", text)
-    return text.translate(_SYMBOL_TABLE)
+    text = _strip_emails(text)
+    if "http" in text or "www." in text:
+        text = _URL_RE.sub("-URL-", text)
+    return text if text.isascii() else text.translate(_SYMBOL_TABLE)
 
 
 def replace_handles(text: str) -> str:
     """Replace each @name token with -TH-. Assumes emails were removed first."""
-    return _HANDLE_RE.sub("-TH-", text)
+    return _HANDLE_RE.sub("-TH-", text) if "@" in text else text
 
 
 def remove_hashtags(text: str) -> str:
     """Strip one leading '#' from each word; interior '#' stays put."""
-    return _HASHTAG_RE.sub("", text)
+    return _HASHTAG_RE.sub("", text) if "#" in text else text
 
 
 def drug_normalize(text: str, lex: DrugLexicon) -> str:
@@ -158,7 +196,7 @@ def drug_normalize(text: str, lex: DrugLexicon) -> str:
 
 def preprocess(text: str, cfg: PipelineConfig) -> str:
     """Run the enabled stages in pipeline order and normalize whitespace."""
-    enabled = set(cfg.enabled_stages)
+    enabled = cfg.enabled_stages
     if "anonymize" in enabled:
         text = anonymize(text)
     if "handles" in enabled:

@@ -8,6 +8,7 @@ word with no full decomposition comes back as ``["[UNK]"]``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -106,12 +107,16 @@ def overlap_report(word_a: str, word_b: str, vocab: SubwordVocab) -> Tokenizatio
 
 
 def corpus_token_stats(texts: Sequence[str], vocab: SubwordVocab) -> TokenStats:
-    """Whitespace-split each text and count words that fail to decompose."""
-    total = 0
-    unk = 0
+    """Whitespace-split each text and count words that fail to decompose.
+
+    Each distinct word is tokenized once and weighted by its count.
+    """
+    counts = Counter()
     for text in texts:
-        for word in text.split():
-            total += 1
-            if wordpiece_tokenize(word, vocab) == [vocab.unknown_token]:
-                unk += 1
+        counts.update(text.split())
+    total = sum(counts.values())
+    unk = sum(
+        n for word, n in counts.items()
+        if wordpiece_tokenize(word, vocab) == [vocab.unknown_token]
+    )
     return TokenStats(total, unk, unk / max(total, 1))

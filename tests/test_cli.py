@@ -342,6 +342,21 @@ class TestReproduce:
         assert run("reproduce", "--config", cfg_path) == 0
         assert (tmp_path / "out2" / "report.json").exists()
 
+    def test_predictions_mode_truncates_unlabeled_ids(self, tmp_path, capsys):
+        d = tmp_path / "one.tsv"
+        d.write_text("tweet_id\tlabel\ttext\nu00\t1\tseroquel\n", encoding="utf-8")
+        preds = tmp_path / "preds.tsv"
+        rows = [f"m\tr1\tu{i:02d}\t0.5" for i in range(13)]
+        preds.write_text("model_id\trun_id\ttweet_id\tprob\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        cfg = {"dataset": str(d), "predictions": [str(preds)], "output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "repro.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run("reproduce", "--config", cfg_path) == 1
+        listed = ", ".join(f"u{i:02d}" for i in range(1, 11))
+        assert capsys.readouterr().err == (
+            f"reproduce: ingest: dataset lacks labels for: {listed}, ... (2 more)\n"
+        )
+
     def test_both_modes_rejected(self, tmp_path, capsys):
         d = small_dataset(tmp_path)
         cfg = protocol_config(tmp_path, d)

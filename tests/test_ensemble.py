@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -136,10 +137,12 @@ class TestDecisionsFile:
         again = read_decisions(path)
         assert again == decisions
 
-    def test_malformed_header(self, tmp_path):
+    def test_unknown_first_line_is_read_as_data(self, tmp_path):
+        # The header is optional, so a first line that is not the header is a
+        # decision line, and this one has too few fields.
         p = tmp_path / "d.tsv"
         p.write_text("bad header\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError, match=re.escape(f"{p}: expected 4 fields at line 1")):
             read_decisions(p)
 
     def test_malformed_row(self, tmp_path):

@@ -1,4 +1,9 @@
+import re
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adrpipe.preprocess import (
     DrugLexicon,
@@ -196,3 +201,79 @@ class TestPreprocess:
             before = preprocess(r.text, cfg_without)
             after = preprocess(r.text, cfg_with)
             assert len(before.split()) == len(after.split())
+
+
+# Reference forms of three stages: each pattern applied by one plain re.sub
+# over the whole text. anonymize, replace_handles and remove_hashtags must
+# give exactly what these give.
+_DELIM = "".join(c for c in string.punctuation if c not in "-'")
+_REF_EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@([A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)+)")
+_REF_URL_RE = re.compile(r"https?://\S+|(?<![A-Za-z0-9.-])www\.\S+")
+_REF_HANDLE_RE = re.compile(rf"(?<![^\s{re.escape(_DELIM)}])@[A-Za-z0-9_]+")
+_REF_HASHTAG_RE = re.compile(r"(?:^|(?<=\s))#")
+
+
+def reference_anonymize(text):
+    text = _REF_EMAIL_RE.sub(lambda m: m.group(1), text)
+    text = _REF_URL_RE.sub("-URL-", text)
+    return text.translate(str.maketrans("", "", "\u00a9\u2122\u00ae"))
+
+
+# Single characters dense in what the patterns look at, plus fragments that
+# make emails, URLs, handles and hashtags likely in short strings.
+_CHARS = list("abAZ09._%+-@#:/ \t\n\u00a0\u00a9\u2122\u00ae_")
+_FRAGMENTS = ["a@b.c", "@x", ".com", "http", "https://", "www.", "#tag", "x.y", "@@"]
+tweetish = st.lists(st.sampled_from(_CHARS + _FRAGMENTS), max_size=30).map("".join)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a@b.c_x@d.e",  # the second local part starts where the first domain ends
+            "x@ex.com.y@foo.org",
+            "@@a@b.c",
+            "a@b",  # no dot in the domain
+            "a@b.",
+            "x@-.-",
+            "a" * 50 + "@" + "b." * 20,
+            "mail me: jo.hn+x@mail.example.org, or www.site.com",
+            "\u00a9 john@www.foo.com\u2122",
+        ],
+    )
+    def test_examples(self, text):
+        assert anonymize(text) == reference_anonymize(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(tweetish)
+    def test_anonymize(self, text):
+        assert anonymize(text) == reference_anonymize(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tweetish)
+    def test_handles_and_hashtags(self, text):
+        assert replace_handles(text) == _REF_HANDLE_RE.sub("-TH-", text)
+        assert remove_hashtags(text) == _REF_HASHTAG_RE.sub("", text)
+
+
+lexicon_text = st.lists(
+    st.sampled_from(
+        ["seroquel", "tylenol", "pm", "tylenol pm", "quetiapine", "acetaminophen", "advil",
+         "seroquelx", "x", " ", "  ", "-", "'", ",", ".", "\t", "@", "#"]
+    ),
+    max_size=20,
+).map("".join)
+
+
+class TestLaws:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(tweetish, lexicon_text))
+    def test_output_is_whitespace_normalised(self, full_pipeline, text):
+        out = preprocess(text, full_pipeline)
+        assert out == " ".join(out.split())
+
+    @settings(max_examples=300, deadline=None)
+    @given(lexicon_text)
+    def test_drug_normalize_is_idempotent(self, lexicon, text):
+        once = drug_normalize(text, lexicon)
+        assert drug_normalize(once, lexicon) == once

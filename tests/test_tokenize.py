@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adrpipe.preprocess import preprocess
 from adrpipe.tokenize import (
@@ -126,6 +128,12 @@ class TestRoundTrip:
                 assert tokens[0] + "".join(t[2:] for t in tokens[1:]) == word
 
 
+# Words built from pieces that decompose, pieces that do not, the unknown
+# token itself and a piece longer than max_word_chars.
+_pieces = st.sampled_from(["que", "##tia", "tia", "pine", "o", "lan", "xyz", "[UNK]", "q" * 101])
+_words = st.lists(_pieces, min_size=1, max_size=3).map("".join)
+
+
 class TestCorpusStats:
     def test_two_words_one_unk(self, tiny_vocab):
         stats = corpus_token_stats(["quetiapine xyzzy"], tiny_vocab)
@@ -133,6 +141,13 @@ class TestCorpusStats:
 
     def test_empty_corpus(self, tiny_vocab):
         assert corpus_token_stats([], tiny_vocab) == (0, 0, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(_words, max_size=4).map(" ".join), max_size=8))
+    def test_equals_word_by_word_count(self, tiny_vocab, texts):
+        words = [w for text in texts for w in text.split()]
+        unk = sum(wordpiece_tokenize(w, tiny_vocab) == ["[UNK]"] for w in words)
+        assert corpus_token_stats(texts, tiny_vocab) == (len(words), unk, unk / max(len(words), 1))
 
     def test_preprocessing_reduces_unk_rate(self, fixture_corpus, file_vocab, full_pipeline):
         raw = corpus_token_stats([r.text for r in fixture_corpus.records], file_vocab)
