@@ -11,18 +11,8 @@ from typing import Sequence
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    """UTF-8 text, written byte for byte: no newline translation."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:

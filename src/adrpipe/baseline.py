@@ -29,7 +29,7 @@ import numpy as np
 
 from ._io import atomic_write_bytes
 from .corpus import Dataset, seeded_shuffle
-from .predictions import PredictionRecord, write_predictions
+from .predictions import RunMatrix, _check_ids, write_predictions
 
 MODEL_FORMAT_VERSION = 1
 
@@ -48,8 +48,11 @@ class BaselineConfig:
     feature_mode: str = "char"
 
     def __post_init__(self):
-        object.__setattr__(self, "ngram_range", tuple(self.ngram_range))
-        lo, hi = self.ngram_range
+        try:
+            lo, hi = self.ngram_range
+        except (TypeError, ValueError):
+            raise ValueError(f"ngram_range must be a pair [lo, hi], got {self.ngram_range!r}") from None
+        object.__setattr__(self, "ngram_range", (lo, hi))
         if lo < 1 or hi < lo:
             raise ValueError(f"ngram_range must satisfy 1 <= lo <= hi, got {self.ngram_range}")
         if self.feature_buckets < 1 or self.feature_buckets & (self.feature_buckets - 1):
@@ -239,7 +242,6 @@ def predict_prob(m: BaselineModel, text: str) -> float:
 def save_model(m: BaselineModel, path: str | Path) -> None:
     """Dump weights, bias, and the config echo to a versioned .npz file."""
     cfg = dataclasses.asdict(m.config)
-    cfg["ngram_range"] = list(cfg["ngram_range"])
     buf = io.BytesIO()
     np.savez(
         buf,
@@ -256,29 +258,22 @@ def load_model(path: str | Path) -> BaselineModel:
         version = int(data["format_version"])
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version}")
-        cfg_dict = json.loads(bytes(data["config_json"]).decode("utf-8"))
-        cfg_dict["ngram_range"] = tuple(cfg_dict["ngram_range"])
-        cfg = BaselineConfig(**cfg_dict)
+        cfg = BaselineConfig(**json.loads(bytes(data["config_json"]).decode("utf-8")))
         return BaselineModel(weights=data["weights"], bias=float(data["bias"]), config=cfg)
 
 
-def _spec_predictions(
-    train_set: Dataset, eval_set: Dataset, model_id: str, cfg: BaselineConfig, runs: int
-):
-    """Yield the eval-set predictions of `runs` seeded fits of one spec.
+def _spec_predictions(train_set: Dataset, eval_set: Dataset, cfg: BaselineConfig, runs: int):
+    """Yield the eval-set probabilities of `runs` seeded fits of one spec, a list per run.
 
     Each side is hashed once into a CSR matrix whose rows every run shares;
-    both are freed once the spec's last prediction is yielded.
+    both are freed once the spec's last run is yielded.
     """
     labels = [r.label for r in train_set.records]
     train_rows = _rows(_csr([r.text for r in train_set.records], cfg))
     eval_rows = _rows(_csr([r.text for r in eval_set.records], cfg))
     for k in range(runs):
         model = _fit(train_rows, labels, dataclasses.replace(cfg, seed=cfg.seed + k))
-        run_id = f"r{k + 1}"
-        for rec, (idx, val) in zip(eval_set.records, eval_rows):
-            prob = _prob(model.weights, model.bias, idx, val)
-            yield PredictionRecord(model_id, run_id, rec.tweet_id, prob)
+        yield [_prob(model.weights, model.bias, idx, val) for idx, val in eval_rows]
 
 
 def run_protocol(
@@ -292,16 +287,22 @@ def run_protocol(
 
     Run k of a spec uses seed cfg.seed + k; run ids are r1..rN. The written
     file feeds straight into prediction ingestion, run averaging, ensembling,
-    and evaluation.
+    and evaluation. Model ids are checked (non-empty, no tab or newline, each
+    given once) before any hashing.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    model_ids = [model_id for model_id, _ in model_specs]
+    _check_ids(*model_ids)
+    repeated = sorted({m for m in model_ids if model_ids.count(m) > 1})
+    if repeated:
+        raise ValueError(f"duplicate model_id in specs: {', '.join(repeated)}")
     _require_both_labels(train_set)
-    records = [
-        rec
+    tweet_ids = [r.tweet_id for r in eval_set.records]
+    columns = {
+        (model_id, f"r{k + 1}"): (tweet_ids, probs)
         for model_id, cfg in model_specs
-        for rec in _spec_predictions(train_set, eval_set, model_id, cfg, runs)
-    ]
-    out_path = Path(out_path)
-    write_predictions(records, out_path)
-    return out_path
+        for k, probs in enumerate(_spec_predictions(train_set, eval_set, cfg, runs))
+    }
+    write_predictions(RunMatrix.from_columns(columns), out_path)
+    return Path(out_path)

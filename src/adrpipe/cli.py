@@ -57,9 +57,6 @@ class RunManifest:
     config: dict
     seeds: dict
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _manifest(command: str, inputs: dict, outputs: dict, config: dict, seeds: dict) -> RunManifest:
     return RunManifest(
@@ -98,13 +95,19 @@ def _load_json(path: str | Path) -> dict:
     return doc
 
 
+def _object(doc: dict, key: str) -> dict:
+    """doc[key], {} when absent; anything but a JSON object is an error naming the key."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"config: {key!r} must be an object")
+    return value
+
+
 def _baseline_config(d: dict) -> baseline.BaselineConfig:
     from . import baseline
 
     d = dict(d)
     d.pop("model_id", None)
-    if "ngram_range" in d:
-        d["ngram_range"] = tuple(d["ngram_range"])
     try:
         return baseline.BaselineConfig(**d)
     except TypeError as e:
@@ -112,16 +115,14 @@ def _baseline_config(d: dict) -> baseline.BaselineConfig:
 
 
 def _specs_from_config(doc: dict) -> list[tuple[str, baseline.BaselineConfig]]:
-    specs = []
-    for entry in doc.get("specs", []):
-        if "model_id" not in entry:
-            raise ValueError("every spec needs a model_id")
-        specs.append((entry["model_id"], _baseline_config(entry)))
+    entries = doc.get("specs", [])
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("model_id"), str) for e in entries
+    ):
+        raise ValueError("config: 'specs' must be a list of objects, each with a string model_id")
+    specs = [(e["model_id"], _baseline_config(e)) for e in entries]
     if not specs:
         raise ValueError("config must define at least one model spec")
-    ids = [m for m, _ in specs]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate model_id in specs")
     return specs
 
 
@@ -136,10 +137,6 @@ def _threshold_config(pairs: list[str], default: float | None) -> ensemble.Ensem
         except ValueError:
             raise ValueError(f"bad threshold value in {pair!r}") from None
     return ensemble.EnsembleConfig(thresholds=thresholds, default_threshold=default)
-
-
-def _round4(x: float) -> float:
-    return round(x, 4)
 
 
 @dataclass(frozen=True)
@@ -166,9 +163,9 @@ def _metric_row(c: evaluate.ConfusionCounts) -> dict:
     m = evaluate.metrics(c)
     return {
         "tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn,
-        "precision": _round4(m.precision),
-        "recall": _round4(m.recall),
-        "f1": _round4(m.f1),
+        "precision": round(m.precision, 4),
+        "recall": round(m.recall, 4),
+        "f1": round(m.f1, 4),
     }
 
 
@@ -180,14 +177,14 @@ def _build_report(scores: _Scores, manifest: RunManifest, thresholds: dict[str, 
     ab = scores.attribution
     subsets = sorted(set(ab.tp_by_subset) | set(ab.fp_by_subset), key=lambda s: (len(s), _subset_key(s)))
     return {
-        "manifest": manifest.to_dict(),
-        "thresholds": {m: _round4(t) for m, t in thresholds.items()},
+        "manifest": dataclasses.asdict(manifest),
+        "thresholds": {m: round(t, 4) for m, t in thresholds.items()},
         "members": {m: _metric_row(c) for m, c in scores.members.items()},
         "ensemble": _metric_row(scores.ensemble),
         "attribution": {
             "tp_by_subset": {_subset_key(s): ab.tp_by_subset.get(s, 0) for s in subsets},
             "fp_by_subset": {_subset_key(s): ab.fp_by_subset.get(s, 0) for s in subsets},
-            "exclusive_fraction": {m: _round4(v) for m, v in ab.exclusive_fraction.items()},
+            "exclusive_fraction": {m: round(v, 4) for m, v in ab.exclusive_fraction.items()},
         },
     }
 
@@ -384,7 +381,7 @@ def cmd_baseline(args) -> int:
             if key not in doc:
                 raise ValueError(f"baseline train config needs {key!r}")
         data = corpus.load_dataset(doc["train"])
-        cfg = _baseline_config(doc.get("config", {}))
+        cfg = _baseline_config(_object(doc, "config"))
         model = baseline.train(data, cfg)
         baseline.save_model(model, doc["model_out"])
         print(f"trained on {len(data)} records, saved model to {doc['model_out']}")
@@ -395,14 +392,11 @@ def cmd_baseline(args) -> int:
                 raise ValueError(f"baseline predict config needs {key!r}")
         model = baseline.load_model(doc["model"])
         data = corpus.load_dataset(doc["input"])
-        records = [
-            predictions.PredictionRecord(
-                doc["model_id"], doc["run_id"], r.tweet_id, baseline.predict_prob(model, r.text)
-            )
-            for r in data.records
-        ]
-        predictions.write_predictions(records, doc["output"])
-        print(f"wrote {len(records)} predictions to {doc['output']}")
+        ids = [r.tweet_id for r in data.records]
+        probs = [baseline.predict_prob(model, r.text) for r in data.records]
+        matrix = predictions.RunMatrix.from_columns({(doc["model_id"], doc["run_id"]): (ids, probs)})
+        predictions.write_predictions(matrix, doc["output"])
+        print(f"wrote {len(data)} predictions to {doc['output']}")
         return 0
     # protocol
     for key in ("train", "eval", "output"):
@@ -433,13 +427,26 @@ def cmd_reproduce(args) -> int:
         data = corpus.load_dataset(doc["dataset"])
     except ValueError as e:
         raise ValueError(f"corpus: {e}") from None
+    thresholds_doc = dict(_object(doc, "thresholds"))
+    default = thresholds_doc.pop("default", 0.5)
+    try:
+        ens_cfg = ensemble.EnsembleConfig(
+            thresholds={m: float(t) for m, t in thresholds_doc.items()},
+            default_threshold=None if default is None else float(default),
+        )
+    except ValueError as e:
+        raise ValueError(f"ensemble: {e}") from None
+    try:
+        min_dev_f1 = None if doc.get("min_dev_f1") is None else float(doc["min_dev_f1"])
+    except (TypeError, ValueError):
+        raise ValueError(f"config: 'min_dev_f1' must be a number, got {doc['min_dev_f1']!r}") from None
 
     seeds: dict = {}
     inputs = {"dataset": doc["dataset"]}
     outputs: dict = {}
 
     if "protocol" in doc:
-        proto = doc["protocol"]
+        proto = _object(doc, "protocol")
         stage_names = _parse_stages(",".join(doc.get("stages", STAGES)))
         try:
             pipe_cfg = _pipeline_config(stage_names, doc.get("lexicon"))
@@ -451,7 +458,7 @@ def cmd_reproduce(args) -> int:
             corpus.LabeledTweet(r.tweet_id, apply_pipeline(r.text, pipe_cfg), r.label)
             for r in data.records
         )
-        split_cfg = doc.get("split", {})
+        split_cfg = _object(doc, "split")
         fraction = float(split_cfg.get("train_fraction", 0.8))
         split_seed = int(split_cfg.get("seed", 0))
         seeds["split"] = split_seed
@@ -460,6 +467,7 @@ def cmd_reproduce(args) -> int:
         except ValueError as e:
             raise ValueError(f"split: {e}") from None
         specs = _specs_from_config(proto)
+        ensemble.check_model_ids(m for m, _ in specs)
         seeds["specs"] = {m: cfg.seed for m, cfg in specs}
         runs = int(proto.get("runs", 5))
         pred_path = out_dir / "predictions.tsv"
@@ -489,19 +497,13 @@ def cmd_reproduce(args) -> int:
             raise ValueError(f"ingest: dataset lacks labels for: {truncate_ids(sorted(missing))}")
         gold = {t: all_labels[t] for t in matrix.tweet_ids}
 
-    if doc.get("min_dev_f1") is not None:
+    if min_dev_f1 is not None:
         try:
-            matrix = predictions.filter_runs(matrix, gold, float(doc["min_dev_f1"]))
+            matrix = predictions.filter_runs(matrix, gold, min_dev_f1)
         except ValueError as e:
             raise ValueError(f"ingest: {e}") from None
 
-    thresholds_doc = dict(doc.get("thresholds", {}))
-    default = thresholds_doc.pop("default", 0.5)
     try:
-        ens_cfg = ensemble.EnsembleConfig(
-            thresholds={m: float(t) for m, t in thresholds_doc.items()},
-            default_threshold=None if default is None else float(default),
-        )
         decisions = ensemble.decide(predictions.average_runs(matrix), ens_cfg)
     except ValueError as e:
         raise ValueError(f"ensemble: {e}") from None

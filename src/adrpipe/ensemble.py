@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ._io import atomic_write_text, truncate_ids
-
-RULE = "max-positive"
 
 DECISIONS_HEADER = "tweet_id\tmodel_probs\tmodel_verdicts\tensemble"
 
@@ -29,11 +27,8 @@ class EnsembleConfig:
 
     thresholds: dict[str, float] = field(default_factory=dict)
     default_threshold: float | None = 0.5
-    rule: str = RULE
 
     def __post_init__(self):
-        if self.rule != RULE:
-            raise ValueError(f"unsupported rule {self.rule!r} (only {RULE!r})")
         for model_id, t in self.thresholds.items():
             if not 0.0 < t < 1.0:
                 raise ValueError(f"threshold for {model_id} must be in (0, 1), got {t}")
@@ -97,14 +92,19 @@ def decide(
     return decisions
 
 
+def check_model_ids(model_ids: Iterable[str]) -> None:
+    """Reject model ids a decisions file cannot hold: any with a comma, tab or newline."""
+    for m in model_ids:
+        if any(c in m for c in ",\t\n"):
+            raise ValueError(f"model id {m!r} cannot be encoded in a decisions file")
+
+
 def write_decisions(decisions: list[EnsembleDecision], path: str | Path) -> None:
     """Write decisions as ``tweet_id<TAB>model:prob,...<TAB>model:verdict,...<TAB>ensemble``."""
     lines = [DECISIONS_HEADER]
     for d in decisions:
         models = sorted(d.per_model_prob)
-        for m in models:
-            if any(c in m for c in ",\t\n"):
-                raise ValueError(f"model id {m!r} cannot be encoded in a decisions file")
+        check_model_ids(models)
         probs = ",".join(f"{m}:{d.per_model_prob[m]:.6f}" for m in models)
         verdicts = ",".join(f"{m}:{d.per_model_verdict[m]}" for m in models)
         lines.append(f"{d.tweet_id}\t{probs}\t{verdicts}\t{d.ensemble_verdict}")

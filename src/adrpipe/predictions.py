@@ -23,8 +23,17 @@ from .evaluate import ConfusionCounts, metrics
 
 HEADER = "model_id\trun_id\ttweet_id\tprob"
 
-# (model_id, run_id) -> (tweet ids, probabilities), in the order they were read.
+# (model_id, run_id) -> (tweet ids, probabilities), in the order they were produced.
 _Columns = dict[tuple[str, str], tuple[list[str], list[float]]]
+
+
+def _check_ids(*ids: str) -> None:
+    """Reject ids a prediction file cannot hold: empty, not a string, or with a tab or newline."""
+    if not all(ids):
+        raise ValueError("model_id, run_id and tweet_id must be non-empty")
+    for field in ids:
+        if not isinstance(field, str) or "\t" in field or "\n" in field:
+            raise ValueError(f"identifier {field!r} must be a string with no tab or newline")
 
 
 @dataclass(frozen=True)
@@ -35,11 +44,7 @@ class PredictionRecord:
     prob: float
 
     def __post_init__(self):
-        if not self.model_id or not self.run_id or not self.tweet_id:
-            raise ValueError("model_id, run_id and tweet_id must be non-empty")
-        for field in (self.model_id, self.run_id, self.tweet_id):
-            if "\t" in field or "\n" in field:
-                raise ValueError(f"tab or newline in identifier {field!r}")
+        _check_ids(self.model_id, self.run_id, self.tweet_id)
         if not 0.0 <= self.prob <= 1.0:
             raise ValueError(f"probability out of range: {self.prob}")
 
@@ -93,48 +98,57 @@ class RunMatrix:
             ids, probs = columns.setdefault((rec.model_id, rec.run_id), ([], []))
             ids.append(rec.tweet_id)
             probs.append(rec.prob)
-        return _from_columns(columns)
+        return cls.from_columns(columns)
 
+    @classmethod
+    def from_columns(cls, columns: _Columns) -> "RunMatrix":
+        """The one constructor every producer (loader, run_protocol, `baseline predict`) uses.
 
-def _from_columns(columns: _Columns) -> RunMatrix:
-    """Check duplicates and coverage, then lay the columns out as sorted rows."""
-    if not columns:
-        raise ValueError("no prediction records")
-    keys = tuple(sorted(columns))
-    covered = {key: set(columns[key][0]) for key in keys}
-    for (model_id, run_id), tweets in covered.items():
-        ids = columns[model_id, run_id][0]
-        if len(tweets) == len(ids):
-            continue
-        seen: set[str] = set()
-        for tweet_id in ids:
-            if tweet_id in seen:
-                raise ValueError(
-                    f"duplicate prediction for model {model_id}, run {run_id}, tweet {tweet_id}"
-                )
-            seen.add(tweet_id)
+        Checks ids, duplicate tweets within a key, rectangular coverage and
+        the [0, 1] range (NaN included), then lays the columns out as sorted rows.
+        """
+        if not columns:
+            raise ValueError("no prediction records")
+        keys = tuple(sorted(columns))
+        covered = {key: set(columns[key][0]) for key in keys}
+        for (model_id, run_id), tweets in covered.items():
+            _check_ids(model_id, run_id)
+            ids = columns[model_id, run_id][0]
+            if len(tweets) == len(ids):
+                continue
+            seen: set[str] = set()
+            for tweet_id in ids:
+                if tweet_id in seen:
+                    raise ValueError(
+                        f"duplicate prediction for model {model_id}, run {run_id}, tweet {tweet_id}"
+                    )
+                seen.add(tweet_id)
 
-    all_tweets = set().union(*covered.values())
-    problems = []
-    for (model_id, run_id), tweets in covered.items():
-        if len(tweets) != len(all_tweets):
-            missing = sorted(all_tweets - tweets)
-            noun = "tweet" if len(missing) == 1 else "tweets"
-            problems.append(f"run {run_id} of {model_id} missing {noun} {truncate_ids(missing)}")
-    if problems:
-        raise ValueError("ragged tweet coverage: " + "; ".join(problems))
+        all_tweets = set().union(*covered.values())
+        problems = []
+        for (model_id, run_id), tweets in covered.items():
+            if len(tweets) != len(all_tweets):
+                missing = sorted(all_tweets - tweets)
+                noun = "tweet" if len(missing) == 1 else "tweets"
+                problems.append(f"run {run_id} of {model_id} missing {noun} {truncate_ids(missing)}")
+        if problems:
+            raise ValueError("ragged tweet coverage: " + "; ".join(problems))
 
-    tweet_ids = tuple(sorted(all_tweets))
-    column_of = {t: j for j, t in enumerate(tweet_ids)}
-    probs = np.empty((len(keys), len(tweet_ids)))
-    order: list[str] = []
-    index: list[int] = []
-    for i, key in enumerate(keys):
-        ids, values = columns[key]
-        if ids != order:  # runs written in the same tweet order share one index
-            order, index = ids, [column_of[t] for t in ids]
-        probs[i, index] = values
-    return RunMatrix(keys=keys, tweet_ids=tweet_ids, probs=probs)
+        tweet_ids = tuple(sorted(all_tweets))
+        _check_ids(*tweet_ids)
+        column_of = {t: j for j, t in enumerate(tweet_ids)}
+        probs = np.empty((len(keys), len(tweet_ids)))
+        order: list[str] = []
+        index: list[int] = []
+        for i, key in enumerate(keys):
+            ids, values = columns[key]
+            if ids != order:  # runs written in the same tweet order share one index
+                order, index = ids, [column_of[t] for t in ids]
+            probs[i, index] = values
+        outside = probs[~((probs >= 0.0) & (probs <= 1.0))]
+        if outside.size:
+            raise ValueError(f"probability out of range: {outside[0]}")
+        return cls(keys=keys, tweet_ids=tweet_ids, probs=probs)
 
 
 def _parse_file(path: str | Path, columns: _Columns) -> None:
@@ -177,7 +191,7 @@ def load_predictions(paths: Sequence[str | Path], expected_runs: int | None = 5)
     columns: _Columns = {}
     for path in paths:
         _parse_file(path, columns)
-    matrix = _from_columns(columns)
+    matrix = RunMatrix.from_columns(columns)
     if expected_runs is not None:
         for model_id, runs in matrix.runs_per_model.items():
             if len(runs) != expected_runs:
@@ -188,25 +202,16 @@ def load_predictions(paths: Sequence[str | Path], expected_runs: int | None = 5)
     return matrix
 
 
-def write_predictions(records: Iterable[PredictionRecord] | RunMatrix, path: str | Path) -> None:
-    """Write records, or every cell of a RunMatrix, in the standard format.
+def write_predictions(m: RunMatrix, path: str | Path) -> None:
+    """Write every cell of a RunMatrix in the standard format.
 
-    Lines are sorted by (model_id, run_id, tweet_id) for byte-stable output;
-    a RunMatrix is already in that order.
+    The rows and tweet ids are sorted, so lines come out sorted by
+    (model_id, run_id, tweet_id) and the file is byte-stable.
     """
-    if isinstance(records, RunMatrix):
-        rows = (
-            (model_id, run_id, t, p)
-            for (model_id, run_id), probs in zip(records.keys, records.probs)
-            for t, p in zip(records.tweet_ids, probs.tolist())
-        )
-    else:
-        rows = (
-            (r.model_id, r.run_id, r.tweet_id, r.prob)
-            for r in sorted(records, key=lambda r: (r.model_id, r.run_id, r.tweet_id))
-        )
     lines = [HEADER]
-    lines.extend(f"{m}\t{r}\t{t}\t{p:.6f}" for m, r, t, p in rows)
+    for (model_id, run_id), probs in zip(m.keys, m.probs):
+        prefix = f"{model_id}\t{run_id}\t"
+        lines.extend(f"{prefix}{t}\t{p:.6f}" for t, p in zip(m.tweet_ids, probs.tolist()))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

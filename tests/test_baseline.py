@@ -409,3 +409,30 @@ class TestProtocol:
         d = toy_separable()
         with pytest.raises(ValueError, match="runs"):
             run_protocol(d, d, [("m", BaselineConfig())], runs=0, out_path=tmp_path / "p.tsv")
+
+    def test_repeated_model_id_rejected_before_hashing(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(baseline, "hashed_features", lambda *a: calls.append(a))
+        d = toy_separable()
+        specs = [("b", BaselineConfig()), ("a", BaselineConfig()), ("b", BaselineConfig(seed=1))]
+        with pytest.raises(ValueError, match="^duplicate model_id in specs: b$"):
+            run_protocol(d, d, specs, runs=2, out_path=tmp_path / "p.tsv")
+        assert calls == [] and not (tmp_path / "p.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "model_id, message",
+        [
+            ("", "model_id, run_id and tweet_id must be non-empty"),
+            ("m\tx", "identifier 'm\\tx' must be a string with no tab or newline"),
+            ("m\nx", "identifier 'm\\nx' must be a string with no tab or newline"),
+        ],
+    )
+    def test_unwritable_model_id_rejected_before_hashing(self, tmp_path, monkeypatch, model_id, message):
+        calls = []
+        monkeypatch.setattr(baseline, "hashed_features", lambda *a: calls.append(a))
+        d = toy_separable()
+        with pytest.raises(ValueError) as e:
+            run_protocol(d, d, [("ok", BaselineConfig()), (model_id, BaselineConfig())], runs=2,
+                         out_path=tmp_path / "p.tsv")
+        assert str(e.value) == message
+        assert calls == [] and not (tmp_path / "p.tsv").exists()

@@ -365,3 +365,127 @@ class TestReproduce:
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert run("reproduce", "--config", cfg_path) == 1
         assert "exactly one" in capsys.readouterr().err
+
+
+def write_config(tmp_path, doc, name="config.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+class TestConfigErrors:
+    """Mis-shaped JSON fails as `<cmd>: <message>` naming the field, exit 1, no traceback."""
+
+    def test_scalar_ngram_range(self, tmp_path, capsys):
+        d = small_dataset(tmp_path)
+        cfg = write_config(tmp_path, {"train": str(d), "model_out": str(tmp_path / "m.npz"),
+                                      "config": {"ngram_range": 3}})
+        assert run("baseline", "train", "--config", cfg) == 1
+        assert capsys.readouterr().err == (
+            "baseline: ngram_range must be a pair [lo, hi], got 3\n"
+        )
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_specs_given_as_object(self, tmp_path, capsys):
+        d = small_dataset(tmp_path)
+        cfg = protocol_config(tmp_path, d)
+        cfg["protocol"]["specs"] = {"model_id": "m"}
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr().err == (
+            "reproduce: config: 'specs' must be a list of objects, each with a string model_id\n"
+        )
+
+    def test_protocol_given_as_list(self, tmp_path, capsys):
+        d = small_dataset(tmp_path)
+        cfg = protocol_config(tmp_path, d)
+        cfg["protocol"] = [cfg["protocol"]]
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr().err == "reproduce: config: 'protocol' must be an object\n"
+
+    def test_spec_model_id_not_a_string(self, tmp_path, capsys):
+        d = small_dataset(tmp_path)
+        cfg = {"train": str(d), "eval": str(d), "output": str(tmp_path / "p.tsv"),
+               "specs": [{"model_id": 7}]}
+        assert run("baseline", "protocol", "--config", write_config(tmp_path, cfg)) == 1
+        assert "string model_id" in capsys.readouterr().err
+
+    def test_duplicate_spec_ids(self, tmp_path, capsys):
+        d = small_dataset(tmp_path)
+        cfg = {"train": str(d), "eval": str(d), "output": str(tmp_path / "p.tsv"), "runs": 1,
+               "specs": [{"model_id": "m", "epochs": 1}, {"model_id": "m", "epochs": 2}]}
+        assert run("baseline", "protocol", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr().err == "baseline: duplicate model_id in specs: m\n"
+        assert not (tmp_path / "p.tsv").exists()
+
+
+class TestReproduceWritesNothingOnConfigErrors:
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"thresholds": {"default": 1.5}}, "ensemble: default threshold must be in (0, 1), got 1.5"),
+            ({"thresholds": [0.5]}, "config: 'thresholds' must be an object"),
+            ({"split": [0.8]}, "config: 'split' must be an object"),
+            ({"min_dev_f1": "high"}, "config: 'min_dev_f1' must be a number, got 'high'"),
+            ({"min_dev_f1": [0.1]}, "config: 'min_dev_f1' must be a number, got [0.1]"),
+        ],
+    )
+    def test_output_dir_stays_empty(self, tmp_path, capsys, change, message):
+        d = small_dataset(tmp_path)
+        cfg = {**protocol_config(tmp_path, d), **change}
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr().err == f"reproduce: {message}\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+
+class TestUnwritableIds:
+    @pytest.fixture
+    def model(self, tmp_path):
+        d = small_dataset(tmp_path)
+        cfg = write_config(tmp_path, {"train": str(d), "model_out": str(tmp_path / "m.npz"),
+                                      "config": {"epochs": 1, "feature_buckets": 256}}, "train.json")
+        assert run("baseline", "train", "--config", cfg) == 0
+        return d, tmp_path / "m.npz"
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ({"model_id": ""}, "model_id, run_id and tweet_id must be non-empty"),
+            ({"run_id": ""}, "model_id, run_id and tweet_id must be non-empty"),
+            ({"model_id": "m\tx"}, "identifier 'm\\tx' must be a string with no tab or newline"),
+            ({"run_id": "r\n1"}, "identifier 'r\\n1' must be a string with no tab or newline"),
+            ({"run_id": 1}, "identifier 1 must be a string with no tab or newline"),
+        ],
+    )
+    def test_baseline_predict(self, tmp_path, capsys, model, key, message):
+        d, model_path = model
+        out = tmp_path / "preds.tsv"
+        doc = {"model": str(model_path), "input": str(d), "output": str(out), "model_id": "m", "run_id": "r1"}
+        capsys.readouterr()
+        assert run("baseline", "predict", "--config", write_config(tmp_path, {**doc, **key})) == 1
+        assert capsys.readouterr().err == f"baseline: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model_id", ["", "m\tx", "m\nx"])
+    def test_baseline_protocol(self, tmp_path, capsys, model_id):
+        d = small_dataset(tmp_path)
+        cfg = {"train": str(d), "eval": str(d), "output": str(tmp_path / "p.tsv"), "runs": 1,
+               "specs": [{"model_id": model_id, "epochs": 1}]}
+        assert run("baseline", "protocol", "--config", write_config(tmp_path, cfg)) == 1
+        assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "p.tsv").exists()
+
+    @pytest.mark.parametrize("model_id", ["a,b", "a\tb", "a\nb"])
+    def test_reproduce_leaves_output_dir_empty(self, tmp_path, capsys, monkeypatch, model_id):
+        from adrpipe import baseline
+
+        calls = []
+        monkeypatch.setattr(baseline, "hashed_features", lambda *a: calls.append(a))
+        d = small_dataset(tmp_path)
+        cfg = protocol_config(tmp_path, d)
+        cfg["protocol"]["specs"][1]["model_id"] = model_id
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr().err == (
+            f"reproduce: model id {model_id!r} cannot be encoded in a decisions file\n"
+        )
+        assert calls == []
+        assert list((tmp_path / "out").iterdir()) == []

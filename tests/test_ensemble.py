@@ -61,10 +61,6 @@ class TestDecide:
         with pytest.raises(ValueError, match="must be in"):
             EnsembleConfig(thresholds={"a": 1.5})
 
-    def test_rule_tag_fixed(self):
-        with pytest.raises(ValueError, match="unsupported rule"):
-            EnsembleConfig(rule="majority")
-
 
 class TestSingleModel:
     def test_boundary_goes_positive(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import struct
 import warnings
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from adrpipe.baseline import BaselineConfig, predict_prob, run_protocol, train
+from adrpipe.corpus import Dataset
 from adrpipe.evaluate import confusion, metrics
 from adrpipe.predictions import (
     HEADER,
@@ -25,6 +28,13 @@ def write_pred_file(path, rows, header=HEADER):
 
 def grid_rows(model, runs, tweets, prob=0.5):
     return [(model, f"r{i}", t, prob) for i in range(1, runs + 1) for t in tweets]
+
+
+def records_text(records):
+    """Oracle: the record writer the matrix writer replaced, sorted records in the standard format."""
+    rows = sorted(records, key=lambda r: (r.model_id, r.run_id, r.tweet_id))
+    lines = [HEADER] + [f"{r.model_id}\t{r.run_id}\t{r.tweet_id}\t{r.prob:.6f}" for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 class TestLoad:
@@ -125,7 +135,8 @@ class TestLoad:
             for j in range(4)
         ]
         out = tmp_path / "preds.tsv"
-        write_predictions(records, out)
+        write_predictions(RunMatrix.from_records(records), out)
+        assert out.read_text(encoding="utf-8") == records_text(records)
         m = load_predictions([out], expected_runs=2)
         assert m.probs[m.keys.index(("m", "r2")), m.tweet_ids.index("t3")] == pytest.approx(0.5)
 
@@ -201,6 +212,62 @@ class TestRecordValidation:
             PredictionRecord("m", "r1", "t1", -0.01)
 
 
+class TestFromColumns:
+    def test_builds_the_same_matrix_as_from_records(self):
+        columns = {("b", "r2"): (["t2", "t1"], [0.25, 0.5]), ("a", "r1"): (["t1", "t2"], [1.0, 0.0])}
+        records = [PredictionRecord(m, r, t, p) for (m, r), (ids, ps) in columns.items() for t, p in zip(ids, ps)]
+        m = RunMatrix.from_columns(columns)
+        assert m == RunMatrix.from_records(records)
+        assert m.keys == (("a", "r1"), ("b", "r2"))
+        assert m.probs.tolist() == [[1.0, 0.0], [0.5, 0.25]]
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            (("", "r1"), "model_id, run_id and tweet_id must be non-empty"),
+            (("m", ""), "model_id, run_id and tweet_id must be non-empty"),
+            (("m\tx", "r1"), "identifier 'm\\tx' must be a string with no tab or newline"),
+            (("m", "r\n1"), "identifier 'r\\n1' must be a string with no tab or newline"),
+        ],
+    )
+    def test_unwritable_key_rejected(self, key, message):
+        with pytest.raises(ValueError) as e:
+            RunMatrix.from_columns({key: (["t1"], [0.5])})
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("tweet_id", ["", "t\t1", "t\n1"])
+    def test_unwritable_tweet_id_rejected(self, tweet_id):
+        with pytest.raises(ValueError, match="must be"):
+            RunMatrix.from_columns({("m", "r1"): ([tweet_id], [0.5])})
+
+    @pytest.mark.parametrize("prob", [float("nan"), -0.5, 1.5])
+    def test_probability_outside_unit_interval_rejected(self, prob):
+        with pytest.raises(ValueError, match="^probability out of range: "):
+            RunMatrix.from_columns({("m", "r1"): (["t1", "t2"], [0.5, prob])})
+
+
+class TestProtocolAgainstRecordOracle:
+    def test_twelve_runs_unsorted_specs(self, tmp_path, fixture_corpus):
+        # r10..r12 sort before r2, and the specs are not given in model_id order
+        train_set = Dataset.from_records(fixture_corpus.records[::2])
+        eval_set = Dataset.from_records(fixture_corpus.records[1::2])
+        specs = [
+            ("word", BaselineConfig(ngram_range=(1, 2), feature_mode="word", feature_buckets=2**10, epochs=1, seed=9)),
+            ("char", BaselineConfig(ngram_range=(2, 3), feature_buckets=2**10, epochs=1, seed=3)),
+            ("l2", BaselineConfig(feature_buckets=2**10, epochs=1, l2=1e-3, seed=5)),
+        ]
+        runs = 12
+        out = run_protocol(train_set, eval_set, specs, runs=runs, out_path=tmp_path / "p.tsv")
+        records = [
+            PredictionRecord(model_id, f"r{k + 1}", r.tweet_id, predict_prob(model, r.text))
+            for model_id, cfg in specs
+            for k in range(runs)
+            for model in [train(train_set, dataclasses.replace(cfg, seed=cfg.seed + k))]
+            for r in eval_set.records
+        ]
+        assert out.read_text(encoding="utf-8") == records_text(records)
+
+
 # ------------------------------------------------------------------ properties
 
 PROBS = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.just(-0.0))
@@ -255,9 +322,8 @@ class TestProperties:
         records = [PredictionRecord(*r) for r in rows]
         m = RunMatrix.from_records(records)
         write_predictions(m, tmp_path / "matrix.tsv")
-        write_predictions(records, tmp_path / "records.tsv")
         text = (tmp_path / "matrix.tsv").read_text(encoding="utf-8")
-        assert text == (tmp_path / "records.tsv").read_text(encoding="utf-8")
+        assert text == records_text(records)
         again = load_predictions([tmp_path / "matrix.tsv"], expected_runs=None)
         assert again == RunMatrix.from_records(
             PredictionRecord(mm, r, t, float(f"{p:.6f}")) for mm, r, t, p in rows
