@@ -64,7 +64,7 @@ gold = dev_set.labels()
 print("\nper-run F1 before averaging (why averaging is worth it):")
 run_f1s: dict[str, list[float]] = {}
 for (model_id, _), row in zip(matrix.keys, matrix.probs):  # one row per run, sorted
-    verdicts = dict(zip(matrix.tweet_ids, (row >= 0.5).astype(int).tolist()))
+    verdicts = {t: int(p >= 0.5) for t, p in zip(matrix.tweet_ids, row)}
     run_f1s.setdefault(model_id, []).append(metrics(confusion(verdicts, gold)).f1)
 for model_id, f1s in run_f1s.items():
     print(f"  {model_id:9s} {[f'{x:.3f}' for x in f1s]}  stdev {statistics.stdev(f1s):.4f}")

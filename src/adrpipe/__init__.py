@@ -1,8 +1,8 @@
 """adrpipe: preprocessing, subword analysis, prediction ensembling, and
 recall-oriented evaluation for adverse-drug-reaction tweet classification.
 
-The prediction and baseline names are imported on first use (PEP 562), so
-the text-only modules load without numpy.
+The baseline names are imported on first use (PEP 562), so every other
+module, the prediction path included, loads without numpy.
 """
 
 import importlib
@@ -33,6 +33,14 @@ from .tokenize import (
     overlap_report,
     wordpiece_tokenize,
 )
+from .predictions import (
+    PredictionRecord,
+    RunMatrix,
+    average_runs,
+    filter_runs,
+    load_predictions,
+    write_predictions,
+)
 from .ensemble import EnsembleConfig, EnsembleDecision, decide, single_model_decide
 from .evaluate import (
     AttributionBreakdown,
@@ -49,18 +57,11 @@ from .synthetic import make_synthetic_dataset
 __version__ = "0.1.0"
 
 # Exported name -> the numpy-backed module that defines it.
-_LAZY = {
-    **dict.fromkeys(
-        ("PredictionRecord", "RunMatrix", "average_runs", "filter_runs",
-         "load_predictions", "write_predictions"),
-        "predictions",
-    ),
-    **dict.fromkeys(
-        ("BaselineConfig", "BaselineModel", "load_model", "predict_prob",
-         "run_protocol", "save_model", "train"),
-        "baseline",
-    ),
-}
+_LAZY = dict.fromkeys(
+    ("BaselineConfig", "BaselineModel", "load_model", "predict_prob", "run_protocol",
+     "save_model", "train"),
+    "baseline",
+)
 
 
 def __getattr__(name):

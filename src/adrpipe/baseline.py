@@ -19,6 +19,7 @@ import dataclasses
 import io
 import json
 import math
+import numbers
 import random
 import zlib
 from dataclasses import dataclass
@@ -34,6 +35,10 @@ from .predictions import RunMatrix, _check_ids, write_predictions
 MODEL_FORMAT_VERSION = 1
 
 FEATURE_MODES = ("char", "word")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,12 @@ class BaselineConfig:
         except (TypeError, ValueError):
             raise ValueError(f"ngram_range must be a pair [lo, hi], got {self.ngram_range!r}") from None
         object.__setattr__(self, "ngram_range", (lo, hi))
+        # Types first, so a config read from JSON fails naming the field, not inside a comparison.
+        if not (_is_integer(lo) and _is_integer(hi)):
+            raise ValueError(f"ngram_range must be a pair of integers, got {self.ngram_range!r}")
+        for name in ("feature_buckets", "epochs", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if lo < 1 or hi < lo:
             raise ValueError(f"ngram_range must satisfy 1 <= lo <= hi, got {self.ngram_range}")
         if self.feature_buckets < 1 or self.feature_buckets & (self.feature_buckets - 1):
@@ -61,6 +72,8 @@ class BaselineConfig:
             raise ValueError("epochs must be >= 1")
         for name in ("learning_rate", "l2", "positive_weight"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.learning_rate <= 0:
@@ -74,6 +87,8 @@ class BaselineConfig:
             )
         if self.positive_weight < 1:
             raise ValueError(f"positive_weight must be >= 1, got {self.positive_weight}")
+        if not isinstance(self.feature_mode, str):
+            raise ValueError(f"feature_mode must be a string, got {self.feature_mode!r}")
         if self.feature_mode not in FEATURE_MODES:
             raise ValueError(f"feature_mode must be one of {FEATURE_MODES}")
 

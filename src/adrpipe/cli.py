@@ -8,9 +8,10 @@ are written atomically (temp + rename), so a failing command never leaves a
 partial file behind. Every report embeds a run manifest (inputs, outputs,
 config echo, seeds, tool version, timestamp) sufficient to rerun it.
 
-The numpy-backed modules (baseline, predictions) are imported inside the
-commands that use them, so preprocess, tokens, split, evaluate and
-variability run without loading numpy.
+Only the baseline classifier uses numpy. It is imported inside the commands
+that train or score with it (`baseline`, and `reproduce` in protocol mode),
+so every other command, ingest and ensemble included, runs without loading
+numpy.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import __version__, corpus, ensemble, evaluate, tokenize
+from . import __version__, corpus, ensemble, evaluate, predictions, tokenize
 from ._io import atomic_write_text, truncate_ids
 from .preprocess import STAGES, PipelineConfig, load_lexicon
 from .preprocess import preprocess as apply_pipeline
 
 if TYPE_CHECKING:
-    from . import baseline, predictions
+    from . import baseline
 
 PROG = "adrpipe"
 
@@ -264,8 +265,6 @@ def cmd_tokens(args) -> int:
 
 
 def _load_matrix(args) -> predictions.RunMatrix:
-    from . import predictions
-
     expected = None if args.expect_runs == 0 else args.expect_runs
     matrix = predictions.load_predictions(args.pred, expected_runs=expected)
     if args.min_dev_f1 is not None:
@@ -277,8 +276,6 @@ def _load_matrix(args) -> predictions.RunMatrix:
 
 
 def cmd_ingest(args) -> int:
-    from . import predictions
-
     matrix = _load_matrix(args)
     print(f"models: {len(matrix.models)}, tweets: {len(matrix.tweet_ids)}")
     for model_id in matrix.models:
@@ -291,8 +288,6 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    from . import predictions
-
     matrix = _load_matrix(args)
     cfg = _threshold_config(args.threshold, None if args.no_default else args.default_threshold)
     decisions = ensemble.decide(predictions.average_runs(matrix), cfg)
@@ -373,7 +368,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    from . import baseline, predictions
+    from . import baseline
 
     doc = _load_json(args.config)
     if args.action == "train":
@@ -412,8 +407,6 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    from . import baseline, predictions
-
     doc = _load_json(args.config)
     for key in ("dataset", "output_dir"):
         if key not in doc:
@@ -446,6 +439,8 @@ def cmd_reproduce(args) -> int:
     outputs: dict = {}
 
     if "protocol" in doc:
+        from . import baseline
+
         proto = _object(doc, "protocol")
         stage_names = _parse_stages(",".join(doc.get("stages", STAGES)))
         try:

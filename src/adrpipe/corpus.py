@@ -33,9 +33,10 @@ class LabeledTweet:
     def __post_init__(self):
         if not self.tweet_id:
             raise ValueError("tweet_id must be non-empty")
-        if "\t" in self.tweet_id or "\n" in self.tweet_id:
+        # The loader reads in universal-newline mode, where \r also ends a line.
+        if "\t" in self.tweet_id or "\n" in self.tweet_id or "\r" in self.tweet_id:
             raise ValueError(f"tweet_id {self.tweet_id!r} contains tab or newline")
-        if "\t" in self.text or "\n" in self.text:
+        if "\t" in self.text or "\n" in self.text or "\r" in self.text:
             raise ValueError(f"text of {self.tweet_id} contains tab or newline")
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")

@@ -93,9 +93,9 @@ def decide(
 
 
 def check_model_ids(model_ids: Iterable[str]) -> None:
-    """Reject model ids a decisions file cannot hold: any with a comma, tab or newline."""
+    """Reject model ids a decisions file cannot hold: any with a comma, tab or line break."""
     for m in model_ids:
-        if any(c in m for c in ",\t\n"):
+        if any(c in m for c in ",\t\n\r"):
             raise ValueError(f"model id {m!r} cannot be encoded in a decisions file")
 
 
@@ -121,7 +121,7 @@ def read_decisions(path: str | Path) -> list[EnsembleDecision]:
     Errors name the file and the line.
     """
     with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
+        lines = f.read().split("\n")  # not splitlines(): ids may hold \x1c, \x85 or \u2028
     start = 2 if lines and lines[0] == DECISIONS_HEADER else 1
     decisions = []
     seen: set[str] = set()

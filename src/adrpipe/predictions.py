@@ -11,12 +11,12 @@ rather than something to impute, since silent gaps would corrupt recall.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from ._io import atomic_write_text, truncate_ids
 from .evaluate import ConfusionCounts, metrics
@@ -28,11 +28,15 @@ _Columns = dict[tuple[str, str], tuple[list[str], list[float]]]
 
 
 def _check_ids(*ids: str) -> None:
-    """Reject ids a prediction file cannot hold: empty, not a string, or with a tab or newline."""
+    """Reject ids a prediction file cannot hold: empty, not a string, or with a tab or line break.
+
+    The loader reads files in universal-newline mode, so a carriage return
+    ends a line just as a newline does.
+    """
     if not all(ids):
         raise ValueError("model_id, run_id and tweet_id must be non-empty")
     for field in ids:
-        if not isinstance(field, str) or "\t" in field or "\n" in field:
+        if not isinstance(field, str) or "\t" in field or "\n" in field or "\r" in field:
             raise ValueError(f"identifier {field!r} must be a string with no tab or newline")
 
 
@@ -49,36 +53,29 @@ class PredictionRecord:
             raise ValueError(f"probability out of range: {self.prob}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RunMatrix:
     """Validated probabilities with rectangular coverage.
 
-    probs[i, j] is the probability that run keys[i] = (model_id, run_id) gave
+    probs[i][j] is the probability that run keys[i] = (model_id, run_id) gave
     tweet tweet_ids[j]; keys and tweet_ids are sorted, so a model's runs are
     adjacent rows in run_id order. One row per run rather than a models x
-    runs x tweets tensor, because models may have different run counts.
+    runs x tweets tensor, because models may have different run counts. Rows
+    are tuples of floats: the arithmetic here is a few comparisons, sums and
+    one division per cell, which plain Python does bit for bit as numpy would.
     """
 
     keys: tuple[tuple[str, str], ...]
     tweet_ids: tuple[str, ...]
-    probs: np.ndarray
+    probs: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if self.probs.shape != (len(self.keys), len(self.tweet_ids)):
+        width = len(self.tweet_ids)
+        if len(self.probs) != len(self.keys) or any(len(row) != width for row in self.probs):
             raise ValueError(
-                f"probs has shape {self.probs.shape}, expected "
-                f"{(len(self.keys), len(self.tweet_ids))}"
+                f"probs must be {len(self.keys)} rows of {width} probabilities, "
+                f"got rows of {[len(row) for row in self.probs]}"
             )
-        self.probs.flags.writeable = False
-
-    def __eq__(self, other):
-        if not isinstance(other, RunMatrix):
-            return NotImplemented
-        return (
-            self.keys == other.keys
-            and self.tweet_ids == other.tweet_ids
-            and np.array_equal(self.probs, other.probs)
-        )
 
     @property
     def models(self) -> tuple[str, ...]:
@@ -97,7 +94,7 @@ class RunMatrix:
         for rec in records:
             ids, probs = columns.setdefault((rec.model_id, rec.run_id), ([], []))
             ids.append(rec.tweet_id)
-            probs.append(rec.prob)
+            probs.append(float(rec.prob))
         return cls.from_columns(columns)
 
     @classmethod
@@ -136,19 +133,26 @@ class RunMatrix:
 
         tweet_ids = tuple(sorted(all_tweets))
         _check_ids(*tweet_ids)
-        column_of = {t: j for j, t in enumerate(tweet_ids)}
-        probs = np.empty((len(keys), len(tweet_ids)))
-        order: list[str] = []
-        index: list[int] = []
-        for i, key in enumerate(keys):
+        rows = []
+        order = None
+        for key in keys:
             ids, values = columns[key]
-            if ids != order:  # runs written in the same tweet order share one index
-                order, index = ids, [column_of[t] for t in ids]
-            probs[i, index] = values
-        outside = probs[~((probs >= 0.0) & (probs <= 1.0))]
-        if outside.size:
-            raise ValueError(f"probability out of range: {outside[0]}")
-        return cls(keys=keys, tweet_ids=tweet_ids, probs=probs)
+            if ids != order:  # runs written in the same tweet order share one layout
+                order, layout = ids, _layout(ids, tweet_ids)
+            row = layout(values)
+            for p in row:
+                if not 0.0 <= p <= 1.0:
+                    raise ValueError(f"probability out of range: {p}")
+            rows.append(row)
+        return cls(keys=keys, tweet_ids=tweet_ids, probs=tuple(rows))
+
+
+def _layout(ids: list[str], tweet_ids: tuple[str, ...]):
+    """A function that takes a column in `ids` order to a tuple in `tweet_ids` order."""
+    if len(tweet_ids) < 2:
+        return tuple  # itemgetter takes at least one index, and of one returns the bare item
+    position = {t: k for k, t in enumerate(ids)}
+    return operator.itemgetter(*map(position.__getitem__, tweet_ids))
 
 
 def _parse_file(path: str | Path, columns: _Columns) -> None:
@@ -211,7 +215,7 @@ def write_predictions(m: RunMatrix, path: str | Path) -> None:
     lines = [HEADER]
     for (model_id, run_id), probs in zip(m.keys, m.probs):
         prefix = f"{model_id}\t{run_id}\t"
-        lines.extend(f"{prefix}{t}\t{p:.6f}" for t, p in zip(m.tweet_ids, probs.tolist()))
+        lines.extend(f"{prefix}{t}\t{p:.6f}" for t, p in zip(m.tweet_ids, probs))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -222,15 +226,16 @@ def average_runs(m: RunMatrix) -> dict[str, dict[str, float]]:
     +0.0 as sum() does, then divided once, so the result is bit-identical to
     summing in that order no matter how the files were loaded.
     """
-    rows: dict[str, list[int]] = {}
-    for i, (model_id, _) in enumerate(m.keys):
-        rows.setdefault(model_id, []).append(i)
+    rows: dict[str, list[tuple[float, ...]]] = {}
+    for (model_id, _), row in zip(m.keys, m.probs):
+        rows.setdefault(model_id, []).append(row)
     out: dict[str, dict[str, float]] = {}
-    for model_id, idx in rows.items():
-        total = np.zeros(len(m.tweet_ids))
-        for i in idx:
-            total += m.probs[i]
-        out[model_id] = dict(zip(m.tweet_ids, (total / len(idx)).tolist()))
+    for model_id, model_rows in rows.items():
+        total = [0.0] * len(m.tweet_ids)
+        for row in model_rows:
+            total = list(map(operator.add, total, row))
+        n = len(model_rows)
+        out[model_id] = dict(zip(m.tweet_ids, [t / n for t in total]))
     return out
 
 
@@ -249,17 +254,15 @@ def filter_runs(
     missing = sorted(t for t in m.tweet_ids if t not in gold)
     if missing:
         raise ValueError(f"gold labels missing for tweets: {truncate_ids(missing)}")
-    labels = np.array([gold[t] for t in m.tweet_ids])
-    positive, negative = labels == 1, labels == 0
-    voted = m.probs >= threshold
-    tp = (voted & positive).sum(axis=1).tolist()
-    fp = (voted & negative).sum(axis=1).tolist()
-    tn = (~voted & negative).sum(axis=1).tolist()
-    n = len(m.tweet_ids)
-    keep = [
-        metrics(ConfusionCounts(tp=a, fp=b, tn=c, fn=n - a - b - c)).f1 >= min_f1
-        for a, b, c in zip(tp, fp, tn)
-    ]
+    positive = [gold[t] == 1 for t in m.tweet_ids]
+    negative = [gold[t] == 0 for t in m.tweet_ids]
+    negatives, n = sum(negative), len(m.tweet_ids)
+    keep = []
+    for row in m.probs:
+        voted = [p >= threshold for p in row]
+        tp, fp = sum(compress(voted, positive)), sum(compress(voted, negative))
+        tn = negatives - fp
+        keep.append(metrics(ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=n - tp - fp - tn)).f1 >= min_f1)
     kept_models = {model_id for (model_id, _), k in zip(m.keys, keep) if k}
     dropped_models = [model_id for model_id in m.models if model_id not in kept_models]
     if dropped_models:
@@ -272,5 +275,5 @@ def filter_runs(
     return RunMatrix(
         keys=tuple(key for key, k in zip(m.keys, keep) if k),
         tweet_ids=m.tweet_ids,
-        probs=m.probs[np.array(keep)],
+        probs=tuple(compress(m.probs, keep)),
     )

@@ -356,7 +356,7 @@ class TestProtocol:
         avg = average_runs(matrix)["m"]
         assert matrix.keys == (("m", "r1"),)
         for j, t in enumerate(matrix.tweet_ids):
-            assert avg[t] == matrix.probs[0, j]
+            assert avg[t] == matrix.probs[0][j]
 
     def test_char_and_word_members_diverge(self, tmp_path):
         data = make_synthetic_dataset(1200, 0.15, seed=6)

@@ -192,6 +192,26 @@ class TestPredictionCommands:
             "--min-dev-f1", "0.05", "--gold", d,
         ) == 0
 
+    def test_line_separators_in_ids_survive_ensemble_and_evaluate(self, tmp_path, capsys):
+        # str.splitlines() breaks at \x1c, \x85 and \u2028; no file here does.
+        ids = [f"t\x1c{i}" for i in range(3)] + [f"t\x85{i}" for i in range(3)] + ["t\u20280"]
+        gold = tmp_path / "gold.tsv"
+        gold.write_text(
+            "tweet_id\tlabel\ttext\n" + "".join(f"{t}\t{i % 2}\tx\n" for i, t in enumerate(ids)),
+            encoding="utf-8",
+        )
+        preds = tmp_path / "preds.tsv"
+        preds.write_text(
+            "model_id\trun_id\ttweet_id\tprob\n"
+            + "".join(f"m\u2028\tr1\t{t}\t{0.9 if i % 2 else 0.1}\n" for i, t in enumerate(ids)),
+            encoding="utf-8",
+        )
+        decisions, report = tmp_path / "decisions.tsv", tmp_path / "report.json"
+        assert run("ensemble", "--pred", preds, "--expect-runs", "1", "--output", decisions) == 0
+        assert run("evaluate", "--decisions", decisions, "--gold", gold, "--report", report) == 0
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        assert doc["ensemble"]["tp"] == 3 and doc["ensemble"]["tn"] == 4
+
     def test_tsv_report(self, tmp_path):
         d = small_dataset(tmp_path)
         preds = make_predictions(tmp_path, d)
@@ -386,6 +406,24 @@ class TestConfigErrors:
         )
         assert not (tmp_path / "m.npz").exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("epochs", "8", "epochs must be an integer, got '8'"),
+            ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+            ("ngram_range", [3, "5"], "ngram_range must be a pair of integers, got (3, '5')"),
+            ("learning_rate", "0.1", "learning_rate must be a number, got '0.1'"),
+            ("feature_mode", 3, "feature_mode must be a string, got 3"),
+        ],
+    )
+    def test_baseline_field_of_wrong_type(self, tmp_path, capsys, field, value, message):
+        d = small_dataset(tmp_path)
+        cfg = write_config(tmp_path, {"train": str(d), "model_out": str(tmp_path / "m.npz"),
+                                      "config": {field: value}})
+        assert run("baseline", "train", "--config", cfg) == 1
+        assert capsys.readouterr().err == f"baseline: {message}\n"
+        assert not (tmp_path / "m.npz").exists()
+
     def test_specs_given_as_object(self, tmp_path, capsys):
         d = small_dataset(tmp_path)
         cfg = protocol_config(tmp_path, d)
@@ -454,6 +492,7 @@ class TestUnwritableIds:
             ({"model_id": "m\tx"}, "identifier 'm\\tx' must be a string with no tab or newline"),
             ({"run_id": "r\n1"}, "identifier 'r\\n1' must be a string with no tab or newline"),
             ({"run_id": 1}, "identifier 1 must be a string with no tab or newline"),
+            ({"run_id": "r\r1"}, "identifier 'r\\r1' must be a string with no tab or newline"),
         ],
     )
     def test_baseline_predict(self, tmp_path, capsys, model, key, message):
@@ -474,7 +513,7 @@ class TestUnwritableIds:
         assert "must be" in capsys.readouterr().err
         assert not (tmp_path / "p.tsv").exists()
 
-    @pytest.mark.parametrize("model_id", ["a,b", "a\tb", "a\nb"])
+    @pytest.mark.parametrize("model_id", ["a,b", "a\tb", "a\nb", "a\rb"])
     def test_reproduce_leaves_output_dir_empty(self, tmp_path, capsys, monkeypatch, model_id):
         from adrpipe import baseline
 

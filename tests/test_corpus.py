@@ -85,6 +85,23 @@ class TestLabeledTweet:
         with pytest.raises(ValueError):
             LabeledTweet("", "x", 0)
 
+    def test_rejects_carriage_return(self):
+        # The loader reads in universal-newline mode, where \r ends a line.
+        with pytest.raises(ValueError) as e:
+            LabeledTweet("t\r1", "x", 0)
+        assert str(e.value) == "tweet_id 't\\r1' contains tab or newline"
+        with pytest.raises(ValueError, match="^text of t1 contains tab or newline$"):
+            LabeledTweet("t1", "a\rb", 0)
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
+    def test_other_line_separators_reload_unchanged(self, tmp_path, char):
+        # str.splitlines() breaks at these; the file format does not.
+        d = Dataset.from_records(
+            [LabeledTweet(f"t{char}1", f"a{char}b", 1), LabeledTweet("t2", "c", 0)]
+        )
+        save_dataset(d, tmp_path / "d.tsv")
+        assert load_dataset(tmp_path / "d.tsv") == d
+
 
 def make_dataset(n_pos, n_neg):
     records = [LabeledTweet(f"p{i}", f"pos {i}", 1) for i in range(n_pos)]

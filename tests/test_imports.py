@@ -1,6 +1,8 @@
-"""The package's import surface: text-only commands run without numpy, and
-every name the package has exported still imports from `adrpipe`."""
+"""The package's import surface: every command but `baseline` and protocol-mode
+`reproduce` runs without numpy, and every name the package has exported still
+imports from `adrpipe`."""
 
+import json
 import os
 import subprocess
 import sys
@@ -30,22 +32,32 @@ EXPORTS = (
     "__version__",
 )
 
-# Runs text-only commands in a fresh interpreter and prints whether numpy loaded.
-TEXT_COMMANDS = """
-import sys
+# Runs adrpipe commands (a JSON list of argument lists) in a fresh interpreter
+# and prints their exit codes and whether numpy loaded.
+RUN_COMMANDS = """
+import json, sys
 from adrpipe.cli import main
-d, data = sys.argv[1], sys.argv[2]
-argvs = [
-    ["preprocess", "--input", f"{d}/tweets.tsv", "--lexicon", f"{data}/drug_lexicon.tsv",
-     "--output", f"{d}/clean.tsv"],
-    ["tokens", "--vocab", f"{data}/fixture_vocab.txt", "--stats", "--input", f"{d}/clean.tsv"],
-    ["split", "--input", f"{d}/tweets.tsv", "--fraction", "0.5", "--seed", "1"],
-    ["evaluate", "--decisions", f"{d}/decisions.tsv", "--gold", f"{d}/tweets.tsv",
-     "--report", f"{d}/report.json"],
-]
-codes = [main(argv) for argv in argvs]
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
 print(codes, "numpy" in sys.modules, file=sys.stderr)
 """
+
+
+def run_fresh(argvs: list[list[str]]) -> str:
+    """The last stderr line of RUN_COMMANDS: exit codes, then whether numpy loaded."""
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_COMMANDS, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stderr.splitlines()[-1]
+
+
+def write_tweets(d: Path) -> Path:
+    rows = ["tweet_id\tlabel\ttext"] + [
+        f"t{i}\t{int(i < 2)}\t#Seroquel @doc mail a@b.com {i}" for i in range(6)
+    ]
+    (d / "tweets.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return d / "tweets.tsv"
 
 
 def test_every_exported_name_imports_from_package():
@@ -67,18 +79,45 @@ def test_submodules_resolve_as_package_attributes():
 
 
 def test_text_only_commands_do_not_load_numpy(tmp_path):
-    rows = ["tweet_id\tlabel\ttext"] + [
-        f"t{i}\t{int(i < 2)}\t#Seroquel @doc mail a@b.com {i}" for i in range(6)
-    ]
-    (tmp_path / "tweets.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    tweets = write_tweets(tmp_path)
     decisions = ["tweet_id\tmodel_probs\tmodel_verdicts\tensemble"] + [
         f"t{i}\tm:0.9\tm:1\t1" if i < 3 else f"t{i}\tm:0.1\tm:0\t0" for i in range(6)
     ]
     (tmp_path / "decisions.tsv").write_text("\n".join(decisions) + "\n", encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, "-c", TEXT_COMMANDS, str(tmp_path), str(DATA)],
-        env=env, capture_output=True, text=True, timeout=60,
+    argvs = [
+        ["preprocess", "--input", str(tweets), "--lexicon", f"{DATA}/drug_lexicon.tsv",
+         "--output", f"{tmp_path}/clean.tsv"],
+        ["tokens", "--vocab", f"{DATA}/fixture_vocab.txt", "--stats", "--input", f"{tmp_path}/clean.tsv"],
+        ["split", "--input", str(tweets), "--fraction", "0.5", "--seed", "1"],
+        ["evaluate", "--decisions", f"{tmp_path}/decisions.tsv", "--gold", str(tweets),
+         "--report", f"{tmp_path}/report.json"],
+    ]
+    assert run_fresh(argvs) == "[0, 0, 0, 0] False"
+
+
+def test_prediction_commands_do_not_load_numpy(tmp_path):
+    tweets = write_tweets(tmp_path)
+    preds = tmp_path / "preds.tsv"
+    preds.write_text(
+        "model_id\trun_id\ttweet_id\tprob\n" + "".join(
+            f"{m}\t{r}\tt{i}\t{0.8 if i < 2 else 0.3}\n"
+            for m in ("a", "b") for r in ("r1", "r2") for i in range(6)
+        ),
+        encoding="utf-8",
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stderr.splitlines()[-1] == "[0, 0, 0, 0] False"
+    config = tmp_path / "reproduce.json"
+    config.write_text(json.dumps({
+        "dataset": str(tweets), "predictions": [str(preds)], "min_dev_f1": 0.1,
+        "output_dir": str(tmp_path / "out"),
+    }), encoding="utf-8")
+    argvs = [
+        ["ingest", "--pred", str(preds), "--expect-runs", "2", "--gold", str(tweets),
+         "--min-dev-f1", "0.1", "--output", f"{tmp_path}/merged.tsv"],
+        ["ensemble", "--pred", f"{tmp_path}/merged.tsv", "--expect-runs", "2",
+         "--output", f"{tmp_path}/decisions.tsv"],
+        ["evaluate", "--decisions", f"{tmp_path}/decisions.tsv", "--gold", str(tweets),
+         "--report", f"{tmp_path}/report.json"],
+        ["reproduce", "--config", str(config)],
+    ]
+    assert run_fresh(argvs) == "[0, 0, 0, 0] False"
+    assert (tmp_path / "out" / "report.json").is_file()

@@ -125,8 +125,8 @@ class TestLoad:
         m = load_predictions([p], expected_runs=None)
         assert m.keys == (("m", "r1"),)
         assert m.tweet_ids == ("t1", "t2")
-        assert m.probs[0, 0] == 0.0
-        assert m.probs[0, 1] == 1.0
+        assert m.probs[0][0] == 0.0
+        assert m.probs[0][1] == 1.0
 
     def test_write_read_round_trip(self, tmp_path):
         records = [
@@ -138,7 +138,7 @@ class TestLoad:
         write_predictions(RunMatrix.from_records(records), out)
         assert out.read_text(encoding="utf-8") == records_text(records)
         m = load_predictions([out], expected_runs=2)
-        assert m.probs[m.keys.index(("m", "r2")), m.tweet_ids.index("t3")] == pytest.approx(0.5)
+        assert m.probs[m.keys.index(("m", "r2"))][m.tweet_ids.index("t3")] == pytest.approx(0.5)
 
 
 class TestAverageRuns:
@@ -219,7 +219,14 @@ class TestFromColumns:
         m = RunMatrix.from_columns(columns)
         assert m == RunMatrix.from_records(records)
         assert m.keys == (("a", "r1"), ("b", "r2"))
-        assert m.probs.tolist() == [[1.0, 0.0], [0.5, 0.25]]
+        assert m.probs == ((1.0, 0.0), (0.5, 0.25))
+
+    def test_one_tweet_and_no_tweets(self):
+        one = RunMatrix.from_columns({("m", "r2"): (["t1"], [0.75]), ("m", "r1"): (["t1"], [0.25])})
+        assert one.probs == ((0.25,), (0.75,))
+        assert average_runs(one) == {"m": {"t1": 0.5}}
+        none = RunMatrix.from_columns({("m", "r1"): ([], []), ("m", "r2"): ([], [])})
+        assert none.tweet_ids == () and none.probs == ((), ())
 
     @pytest.mark.parametrize(
         "key, message",
@@ -228,6 +235,8 @@ class TestFromColumns:
             (("m", ""), "model_id, run_id and tweet_id must be non-empty"),
             (("m\tx", "r1"), "identifier 'm\\tx' must be a string with no tab or newline"),
             (("m", "r\n1"), "identifier 'r\\n1' must be a string with no tab or newline"),
+            # The loader reads in universal-newline mode, where \r ends a line too.
+            (("m\r1", "r1"), "identifier 'm\\r1' must be a string with no tab or newline"),
         ],
     )
     def test_unwritable_key_rejected(self, key, message):
@@ -235,7 +244,13 @@ class TestFromColumns:
             RunMatrix.from_columns({key: (["t1"], [0.5])})
         assert str(e.value) == message
 
-    @pytest.mark.parametrize("tweet_id", ["", "t\t1", "t\n1"])
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
+    def test_other_line_separators_reload_unchanged(self, tmp_path, char):
+        m = RunMatrix.from_columns({(f"m{char}", f"r{char}1"): ([f"t{char}1", "t2"], [0.25, 0.5])})
+        write_predictions(m, tmp_path / "p.tsv")
+        assert load_predictions([tmp_path / "p.tsv"], expected_runs=None) == m
+
+    @pytest.mark.parametrize("tweet_id", ["", "t\t1", "t\n1", "t\r1"])
     def test_unwritable_tweet_id_rejected(self, tweet_id):
         with pytest.raises(ValueError, match="must be"):
             RunMatrix.from_columns({("m", "r1"): ([tweet_id], [0.5])})
@@ -313,8 +328,27 @@ class TestProperties:
         assert m.keys == tuple(sorted({r[:2] for r in rows}))
         assert m.tweet_ids == tuple(sorted({r[2] for r in rows}))
         for model_id, run_id, tweet_id, prob in rows:
-            cell = m.probs[m.keys.index((model_id, run_id)), m.tweet_ids.index(tweet_id)]
+            cell = m.probs[m.keys.index((model_id, run_id))][m.tweet_ids.index(tweet_id)]
             assert bits(cell) == bits(prob)
+
+    @HYPOTHESIS
+    @given(rows=run_grids(), data=st.data())
+    def test_from_columns_rows_are_columns_in_sorted_tweet_order(self, rows, data):
+        columns = {}
+        for model_id, run_id, tweet_id, prob in rows:
+            ids, probs = columns.setdefault((model_id, run_id), ([], []))
+            ids.append(tweet_id)
+            probs.append(prob)
+        for key, (ids, probs) in columns.items():  # any tweet order, per key
+            order = data.draw(st.permutations(range(len(ids))))
+            columns[key] = ([ids[k] for k in order], [probs[k] for k in order])
+        m = RunMatrix.from_columns(columns)
+        assert m.keys == tuple(sorted(columns))
+        for key, row in zip(m.keys, m.probs):
+            ids, probs = columns[key]
+            by_id = dict(zip(ids, probs))
+            assert type(row) is tuple
+            assert [bits(p) for p in row] == [bits(by_id[t]) for t in m.tweet_ids]
 
     @HYPOTHESIS
     @given(rows=run_grids())
@@ -376,4 +410,4 @@ class TestProperties:
         assert kept.keys == expected
         assert kept.tweet_ids == m.tweet_ids
         for i, key in enumerate(kept.keys):
-            assert (kept.probs[i] == m.probs[m.keys.index(key)]).all()
+            assert kept.probs[i] == m.probs[m.keys.index(key)]
