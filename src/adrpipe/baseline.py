@@ -7,10 +7,17 @@ power-of-two bucket space; training is plain per-example gradient descent on a
 class-weighted logistic loss, with the example order reshuffled each epoch by
 a seeded Fisher-Yates pass. Everything is deterministic given (data, config).
 
-The protocol hashes each spec's train side and dev side once, each into a CSR
-matrix (indptr/indices/data arrays) whose rows all R runs of the spec share.
+There is one featurizer, `_csr`: it streams the crc32 of every n-gram into a
+flat buffer and, every ~2^16 grams, sorts the block's (row, bucket) keys once
+to get each row's sorted buckets and counts, so a side costs a few sorts
+rather than one per text. The protocol hashes each spec's train side and dev
+side once, each into a CSR matrix (indptr/indices/data arrays) whose rows all
+R runs of the spec share; `hashed_features` is the one-row case.
+
 l2 weight decay is applied through a lazy scale factor (weights = scale * v),
-so an SGD step costs O(nonzeros of the example) rather than O(feature_buckets).
+so an SGD step costs O(nonzeros of the example) rather than O(feature_buckets):
+it gathers the example's weights once, scores with them, updates them and
+scatters them back.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import math
 import numbers
 import random
 import zlib
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -121,14 +129,13 @@ def _ngrams(text: str, cfg: BaselineConfig):
 
 
 def hashed_features(text: str, cfg: BaselineConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Hashed n-gram counts as (sorted bucket indices, counts).
+    """Hashed n-gram counts as (sorted bucket indices, counts): one row of _csr.
 
     crc32 keeps the hash stable across platforms and processes, unlike the
     salted builtin hash().
     """
-    hashes = np.fromiter(map(zlib.crc32, map(str.encode, _ngrams(text, cfg))), dtype=np.int64)
-    idx, counts = np.unique(hashes & (cfg.feature_buckets - 1), return_counts=True)
-    return idx, counts.astype(np.float64)
+    _, indices, data = _csr([text], cfg)
+    return indices, data
 
 
 def _sigmoid(z: float) -> float:
@@ -166,18 +173,46 @@ def loss_and_grad(
     return loss, grad_w, grad_b
 
 
+# Grams hashed before a block's keys are sorted: large enough that a side
+# takes a few sorts, small enough that the keys stay a fraction of a MB.
+_BLOCK_GRAMS = 1 << 16
+
+
+def _blocks(texts: Sequence[str], cfg: BaselineConfig):
+    """Yield (gram hashes, grams per text) for runs of texts holding about _BLOCK_GRAMS grams."""
+    hashes, lengths = array("q"), array("q")
+    for text in texts:
+        before = len(hashes)
+        hashes.extend(map(zlib.crc32, map(str.encode, _ngrams(text, cfg))))
+        lengths.append(len(hashes) - before)
+        if len(hashes) >= _BLOCK_GRAMS:
+            yield hashes, lengths
+            hashes, lengths = array("q"), array("q")
+    if lengths:
+        yield hashes, lengths
+
+
 def _csr(texts: Sequence[str], cfg: BaselineConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hash every text once into a CSR matrix (indptr, indices, data).
 
-    Row i, indices[indptr[i]:indptr[i + 1]] with its data, is exactly
-    hashed_features(texts[i], cfg).
+    Row i, indices[indptr[i]:indptr[i + 1]] with its data, holds the sorted
+    distinct buckets (crc32 & (feature_buckets - 1)) of texts[i]'s n-grams and
+    their float64 counts. Each block's keys row * stride + bucket are sorted
+    once; stride is a power of two above every bucket, capped so keys fit int64.
     """
-    rows = [hashed_features(t, cfg) for t in texts]
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([idx.size for idx, _ in rows], out=indptr[1:])
-    indices = np.concatenate([idx for idx, _ in rows] or [np.empty(0, dtype=np.int64)])
-    data = np.concatenate([val for _, val in rows] or [np.empty(0, dtype=np.float64)])
-    return indptr, indices, data
+    mask = cfg.feature_buckets - 1
+    stride = min(cfg.feature_buckets, 1 << 32)  # crc32 & mask < 2**32
+    nnz, indices, data = [np.zeros(1, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for hashes, lengths in _blocks(texts, cfg):
+        keys = np.frombuffer(hashes, dtype=np.int64)
+        keys &= mask
+        keys += np.repeat(np.arange(len(lengths), dtype=np.int64) * stride, lengths)
+        keys, counts = np.unique(keys, return_counts=True)
+        rows = keys // stride
+        nnz.append(np.bincount(rows, minlength=len(lengths)))
+        indices.append(keys & (stride - 1))
+        data.append(counts.astype(np.float64))
+    return np.cumsum(np.concatenate(nnz)), np.concatenate(indices), np.concatenate(data)
 
 
 def _rows(csr: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -187,11 +222,9 @@ def _rows(csr: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[tuple[np.ndarr
     return [(indices[a:b], data[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def _prob(
-    weights: np.ndarray, bias: float, idx: np.ndarray, val: np.ndarray, scale: float = 1.0
-) -> float:
-    """sigmoid(scale * (weights . x) + bias) for the sparse row x = (idx, val)."""
-    return _sigmoid(scale * float(weights[idx] @ val) + bias)
+def _prob(weights: np.ndarray, bias: float, idx: np.ndarray, val: np.ndarray) -> float:
+    """sigmoid(weights . x + bias) for the sparse row x = (idx, val)."""
+    return _sigmoid(float(weights[idx] @ val) + bias)
 
 
 def _require_both_labels(d: Dataset) -> None:
@@ -227,12 +260,17 @@ def _fit(
         seeded_shuffle(order, rng)
         for i in order:
             idx, val = rows[i]
-            g = sample_weights[i] * (_prob(weights, bias, idx, val, scale) - targets[i])
+            # Gather the example's weights once; its buckets are distinct, so
+            # scattering the updated copy back equals weights[idx] -= ...
+            w = weights[idx]
+            g = sample_weights[i] * (_sigmoid(scale * float(w @ val) + bias) - targets[i])
             scale *= decay
             if scale < _MIN_SCALE:
                 weights *= scale
+                w *= scale
                 scale = 1.0
-            weights[idx] -= (lr * g / scale) * val
+            w -= (lr * g / scale) * val
+            weights[idx] = w
             bias -= lr * g
     weights *= scale
     return BaselineModel(weights=weights, bias=bias, config=cfg)
@@ -252,6 +290,11 @@ def train(d: Dataset, cfg: BaselineConfig) -> BaselineModel:
 def predict_prob(m: BaselineModel, text: str) -> float:
     """Positive-class probability: sigmoid of the hashed-feature linear score."""
     return _prob(m.weights, m.bias, *hashed_features(text, m.config))
+
+
+def predict_probs(m: BaselineModel, texts: Sequence[str]) -> list[float]:
+    """predict_prob of every text, with all texts hashed in one _csr pass."""
+    return [_prob(m.weights, m.bias, idx, val) for idx, val in _rows(_csr(texts, m.config))]
 
 
 def save_model(m: BaselineModel, path: str | Path) -> None:
@@ -281,14 +324,17 @@ def _spec_predictions(train_set: Dataset, eval_set: Dataset, cfg: BaselineConfig
     """Yield the eval-set probabilities of `runs` seeded fits of one spec, a list per run.
 
     Each side is hashed once into a CSR matrix whose rows every run shares;
-    both are freed once the spec's last run is yielded.
+    both are freed once the spec's last run is yielded. A run's model is
+    dropped before the next run fits, so one weight vector is alive at a time.
     """
     labels = [r.label for r in train_set.records]
     train_rows = _rows(_csr([r.text for r in train_set.records], cfg))
     eval_rows = _rows(_csr([r.text for r in eval_set.records], cfg))
     for k in range(runs):
         model = _fit(train_rows, labels, dataclasses.replace(cfg, seed=cfg.seed + k))
-        yield [_prob(model.weights, model.bias, idx, val) for idx, val in eval_rows]
+        probs = [_prob(model.weights, model.bias, idx, val) for idx, val in eval_rows]
+        del model
+        yield probs
 
 
 def run_protocol(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import numbers
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -102,6 +103,19 @@ def _object(doc: dict, key: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"config: {key!r} must be an object")
     return value
+
+
+def _config_number(section: dict, name: str, default, kind: type):
+    """The field `name` ("runs", "split.seed") of its config section as an int or a float.
+
+    Absent, it is `default`. JSON true/false, strings, lists and, for an int,
+    any float are errors naming the field, never a silent int() truncation.
+    """
+    value = section.get(name.rpartition(".")[2], default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"config: {name!r} must be {what}, got {value!r}")
+    return kind(value)
 
 
 def _baseline_config(d: dict) -> baseline.BaselineConfig:
@@ -388,7 +402,7 @@ def cmd_baseline(args) -> int:
         model = baseline.load_model(doc["model"])
         data = corpus.load_dataset(doc["input"])
         ids = [r.tweet_id for r in data.records]
-        probs = [baseline.predict_prob(model, r.text) for r in data.records]
+        probs = baseline.predict_probs(model, [r.text for r in data.records])
         matrix = predictions.RunMatrix.from_columns({(doc["model_id"], doc["run_id"]): (ids, probs)})
         predictions.write_predictions(matrix, doc["output"])
         print(f"wrote {len(data)} predictions to {doc['output']}")
@@ -400,7 +414,7 @@ def cmd_baseline(args) -> int:
     train_set = corpus.load_dataset(doc["train"])
     eval_set = corpus.load_dataset(doc["eval"])
     specs = _specs_from_config(doc)
-    runs = int(doc.get("runs", 5))
+    runs = _config_number(doc, "runs", 5, int)
     out = baseline.run_protocol(train_set, eval_set, specs, runs, doc["output"])
     print(f"wrote {len(specs)} specs x {runs} runs x {len(eval_set)} tweets to {out}")
     return 0
@@ -454,8 +468,8 @@ def cmd_reproduce(args) -> int:
             for r in data.records
         )
         split_cfg = _object(doc, "split")
-        fraction = float(split_cfg.get("train_fraction", 0.8))
-        split_seed = int(split_cfg.get("seed", 0))
+        fraction = _config_number(split_cfg, "split.train_fraction", 0.8, float)
+        split_seed = _config_number(split_cfg, "split.seed", 0, int)
         seeds["split"] = split_seed
         try:
             train_set, dev_set = corpus.stratified_split(cleaned, fraction, split_seed)
@@ -464,7 +478,7 @@ def cmd_reproduce(args) -> int:
         specs = _specs_from_config(proto)
         ensemble.check_model_ids(m for m, _ in specs)
         seeds["specs"] = {m: cfg.seed for m, cfg in specs}
-        runs = int(proto.get("runs", 5))
+        runs = _config_number(proto, "runs", 5, int)
         pred_path = out_dir / "predictions.tsv"
         try:
             baseline.run_protocol(train_set, dev_set, specs, runs, pred_path)

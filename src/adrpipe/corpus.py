@@ -117,12 +117,12 @@ def save_dataset(d: Dataset, path: str | Path, header: bool = True) -> None:
 def seeded_shuffle(items: list, rng: random.Random) -> None:
     """In-place Fisher-Yates shuffle driven by the given Mersenne Twister RNG.
 
-    Spelled out (rather than rng.shuffle) so the exact algorithm is pinned
-    and splits reproduce across platforms and Python versions.
+    For i from len(items) - 1 down to 1, swap items[i] with items[j], j drawn
+    by rng.randrange(i + 1). CPython's rng.shuffle is exactly this loop on the
+    same draws, so it runs it; a test pins both the permutation and the RNG
+    state afterwards against the spelled-out loop.
     """
-    for i in range(len(items) - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        items[i], items[j] = items[j], items[i]
+    rng.shuffle(items)
 
 
 def stratified_split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

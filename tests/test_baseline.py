@@ -2,9 +2,12 @@ import dataclasses
 import math
 import random
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adrpipe import baseline
 from adrpipe.baseline import (
@@ -185,6 +188,47 @@ class TestCSR:
     def test_no_texts(self):
         indptr, indices, data = _csr([], BaselineConfig())
         assert indptr.tolist() == [0] and indices.size == 0 and data.size == 0
+
+
+def reference_row(text, cfg):
+    """The spelled-out featurizer: count each n-gram's crc32 bucket, sort by bucket."""
+    lo, hi = cfg.ngram_range
+    units = list(text) if cfg.feature_mode == "char" else text.split()
+    sep = "" if cfg.feature_mode == "char" else " "
+    grams = [sep.join(units[i : i + n]) for n in range(lo, hi + 1) for i in range(len(units) - n + 1)]
+    counts = Counter(zlib.crc32(g.encode()) & (cfg.feature_buckets - 1) for g in grams)
+    return sorted(counts.items())
+
+
+# All of Unicode (surrogates cannot be encoded, and no text in a dataset holds one),
+# with whitespace over-represented so word mode sees empty and whitespace-only texts.
+_text = st.text(
+    st.one_of(st.characters(blacklist_categories=("Cs",)), st.sampled_from(" \t\n\x0b\u3000a")), max_size=30
+)
+
+
+class TestCSRLaws:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        texts=st.lists(_text, max_size=12),
+        mode=st.sampled_from(("char", "word")),
+        lo=st.integers(1, 3),
+        width=st.integers(0, 2),
+        buckets=st.sampled_from((1, 2**4, 2**18)),
+        block=st.sampled_from((1, 7, baseline._BLOCK_GRAMS)),
+    )
+    def test_rows_equal_the_reference_counter(self, texts, mode, lo, width, buckets, block):
+        # Small blocks put block edges inside and between texts; the default keeps most in one block.
+        cfg = BaselineConfig(ngram_range=(lo, lo + width), feature_buckets=buckets, feature_mode=mode)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baseline, "_BLOCK_GRAMS", block)
+            indptr, indices, data = _csr(texts, cfg)
+        assert indptr.dtype == indices.dtype == np.int64 and data.dtype == np.float64
+        assert indptr.shape == (len(texts) + 1,) and indptr[-1] == indices.size == data.size
+        for i, text in enumerate(texts):
+            a, b = indptr[i], indptr[i + 1]
+            row = list(zip(indices[a:b].tolist(), data[a:b].tolist()))
+            assert row == [(bucket, float(n)) for bucket, n in reference_row(text, cfg)]
 
 
 class TestTrain:
@@ -399,11 +443,22 @@ class TestProtocol:
 
     def test_single_label_rejected_before_hashing(self, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(baseline, "hashed_features", lambda *a: calls.append(a))
+        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
         d = Dataset.from_records([LabeledTweet("t1", "x", 0), LabeledTweet("t2", "y", 0)])
         with pytest.raises(ValueError, match="^training data must contain both labels$"):
             run_protocol(d, toy_separable(), [("m", BaselineConfig())], runs=2, out_path=tmp_path / "p.tsv")
         assert calls == [] and not (tmp_path / "p.tsv").exists()
+
+    def test_valid_protocol_goes_through_the_hashing_hook(self, tmp_path, monkeypatch):
+        # The positive control for the *_rejected_before_hashing tests: a valid call
+        # hashes each spec's two sides through the function they patch.
+        calls = []
+        csr = baseline._csr
+        monkeypatch.setattr(baseline, "_csr", lambda texts, cfg: calls.append(cfg) or csr(texts, cfg))
+        d = toy_separable()
+        specs = [("a", BaselineConfig(epochs=1)), ("b", BaselineConfig(epochs=1, feature_mode="word"))]
+        run_protocol(d, d, specs, runs=2, out_path=tmp_path / "p.tsv")
+        assert calls == [specs[0][1]] * 2 + [specs[1][1]] * 2
 
     def test_zero_runs_rejected(self, tmp_path):
         d = toy_separable()
@@ -412,7 +467,7 @@ class TestProtocol:
 
     def test_repeated_model_id_rejected_before_hashing(self, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(baseline, "hashed_features", lambda *a: calls.append(a))
+        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
         d = toy_separable()
         specs = [("b", BaselineConfig()), ("a", BaselineConfig()), ("b", BaselineConfig(seed=1))]
         with pytest.raises(ValueError, match="^duplicate model_id in specs: b$"):
@@ -429,7 +484,7 @@ class TestProtocol:
     )
     def test_unwritable_model_id_rejected_before_hashing(self, tmp_path, monkeypatch, model_id, message):
         calls = []
-        monkeypatch.setattr(baseline, "hashed_features", lambda *a: calls.append(a))
+        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
         d = toy_separable()
         with pytest.raises(ValueError) as e:
             run_protocol(d, d, [("ok", BaselineConfig()), (model_id, BaselineConfig())], runs=2,

@@ -294,6 +294,23 @@ class TestBaselineCmd:
         lines = (tmp_path / "preds.tsv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 21
 
+    def test_predict_file_equals_per_text_predict_prob(self, tmp_path, capsys):
+        from adrpipe import baseline, corpus, predictions
+
+        d = small_dataset(tmp_path)
+        model = baseline.train(load_dataset(d), baseline.BaselineConfig(epochs=2, l2=1e-3, seed=4))
+        baseline.save_model(model, tmp_path / "model.npz")
+        records = [*load_dataset(d).records, corpus.LabeledTweet("empty", "", 0),
+                   corpus.LabeledTweet("blank", "  ", 1)]
+        corpus.save_dataset(corpus.Dataset.from_records(records), tmp_path / "in.tsv")
+        cfg = write_config(tmp_path, {"model": str(tmp_path / "model.npz"), "input": str(tmp_path / "in.tsv"),
+                                      "output": str(tmp_path / "preds.tsv"), "model_id": "m", "run_id": "r1"})
+        assert run("baseline", "predict", "--config", cfg) == 0
+        per_text = [baseline.predict_prob(model, r.text) for r in records]
+        expected = predictions.RunMatrix.from_columns({("m", "r1"): ([r.tweet_id for r in records], per_text)})
+        predictions.write_predictions(expected, tmp_path / "expected.tsv")
+        assert (tmp_path / "preds.tsv").read_bytes() == (tmp_path / "expected.tsv").read_bytes()
+
     def test_missing_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"train": "x"}), encoding="utf-8")
@@ -456,6 +473,48 @@ class TestConfigErrors:
         assert not (tmp_path / "p.tsv").exists()
 
 
+BAD_INTEGERS = [([1], "[1]"), (2.7, "2.7"), (2.0, "2.0"), (True, "True"), ("2", "'2'")]
+
+
+class TestIntegerConfigFields:
+    """`runs` and `split.seed` must be JSON integers and `split.train_fraction` a number."""
+
+    @pytest.mark.parametrize("value, shown", BAD_INTEGERS)
+    def test_baseline_protocol_runs(self, tmp_path, capsys, value, shown):
+        d = small_dataset(tmp_path)
+        cfg = {"train": str(d), "eval": str(d), "output": str(tmp_path / "p.tsv"), "runs": value,
+               "specs": [{"model_id": "m", "epochs": 1}]}
+        assert run("baseline", "protocol", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr().err == f"baseline: config: 'runs' must be an integer, got {shown}\n"
+        assert not (tmp_path / "p.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [("protocol", "runs", v, f"'runs' must be an integer, got {s}") for v, s in BAD_INTEGERS]
+        + [("split", "seed", v, f"'split.seed' must be an integer, got {s}") for v, s in BAD_INTEGERS]
+        + [
+            ("split", "train_fraction", v, f"'split.train_fraction' must be a number, got {s}")
+            for v, s in [("0.8", "'0.8'"), ([0.8], "[0.8]"), (False, "False")]
+        ],
+    )
+    def test_reproduce_leaves_output_dir_empty(self, tmp_path, capsys, section, key, value, message):
+        d = small_dataset(tmp_path)
+        cfg = protocol_config(tmp_path, d)
+        cfg[section][key] = value
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr().err == f"reproduce: config: {message}\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_integral_values_accepted(self, tmp_path, capsys):
+        d = small_dataset(tmp_path)
+        cfg = protocol_config(tmp_path, d)
+        cfg["protocol"]["runs"] = 1
+        cfg["split"] = {"train_fraction": 1 / 2, "seed": 0}
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 0
+        lines = (tmp_path / "out" / "predictions.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        assert {line.split("\t")[1] for line in lines} == {"r1"}
+
+
 class TestReproduceWritesNothingOnConfigErrors:
     @pytest.mark.parametrize(
         "change, message",
@@ -518,7 +577,7 @@ class TestUnwritableIds:
         from adrpipe import baseline
 
         calls = []
-        monkeypatch.setattr(baseline, "hashed_features", lambda *a: calls.append(a))
+        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
         d = small_dataset(tmp_path)
         cfg = protocol_config(tmp_path, d)
         cfg["protocol"]["specs"][1]["model_id"] = model_id

@@ -1,10 +1,13 @@
 """Text stages stay linear on adversarial input: 100k-character lines of the
-shapes that make a backtracking pattern rescan, each under a loose bound."""
+shapes that make a backtracking pattern rescan, each under a loose bound. The
+featurizer also stays linear, and within a memory bound, on one long line."""
 
 import time
+import tracemalloc
 
 import pytest
 
+from adrpipe.baseline import BaselineConfig, _csr
 from adrpipe.preprocess import preprocess
 from adrpipe.tokenize import corpus_token_stats
 
@@ -42,3 +45,22 @@ def test_preprocess_is_linear(text, full_pipeline):
 @pytest.mark.parametrize("text", HOSTILE.values(), ids=HOSTILE.keys())
 def test_corpus_token_stats_is_linear(text, file_vocab):
     assert fastest(lambda: corpus_token_stats([text], file_vocab)) < BOUND_S
+
+
+# Featurizing one 200k-character line with the default char 3-5 grams (600k
+# grams) peaked at 15,600,877 bytes under tracemalloc when each text was hashed
+# and sorted on its own; block hashing must not need more.
+LONG_LINE = ("quetiapine made me dizzy \u00e9\u4e2d\U0001f600 " * 10_000)[:200_000]
+PER_TEXT_PEAK_BYTES = 15_600_877
+
+
+def test_csr_on_one_long_line_is_linear_and_bounded():
+    cfg = BaselineConfig()
+    assert fastest(lambda: _csr([LONG_LINE], cfg)) < BOUND_S
+    tracemalloc.start()
+    try:
+        _csr([LONG_LINE], cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PER_TEXT_PEAK_BYTES
