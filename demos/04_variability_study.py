@@ -30,7 +30,7 @@ from adrpipe import (
     train,
     variability,
 )
-from adrpipe.baseline import predict_prob
+from adrpipe.baseline import predict_probs
 from adrpipe.evaluate import variability_table
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -51,7 +51,8 @@ def run_scenario(transform, **cfg_kwargs):
     per_run = []
     for seed in range(RUNS):
         model = train(transform(train_set), BaselineConfig(seed=seed, **cfg_kwargs))
-        verdicts = {r.tweet_id: int(predict_prob(model, r.text) >= 0.5) for r in dev_set.records}
+        probs = predict_probs(model, [r.text for r in dev_set.records])
+        verdicts = {r.tweet_id: int(p >= 0.5) for r, p in zip(dev_set.records, probs)}
         per_run.append(metrics(confusion(verdicts, gold)))
     return per_run
 

@@ -7,12 +7,19 @@ power-of-two bucket space; training is plain per-example gradient descent on a
 class-weighted logistic loss, with the example order reshuffled each epoch by
 a seeded Fisher-Yates pass. Everything is deterministic given (data, config).
 
-There is one featurizer, `_csr`: it streams the crc32 of every n-gram into a
-flat buffer and, every ~2^16 grams, sorts the block's (row, bucket) keys once
-to get each row's sorted buckets and counts, so a side costs a few sorts
-rather than one per text. The protocol hashes each spec's train side and dev
-side once, each into a CSR matrix (indptr/indices/data arrays) whose rows all
-R runs of the spec share; `hashed_features` is the one-row case.
+There is one featurizer, `_csr`. It cuts the texts into blocks of about 2^16
+n-grams and turns each block into one int64 key per gram, row * stride +
+bucket, which one sort turns into each row's sorted buckets and counts. Char
+grams are hashed without a call per gram: the block is encoded to UTF-8 once,
+every window start keeps its own crc32 register, and table-driven numpy steps
+(Sarwate's byte table) advance all registers a character at a time. Each
+character position of the longest n-gram costs a few numpy calls for the
+first bytes, plus a few per further byte over just the windows whose
+character is multi-byte there. Word grams, which can be any length, go
+through zlib.crc32 one at a time. The protocol
+hashes each spec's train side and dev side once, each into a CSR matrix
+(indptr/indices/data arrays) whose rows all R runs of the spec share;
+`hashed_features` is the one-row case.
 
 l2 weight decay is applied through a lazy scale factor (weights = scale * v),
 so an SGD step costs O(nonzeros of the example) rather than O(feature_buckets):
@@ -115,17 +122,11 @@ class BaselineModel:
             )
 
 
-def _ngrams(text: str, cfg: BaselineConfig):
-    lo, hi = cfg.ngram_range
-    if cfg.feature_mode == "char":
-        for n in range(lo, hi + 1):
-            for i in range(len(text) - n + 1):
-                yield text[i : i + n]
-    else:
-        words = text.split()
-        for n in range(lo, hi + 1):
-            for i in range(len(words) - n + 1):
-                yield " ".join(words[i : i + n])
+def _word_grams(text: str, lo: int, hi: int):
+    words = text.split()
+    for n in range(lo, hi + 1):
+        for i in range(len(words) - n + 1):
+            yield " ".join(words[i : i + n])
 
 
 def hashed_features(text: str, cfg: BaselineConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -174,22 +175,100 @@ def loss_and_grad(
 
 
 # Grams hashed before a block's keys are sorted: large enough that a side
-# takes a few sorts, small enough that the keys stay a fraction of a MB.
+# takes a few sorts, small enough that the keys stay a fraction of a MB. A
+# text is counted as len(text) grams per n-gram size: a bound on its char
+# grams, several times its word grams.
 _BLOCK_GRAMS = 1 << 16
+# Window starts whose crc32 registers advance together: bounds the per-window
+# arrays to about 2 MB however long a text is.
+_CHUNK_WINDOWS = 1 << 15
 
 
-def _blocks(texts: Sequence[str], cfg: BaselineConfig):
-    """Yield (gram hashes, grams per text) for runs of texts holding about _BLOCK_GRAMS grams."""
+def _crc_table() -> np.ndarray:
+    """Sarwate's byte table for zlib's CRC-32 (reflected polynomial 0xEDB88320)."""
+    table = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        table = np.where(table & 1, (table >> 1) ^ np.uint32(0xEDB88320), table >> 1)
+    return table
+
+
+_CRC_TABLE = _crc_table()
+# Bytes in a UTF-8 character, by its first byte (continuation bytes are never looked up).
+_UTF8_WIDTH = np.repeat(np.array([1, 2, 3, 4], dtype=np.uint8), [0xC0, 0x20, 0x10, 0x10])
+
+
+def _char_keys(texts: list[str], lo: int, hi: int, stride: int) -> np.ndarray:
+    """The key row * stride + (crc32 & (stride - 1)) of every char n-gram of texts, in no set order.
+
+    zlib.crc32 of a gram runs the register 0xFFFFFFFF through a table step per
+    UTF-8 byte and returns it inverted. Each window start has its own register.
+    One vectorised step advances all of them by their next character's first
+    byte; each further byte steps only the windows whose character has it. So
+    after n characters the registers of the windows that still fit in their
+    text are their n-grams' crc32s. Texts are encoded whole, so a text holding
+    a lone surrogate raises UnicodeEncodeError even where no gram reaches it.
+    """
+    raw = "".join(texts).encode()
+    data = np.frombuffer(raw, dtype=np.uint8)
+    starts = np.flatnonzero((data & 0xC0) != 0x80)  # each character's first byte
+    ends = np.cumsum(np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)))
+    lengths = np.diff(ends, prepend=0)
+    grams = sum(int(np.maximum(lengths - n + 1, 0).sum()) for n in range(lo, hi + 1))
+    keys = np.empty(grams, dtype=np.int64)
+    filled = 0
+    for first in range(0, starts.size, _CHUNK_WINDOWS):
+        window = np.arange(first, min(first + _CHUNK_WINDOWS, starts.size))
+        row = np.searchsorted(ends, window, side="right")
+        left = ends[row] - window  # characters from the window start to its text's end
+        fits = left >= lo
+        base, left, pos = row[fits] * stride, left[fits], starts[window[fits]]
+        crc = np.full(base.size, 0xFFFFFFFF, dtype=np.uint32)
+        for n in range(1, hi + 1):
+            if n > lo:
+                fits = left >= n
+                base, left, pos, crc = base[fits], left[fits], pos[fits], crc[fits]
+            lead = data[pos]
+            crc = _CRC_TABLE[(crc ^ lead) & 0xFF] ^ (crc >> 8)
+            width = _UTF8_WIDTH[lead]
+            more, b = np.flatnonzero(width > 1), 1  # windows whose character has bytes left
+            while more.size:
+                c = crc[more]
+                crc[more] = _CRC_TABLE[(c ^ data[pos[more] + b]) & 0xFF] ^ (c >> 8)
+                b += 1
+                more = more[width[more] > b]
+            pos += width
+            if n >= lo:
+                keys[filled : filled + crc.size] = base + (~crc & (stride - 1))
+                filled += crc.size
+    return keys
+
+
+def _word_keys(texts: list[str], lo: int, hi: int, stride: int) -> np.ndarray:
+    """The key row * stride + (crc32 & (stride - 1)) of every word n-gram of texts."""
     hashes, lengths = array("q"), array("q")
     for text in texts:
         before = len(hashes)
-        hashes.extend(map(zlib.crc32, map(str.encode, _ngrams(text, cfg))))
+        hashes.extend(map(zlib.crc32, map(str.encode, _word_grams(text, lo, hi))))
         lengths.append(len(hashes) - before)
-        if len(hashes) >= _BLOCK_GRAMS:
-            yield hashes, lengths
-            hashes, lengths = array("q"), array("q")
-    if lengths:
-        yield hashes, lengths
+    keys = np.frombuffer(hashes, dtype=np.int64)
+    keys &= stride - 1
+    keys += np.repeat(np.arange(len(texts), dtype=np.int64) * stride, lengths)
+    return keys
+
+
+def _blocks(texts: Sequence[str], cfg: BaselineConfig, stride: int):
+    """Yield (keys, number of texts) for runs of texts holding about _BLOCK_GRAMS grams."""
+    lo, hi = cfg.ngram_range
+    keys = _char_keys if cfg.feature_mode == "char" else _word_keys
+    block, grams = [], 0
+    for text in texts:
+        block.append(text)
+        grams += len(text) * (hi - lo + 1)
+        if grams >= _BLOCK_GRAMS:
+            yield keys(block, lo, hi, stride), len(block)
+            block, grams = [], 0
+    if block:
+        yield keys(block, lo, hi, stride), len(block)
 
 
 def _csr(texts: Sequence[str], cfg: BaselineConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,17 +278,14 @@ def _csr(texts: Sequence[str], cfg: BaselineConfig) -> tuple[np.ndarray, np.ndar
     distinct buckets (crc32 & (feature_buckets - 1)) of texts[i]'s n-grams and
     their float64 counts. Each block's keys row * stride + bucket are sorted
     once; stride is a power of two above every bucket, capped so keys fit int64.
+    Grams are hashed as UTF-8: in char mode a text holding a lone surrogate
+    raises UnicodeEncodeError, in word mode only one inside a gram does.
     """
-    mask = cfg.feature_buckets - 1
-    stride = min(cfg.feature_buckets, 1 << 32)  # crc32 & mask < 2**32
+    stride = min(cfg.feature_buckets, 1 << 32)  # crc32 < 2**32
     nnz, indices, data = [np.zeros(1, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for hashes, lengths in _blocks(texts, cfg):
-        keys = np.frombuffer(hashes, dtype=np.int64)
-        keys &= mask
-        keys += np.repeat(np.arange(len(lengths), dtype=np.int64) * stride, lengths)
+    for keys, count in _blocks(texts, cfg, stride):
         keys, counts = np.unique(keys, return_counts=True)
-        rows = keys // stride
-        nnz.append(np.bincount(rows, minlength=len(lengths)))
+        nnz.append(np.bincount(keys // stride, minlength=count))
         indices.append(keys & (stride - 1))
         data.append(counts.astype(np.float64))
     return np.cumsum(np.concatenate(nnz)), np.concatenate(indices), np.concatenate(data)
@@ -288,7 +364,11 @@ def train(d: Dataset, cfg: BaselineConfig) -> BaselineModel:
 
 
 def predict_prob(m: BaselineModel, text: str) -> float:
-    """Positive-class probability: sigmoid of the hashed-feature linear score."""
+    """Positive-class probability: sigmoid of the hashed-feature linear score.
+
+    Each call hashes its text alone and pays the hasher's fixed numpy cost;
+    score a batch with predict_probs, which hashes every text in one pass.
+    """
     return _prob(m.weights, m.bias, *hashed_features(text, m.config))
 
 

@@ -106,12 +106,13 @@ def _object(doc: dict, key: str) -> dict:
 
 
 def _config_number(section: dict, name: str, default, kind: type):
-    """The field `name` ("runs", "split.seed") of its config section as an int or a float.
+    """The field `name` ("runs", "split.seed", "thresholds.<model>") of a config section, as `kind`.
 
-    Absent, it is `default`. JSON true/false, strings, lists and, for an int,
-    any float are errors naming the field, never a silent int() truncation.
+    Its key in the section is `name` after the first dot, if any. Absent, it is
+    `default`. JSON true/false, null, strings, lists and, for an int, any float
+    are errors naming the field, never a silent int() truncation.
     """
-    value = section.get(name.rpartition(".")[2], default)
+    value = section.get(name.split(".", 1)[-1], default)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
         what = "an integer" if kind is int else "a number"
         raise ValueError(f"config: {name!r} must be {what}, got {value!r}")
@@ -434,19 +435,22 @@ def cmd_reproduce(args) -> int:
         data = corpus.load_dataset(doc["dataset"])
     except ValueError as e:
         raise ValueError(f"corpus: {e}") from None
-    thresholds_doc = dict(_object(doc, "thresholds"))
-    default = thresholds_doc.pop("default", 0.5)
+    thresholds_doc = _object(doc, "thresholds")
+    # "default": null leaves no default, so every model needs a threshold of its own.
+    default = (
+        None if thresholds_doc.get("default", 0.5) is None
+        else _config_number(thresholds_doc, "thresholds.default", 0.5, float)
+    )
+    thresholds = {
+        m: _config_number(thresholds_doc, f"thresholds.{m}", None, float)
+        for m in thresholds_doc
+        if m != "default"
+    }
     try:
-        ens_cfg = ensemble.EnsembleConfig(
-            thresholds={m: float(t) for m, t in thresholds_doc.items()},
-            default_threshold=None if default is None else float(default),
-        )
+        ens_cfg = ensemble.EnsembleConfig(thresholds=thresholds, default_threshold=default)
     except ValueError as e:
         raise ValueError(f"ensemble: {e}") from None
-    try:
-        min_dev_f1 = None if doc.get("min_dev_f1") is None else float(doc["min_dev_f1"])
-    except (TypeError, ValueError):
-        raise ValueError(f"config: 'min_dev_f1' must be a number, got {doc['min_dev_f1']!r}") from None
+    min_dev_f1 = None if doc.get("min_dev_f1") is None else _config_number(doc, "min_dev_f1", None, float)
 
     seeds: dict = {}
     inputs = {"dataset": doc["dataset"]}

@@ -285,7 +285,7 @@ def test_criterion_8_variability_harness(fixture_corpus):
     assert original.f1_std == pytest.approx(statistics.stdev(run_f1))
 
     # drive the two classifier-side scenario knobs over repeated seeded runs
-    from adrpipe.baseline import predict_prob, train
+    from adrpipe.baseline import predict_probs, train
 
     train_set, dev_set = stratified_split(fixture_corpus, 0.8, seed=3)
     gold = dev_set.labels()
@@ -295,9 +295,8 @@ def test_criterion_8_variability_harness(fixture_corpus):
         for seed in range(3):
             cfg = BaselineConfig(epochs=2, seed=seed, **cfg_kwargs)
             model = train(transform(train_set), cfg)
-            verdicts = {
-                r.tweet_id: int(predict_prob(model, r.text) >= 0.5) for r in dev_set.records
-            }
+            probs = predict_probs(model, [r.text for r in dev_set.records])
+            verdicts = {r.tweet_id: int(p >= 0.5) for r, p in zip(dev_set.records, probs)}
             out.append(metrics(confusion(verdicts, gold)))
         return out
 

@@ -17,6 +17,7 @@ from adrpipe.baseline import (
     load_model,
     loss_and_grad,
     predict_prob,
+    predict_probs,
     run_protocol,
     save_model,
     train,
@@ -207,6 +208,23 @@ _text = st.text(
 )
 
 
+def assert_rows_equal_reference(texts, cfg, block=baseline._BLOCK_GRAMS, chunk=baseline._CHUNK_WINDOWS):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baseline, "_BLOCK_GRAMS", block)
+        mp.setattr(baseline, "_CHUNK_WINDOWS", chunk)
+        indptr, indices, data = _csr(texts, cfg)
+    assert indptr.dtype == indices.dtype == np.int64 and data.dtype == np.float64
+    assert indptr.shape == (len(texts) + 1,) and indptr[-1] == indices.size == data.size
+    for i, text in enumerate(texts):
+        a, b = indptr[i], indptr[i + 1]
+        row = list(zip(indices[a:b].tolist(), data[a:b].tolist()))
+        assert row == [(bucket, float(n)) for bucket, n in reference_row(text, cfg)]
+
+
+# Characters of 1 to 4 UTF-8 bytes, each width's first and last code point among them.
+WIDE = "a\x7f\x80\u00e9\u07ff\u0800\u4e2d\uffff\U00010000\U0001f600\U0010ffff"
+
+
 class TestCSRLaws:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -216,28 +234,42 @@ class TestCSRLaws:
         width=st.integers(0, 2),
         buckets=st.sampled_from((1, 2**4, 2**18)),
         block=st.sampled_from((1, 7, baseline._BLOCK_GRAMS)),
+        chunk=st.sampled_from((1, 3, baseline._CHUNK_WINDOWS)),
     )
-    def test_rows_equal_the_reference_counter(self, texts, mode, lo, width, buckets, block):
-        # Small blocks put block edges inside and between texts; the default keeps most in one block.
+    def test_rows_equal_the_reference_counter(self, texts, mode, lo, width, buckets, block, chunk):
+        # Small blocks put block edges inside and between texts, small chunks put
+        # chunk edges inside them; the defaults keep most texts in one of each.
         cfg = BaselineConfig(ngram_range=(lo, lo + width), feature_buckets=buckets, feature_mode=mode)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(baseline, "_BLOCK_GRAMS", block)
-            indptr, indices, data = _csr(texts, cfg)
-        assert indptr.dtype == indices.dtype == np.int64 and data.dtype == np.float64
-        assert indptr.shape == (len(texts) + 1,) and indptr[-1] == indices.size == data.size
-        for i, text in enumerate(texts):
-            a, b = indptr[i], indptr[i + 1]
-            row = list(zip(indices[a:b].tolist(), data[a:b].tolist()))
-            assert row == [(bucket, float(n)) for bucket, n in reference_row(text, cfg)]
+        assert_rows_equal_reference(texts, cfg, block, chunk)
+
+    @pytest.mark.parametrize("block", (1, 7, baseline._BLOCK_GRAMS))
+    @pytest.mark.parametrize("chunk", (1, 2, 3, 5, baseline._CHUNK_WINDOWS))
+    @pytest.mark.parametrize("lo, hi", ((1, 1), (2, 4), (3, 5)))
+    def test_multibyte_characters_across_chunk_and_block_edges(self, block, chunk, lo, hi):
+        texts = [WIDE, "", "\U0001f600" * 7, "x" + WIDE[::-1] + "y", "\u00e9\u4e2d", WIDE[5:] + WIDE[:5]]
+        assert_rows_equal_reference(texts, BaselineConfig(ngram_range=(lo, hi)), block, chunk)
+
+    @pytest.mark.parametrize("chunk", (1, 3, baseline._CHUNK_WINDOWS))
+    def test_empty_and_short_texts_get_empty_rows(self, chunk):
+        texts = ["", "ab", "", "\U0001f600\u4e2d", "abcd", "", "a", ""]
+        cfg = BaselineConfig(ngram_range=(3, 5))
+        assert_rows_equal_reference(texts, cfg, chunk=chunk)
+        indptr, _, _ = _csr(texts, cfg)
+        assert np.diff(indptr).tolist() == [0, 0, 0, 0, 3, 0, 0, 0]
+
+    @pytest.mark.parametrize("text", ["\ud800", "ab\udfff", "\udfffabcdef"])
+    def test_a_lone_surrogate_raises_in_char_mode_wherever_it_falls(self, text):
+        # The text is encoded whole, so even a surrogate that no 5-gram reaches raises.
+        with pytest.raises(UnicodeEncodeError):
+            _csr(["fine text", text], BaselineConfig(ngram_range=(5, 5)))
 
 
 class TestTrain:
     def test_separable_set_reaches_perfect_train_accuracy(self):
         d = toy_separable()
         model = train(d, BaselineConfig(seed=1))
-        correct = sum(
-            (predict_prob(model, r.text) >= 0.5) == (r.label == 1) for r in d.records
-        )
+        probs = predict_probs(model, [r.text for r in d.records])
+        correct = sum((p >= 0.5) == (r.label == 1) for r, p in zip(d.records, probs))
         assert correct == len(d)
 
     def test_bit_identical_under_same_seed(self):
@@ -293,11 +325,8 @@ class TestTrain:
 
         def train_recall(cfg):
             model = train(fixture_corpus, cfg)
-            hits = sum(
-                1
-                for r in fixture_corpus.records
-                if r.label == 1 and predict_prob(model, r.text) >= 0.5
-            )
+            probs = predict_probs(model, [r.text for r in fixture_corpus.records])
+            hits = sum(r.label == 1 and p >= 0.5 for r, p in zip(fixture_corpus.records, probs))
             return hits / fixture_corpus.positive_count
 
         assert train_recall(weighted) >= train_recall(base)
@@ -307,13 +336,8 @@ class TestTrain:
         for w in (1.0, 2.0, 3.0):
             cfg = BaselineConfig(seed=9, epochs=4, positive_weight=w)
             model = train(fixture_corpus, cfg)
-            counts.append(
-                sum(
-                    1
-                    for r in fixture_corpus.records
-                    if r.label == 1 and predict_prob(model, r.text) >= 0.5
-                )
-            )
+            probs = predict_probs(model, [r.text for r in fixture_corpus.records])
+            counts.append(sum(r.label == 1 and p >= 0.5 for r, p in zip(fixture_corpus.records, probs)))
         assert counts == sorted(counts)
 
 

@@ -524,6 +524,13 @@ class TestReproduceWritesNothingOnConfigErrors:
             ({"split": [0.8]}, "config: 'split' must be an object"),
             ({"min_dev_f1": "high"}, "config: 'min_dev_f1' must be a number, got 'high'"),
             ({"min_dev_f1": [0.1]}, "config: 'min_dev_f1' must be a number, got [0.1]"),
+            ({"min_dev_f1": True}, "config: 'min_dev_f1' must be a number, got True"),
+            ({"min_dev_f1": "0.05"}, "config: 'min_dev_f1' must be a number, got '0.05'"),
+            ({"thresholds": {"default": "0.5"}}, "config: 'thresholds.default' must be a number, got '0.5'"),
+            ({"thresholds": {"default": [0.5]}}, "config: 'thresholds.default' must be a number, got [0.5]"),
+            ({"thresholds": {"default": True}}, "config: 'thresholds.default' must be a number, got True"),
+            ({"thresholds": {"charview": None}}, "config: 'thresholds.charview' must be a number, got None"),
+            ({"thresholds": {"char.view": "0.4"}}, "config: 'thresholds.char.view' must be a number, got '0.4'"),
         ],
     )
     def test_output_dir_stays_empty(self, tmp_path, capsys, change, message):
@@ -532,6 +539,14 @@ class TestReproduceWritesNothingOnConfigErrors:
         assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
         assert capsys.readouterr().err == f"reproduce: {message}\n"
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_null_default_takes_each_models_threshold(self, tmp_path, capsys):
+        d = small_dataset(tmp_path)
+        cfg = protocol_config(tmp_path, d)
+        cfg["thresholds"] = {"default": None, "charview": 0.25, "wordview": 0.75}
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert report["thresholds"] == {"charview": 0.25, "wordview": 0.75}
 
 
 class TestUnwritableIds:

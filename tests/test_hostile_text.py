@@ -1,6 +1,7 @@
 """Text stages stay linear on adversarial input: 100k-character lines of the
 shapes that make a backtracking pattern rescan, each under a loose bound. The
-featurizer also stays linear, and within a memory bound, on one long line."""
+featurizer also stays linear, and within a memory bound, on one long line and
+on one long line of 4-byte characters."""
 
 import time
 import tracemalloc
@@ -60,6 +61,22 @@ def test_csr_on_one_long_line_is_linear_and_bounded():
     tracemalloc.start()
     try:
         _csr([LONG_LINE], cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PER_TEXT_PEAK_BYTES
+
+
+# The multi-byte worst case: every character takes all four of the hasher's byte steps.
+ASTRAL_LINE = "".join(chr(0x1F600 + i % 80) for i in range(200_000))
+
+
+def test_csr_on_one_long_astral_line_is_linear_and_bounded():
+    cfg = BaselineConfig()
+    assert fastest(lambda: _csr([ASTRAL_LINE], cfg)) < BOUND_S
+    tracemalloc.start()
+    try:
+        _csr([ASTRAL_LINE], cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
