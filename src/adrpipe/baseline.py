@@ -24,7 +24,10 @@ hashes each spec's train side and dev side once, each into a CSR matrix
 l2 weight decay is applied through a lazy scale factor (weights = scale * v),
 so an SGD step costs O(nonzeros of the example) rather than O(feature_buckets):
 it gathers the example's weights once, scores with them, updates them and
-scatters them back.
+scatters them back. Rows are short (about 140 buckets), so a step's cost is
+mostly numpy's per-call overhead. Dot products therefore use ndarray.dot:
+it is the same BLAS ddot as `@`, with the same bits, but under numpy 2 `@`
+dispatches through a ufunc and costs about twice as much per call.
 """
 
 from __future__ import annotations
@@ -300,7 +303,7 @@ def _rows(csr: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[tuple[np.ndarr
 
 def _prob(weights: np.ndarray, bias: float, idx: np.ndarray, val: np.ndarray) -> float:
     """sigmoid(weights . x + bias) for the sparse row x = (idx, val)."""
-    return _sigmoid(float(weights[idx] @ val) + bias)
+    return _sigmoid(float(weights[idx].dot(val)) + bias)
 
 
 def _require_both_labels(d: Dataset) -> None:
@@ -339,7 +342,7 @@ def _fit(
             # Gather the example's weights once; its buckets are distinct, so
             # scattering the updated copy back equals weights[idx] -= ...
             w = weights[idx]
-            g = sample_weights[i] * (_sigmoid(scale * float(w @ val) + bias) - targets[i])
+            g = sample_weights[i] * (_sigmoid(scale * float(w.dot(val)) + bias) - targets[i])
             scale *= decay
             if scale < _MIN_SCALE:
                 weights *= scale
@@ -417,19 +420,16 @@ def _spec_predictions(train_set: Dataset, eval_set: Dataset, cfg: BaselineConfig
         yield probs
 
 
-def run_protocol(
+def protocol_matrix(
     train_set: Dataset,
     eval_set: Dataset,
     model_specs: Sequence[tuple[str, BaselineConfig]],
     runs: int,
-    out_path: str | Path,
-) -> Path:
-    """Train `runs` seeded models per spec and write one merged prediction file.
+) -> RunMatrix:
+    """Train `runs` seeded models per spec and collect their eval-set probabilities.
 
-    Run k of a spec uses seed cfg.seed + k; run ids are r1..rN. The written
-    file feeds straight into prediction ingestion, run averaging, ensembling,
-    and evaluation. Model ids are checked (non-empty, no tab or newline, each
-    given once) before any hashing.
+    Run k of a spec uses seed cfg.seed + k; run ids are r1..rN. Model ids are
+    checked (non-empty, no tab or newline, each given once) before any hashing.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -445,5 +445,20 @@ def run_protocol(
         for model_id, cfg in model_specs
         for k, probs in enumerate(_spec_predictions(train_set, eval_set, cfg, runs))
     }
-    write_predictions(RunMatrix.from_columns(columns), out_path)
+    return RunMatrix.from_columns(columns)
+
+
+def run_protocol(
+    train_set: Dataset,
+    eval_set: Dataset,
+    model_specs: Sequence[tuple[str, BaselineConfig]],
+    runs: int,
+    out_path: str | Path,
+) -> Path:
+    """Write protocol_matrix's runs as one merged prediction file and return its path.
+
+    The file feeds straight into prediction ingestion, run averaging,
+    ensembling, and evaluation.
+    """
+    write_predictions(protocol_matrix(train_set, eval_set, model_specs, runs), out_path)
     return Path(out_path)

@@ -451,6 +451,8 @@ def cmd_reproduce(args) -> int:
     except ValueError as e:
         raise ValueError(f"ensemble: {e}") from None
     min_dev_f1 = None if doc.get("min_dev_f1") is None else _config_number(doc, "min_dev_f1", None, float)
+    if min_dev_f1 is not None and not 0.0 <= min_dev_f1 <= 1.0:
+        raise ValueError(f"config: 'min_dev_f1' must be in [0, 1], got {min_dev_f1}")
 
     seeds: dict = {}
     inputs = {"dataset": doc["dataset"]}
@@ -485,25 +487,21 @@ def cmd_reproduce(args) -> int:
         runs = _config_number(proto, "runs", 5, int)
         pred_path = out_dir / "predictions.tsv"
         try:
-            baseline.run_protocol(train_set, dev_set, specs, runs, pred_path)
+            matrix = baseline.protocol_matrix(train_set, dev_set, specs, runs)
         except ValueError as e:
             raise ValueError(f"baseline: {e}") from None
+        predictions.write_predictions(matrix, pred_path)
+        # Go on from the values predictions.tsv holds, as `ensemble` on that file would.
+        matrix = predictions.as_written(matrix)
         outputs["predictions"] = pred_path
-        pred_paths = [pred_path]
         gold = dev_set.labels()
-        expected_runs = runs
     else:
         pred_paths = [Path(p) for p in doc["predictions"]]
         inputs["predictions"] = ", ".join(map(str, pred_paths))
-        expected_runs = None
-        gold = None  # filled in after loading the matrix
-
-    try:
-        matrix = predictions.load_predictions(pred_paths, expected_runs=expected_runs)
-    except ValueError as e:
-        raise ValueError(f"ingest: {e}") from None
-
-    if gold is None:
+        try:
+            matrix = predictions.load_predictions(pred_paths, expected_runs=None)
+        except ValueError as e:
+            raise ValueError(f"ingest: {e}") from None
         all_labels = data.labels()
         missing = [t for t in matrix.tweet_ids if t not in all_labels]
         if missing:

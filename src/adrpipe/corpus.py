@@ -118,11 +118,19 @@ def seeded_shuffle(items: list, rng: random.Random) -> None:
     """In-place Fisher-Yates shuffle driven by the given Mersenne Twister RNG.
 
     For i from len(items) - 1 down to 1, swap items[i] with items[j], j drawn
-    by rng.randrange(i + 1). CPython's rng.shuffle is exactly this loop on the
-    same draws, so it runs it; a test pins both the permutation and the RNG
-    state afterwards against the spelled-out loop.
+    by rng.randrange(i + 1). randrange(n) draws getrandbits(n.bit_length())
+    until the draw is below n; this loop makes exactly those draws, as
+    rng.shuffle does, without its Python-level call per item. Tests pin the
+    permutation and the RNG state afterwards against randrange and shuffle.
     """
-    rng.shuffle(items)
+    getrandbits = rng.getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
 
 
 def stratified_split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

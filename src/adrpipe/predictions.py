@@ -219,6 +219,17 @@ def write_predictions(m: RunMatrix, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def as_written(m: RunMatrix) -> RunMatrix:
+    """The matrix load_predictions reads back from the file write_predictions(m) writes.
+
+    The writer prints each probability to 6 decimals, and round(p, 6) is the
+    float that text parses to, so a caller that has just written m can go on
+    from the values the file holds without reading it again.
+    """
+    probs = tuple(tuple(round(p, 6) for p in row) for row in m.probs)
+    return RunMatrix(keys=m.keys, tweet_ids=m.tweet_ids, probs=probs)
+
+
 def average_runs(m: RunMatrix) -> dict[str, dict[str, float]]:
     """Arithmetic mean of each model's runs, per tweet.
 
@@ -249,8 +260,11 @@ def filter_runs(
 
     This is the screen for runs that never converged (an all-negative run
     scores F1 = 0 and is excluded by any positive min_f1). Models losing all
-    their runs are dropped with a warning; an empty result is an error.
+    their runs are dropped with a warning; an empty result is an error. So is
+    a min_f1 outside [0, 1] or NaN, which would keep or drop every run.
     """
+    if not 0.0 <= min_f1 <= 1.0:
+        raise ValueError(f"min F1 must be in [0, 1], got {min_f1}")
     missing = sorted(t for t in m.tweet_ids if t not in gold)
     if missing:
         raise ValueError(f"gold labels missing for tweets: {truncate_ids(missing)}")

@@ -71,6 +71,35 @@ def dense_reference_fit(d, cfg):
     return weights, bias
 
 
+def matmul_reference_fit(rows, labels, cfg):
+    """_fit's lazy-scale SGD loop, scoring with `w @ val` and shuffling with rng.shuffle."""
+    targets = [float(y) for y in labels]
+    sample_weights = [cfg.positive_weight if y == 1 else 1.0 for y in labels]
+    weights = np.zeros(cfg.feature_buckets, dtype=np.float64)
+    bias = 0.0
+    scale = 1.0
+    lr = cfg.learning_rate
+    decay = 1.0 - lr * cfg.l2
+    rng = random.Random(cfg.seed)
+    order = list(range(len(rows)))
+    for _ in range(cfg.epochs):
+        rng.shuffle(order)
+        for i in order:
+            idx, val = rows[i]
+            w = weights[idx]
+            g = sample_weights[i] * (baseline._sigmoid(scale * float(w @ val) + bias) - targets[i])
+            scale *= decay
+            if scale < baseline._MIN_SCALE:
+                weights *= scale
+                w *= scale
+                scale = 1.0
+            w -= (lr * g / scale) * val
+            weights[idx] = w
+            bias -= lr * g
+    weights *= scale
+    return weights, bias
+
+
 def rel_err(a, b):
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
 
@@ -318,6 +347,31 @@ class TestTrain:
         weights, bias = dense_reference_fit(d, cfg)
         assert rel_err(model.weights, weights) < 1e-12
         assert abs(model.bias - bias) <= 1e-12 * abs(bias)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"ngram_range": (4, 6)},
+            {"ngram_range": (1, 2), "feature_mode": "word"},
+            {"positive_weight": 3.0, "feature_buckets": 2**12},
+            # decay 0.05 per step: the scale is folded back every 7 steps
+            {"learning_rate": 0.5, "l2": 1.9, "feature_buckets": 2**10},
+        ],
+    )
+    def test_fit_is_bit_identical_to_the_matmul_loop(self, fixture_corpus, kwargs):
+        # _fit scores with ndarray.dot and shuffles with an inlined Fisher-Yates
+        # loop; the oracle is the same loop with `@` and rng.shuffle. Both
+        # dot products are the same BLAS ddot, which this pins on the numpy
+        # installed, as it pins predict_probs against `@`.
+        records = (*fixture_corpus.records[:60], LabeledTweet("empty", "", 1))
+        cfg = BaselineConfig(seed=13, epochs=3, **kwargs)
+        rows = baseline._rows(_csr([r.text for r in records], cfg))
+        model = baseline._fit(rows, [r.label for r in records], cfg)
+        weights, bias = matmul_reference_fit(rows, [r.label for r in records], cfg)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
+        probs = predict_probs(model, [r.text for r in records])
+        assert probs == [baseline._sigmoid(float(weights[idx] @ val) + bias) for idx, val in rows]
 
     def test_positive_weight_lifts_training_recall(self, fixture_corpus):
         base = BaselineConfig(seed=5, epochs=4)

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from adrpipe.cli import main
-from adrpipe.corpus import load_dataset
+from adrpipe.corpus import load_dataset, save_dataset
+from adrpipe.synthetic import make_synthetic_dataset
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -192,6 +193,17 @@ class TestPredictionCommands:
             "--min-dev-f1", "0.05", "--gold", d,
         ) == 0
 
+    @pytest.mark.parametrize("command", ["ingest", "ensemble"])
+    @pytest.mark.parametrize("value, shown", [("1.5", "1.5"), ("nan", "nan"), ("-3", "-3.0")])
+    def test_min_dev_f1_outside_unit_interval_fails(self, tmp_path, capsys, command, value, shown):
+        d = small_dataset(tmp_path)
+        preds = make_predictions(tmp_path, d)
+        out = tmp_path / "out.tsv"
+        assert run(command, "--pred", preds, "--expect-runs", "0", "--min-dev-f1", value, "--gold", d,
+                   "--output", out) == 1
+        assert capsys.readouterr().err == f"{command}: min F1 must be in [0, 1], got {shown}\n"
+        assert not out.exists()
+
     def test_line_separators_in_ids_survive_ensemble_and_evaluate(self, tmp_path, capsys):
         # str.splitlines() breaks at \x1c, \x85 and \u2028; no file here does.
         ids = [f"t\x1c{i}" for i in range(3)] + [f"t\x85{i}" for i in range(3)] + ["t\u20280"]
@@ -353,6 +365,32 @@ class TestReproduce:
             return json.dumps(doc, sort_keys=True)
 
         assert strip_ts((out_dir / "report.json").read_bytes()) == strip_ts(first["report.json"])
+
+    @pytest.mark.parametrize(
+        "change, flags",
+        [
+            ({}, []),
+            (
+                {"min_dev_f1": 0.3, "thresholds": {"default": 0.4, "wordview": 0.6}},
+                ["--min-dev-f1", "0.3", "--default-threshold", "0.4", "--threshold", "wordview=0.6"],
+            ),
+        ],
+    )
+    def test_decisions_equal_ensemble_of_its_own_predictions(self, tmp_path, capsys, change, flags):
+        # reproduce decides from the values it writes to predictions.tsv without
+        # reading the file back; `ensemble` on that file must make the same bytes.
+        d = tmp_path / "d.tsv"
+        save_dataset(make_synthetic_dataset(200, 0.3, seed=5), d)
+        cfg = {**protocol_config(tmp_path, d), **change}
+        cfg["protocol"]["runs"] = 3
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 0
+        out_dir = tmp_path / "out"
+        again = tmp_path / "again.tsv"
+        assert run(
+            "ensemble", "--pred", out_dir / "predictions.tsv", "--expect-runs", "3", "--gold", d,
+            *flags, "--output", again,
+        ) == 0
+        assert again.read_bytes() == (out_dir / "decisions.tsv").read_bytes()
 
     def test_missing_lexicon_with_drugnorm(self, tmp_path, capsys):
         d = small_dataset(tmp_path)
@@ -526,6 +564,9 @@ class TestReproduceWritesNothingOnConfigErrors:
             ({"min_dev_f1": [0.1]}, "config: 'min_dev_f1' must be a number, got [0.1]"),
             ({"min_dev_f1": True}, "config: 'min_dev_f1' must be a number, got True"),
             ({"min_dev_f1": "0.05"}, "config: 'min_dev_f1' must be a number, got '0.05'"),
+            ({"min_dev_f1": 1.5}, "config: 'min_dev_f1' must be in [0, 1], got 1.5"),
+            ({"min_dev_f1": float("nan")}, "config: 'min_dev_f1' must be in [0, 1], got nan"),
+            ({"min_dev_f1": -3}, "config: 'min_dev_f1' must be in [0, 1], got -3.0"),
             ({"thresholds": {"default": "0.5"}}, "config: 'thresholds.default' must be a number, got '0.5'"),
             ({"thresholds": {"default": [0.5]}}, "config: 'thresholds.default' must be a number, got [0.5]"),
             ({"thresholds": {"default": True}}, "config: 'thresholds.default' must be a number, got True"),

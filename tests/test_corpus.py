@@ -175,17 +175,46 @@ class TestSeededShuffle:
             j = rng.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 100, 1000, 4097])
+    # Around powers of two, where i + 1 gains a bit and a draw is rejected most often.
+    SIZES = sorted({0, 1, 2, 3, 10, 100, 1000, 4097, *(2**k + d for k in (2, 5, 8, 12) for d in (-1, 0, 1))})
+
+    @pytest.mark.parametrize("n", SIZES)
     def test_matches_spelled_out_fisher_yates(self, n):
         # Splits and epoch orders depend on this exact permutation and on the
-        # draws it leaves for the next caller, so both are pinned.
+        # draws it leaves for the next caller, so both are pinned, against the
+        # randrange loop and against random.Random.shuffle.
         for seed in range(50):
-            got, want = list(range(n)), list(range(n))
-            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got, loop, library = list(range(n)), list(range(n)), list(range(n))
+            got_rng, loop_rng, library_rng = random.Random(seed), random.Random(seed), random.Random(seed)
             seeded_shuffle(got, got_rng)
-            self.spelled_out(want, want_rng)
-            assert got == want
-            assert got_rng.getstate() == want_rng.getstate()
+            self.spelled_out(loop, loop_rng)
+            library_rng.shuffle(library)
+            assert got == loop == library
+            assert got_rng.getstate() == loop_rng.getstate() == library_rng.getstate()
+
+    @pytest.mark.parametrize(
+        "shuffle",
+        [seeded_shuffle, spelled_out, lambda items, rng: rng.shuffle(items)],
+        ids=["seeded_shuffle", "randrange_loop", "random_shuffle"],
+    )
+    def test_a_draw_of_i_plus_one_is_rejected_and_i_kept(self, shuffle):
+        class Scripted(random.Random):
+            """Answers slot i's draws with i + 1, the smallest rejected value, then i, the largest kept."""
+
+            def __init__(self, n):
+                super().__init__(0)
+                self.script = [j for i in range(n - 1, 0, -1) for j in (i + 1, i)]
+                self.bits = []
+
+            def getrandbits(self, k):
+                self.bits.append(k)
+                return self.script.pop(0)
+
+        items, rng = list(range(9)), Scripted(9)
+        shuffle(items, rng)
+        assert items == list(range(9))
+        assert rng.script == []
+        assert rng.bits == [(i + 1).bit_length() for i in range(8, 0, -1) for _ in range(2)]
 
 
 class TestDuplicatePositives:

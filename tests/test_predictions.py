@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import struct
 import warnings
@@ -14,6 +15,7 @@ from adrpipe.predictions import (
     HEADER,
     PredictionRecord,
     RunMatrix,
+    as_written,
     average_runs,
     filter_runs,
     load_predictions,
@@ -196,6 +198,17 @@ class TestFilterRuns:
             with pytest.warns(UserWarning):
                 filter_runs(m, gold, min_f1=0.1)
 
+    @pytest.mark.parametrize("min_f1, shown", [(1.5, "1.5"), (math.nan, "nan"), (-3, "-3"), (-1e-9, "-1e-09")])
+    def test_min_f1_outside_unit_interval_is_error(self, min_f1, shown):
+        m = RunMatrix.from_records([PredictionRecord("m", "r1", "t1", 0.9)])
+        with pytest.raises(ValueError, match=rf"^min F1 must be in \[0, 1\], got {shown}$"):
+            filter_runs(m, {"t1": 1}, min_f1=min_f1)
+
+    @pytest.mark.parametrize("min_f1", [0, 0.0, 1.0])
+    def test_min_f1_bounds_are_accepted(self, min_f1):
+        m = RunMatrix.from_records([PredictionRecord("m", "r1", "t1", 0.9)])
+        assert filter_runs(m, {"t1": 1}, min_f1=min_f1) == m
+
     def test_missing_gold_is_error(self):
         m = RunMatrix.from_records([PredictionRecord("m", "r1", "t1", 0.5)])
         with pytest.raises(ValueError, match="gold labels missing"):
@@ -286,17 +299,27 @@ class TestProtocolAgainstRecordOracle:
 # ------------------------------------------------------------------ properties
 
 PROBS = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.just(-0.0))
+# Where printing to 6 decimals rounds: half-way values k + 0.5 millionths and
+# their float neighbours, and values below 5e-7 that print as 0.000000.
+HALF_WAY = st.integers(0, 999_999).map(lambda k: (2 * k + 1) / 2_000_000)
+PROBS_TO_ROUND = st.one_of(
+    PROBS,
+    HALF_WAY,
+    HALF_WAY.map(lambda p: math.nextafter(p, 0.0)),
+    HALF_WAY.map(lambda p: math.nextafter(p, 1.0)),
+    st.floats(min_value=0.0, max_value=5e-7),
+)
 
 
 @st.composite
-def run_grids(draw):
+def run_grids(draw, probs=PROBS):
     """(model, run, tweet, prob) rows with rectangular coverage; runs per model vary."""
     tweets = draw(st.lists(st.sampled_from([f"t{i}" for i in range(8)]), min_size=1, unique=True))
     models = draw(st.lists(st.sampled_from(["bert", "biobert", "roberta"]), min_size=1, unique=True))
     rows = []
     for model in models:
         runs = draw(st.lists(st.sampled_from(["r1", "r2", "r3", "r10", "x"]), min_size=1, unique=True))
-        rows.extend((model, run, t, draw(PROBS)) for run in runs for t in tweets)
+        rows.extend((model, run, t, draw(probs)) for run in runs for t in tweets)
     return rows
 
 
@@ -364,6 +387,16 @@ class TestProperties:
         )
         write_predictions(again, tmp_path / "again.tsv")
         assert (tmp_path / "again.tsv").read_text(encoding="utf-8") == text
+
+    @HYPOTHESIS
+    @given(rows=run_grids(PROBS_TO_ROUND))
+    def test_as_written_is_what_load_reads_back(self, tmp_path, rows):
+        m = RunMatrix.from_records(PredictionRecord(*r) for r in rows)
+        write_predictions(m, tmp_path / "matrix.tsv")
+        again = load_predictions([tmp_path / "matrix.tsv"], expected_runs=None)
+        written = as_written(m)
+        assert written == again
+        assert [bits(p) for row in written.probs for p in row] == [bits(p) for row in again.probs for p in row]
 
     @HYPOTHESIS
     @given(rows=run_grids())
