@@ -457,6 +457,7 @@ def cmd_reproduce(args) -> int:
     seeds: dict = {}
     inputs = {"dataset": doc["dataset"]}
     outputs: dict = {}
+    written = None  # protocol mode's matrix for predictions.tsv
 
     if "protocol" in doc:
         from . import baseline
@@ -483,17 +484,20 @@ def cmd_reproduce(args) -> int:
             raise ValueError(f"split: {e}") from None
         specs = _specs_from_config(proto)
         ensemble.check_model_ids(m for m, _ in specs)
+        try:
+            for model_id in sorted(m for m, _ in specs):  # the order decide() looks them up in
+                ens_cfg.threshold_for(model_id)
+        except ValueError as e:
+            raise ValueError(f"ensemble: {e}") from None
         seeds["specs"] = {m: cfg.seed for m, cfg in specs}
         runs = _config_number(proto, "runs", 5, int)
-        pred_path = out_dir / "predictions.tsv"
         try:
             matrix = baseline.protocol_matrix(train_set, dev_set, specs, runs)
         except ValueError as e:
             raise ValueError(f"baseline: {e}") from None
-        predictions.write_predictions(matrix, pred_path)
-        # Go on from the values predictions.tsv holds, as `ensemble` on that file would.
-        matrix = predictions.as_written(matrix)
-        outputs["predictions"] = pred_path
+        # Go on from the values predictions.tsv will hold, as `ensemble` on that file would.
+        matrix = written = predictions.as_written(matrix)
+        outputs["predictions"] = out_dir / "predictions.tsv"
         gold = dev_set.labels()
     else:
         pred_paths = [Path(p) for p in doc["predictions"]]
@@ -519,6 +523,10 @@ def cmd_reproduce(args) -> int:
     except ValueError as e:
         raise ValueError(f"ensemble: {e}") from None
 
+    if written is not None:
+        # Only now, so a screen or decision that fails leaves no predictions.tsv;
+        # the rounded matrix writes the same bytes as the one it came from.
+        predictions.write_predictions(written, outputs["predictions"])
     decisions_path = out_dir / "decisions.tsv"
     ensemble.write_decisions(decisions, decisions_path)
     outputs["decisions"] = decisions_path

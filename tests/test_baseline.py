@@ -365,8 +365,10 @@ class TestTrain:
         # installed, as it pins predict_probs against `@`.
         records = (*fixture_corpus.records[:60], LabeledTweet("empty", "", 1))
         cfg = BaselineConfig(seed=13, epochs=3, **kwargs)
-        rows = baseline._rows(_csr([r.text for r in records], cfg))
-        model = baseline._fit(rows, [r.label for r in records], cfg)
+        csr = _csr([r.text for r in records], cfg)
+        rows = baseline._rows(csr)
+        examples = baseline._examples(csr, [r.label for r in records], cfg)
+        model = baseline.BaselineModel(*baseline._fit(examples, cfg.feature_buckets, cfg), cfg)
         weights, bias = matmul_reference_fit(rows, [r.label for r in records], cfg)
         assert model.weights.tobytes() == weights.tobytes()
         assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
@@ -393,6 +395,78 @@ class TestTrain:
             probs = predict_probs(model, [r.text for r in fixture_corpus.records])
             counts.append(sum(r.label == 1 and p >= 0.5 for r, p in zip(fixture_corpus.records, probs)))
         assert counts == sorted(counts)
+
+
+@st.composite
+def csr_indices(draw, buckets):
+    """(indices, indptr) of a CSR matrix: each row strictly increasing buckets below `buckets`."""
+    rows = draw(st.lists(st.lists(st.integers(0, buckets - 1), max_size=12, unique=True), max_size=8))
+    indices = np.array([b for row in rows for b in sorted(row)], dtype=np.int64)
+    return indices, np.cumsum([0, *map(len, rows)])
+
+
+class TestCompactSpace:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), log_buckets=st.integers(0, 12), block=st.sampled_from((1, 3, baseline._BLOCK_GRAMS)))
+    def test_renumbers_the_used_buckets_in_order(self, data, log_buckets, block):
+        buckets = 1 << log_buckets
+        sides = [data.draw(csr_indices(buckets)) for _ in range(2)]
+        before = [indices.copy() for indices, _ in sides]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baseline, "_BLOCK_GRAMS", block)  # renumbered in blocks of this many
+            used = baseline._compact(buckets, *(indices for indices, _ in sides))
+        assert used.tolist() == sorted(set().union(*(old.tolist() for old in before)))
+        for (indices, indptr), old in zip(sides, before):
+            # An id names its bucket on either side, so a shared bucket has one id.
+            assert indices.dtype == np.int64 and np.array_equal(used[indices], old)
+            assert ((0 <= indices) & (indices < used.size)).all()
+            for a, b in zip(indptr, indptr[1:]):
+                assert (np.diff(indices[a:b]) > 0).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from((1.0, 2.0, 3.0)), max_size=5), max_size=8), st.data())
+    def test_examples_flag_the_rows_whose_counts_are_all_one(self, rows, data):
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+        indptr = np.cumsum([0, *map(len, rows)])
+        csr = (indptr, np.arange(indptr[-1], dtype=np.int64), np.array([c for row in rows for c in row]))
+        examples = baseline._examples(csr, labels, BaselineConfig(positive_weight=2.5))
+        assert [ex[2:] for ex in examples] == [
+            (all(c == 1.0 for c in row), 2.5 if y else 1.0, float(y)) for row, y in zip(rows, labels)
+        ]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            BaselineConfig(ngram_range=(2, 4), feature_buckets=2**16, epochs=2, seed=1),
+            BaselineConfig(ngram_range=(1, 2), feature_mode="word", epochs=2, seed=2),
+            # decay 0.05 per step: the scale is folded back every 7 steps
+            BaselineConfig(
+                learning_rate=0.5, l2=1.9, positive_weight=3.0, feature_buckets=2**14, epochs=2, seed=3
+            ),
+        ],
+    )
+    def test_protocol_matrix_equals_the_full_space_oracle(self, fixture_corpus, cfg):
+        train_set = Dataset.from_records(fixture_corpus.records[:60])
+        eval_set = Dataset.from_records(
+            [*fixture_corpus.records[60:90], LabeledTweet("unseen", "zqxj vkwq qqqzz", 0),
+             LabeledTweet("empty", "", 1)]
+        )
+        train_rows = baseline._rows(_csr([r.text for r in train_set.records], cfg))
+        eval_rows = baseline._rows(_csr([r.text for r in eval_set.records], cfg))
+        seen = set(np.concatenate([idx for idx, _ in train_rows]).tolist())
+        assert set(eval_rows[-2][0].tolist()) - seen  # buckets that only the eval side uses
+        runs = 2
+        matrix = baseline.protocol_matrix(train_set, eval_set, [("m", cfg)], runs)
+        labels = [r.label for r in train_set.records]
+        for k in range(runs):
+            run_cfg = dataclasses.replace(cfg, seed=cfg.seed + k)
+            weights, bias = matmul_reference_fit(train_rows, labels, run_cfg)
+            probs = [baseline._sigmoid(float(weights[idx] @ val) + bias) for idx, val in eval_rows]
+            expected = dict(zip((r.tweet_id for r in eval_set.records), probs))
+            assert dict(zip(matrix.tweet_ids, matrix.probs[k])) == expected
+            model = train(train_set, run_cfg)  # the same fit, scattered back to feature_buckets
+            assert model.weights.tobytes() == weights.tobytes()
+            assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
 
 
 class TestPredict:

@@ -392,6 +392,17 @@ class TestReproduce:
         ) == 0
         assert again.read_bytes() == (out_dir / "decisions.tsv").read_bytes()
 
+    def test_screen_that_drops_every_run_leaves_no_predictions(self, tmp_path, capsys):
+        # Found only after training, but predictions.tsv is written after the screen.
+        d = tmp_path / "d.tsv"
+        save_dataset(make_synthetic_dataset(200, 0.3, seed=5), d)
+        cfg = {**protocol_config(tmp_path, d), "min_dev_f1": 1.0}
+        cfg["protocol"]["runs"] = 1
+        with pytest.warns(UserWarning, match="all runs below min F1 1.0 for: charview, wordview"):
+            assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr().err == "reproduce: ingest: no runs left after filtering at min F1 1.0\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_missing_lexicon_with_drugnorm(self, tmp_path, capsys):
         d = small_dataset(tmp_path)
         cfg = protocol_config(tmp_path, d)
@@ -580,6 +591,16 @@ class TestReproduceWritesNothingOnConfigErrors:
         assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
         assert capsys.readouterr().err == f"reproduce: {message}\n"
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_missing_model_threshold_rejected_before_hashing(self, tmp_path, capsys, monkeypatch):
+        from adrpipe import baseline
+
+        calls = []
+        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        cfg = {**protocol_config(tmp_path, small_dataset(tmp_path)), "thresholds": {"default": None, "charview": 0.5}}
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr().err == "reproduce: ensemble: no threshold configured for model wordview\n"
+        assert calls == [] and list((tmp_path / "out").iterdir()) == []
 
     def test_null_default_takes_each_models_threshold(self, tmp_path, capsys):
         d = small_dataset(tmp_path)

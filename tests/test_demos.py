@@ -1,0 +1,27 @@
+"""Every demo runs to completion against the package in src/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import adrpipe
+
+SRC = Path(adrpipe.__file__).resolve().parent.parent
+DEMOS = sorted((SRC.parent / "demos").glob("[0-9][0-9]_*.py"))
+
+
+def test_demos_are_found():
+    assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04", "05"]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
+def test_demo_runs(demo):
+    done = subprocess.run(
+        [sys.executable, str(demo)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

@@ -399,6 +399,15 @@ class TestProperties:
         assert [bits(p) for row in written.probs for p in row] == [bits(p) for row in again.probs for p in row]
 
     @HYPOTHESIS
+    @given(rows=run_grids(PROBS_TO_ROUND))
+    def test_as_written_writes_the_same_bytes(self, tmp_path, rows):
+        # reproduce writes predictions.tsv from the rounded matrix it decided from.
+        m = RunMatrix.from_records(PredictionRecord(*r) for r in rows)
+        write_predictions(m, tmp_path / "matrix.tsv")
+        write_predictions(as_written(m), tmp_path / "rounded.tsv")
+        assert (tmp_path / "rounded.tsv").read_bytes() == (tmp_path / "matrix.tsv").read_bytes()
+
+    @HYPOTHESIS
     @given(rows=run_grids())
     def test_average_matches_sorted_run_order_reference_bit_for_bit(self, rows):
         m = RunMatrix.from_records(PredictionRecord(*r) for r in rows)
