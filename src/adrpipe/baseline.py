@@ -27,9 +27,9 @@ buckets that a spec's train and dev sides use to 0..k-1 in bucket order, and
 each run trains a k-long weight vector instead of a feature_buckets one.
 Renumbering keeps every row's order, so each gather, dot product and update
 sees the same values in the same order as in the full space, and every
-output keeps its bits. `train` scatters the compact weights back into a
-feature_buckets vector, so saved models are unchanged. The per-row training
-tuples (`_examples`) are built once per spec, not once per run.
+output keeps its bits. The per-row training tuples (`_examples`) are built
+once per spec, not once per run. `train`, which fits one model, runs the
+same `_fit` in the full feature_buckets space.
 
 l2 weight decay is applied through a lazy scale factor (weights = scale * v),
 so an SGD step costs O(nonzeros of the example) rather than O(feature_buckets):
@@ -37,9 +37,7 @@ it gathers the example's weights once, scores with them, updates them and
 scatters them back. Rows are short (about 140 buckets), so a step's cost is
 mostly numpy's per-call overhead. Dot products therefore use ndarray.dot:
 it is the same BLAS ddot as `@`, with the same bits, but under numpy 2 `@`
-dispatches through a ufunc and costs about twice as much per call. A row
-whose counts are all 1.0 is updated by subtracting the step alone, one
-numpy call instead of two, with the same bits since step * 1.0 == step.
+dispatches through a ufunc and costs about twice as much per call.
 """
 
 from __future__ import annotations
@@ -337,7 +335,7 @@ def _compact(buckets: int, *sides: np.ndarray) -> np.ndarray:
     the same values in the same order as a gather from the full one, so every
     dot product adds the same terms in the same order and keeps its bits. The
     table holds one int64 per bucket, as much as a full weight vector, and is
-    freed on return; indices are renumbered a block at a time.
+    freed on return.
     """
     table = np.zeros(buckets, dtype=np.int64)
     for idx in sides:
@@ -345,44 +343,39 @@ def _compact(buckets: int, *sides: np.ndarray) -> np.ndarray:
     used = np.flatnonzero(table)
     table[used] = np.arange(used.size)
     for idx in sides:
-        for a in range(0, idx.size, _BLOCK_GRAMS):
-            idx[a : a + _BLOCK_GRAMS] = table[idx[a : a + _BLOCK_GRAMS]]
+        idx[:] = table[idx]
     return used
 
 
 def _examples(
     csr: tuple[np.ndarray, np.ndarray, np.ndarray], labels: Sequence[int], cfg: BaselineConfig
-) -> list[tuple[np.ndarray, np.ndarray, bool, float, float]]:
-    """Each CSR row as the tuple _fit steps on: (indices, counts, all counts 1.0, sample weight, target).
+) -> list[tuple[np.ndarray, np.ndarray, float, float]]:
+    """Each CSR row as the tuple _fit steps on: (indices, counts, sample weight, target).
 
     Runs of a spec differ only in seed, so the protocol builds these once per
     spec and every run shares them.
     """
-    indptr, _, data = csr
-    unit = np.ones(len(indptr) - 1, dtype=bool)
-    unit[np.searchsorted(indptr, np.flatnonzero(data != 1.0), side="right") - 1] = False
     return [
-        (idx, val, ones, cfg.positive_weight if y == 1 else 1.0, float(y))
-        for (idx, val), ones, y in zip(_rows(csr), unit.tolist(), labels)
+        (idx, val, cfg.positive_weight if y == 1 else 1.0, float(y))
+        for (idx, val), y in zip(_rows(csr), labels)
     ]
 
 
 def _fit(
-    examples: Sequence[tuple[np.ndarray, np.ndarray, bool, float, float]], size: int, cfg: BaselineConfig
+    examples: Sequence[tuple[np.ndarray, np.ndarray, float, float]], size: int, cfg: BaselineConfig
 ) -> tuple[np.ndarray, float]:
     """Per-example SGD over seeded-shuffled epochs on _examples rows; returns (weights, bias).
 
-    weights is `size` long, and every example index lies below it. Callers
-    pass rows renumbered by _compact, so size is the number of buckets the
-    data uses rather than feature_buckets: each step does the same arithmetic
-    on the same values as in the full space, over a far smaller vector.
+    weights is `size` long, and every example index lies below it. The
+    protocol passes rows renumbered by _compact, so size is the number of
+    buckets the data uses rather than feature_buckets: each step does the
+    same arithmetic on the same values as in the full space, over a far
+    smaller vector. `train` passes full-space rows and feature_buckets.
 
     The true weights are scale * weights. Decay multiplies only the scalar,
     and the update to the example's buckets is divided by it, so a step
     touches just those buckets. At l2 == 0 the scale stays exactly 1.0 and the
-    arithmetic is the plain dense update. A row whose counts are all 1.0 is
-    updated by the step alone: step * 1.0 == step exactly, so the bits are
-    those of step * counts, one numpy call sooner.
+    arithmetic is the plain dense update.
     """
     weights = np.zeros(size, dtype=np.float64)
     bias = 0.0
@@ -396,7 +389,7 @@ def _fit(
     for _ in range(cfg.epochs):
         seeded_shuffle(order, rng)
         for i in order:
-            idx, val, unit, sample_weight, target = examples[i]
+            idx, val, sample_weight, target = examples[i]
             # Gather the example's weights once; its buckets are distinct, so
             # scattering the updated copy back equals weights[idx] -= ...
             w = weights[idx]
@@ -407,10 +400,7 @@ def _fit(
                 w *= scale
                 scale = 1.0
             step[()] = lr * g / scale
-            if unit:
-                w -= step
-            else:
-                w -= step * val
+            w -= step * val
             weights[idx] = w
             bias -= lr * g
     weights *= scale
@@ -421,17 +411,12 @@ def train(d: Dataset, cfg: BaselineConfig) -> BaselineModel:
     """Fit by per-example gradient descent over seeded-shuffled epochs.
 
     Positive examples carry cfg.positive_weight in the loss; training twice
-    with the same inputs gives bit-identical weights. The fit runs in the
-    compact space of the buckets the training texts use, and its weights are
-    scattered back into a feature_buckets vector. The other buckets stay 0.0,
-    as they would in a full-space fit, where decay only ever scales a 0.0.
+    with the same inputs gives bit-identical weights. This is the one _fit
+    the protocol runs, here over the full feature_buckets space.
     """
     _require_both_labels(d)
     csr = _csr([r.text for r in d.records], cfg)
-    used = _compact(cfg.feature_buckets, csr[1])
-    compact, bias = _fit(_examples(csr, [r.label for r in d.records], cfg), used.size, cfg)
-    weights = np.zeros(cfg.feature_buckets, dtype=np.float64)
-    weights[used] = compact
+    weights, bias = _fit(_examples(csr, [r.label for r in d.records], cfg), cfg.feature_buckets, cfg)
     return BaselineModel(weights=weights, bias=bias, config=cfg)
 
 

@@ -407,14 +407,12 @@ def csr_indices(draw, buckets):
 
 class TestCompactSpace:
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), log_buckets=st.integers(0, 12), block=st.sampled_from((1, 3, baseline._BLOCK_GRAMS)))
-    def test_renumbers_the_used_buckets_in_order(self, data, log_buckets, block):
+    @given(data=st.data(), log_buckets=st.integers(0, 12))
+    def test_renumbers_the_used_buckets_in_order(self, data, log_buckets):
         buckets = 1 << log_buckets
         sides = [data.draw(csr_indices(buckets)) for _ in range(2)]
         before = [indices.copy() for indices, _ in sides]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(baseline, "_BLOCK_GRAMS", block)  # renumbered in blocks of this many
-            used = baseline._compact(buckets, *(indices for indices, _ in sides))
+        used = baseline._compact(buckets, *(indices for indices, _ in sides))
         assert used.tolist() == sorted(set().union(*(old.tolist() for old in before)))
         for (indices, indptr), old in zip(sides, before):
             # An id names its bucket on either side, so a shared bucket has one id.
@@ -422,17 +420,6 @@ class TestCompactSpace:
             assert ((0 <= indices) & (indices < used.size)).all()
             for a, b in zip(indptr, indptr[1:]):
                 assert (np.diff(indices[a:b]) > 0).all()
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.lists(st.sampled_from((1.0, 2.0, 3.0)), max_size=5), max_size=8), st.data())
-    def test_examples_flag_the_rows_whose_counts_are_all_one(self, rows, data):
-        labels = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
-        indptr = np.cumsum([0, *map(len, rows)])
-        csr = (indptr, np.arange(indptr[-1], dtype=np.int64), np.array([c for row in rows for c in row]))
-        examples = baseline._examples(csr, labels, BaselineConfig(positive_weight=2.5))
-        assert [ex[2:] for ex in examples] == [
-            (all(c == 1.0 for c in row), 2.5 if y else 1.0, float(y)) for row, y in zip(rows, labels)
-        ]
 
     @pytest.mark.parametrize(
         "cfg",
@@ -464,7 +451,7 @@ class TestCompactSpace:
             probs = [baseline._sigmoid(float(weights[idx] @ val) + bias) for idx, val in eval_rows]
             expected = dict(zip((r.tweet_id for r in eval_set.records), probs))
             assert dict(zip(matrix.tweet_ids, matrix.probs[k])) == expected
-            model = train(train_set, run_cfg)  # the same fit, scattered back to feature_buckets
+            model = train(train_set, run_cfg)  # the same fit in the full space
             assert model.weights.tobytes() == weights.tobytes()
             assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
 

@@ -602,6 +602,32 @@ class TestReproduceWritesNothingOnConfigErrors:
         assert capsys.readouterr().err == "reproduce: ensemble: no threshold configured for model wordview\n"
         assert calls == [] and list((tmp_path / "out").iterdir()) == []
 
+    def test_threshold_needed_even_for_a_model_the_screen_drops(self, tmp_path, capsys, monkeypatch):
+        # The screen runs after training, so the check cannot spare the models it will drop.
+        from adrpipe import baseline
+
+        d = tmp_path / "d.tsv"
+        save_dataset(make_synthetic_dataset(200, 0.3, seed=5), d)
+        cfg = {**protocol_config(tmp_path, d), "min_dev_f1": 0.5}
+        cfg["protocol"]["specs"].append(  # all-negative on the dev side: F1 = 0
+            {"model_id": "stuck", "ngram_range": [1, 1], "feature_mode": "word", "epochs": 1,
+             "learning_rate": 1e-9, "seed": 300}
+        )
+        cfg["thresholds"] = {"default": None, "charview": 0.5, "wordview": 0.5, "stuck": 0.5}
+        with pytest.warns(UserWarning, match="all runs below min F1 0.5 for: stuck$"):
+            assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert report["thresholds"] == {"charview": 0.5, "wordview": 0.5}
+        capsys.readouterr()
+
+        calls = []
+        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        del cfg["thresholds"]["stuck"]
+        cfg["output_dir"] = str(tmp_path / "out2")
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr().err == "reproduce: ensemble: no threshold configured for model stuck\n"
+        assert calls == [] and list((tmp_path / "out2").iterdir()) == []
+
     def test_null_default_takes_each_models_threshold(self, tmp_path, capsys):
         d = small_dataset(tmp_path)
         cfg = protocol_config(tmp_path, d)
