@@ -17,9 +17,7 @@ from pathlib import Path
 
 from adrpipe import (
     BaselineConfig,
-    Dataset,
     EnsembleConfig,
-    LabeledTweet,
     PipelineConfig,
     attribution,
     average_runs,
@@ -42,9 +40,7 @@ data = make_synthetic_dataset(5000, 0.08, seed=2024)
 
 lexicon = load_lexicon(DATA / "drug_lexicon.tsv")
 pipe = PipelineConfig(lexicon=lexicon)
-cleaned = Dataset.from_records(
-    LabeledTweet(r.tweet_id, preprocess(r.text, pipe), r.label) for r in data.records
-)
+cleaned = data.with_texts(preprocess(r.text, pipe) for r in data.records)
 train_set, dev_set = stratified_split(cleaned, 0.8, seed=11)
 print(f"train {len(train_set)} / dev {len(dev_set)} "
       f"({dev_set.positive_count} dev positives)\n")

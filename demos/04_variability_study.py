@@ -17,8 +17,6 @@ from pathlib import Path
 
 from adrpipe import (
     BaselineConfig,
-    Dataset,
-    LabeledTweet,
     PipelineConfig,
     confusion,
     duplicate_positives,
@@ -39,9 +37,7 @@ RUNS = 5
 data = make_synthetic_dataset(2000, 0.08, seed=77)
 lexicon = load_lexicon(DATA / "drug_lexicon.tsv")
 pipe = PipelineConfig(lexicon=lexicon)
-cleaned = Dataset.from_records(
-    LabeledTweet(r.tweet_id, preprocess(r.text, pipe), r.label) for r in data.records
-)
+cleaned = data.with_texts(preprocess(r.text, pipe) for r in data.records)
 train_set, dev_set = stratified_split(cleaned, 0.8, seed=5)
 gold = dev_set.labels()
 print(f"train {len(train_set)} / dev {len(dev_set)}, {RUNS} seeded runs per scenario\n")

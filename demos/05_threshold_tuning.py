@@ -18,9 +18,7 @@ from pathlib import Path
 
 from adrpipe import (
     BaselineConfig,
-    Dataset,
     EnsembleConfig,
-    LabeledTweet,
     PipelineConfig,
     average_runs,
     confusion,
@@ -39,9 +37,7 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 data = make_synthetic_dataset(4000, 0.08, seed=321)
 lexicon = load_lexicon(DATA / "drug_lexicon.tsv")
 pipe = PipelineConfig(lexicon=lexicon)
-cleaned = Dataset.from_records(
-    LabeledTweet(r.tweet_id, preprocess(r.text, pipe), r.label) for r in data.records
-)
+cleaned = data.with_texts(preprocess(r.text, pipe) for r in data.records)
 train_set, rest = stratified_split(cleaned, 0.5, seed=1)
 tune_set, test_set = stratified_split(rest, 0.5, seed=2)
 

@@ -190,8 +190,7 @@ def loss_and_grad(
 # Grams hashed before a block's keys are sorted: large enough that a side
 # takes a few sorts, small enough that the keys stay a fraction of a MB. A
 # text is counted as len(text) grams per n-gram size: a bound on its char
-# grams, several times its word grams. _compact renumbers indices in blocks
-# of this many too.
+# grams, several times its word grams.
 _BLOCK_GRAMS = 1 << 16
 # Window starts whose crc32 registers advance together: bounds the per-window
 # arrays to about 2 MB however long a text is.

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, corpus, ensemble, evaluate, predictions, tokenize
-from ._io import atomic_write_text, truncate_ids
+from ._io import atomic_write_text, read_rows, truncate_ids
 from .preprocess import STAGES, PipelineConfig, load_lexicon
 from .preprocess import preprocess as apply_pipeline
 
@@ -248,11 +248,8 @@ def cmd_preprocess(args) -> int:
     stages = _parse_stages(args.stages)
     cfg = _pipeline_config(stages, args.lexicon)
     data = corpus.load_dataset(args.input)
-    cleaned = [
-        corpus.LabeledTweet(r.tweet_id, apply_pipeline(r.text, cfg), r.label)
-        for r in data.records
-    ]
-    corpus.save_dataset(corpus.Dataset.from_records(cleaned), args.output)
+    cleaned = data.with_texts(apply_pipeline(r.text, cfg) for r in data.records)
+    corpus.save_dataset(cleaned, args.output)
     print(f"wrote {len(cleaned)} records to {args.output}")
     return 0
 
@@ -331,24 +328,16 @@ def cmd_evaluate(args) -> int:
 
 def cmd_variability(args) -> int:
     rows = []
-    with open(args.metrics, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        if header != "scenario\trun_id\tf1\trecall":
-            raise ValueError(
-                f"{args.metrics}: expected header 'scenario<TAB>run_id<TAB>f1<TAB>recall'"
-            )
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"{args.metrics}: expected 4 fields at line {lineno}")
-            scenario, run_id, f1, recall = fields
-            try:
-                rows.append((scenario, run_id, float(f1), float(recall)))
-            except ValueError:
-                raise ValueError(f"{args.metrics}: bad metric value at line {lineno}") from None
+    for lineno, (scenario, run_id, f1_text, recall_text) in read_rows(
+        args.metrics, 4, "scenario\trun_id\tf1\trecall", header_required=True
+    ):
+        try:
+            f1, recall = float(f1_text), float(recall_text)
+        except ValueError:
+            raise ValueError(f"{args.metrics}: bad metric value at line {lineno}") from None
+        if not (0.0 <= f1 <= 1.0 and 0.0 <= recall <= 1.0):  # NaN fails too
+            raise ValueError(f"{args.metrics}: bad metric value at line {lineno}")
+        rows.append((scenario, run_id, f1, recall))
     if args.scenario is not None:
         rows = [r for r in rows if r[0] == args.scenario]
         if not rows:
@@ -470,10 +459,7 @@ def cmd_reproduce(args) -> int:
             raise ValueError(f"preprocess: {e}") from None
         if doc.get("lexicon"):
             inputs["lexicon"] = doc["lexicon"]
-        cleaned = corpus.Dataset.from_records(
-            corpus.LabeledTweet(r.tweet_id, apply_pipeline(r.text, pipe_cfg), r.label)
-            for r in data.records
-        )
+        cleaned = data.with_texts(apply_pipeline(r.text, pipe_cfg) for r in data.records)
         split_cfg = _object(doc, "split")
         fraction = _config_number(split_cfg, "split.train_fraction", 0.8, float)
         split_seed = _config_number(split_cfg, "split.seed", 0, int)

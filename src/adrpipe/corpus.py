@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 
-from ._io import atomic_write_text
+from ._io import atomic_write_text, read_rows
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -66,6 +66,15 @@ class Dataset:
         pos = sum(1 for r in records if r.label == 1)
         return cls(records=records, positive_count=pos, negative_count=len(records) - pos)
 
+    def with_texts(self, texts: Iterable[str]) -> "Dataset":
+        """A copy with record i's text replaced by texts[i], each record built by LabeledTweet.
+
+        Ids and labels are kept, so there is no duplicate-id pass and no recount."""
+        records = tuple(
+            LabeledTweet(r.tweet_id, text, r.label) for r, text in zip(self.records, texts, strict=True)
+        )
+        return Dataset(records, self.positive_count, self.negative_count)
+
     def __len__(self) -> int:
         return len(self.records)
 
@@ -77,30 +86,20 @@ class Dataset:
 def load_dataset(path: str | Path) -> Dataset:
     """Read a dataset file, validating every line.
 
-    Raises ValueError naming the offending line number for malformed lines
-    (wrong field count, label outside {0,1}) and naming the id for duplicates.
+    Raises ValueError naming the offending line number for malformed lines (wrong
+    field count, label outside {0,1}, empty id) and naming the id for duplicates.
     """
     records = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if lineno == 1 and line == HEADER:
-                continue
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(
-                    f"expected 3 tab-separated fields at line {lineno}, got {len(fields)}"
-                )
-            tweet_id, label_text, text = fields
-            if label_text not in ("0", "1"):
-                raise ValueError(f"label out of range at line {lineno}: {label_text!r}")
-            if tweet_id in seen:
-                raise ValueError(f"duplicate tweet_id {tweet_id!r} at line {lineno}")
-            seen.add(tweet_id)
-            records.append(LabeledTweet(tweet_id=tweet_id, text=text, label=int(label_text)))
+    for lineno, (tweet_id, label_text, text) in read_rows(path, 3, HEADER):
+        if label_text not in ("0", "1"):
+            raise ValueError(f"label out of range at line {lineno}: {label_text!r}")
+        if not tweet_id:
+            raise ValueError(f"{path}: tweet_id must be non-empty at line {lineno}")
+        if tweet_id in seen:
+            raise ValueError(f"duplicate tweet_id {tweet_id!r} at line {lineno}")
+        seen.add(tweet_id)
+        records.append(LabeledTweet(tweet_id, text, int(label_text)))
     return Dataset._counted(tuple(records))
 
 
@@ -152,7 +151,7 @@ def stratified_split(d: Dataset, train_fraction: float, seed: int) -> tuple[Data
         train_idx.update(idx[:take])
     train = [r for i, r in enumerate(d.records) if i in train_idx]
     dev = [r for i, r in enumerate(d.records) if i not in train_idx]
-    return Dataset.from_records(train), Dataset.from_records(dev)
+    return Dataset._counted(tuple(train)), Dataset._counted(tuple(dev))
 
 
 def duplicate_positives(d: Dataset, extra_copies: int) -> Dataset:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from ._io import atomic_write_text, truncate_ids
+from ._io import atomic_write_text, read_rows, truncate_ids
 
 DECISIONS_HEADER = "tweet_id\tmodel_probs\tmodel_verdicts\tensemble"
 
@@ -120,19 +120,10 @@ def read_decisions(path: str | Path) -> list[EnsembleDecision]:
     verdict equal to the OR of the member verdicts, and an unseen tweet_id.
     Errors name the file and the line.
     """
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().split("\n")  # not splitlines(): ids may hold \x1c, \x85 or \u2028
-    start = 2 if lines and lines[0] == DECISIONS_HEADER else 1
     decisions = []
     seen: set[str] = set()
     first: tuple[int, list[str]] | None = None  # line number and sorted models of the first decision
-    for lineno, line in enumerate(lines[start - 1 :], start=start):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ValueError(f"{path}: expected 4 fields at line {lineno}")
-        tweet_id, prob_text, verdict_text, ens_text = fields
+    for lineno, (tweet_id, prob_text, verdict_text, ens_text) in read_rows(path, 4, DECISIONS_HEADER):
         try:
             prob_pairs = [(k, float(v)) for k, v in (kv.rsplit(":", 1) for kv in prob_text.split(","))]
             verdict_pairs = [(k, int(v)) for k, v in (kv.rsplit(":", 1) for kv in verdict_text.split(","))]

@@ -18,7 +18,7 @@ from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ._io import atomic_write_text, truncate_ids
+from ._io import atomic_write_text, read_rows, truncate_ids
 from .evaluate import ConfusionCounts, metrics
 
 HEADER = "model_id\trun_id\ttweet_id\tprob"
@@ -157,33 +157,23 @@ def _layout(ids: list[str], tweet_ids: tuple[str, ...]):
 
 def _parse_file(path: str | Path, columns: _Columns) -> None:
     """Append each line's tweet id and probability to its (model, run) column."""
-    with open(path, encoding="utf-8") as f:
-        first = f.readline().rstrip("\n")
-        if first != HEADER:
-            raise ValueError(f"{path}: missing or malformed header (expected {HEADER!r})")
-        key = None
-        for lineno, line in enumerate(f, start=2):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 4:
-                if fields == [""]:
-                    continue
-                raise ValueError(f"{path}: expected 4 fields at line {lineno}")
-            model_id, run_id, tweet_id, prob_text = fields
-            try:
-                prob = float(prob_text)
-            except ValueError:
-                raise ValueError(f"{path}: bad probability {prob_text!r} at line {lineno}") from None
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(f"{path}: probability out of range at line {lineno}: {prob_text}")
-            if not (model_id and run_id and tweet_id):
-                raise ValueError(
-                    f"{path}: model_id, run_id and tweet_id must be non-empty at line {lineno}"
-                )
-            if (model_id, run_id) != key:
-                key = (model_id, run_id)
-                ids, probs = columns.setdefault(key, ([], []))
-            ids.append(tweet_id)
-            probs.append(prob)
+    model = run = None
+    for lineno, (model_id, run_id, tweet_id, prob_text) in read_rows(path, 4, HEADER, header_required=True):
+        try:
+            prob = float(prob_text)
+        except ValueError:
+            raise ValueError(f"{path}: bad probability {prob_text!r} at line {lineno}") from None
+        if not 0.0 <= prob <= 1.0:
+            raise ValueError(f"{path}: probability out of range at line {lineno}: {prob_text}")
+        if not (model_id and run_id and tweet_id):
+            raise ValueError(
+                f"{path}: model_id, run_id and tweet_id must be non-empty at line {lineno}"
+            )
+        if run_id != run or model_id != model:  # no key tuple per line
+            model, run = model_id, run_id
+            ids, probs = columns.setdefault((model, run), ([], []))
+        ids.append(tweet_id)
+        probs.append(prob)
 
 
 def load_predictions(paths: Sequence[str | Path], expected_runs: int | None = 5) -> RunMatrix:

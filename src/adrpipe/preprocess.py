@@ -31,6 +31,8 @@ import string
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._io import read_rows
+
 STAGES = ("anonymize", "handles", "hashtags", "lowercase", "drugnorm")
 
 # Word boundaries for handle and drug matching: unicode whitespace plus ASCII
@@ -95,21 +97,16 @@ def load_lexicon(path: str | Path) -> DrugLexicon:
     duplicate keys are rejected.
     """
     entries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"expected 2 tab-separated fields at line {lineno}")
-            brand, generic = fields[0].strip().lower(), fields[1].strip().lower()
-            if brand in entries and entries[brand] != generic:
-                raise ValueError(
-                    f"conflicting duplicate key {brand!r} at line {lineno}: "
-                    f"{entries[brand]!r} vs {generic!r}"
-                )
-            entries[brand] = generic
+    for lineno, fields in read_rows(path, 2, comments=True):
+        brand, generic = fields[0].strip().lower(), fields[1].strip().lower()
+        if not brand or not generic:
+            raise ValueError(f"{path}: lexicon entries must be non-empty at line {lineno}")
+        if brand in entries and entries[brand] != generic:
+            raise ValueError(
+                f"conflicting duplicate key {brand!r} at line {lineno}: "
+                f"{entries[brand]!r} vs {generic!r}"
+            )
+        entries[brand] = generic
     return DrugLexicon(entries)
 
 

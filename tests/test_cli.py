@@ -272,6 +272,17 @@ class TestVariabilityCmd:
         assert run("variability", "--metrics", p) == 1
         assert "at least 2 runs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "f1, recall", [("nan", "0.5"), ("0.5", "NaN"), ("0.5", "7"), ("-0.1", "0.5"), ("inf", "0.5")]
+    )
+    def test_nan_or_out_of_range_metric_rejected(self, tmp_path, capsys, f1, recall):
+        p = tmp_path / "metrics.tsv"
+        p.write_text(
+            f"scenario\trun_id\tf1\trecall\na\tr1\t0.5\t0.5\na\tr2\t{f1}\t{recall}\n", encoding="utf-8"
+        )
+        assert run("variability", "--metrics", p) == 1
+        assert capsys.readouterr().err == f"variability: {p}: bad metric value at line 3\n"
+
 
 class TestBaselineCmd:
     def test_train_and_predict(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from adrpipe.corpus import (
     Dataset,
@@ -11,6 +13,10 @@ from adrpipe.corpus import (
     seeded_shuffle,
     stratified_split,
 )
+
+
+# Any character a field can hold: all of Unicode but tab and the two line breaks.
+FIELD_CHARS = st.characters(codec="utf-8", exclude_characters="\t\n\r")
 
 
 def write_lines(path, lines):
@@ -57,6 +63,13 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="duplicate tweet_id 't1' at line 2"):
             load_dataset(p)
 
+    def test_empty_id_names_file_and_line(self, tmp_path):
+        p = tmp_path / "d.tsv"
+        write_lines(p, ["t1\t0\tok", "\t0\thello"])
+        with pytest.raises(ValueError) as e:
+            load_dataset(p)
+        assert str(e.value) == f"{p}: tweet_id must be non-empty at line 2"
+
     def test_round_trip(self, tmp_path, fixture_corpus):
         out = tmp_path / "copy.tsv"
         save_dataset(fixture_corpus, out)
@@ -67,6 +80,20 @@ class TestLoadDataset:
         out = tmp_path / "copy.tsv"
         save_dataset(fixture_corpus, out, header=False)
         assert load_dataset(out) == fixture_corpus
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        records=st.lists(
+            st.tuples(st.text(FIELD_CHARS, min_size=1), st.text(FIELD_CHARS), st.integers(0, 1)),
+            max_size=8,
+            unique_by=lambda r: r[0],
+        ),
+        header=st.booleans(),
+    )
+    def test_round_trip_over_unicode(self, tmp_path, records, header):
+        d = Dataset.from_records(LabeledTweet(*r) for r in records)
+        save_dataset(d, tmp_path / "d.tsv", header=header)
+        assert load_dataset(tmp_path / "d.tsv") == d
 
 
 class TestLabeledTweet:
@@ -102,6 +129,21 @@ class TestLabeledTweet:
         )
         save_dataset(d, tmp_path / "d.tsv")
         assert load_dataset(tmp_path / "d.tsv") == d
+
+
+class TestWithTexts:
+    def test_equals_rebuilding_from_records(self):
+        d = make_dataset(2, 3)
+        texts = [f"clean {r.tweet_id}" for r in d.records]
+        expected = Dataset.from_records(LabeledTweet(r.tweet_id, t, r.label) for r, t in zip(d.records, texts))
+        assert d.with_texts(iter(texts)) == expected
+
+    def test_texts_are_still_checked(self):
+        d = make_dataset(1, 1)
+        with pytest.raises(ValueError, match="^text of n0 contains tab or newline$"):
+            d.with_texts(["fine", "a\tb"])
+        with pytest.raises(ValueError):
+            d.with_texts(["one text for two records"])
 
 
 def make_dataset(n_pos, n_neg):

@@ -2,9 +2,12 @@ import random
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from adrpipe.ensemble import (
     EnsembleConfig,
+    EnsembleDecision,
     decide,
     read_decisions,
     single_model_decide,
@@ -132,6 +135,30 @@ class TestDecisionsFile:
         write_decisions(decisions, path)
         again = read_decisions(path)
         assert again == decisions
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_round_trip_over_unicode(self, tmp_path, data):
+        # Ids hold any character but tab and the line breaks; model ids not a comma either.
+        tweet_chars = st.characters(codec="utf-8", exclude_characters="\t\n\r")
+        model_chars = st.characters(codec="utf-8", exclude_characters="\t\n\r,")
+        models = data.draw(st.lists(st.text(model_chars, min_size=1), min_size=1, max_size=3, unique=True))
+        decisions = []
+        for tweet_id in data.draw(st.lists(st.text(tweet_chars), max_size=6, unique=True)):
+            probs = {m: data.draw(st.floats(0.0, 1.0)) for m in models}
+            verdicts = {m: data.draw(st.integers(0, 1)) for m in models}
+            decisions.append(EnsembleDecision(tweet_id, probs, verdicts, int(any(verdicts.values()))))
+        write_decisions(decisions, tmp_path / "d.tsv")
+        rounded = [
+            EnsembleDecision(
+                d.tweet_id,
+                {m: round(p, 6) for m, p in d.per_model_prob.items()},
+                d.per_model_verdict,
+                d.ensemble_verdict,
+            )
+            for d in decisions
+        ]
+        assert read_decisions(tmp_path / "d.tsv") == rounded
 
     def test_unknown_first_line_is_read_as_data(self, tmp_path):
         # The header is optional, so a first line that is not the header is a

@@ -131,6 +131,14 @@ class TestLexicon:
         with pytest.raises(ValueError, match="conflicting duplicate key 'prozac'"):
             load_lexicon(p)
 
+    @pytest.mark.parametrize("line", ["\tquetiapine", "seroquel\t", " \tquetiapine"])
+    def test_loader_rejects_empty_entry_naming_file_and_line(self, tmp_path, line):
+        p = tmp_path / "lex.tsv"
+        p.write_text(f"# comment\nprozac\tfluoxetine\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as e:
+            load_lexicon(p)
+        assert str(e.value) == f"{p}: lexicon entries must be non-empty at line 3"
+
     def test_fixture_lexicon_is_all_lowercase(self, lexicon):
         for brand, generic in lexicon.entries.items():
             assert brand == brand.lower()
