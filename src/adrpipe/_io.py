@@ -1,15 +1,16 @@
 """Helpers shared by the file formats: the one line reader of every
-tab-separated file, write-to-temp, rename-on-success output, so consumers never
-see partial files when a write fails mid-way, and the shortened id lists that
-error messages quote."""
+tab-separated file, the one writer of every output (streamed in chunks to a
+temp file that is renamed on success, so consumers never see a partial file
+when a write fails mid-way), and the shortened id lists that error messages
+quote."""
 
 from __future__ import annotations
 
 import os
 import tempfile
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def read_rows(
@@ -46,17 +47,20 @@ def read_rows(
             yield row
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """UTF-8 text, written byte for byte: no newline translation."""
-    atomic_write_bytes(path, text.encode("utf-8"))
+def atomic_write(path: str | Path, chunks: Iterable[str | bytes]) -> None:
+    """Write the chunks to a temp file beside `path`, one at a time, then rename it over `path`.
 
-
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    A str chunk is written as UTF-8 byte for byte (no newline translation), a
+    bytes chunk as is. Only the chunk in hand is held, never the whole file.
+    If a chunk, a write or the rename fails, the temp file is removed and
+    `path` is left as it was.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -64,6 +68,13 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def chunked(lines: Iterable[str], size: int = 4096) -> Iterator[str]:
+    """Lines, each ending in a newline, joined into chunks of at most `size` lines."""
+    lines = iter(lines)
+    while chunk := "".join(islice(lines, size)):
+        yield chunk
 
 
 def truncate_ids(ids: Sequence[str], limit: int = 10) -> str:

@@ -56,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._io import atomic_write_bytes
+from ._io import atomic_write
 from .corpus import Dataset, seeded_shuffle
 from .predictions import RunMatrix, _check_ids, write_predictions
 
@@ -444,7 +444,7 @@ def save_model(m: BaselineModel, path: str | Path) -> None:
         bias=np.float64(m.bias),
         config_json=np.bytes_(json.dumps(cfg).encode("utf-8")),
     )
-    atomic_write_bytes(path, buf.getvalue())
+    atomic_write(path, [buf.getvalue()])
 
 
 def load_model(path: str | Path) -> BaselineModel:

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, corpus, ensemble, evaluate, predictions, tokenize
-from ._io import atomic_write_text, read_rows, truncate_ids
+from ._io import atomic_write, read_rows, truncate_ids
 from .preprocess import STAGES, PipelineConfig, load_lexicon
 from .preprocess import preprocess as apply_pipeline
 
@@ -226,9 +226,9 @@ def _report_to_tsv(report: dict) -> str:
 
 def _write_report(report: dict, path: str | Path) -> None:
     if str(path).endswith(".json"):
-        atomic_write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        atomic_write(path, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
     else:
-        atomic_write_text(path, _report_to_tsv(report))
+        atomic_write(path, [_report_to_tsv(report)])
 
 
 def _print_report(scores: _Scores) -> None:
@@ -328,6 +328,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_variability(args) -> int:
     rows = []
+    seen: set[tuple[str, str]] = set()
     for lineno, (scenario, run_id, f1_text, recall_text) in read_rows(
         args.metrics, 4, "scenario\trun_id\tf1\trecall", header_required=True
     ):
@@ -337,7 +338,14 @@ def cmd_variability(args) -> int:
             raise ValueError(f"{args.metrics}: bad metric value at line {lineno}") from None
         if not (0.0 <= f1 <= 1.0 and 0.0 <= recall <= 1.0):  # NaN fails too
             raise ValueError(f"{args.metrics}: bad metric value at line {lineno}")
+        if (scenario, run_id) in seen:  # counted twice, one run would weigh double in the standard deviation
+            raise ValueError(
+                f"{args.metrics}: duplicate run {run_id} for scenario {scenario} at line {lineno}"
+            )
+        seen.add((scenario, run_id))
         rows.append((scenario, run_id, f1, recall))
+    if not rows:
+        raise ValueError(f"{args.metrics}: no metric rows")
     if args.scenario is not None:
         rows = [r for r in rows if r[0] == args.scenario]
         if not rows:

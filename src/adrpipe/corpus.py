@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import chain
 
-from ._io import atomic_write_text, read_rows
+from ._io import atomic_write, chunked, read_rows
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -93,24 +94,20 @@ def load_dataset(path: str | Path) -> Dataset:
     seen: set[str] = set()
     for lineno, (tweet_id, label_text, text) in read_rows(path, 3, HEADER):
         if label_text not in ("0", "1"):
-            raise ValueError(f"label out of range at line {lineno}: {label_text!r}")
+            raise ValueError(f"{path}: label out of range at line {lineno}: {label_text!r}")
         if not tweet_id:
             raise ValueError(f"{path}: tweet_id must be non-empty at line {lineno}")
         if tweet_id in seen:
-            raise ValueError(f"duplicate tweet_id {tweet_id!r} at line {lineno}")
+            raise ValueError(f"{path}: duplicate tweet_id {tweet_id!r} at line {lineno}")
         seen.add(tweet_id)
         records.append(LabeledTweet(tweet_id, text, int(label_text)))
     return Dataset._counted(tuple(records))
 
 
 def save_dataset(d: Dataset, path: str | Path, header: bool = True) -> None:
-    """Write a dataset in the tab-separated format (LF endings, UTF-8)."""
-    lines = []
-    if header:
-        lines.append(HEADER)
-    for r in d.records:
-        lines.append(f"{r.tweet_id}\t{r.label}\t{r.text}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write a dataset in the tab-separated format (LF endings, UTF-8), in chunks of at most 4,096 lines."""
+    lines = (f"{r.tweet_id}\t{r.label}\t{r.text}\n" for r in d.records)
+    atomic_write(path, chunked(chain([HEADER + "\n"], lines) if header else lines))
 
 
 def seeded_shuffle(items: list, rng: random.Random) -> None:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from ._io import atomic_write_text, read_rows, truncate_ids
+from ._io import atomic_write, chunked, read_rows, truncate_ids
 
 DECISIONS_HEADER = "tweet_id\tmodel_probs\tmodel_verdicts\tensemble"
 
@@ -100,15 +100,24 @@ def check_model_ids(model_ids: Iterable[str]) -> None:
 
 
 def write_decisions(decisions: list[EnsembleDecision], path: str | Path) -> None:
-    """Write decisions as ``tweet_id<TAB>model:prob,...<TAB>model:verdict,...<TAB>ensemble``."""
-    lines = [DECISIONS_HEADER]
+    """Write decisions as ``tweet_id<TAB>model:prob,...<TAB>model:verdict,...<TAB>ensemble``.
+
+    The file is streamed in chunks of at most 4,096 lines.
+    """
+    atomic_write(path, chunked(_decision_lines(decisions)))
+
+
+def _decision_lines(decisions: Iterable[EnsembleDecision]) -> Iterator[str]:
+    yield DECISIONS_HEADER + "\n"
+    model_set = {}.keys()
     for d in decisions:
-        models = sorted(d.per_model_prob)
-        check_model_ids(models)
+        if d.per_model_prob.keys() != model_set:  # sort and check each distinct model set once
+            model_set = d.per_model_prob.keys()
+            models = sorted(model_set)
+            check_model_ids(models)
         probs = ",".join(f"{m}:{d.per_model_prob[m]:.6f}" for m in models)
         verdicts = ",".join(f"{m}:{d.per_model_verdict[m]}" for m in models)
-        lines.append(f"{d.tweet_id}\t{probs}\t{verdicts}\t{d.ensemble_verdict}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        yield f"{d.tweet_id}\t{probs}\t{verdicts}\t{d.ensemble_verdict}\n"
 
 
 def read_decisions(path: str | Path) -> list[EnsembleDecision]:

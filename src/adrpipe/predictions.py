@@ -16,9 +16,9 @@ import warnings
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._io import atomic_write_text, read_rows, truncate_ids
+from ._io import atomic_write, read_rows, truncate_ids
 from .evaluate import ConfusionCounts, metrics
 
 HEADER = "model_id\trun_id\ttweet_id\tprob"
@@ -107,7 +107,15 @@ class RunMatrix:
         if not columns:
             raise ValueError("no prediction records")
         keys = tuple(sorted(columns))
-        covered = {key: set(columns[key][0]) for key in keys}
+        covered: dict[tuple[str, str], set[str]] = {}
+        distinct: list[set[str]] = []
+        order = None
+        for key in keys:
+            ids = columns[key][0]
+            if ids != order:  # runs written in the same tweet order share one set
+                order = ids
+                distinct.append(set(ids))
+            covered[key] = distinct[-1]
         for (model_id, run_id), tweets in covered.items():
             _check_ids(model_id, run_id)
             ids = columns[model_id, run_id][0]
@@ -121,7 +129,7 @@ class RunMatrix:
                     )
                 seen.add(tweet_id)
 
-        all_tweets = set().union(*covered.values())
+        all_tweets = distinct[0] if len(distinct) == 1 else set().union(*distinct)
         problems = []
         for (model_id, run_id), tweets in covered.items():
             if len(tweets) != len(all_tweets):
@@ -155,8 +163,13 @@ def _layout(ids: list[str], tweet_ids: tuple[str, ...]):
     return operator.itemgetter(*map(position.__getitem__, tweet_ids))
 
 
-def _parse_file(path: str | Path, columns: _Columns) -> None:
-    """Append each line's tweet id and probability to its (model, run) column."""
+def _parse_file(path: str | Path, columns: _Columns, tweet_ids: dict[str, str]) -> None:
+    """Append each line's tweet id and probability to its (model, run) column.
+
+    `tweet_ids` maps each tweet id seen so far to the one string kept for it,
+    so an id that 30 runs repeat is stored once, not 30 times.
+    """
+    intern = tweet_ids.setdefault
     model = run = None
     for lineno, (model_id, run_id, tweet_id, prob_text) in read_rows(path, 4, HEADER, header_required=True):
         try:
@@ -172,7 +185,7 @@ def _parse_file(path: str | Path, columns: _Columns) -> None:
         if run_id != run or model_id != model:  # no key tuple per line
             model, run = model_id, run_id
             ids, probs = columns.setdefault((model, run), ([], []))
-        ids.append(tweet_id)
+        ids.append(intern(tweet_id, tweet_id))
         probs.append(prob)
 
 
@@ -183,8 +196,9 @@ def load_predictions(paths: Sequence[str | Path], expected_runs: int | None = 5)
     expected_runs; pass None to skip that check.
     """
     columns: _Columns = {}
+    tweet_ids: dict[str, str] = {}
     for path in paths:
-        _parse_file(path, columns)
+        _parse_file(path, columns, tweet_ids)
     matrix = RunMatrix.from_columns(columns)
     if expected_runs is not None:
         for model_id, runs in matrix.runs_per_model.items():
@@ -200,13 +214,17 @@ def write_predictions(m: RunMatrix, path: str | Path) -> None:
     """Write every cell of a RunMatrix in the standard format.
 
     The rows and tweet ids are sorted, so lines come out sorted by
-    (model_id, run_id, tweet_id) and the file is byte-stable.
+    (model_id, run_id, tweet_id) and the file is byte-stable. The file is
+    streamed one (model, run) row at a time.
     """
-    lines = [HEADER]
+    atomic_write(path, _prediction_chunks(m))
+
+
+def _prediction_chunks(m: RunMatrix) -> Iterator[str]:
+    yield HEADER + "\n"
     for (model_id, run_id), probs in zip(m.keys, m.probs):
         prefix = f"{model_id}\t{run_id}\t"
-        lines.extend(f"{prefix}{t}\t{p:.6f}" for t, p in zip(m.tweet_ids, probs))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        yield "".join([f"{prefix}{t}\t{p:.6f}\n" for t, p in zip(m.tweet_ids, probs)])
 
 
 def as_written(m: RunMatrix) -> RunMatrix:

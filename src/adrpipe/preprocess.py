@@ -103,7 +103,7 @@ def load_lexicon(path: str | Path) -> DrugLexicon:
             raise ValueError(f"{path}: lexicon entries must be non-empty at line {lineno}")
         if brand in entries and entries[brand] != generic:
             raise ValueError(
-                f"conflicting duplicate key {brand!r} at line {lineno}: "
+                f"{path}: conflicting duplicate key {brand!r} at line {lineno}: "
                 f"{entries[brand]!r} vs {generic!r}"
             )
         entries[brand] = generic

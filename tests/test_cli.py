@@ -283,6 +283,22 @@ class TestVariabilityCmd:
         assert run("variability", "--metrics", p) == 1
         assert capsys.readouterr().err == f"variability: {p}: bad metric value at line 3\n"
 
+    def test_repeated_run_rejected(self, tmp_path, capsys):
+        p = tmp_path / "metrics.tsv"
+        p.write_text(
+            "scenario\trun_id\tf1\trecall\na\tr1\t0.5\t0.5\nb\tr1\t0.6\t0.6\na\tr2\t0.6\t0.6\n"
+            "a\tr1\t0.5\t0.5\n",
+            encoding="utf-8",
+        )
+        assert run("variability", "--metrics", p) == 1
+        assert capsys.readouterr() == ("", f"variability: {p}: duplicate run r1 for scenario a at line 5\n")
+
+    def test_header_only_file_rejected(self, tmp_path, capsys):
+        p = tmp_path / "metrics.tsv"
+        p.write_text("scenario\trun_id\tf1\trecall\n", encoding="utf-8")
+        assert run("variability", "--metrics", p) == 1
+        assert capsys.readouterr() == ("", f"variability: {p}: no metric rows\n")
+
 
 class TestBaselineCmd:
     def test_train_and_predict(self, tmp_path, capsys):

@@ -50,6 +50,9 @@ class TestLoadDataset:
         write_lines(p, ["t1\t0\tok", "t3\t2\ttext"])
         with pytest.raises(ValueError, match="label out of range at line 2"):
             load_dataset(p)
+        with pytest.raises(ValueError) as e:
+            load_dataset(p)
+        assert str(e.value) == f"{p}: label out of range at line 2: '2'"
 
     def test_wrong_field_count_names_line(self, tmp_path):
         p = tmp_path / "d.tsv"
@@ -62,6 +65,9 @@ class TestLoadDataset:
         write_lines(p, ["t1\t0\ta", "t1\t1\tb"])
         with pytest.raises(ValueError, match="duplicate tweet_id 't1' at line 2"):
             load_dataset(p)
+        with pytest.raises(ValueError) as e:
+            load_dataset(p)
+        assert str(e.value) == f"{p}: duplicate tweet_id 't1' at line 2"
 
     def test_empty_id_names_file_and_line(self, tmp_path):
         p = tmp_path / "d.tsv"
@@ -80,6 +86,15 @@ class TestLoadDataset:
         out = tmp_path / "copy.tsv"
         save_dataset(fixture_corpus, out, header=False)
         assert load_dataset(out) == fixture_corpus
+
+    @pytest.mark.parametrize("n", [4096, 4097])
+    @pytest.mark.parametrize("header", [True, False])
+    def test_streamed_chunks_write_every_line_once(self, tmp_path, n, header):
+        d = Dataset.from_records(LabeledTweet(f"t{i}", f"text {i}", i % 2) for i in range(n))
+        save_dataset(d, tmp_path / "d.tsv", header=header)
+        lines = [f"t{i}\t{i % 2}\ttext {i}" for i in range(n)]
+        expected = "\n".join(["tweet_id\tlabel\ttext"] * header + lines) + "\n"
+        assert (tmp_path / "d.tsv").read_bytes() == expected.encode("utf-8")
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(

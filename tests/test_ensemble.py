@@ -187,6 +187,35 @@ class TestDecisionsFile:
         with pytest.raises(ValueError, match="cannot be encoded"):
             write_decisions(decisions, tmp_path / "d.tsv")
 
+    @pytest.mark.parametrize("bad", ["a,b", "a\tb"])
+    def test_unencodable_model_id_in_a_later_model_set_rejected(self, tmp_path, bad):
+        # The model set changes after the first chunk; the new set is checked too.
+        good = [EnsembleDecision(f"t{i}", {"m": 0.5}, {"m": 1}, 1) for i in range(5000)]
+        last = EnsembleDecision("u", {"m": 0.5, bad: 0.5}, {"m": 1, bad: 1}, 1)
+        p = tmp_path / "d.tsv"
+        with pytest.raises(ValueError) as e:
+            write_decisions([*good, last], p)
+        assert str(e.value) == f"model id {bad!r} cannot be encoded in a decisions file"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rows_with_different_model_sets_and_orders(self, tmp_path):
+        # Each row's models come out sorted, whatever the dict order and however often the set changes.
+        decisions = []
+        for i in range(9000):
+            models = ["b", "a"] if i % 3 else (["c", "a"] if i % 2 else ["a", "c"])
+            probs = {m: (i % 7) / 8 for m in models}
+            verdicts = {m: int(p >= 0.5) for m, p in probs.items()}
+            decisions.append(EnsembleDecision(f"t{i}", probs, verdicts, int(any(verdicts.values()))))
+        p = tmp_path / "d.tsv"
+        write_decisions(decisions, p)
+        lines = ["tweet_id\tmodel_probs\tmodel_verdicts\tensemble"]
+        for d in decisions:
+            models = sorted(d.per_model_prob)
+            probs = ",".join(f"{m}:{d.per_model_prob[m]:.6f}" for m in models)
+            verdicts = ",".join(f"{m}:{d.per_model_verdict[m]}" for m in models)
+            lines.append(f"{d.tweet_id}\t{probs}\t{verdicts}\t{d.ensemble_verdict}")
+        assert p.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
 
 HEADER_LINE = "tweet_id\tmodel_probs\tmodel_verdicts\tensemble\n"
 GOOD_LINE = "t1\ta:0.900000,b:0.100000\ta:1,b:0\t1\n"

@@ -1,4 +1,5 @@
-"""The line rules every tab-separated format shares, checked through each loader."""
+"""The line rules every tab-separated format shares, checked through each loader, and the
+one streaming atomic writer every output goes through."""
 
 import argparse
 import contextlib
@@ -6,7 +7,8 @@ import io
 
 import pytest
 
-from adrpipe.cli import cmd_variability
+from adrpipe._io import atomic_write, chunked
+from adrpipe.cli import cmd_variability, main
 from adrpipe.corpus import load_dataset
 from adrpipe.ensemble import read_decisions
 from adrpipe.predictions import load_predictions
@@ -82,3 +84,45 @@ def test_missing_mandatory_header_is_one_message(tmp_path, load, header, first):
     with pytest.raises(ValueError) as e:
         load(p)
     assert str(e.value) == f"{p}: missing or malformed header (expected {header!r})"
+
+
+class TestAtomicWrite:
+    def test_str_and_bytes_chunks_are_written_in_order(self, tmp_path):
+        p = tmp_path / "out.tsv"
+        atomic_write(p, ["a\tb\n", "é\r\n".encode("utf-8"), " c\n"])
+        assert p.read_bytes() == "a\tb\né\r\n c\n".encode("utf-8")
+
+    def test_chunk_iterator_failing_mid_stream_leaves_the_old_file(self, tmp_path):
+        p = tmp_path / "out.tsv"
+        p.write_bytes(b"old contents\n")
+
+        def chunks():
+            yield "new line 1\n"
+            yield "new line 2\n" * 10_000
+            raise RuntimeError("producer failed")
+
+        with pytest.raises(RuntimeError, match="producer failed"):
+            atomic_write(p, chunks())
+        assert p.read_bytes() == b"old contents\n"
+        assert sorted(x.name for x in tmp_path.iterdir()) == ["out.tsv"]
+        assert list(tmp_path.glob(".out.tsv.*.tmp")) == []
+
+    def test_failed_rename_exits_2_through_the_cli_and_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("model_id\trun_id\ttweet_id\tprob\nm\tr1\tt1\t0.25\nm\tr1\tt2\t0.5\n", encoding="utf-8")
+        out = tmp_path / "merged.tsv"
+
+        def failing_replace(src, dst):
+            raise OSError(f"cannot rename {src} to {dst}")
+
+        monkeypatch.setattr("adrpipe._io.os.replace", failing_replace)
+        assert main(["ingest", "--pred", str(pred), "--expect-runs", "0", "--output", str(out)]) == 2
+        assert "ingest: cannot rename" in capsys.readouterr().err
+        assert sorted(x.name for x in tmp_path.iterdir()) == ["pred.tsv"]
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 10_000])
+    def test_chunked_keeps_every_line_in_order(self, n):
+        lines = [f"line {i}\n" for i in range(n)]
+        chunks = list(chunked(lines))
+        assert "".join(chunks) == "".join(lines)
+        assert [c.count("\n") for c in chunks] == [4096] * (n // 4096) + [n % 4096] * (n % 4096 > 0)

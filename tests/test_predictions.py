@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import struct
+import tracemalloc
 import warnings
 
 import pytest
@@ -14,6 +15,7 @@ from adrpipe.evaluate import confusion, metrics
 from adrpipe.predictions import (
     HEADER,
     PredictionRecord,
+    _parse_file,
     RunMatrix,
     as_written,
     average_runs,
@@ -453,3 +455,37 @@ class TestProperties:
         assert kept.tweet_ids == m.tweet_ids
         for i, key in enumerate(kept.keys):
             assert kept.probs[i] == m.probs[m.keys.index(key)]
+
+
+class TestMemory:
+    """tracemalloc guards: allocation peaks, which RSS is too noisy to pin."""
+
+    def test_write_predictions_streams(self, tmp_path):
+        rng = random.Random(12)
+        keys = tuple((f"model{m}", f"r{r}") for m in range(6) for r in range(1, 6))
+        tweet_ids = tuple(sorted(f"tweet{i:06d}" for i in range(2000)))
+        probs = tuple(tuple(rng.random() for _ in tweet_ids) for _ in keys)
+        m = RunMatrix(keys=keys, tweet_ids=tweet_ids, probs=probs)
+        out = tmp_path / "preds.tsv"
+        tracemalloc.start()
+        try:
+            write_predictions(m, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert size > 60_000 * 30
+        assert peak < size / 4
+
+    def test_parsed_columns_keep_one_string_per_tweet_id(self, tmp_path):
+        ids = [f"t{i}" for i in range(50)]
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        write_pred_file(a, [("a", r, t, 0.5) for r in ("r1", "r2") for t in ids])
+        write_pred_file(b, [("b", "r1", t, 0.25) for t in reversed(ids)])
+        columns, tweet_ids = {}, {}
+        _parse_file(a, columns, tweet_ids)
+        _parse_file(b, columns, tweet_ids)
+        a1, a2, b1 = (columns[key][0] for key in (("a", "r1"), ("a", "r2"), ("b", "r1")))
+        assert a1 == ids and b1 == ids[::-1]
+        for j, t in enumerate(a1):
+            assert a2[j] is t and b1[-1 - j] is t and tweet_ids[t] is t

@@ -130,6 +130,9 @@ class TestLexicon:
         p.write_text("prozac\tfluoxetine\nprozac\tsertraline\n", encoding="utf-8")
         with pytest.raises(ValueError, match="conflicting duplicate key 'prozac'"):
             load_lexicon(p)
+        with pytest.raises(ValueError) as e:
+            load_lexicon(p)
+        assert str(e.value) == f"{p}: conflicting duplicate key 'prozac' at line 2: 'fluoxetine' vs 'sertraline'"
 
     @pytest.mark.parametrize("line", ["\tquetiapine", "seroquel\t", " \tquetiapine"])
     def test_loader_rejects_empty_entry_naming_file_and_line(self, tmp_path, line):
