@@ -34,7 +34,6 @@ from .tokenize import (
     wordpiece_tokenize,
 )
 from .predictions import (
-    PredictionRecord,
     RunMatrix,
     average_runs,
     filter_runs,

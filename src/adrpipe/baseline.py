@@ -2,7 +2,8 @@
 models, so the whole protocol (R runs per model type, run averaging, ensembling,
 evaluation) can be exercised end to end in seconds.
 
-Features are character or word n-gram counts hashed with crc32 into a
+Features are character or word n-gram counts hashed with crc32 (stable across
+platforms and processes, unlike the salted builtin hash()) into a
 power-of-two bucket space; training is plain per-example gradient descent on a
 class-weighted logistic loss, with the example order reshuffled each epoch by
 a seeded Fisher-Yates pass. Everything is deterministic given (data, config).
@@ -18,8 +19,7 @@ first bytes, plus a few per further byte over just the windows whose
 character is multi-byte there. Word grams, which can be any length, go
 through zlib.crc32 one at a time. The protocol
 hashes each spec's train side and dev side once, each into a CSR matrix
-(indptr/indices/data arrays) whose rows all R runs of the spec share;
-`hashed_features` is the one-row case.
+(indptr/indices/data arrays) whose rows all R runs of the spec share.
 
 Training runs in a compact bucket space. A corpus of a few thousand tweets
 uses a few thousand of the 2^16 or 2^18 buckets, so `_compact` renumbers the
@@ -140,16 +140,6 @@ def _word_grams(text: str, lo: int, hi: int):
     for n in range(lo, hi + 1):
         for i in range(len(words) - n + 1):
             yield " ".join(words[i : i + n])
-
-
-def hashed_features(text: str, cfg: BaselineConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Hashed n-gram counts as (sorted bucket indices, counts): one row of _csr.
-
-    crc32 keeps the hash stable across platforms and processes, unlike the
-    salted builtin hash().
-    """
-    _, indices, data = _csr([text], cfg)
-    return indices, data
 
 
 def _sigmoid(z: float) -> float:
@@ -425,7 +415,7 @@ def predict_prob(m: BaselineModel, text: str) -> float:
     Each call hashes its text alone and pays the hasher's fixed numpy cost;
     score a batch with predict_probs, which hashes every text in one pass.
     """
-    return _prob(m.weights, m.bias, *hashed_features(text, m.config))
+    return predict_probs(m, [text])[0]
 
 
 def predict_probs(m: BaselineModel, texts: Sequence[str]) -> list[float]:

@@ -17,10 +17,10 @@ numpy.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import numbers
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -46,31 +46,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}".rstrip())
 
 
-@dataclass
-class RunManifest:
+def _manifest(command: str, inputs: dict, outputs: dict, config: dict, seeds: dict) -> dict:
     """Everything needed to rerun a command: echoed config, paths, seeds."""
+    return {
+        "tool": PROG,
+        "version": __version__,
+        "command": command,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "inputs": {k: str(v) for k, v in inputs.items()},
+        "outputs": {k: str(v) for k, v in outputs.items()},
+        "config": config,
+        "seeds": seeds,
+    }
 
-    tool: str
-    version: str
-    command: str
-    timestamp: str
-    inputs: dict
-    outputs: dict
-    config: dict
-    seeds: dict
 
-
-def _manifest(command: str, inputs: dict, outputs: dict, config: dict, seeds: dict) -> RunManifest:
-    return RunManifest(
-        tool=PROG,
-        version=__version__,
-        command=command,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        inputs={k: str(v) for k, v in inputs.items()},
-        outputs={k: str(v) for k, v in outputs.items()},
-        config=config,
-        seeds=seeds,
-    )
+@contextmanager
+def _stage(name: str):
+    """Prefix a ValueError raised in the block with the reproduce stage it came from."""
+    try:
+        yield
+    except ValueError as e:
+        raise ValueError(f"{name}: {e}") from None
 
 
 def _parse_stages(text: str) -> tuple[str, ...]:
@@ -102,6 +98,22 @@ def _object(doc: dict, key: str) -> dict:
     value = doc.get(key, {})
     if not isinstance(value, dict):
         raise ValueError(f"config: {key!r} must be an object")
+    return value
+
+
+def _config_str(doc: dict, key: str, kind: type = str, default=None):
+    """doc[key], or `default` when absent: a string, or for kind=list a list of strings.
+
+    Anything else is an error naming the key. A JSON true would reach open()
+    as 1, the stdout descriptor, and a string where a list belongs would be
+    read one character at a time.
+    """
+    value = doc.get(key, default)
+    if kind is list:
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise ValueError(f"config: {key!r} must be a list of strings, got {value!r}")
+    elif not isinstance(value, str):
+        raise ValueError(f"config: {key!r} must be a string, got {value!r}")
     return value
 
 
@@ -189,11 +201,11 @@ def _subset_key(s: frozenset[str]) -> str:
     return "+".join(sorted(s))
 
 
-def _build_report(scores: _Scores, manifest: RunManifest, thresholds: dict[str, float]) -> dict:
+def _build_report(scores: _Scores, manifest: dict, thresholds: dict[str, float]) -> dict:
     ab = scores.attribution
     subsets = sorted(set(ab.tp_by_subset) | set(ab.fp_by_subset), key=lambda s: (len(s), _subset_key(s)))
     return {
-        "manifest": dataclasses.asdict(manifest),
+        "manifest": manifest,
         "thresholds": {m: round(t, 4) for m, t in thresholds.items()},
         "members": {m: _metric_row(c) for m, c in scores.members.items()},
         "ensemble": _metric_row(scores.ensemble),
@@ -364,12 +376,14 @@ def cmd_variability(args) -> int:
 
 
 def cmd_split(args) -> int:
-    data = corpus.load_dataset(args.input)
-    train, dev = corpus.stratified_split(data, args.fraction, args.seed)
     stem = str(args.input)
     stem = stem[: -len(".tsv")] if stem.endswith(".tsv") else stem
     train_out = args.train_out or f"{stem}.train.tsv"
     dev_out = args.dev_out or f"{stem}.dev.tsv"
+    if Path(train_out).resolve() == Path(dev_out).resolve():  # the dev side would overwrite the train side
+        raise ValueError(f"train and dev outputs are the same file: {dev_out}")
+    data = corpus.load_dataset(args.input)
+    train, dev = corpus.stratified_split(data, args.fraction, args.seed)
     corpus.save_dataset(train, train_out)
     corpus.save_dataset(dev, dev_out)
     print(
@@ -379,14 +393,24 @@ def cmd_split(args) -> int:
     return 0
 
 
+# The keys each `baseline` action's config needs; all but the two ids are paths.
+_BASELINE_KEYS = {
+    "train": ("train", "model_out"),
+    "predict": ("model", "input", "output", "model_id", "run_id"),
+    "protocol": ("train", "eval", "output"),
+}
+
+
 def cmd_baseline(args) -> int:
     from . import baseline
 
     doc = _load_json(args.config)
+    for key in _BASELINE_KEYS[args.action]:
+        if key not in doc:
+            raise ValueError(f"baseline {args.action} config needs {key!r}")
+        if key not in ("model_id", "run_id"):
+            _config_str(doc, key)
     if args.action == "train":
-        for key in ("train", "model_out"):
-            if key not in doc:
-                raise ValueError(f"baseline train config needs {key!r}")
         data = corpus.load_dataset(doc["train"])
         cfg = _baseline_config(_object(doc, "config"))
         model = baseline.train(data, cfg)
@@ -394,9 +418,6 @@ def cmd_baseline(args) -> int:
         print(f"trained on {len(data)} records, saved model to {doc['model_out']}")
         return 0
     if args.action == "predict":
-        for key in ("model", "input", "output", "model_id", "run_id"):
-            if key not in doc:
-                raise ValueError(f"baseline predict config needs {key!r}")
         model = baseline.load_model(doc["model"])
         data = corpus.load_dataset(doc["input"])
         ids = [r.tweet_id for r in data.records]
@@ -406,9 +427,6 @@ def cmd_baseline(args) -> int:
         print(f"wrote {len(data)} predictions to {doc['output']}")
         return 0
     # protocol
-    for key in ("train", "eval", "output"):
-        if key not in doc:
-            raise ValueError(f"baseline protocol config needs {key!r}")
     train_set = corpus.load_dataset(doc["train"])
     eval_set = corpus.load_dataset(doc["eval"])
     specs = _specs_from_config(doc)
@@ -425,13 +443,12 @@ def cmd_reproduce(args) -> int:
             raise ValueError(f"config: {key!r} is required")
     if ("protocol" in doc) == ("predictions" in doc):
         raise ValueError("config: exactly one of 'protocol' or 'predictions' is required")
-    out_dir = Path(doc["output_dir"])
+    dataset_path = _config_str(doc, "dataset")
+    out_dir = Path(_config_str(doc, "output_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    try:
-        data = corpus.load_dataset(doc["dataset"])
-    except ValueError as e:
-        raise ValueError(f"corpus: {e}") from None
+    with _stage("corpus"):
+        data = corpus.load_dataset(dataset_path)
     thresholds_doc = _object(doc, "thresholds")
     # "default": null leaves no default, so every model needs a threshold of its own.
     default = (
@@ -443,16 +460,14 @@ def cmd_reproduce(args) -> int:
         for m in thresholds_doc
         if m != "default"
     }
-    try:
+    with _stage("ensemble"):
         ens_cfg = ensemble.EnsembleConfig(thresholds=thresholds, default_threshold=default)
-    except ValueError as e:
-        raise ValueError(f"ensemble: {e}") from None
     min_dev_f1 = None if doc.get("min_dev_f1") is None else _config_number(doc, "min_dev_f1", None, float)
     if min_dev_f1 is not None and not 0.0 <= min_dev_f1 <= 1.0:
         raise ValueError(f"config: 'min_dev_f1' must be in [0, 1], got {min_dev_f1}")
 
     seeds: dict = {}
-    inputs = {"dataset": doc["dataset"]}
+    inputs = {"dataset": dataset_path}
     outputs: dict = {}
     written = None  # protocol mode's matrix for predictions.tsv
 
@@ -460,46 +475,37 @@ def cmd_reproduce(args) -> int:
         from . import baseline
 
         proto = _object(doc, "protocol")
-        stage_names = _parse_stages(",".join(doc.get("stages", STAGES)))
-        try:
-            pipe_cfg = _pipeline_config(stage_names, doc.get("lexicon"))
-        except ValueError as e:
-            raise ValueError(f"preprocess: {e}") from None
-        if doc.get("lexicon"):
-            inputs["lexicon"] = doc["lexicon"]
+        stage_names = _parse_stages(",".join(_config_str(doc, "stages", list, list(STAGES))))
+        lexicon = None if doc.get("lexicon") is None else _config_str(doc, "lexicon")
+        with _stage("preprocess"):
+            pipe_cfg = _pipeline_config(stage_names, lexicon)
+        if lexicon:
+            inputs["lexicon"] = lexicon
         cleaned = data.with_texts(apply_pipeline(r.text, pipe_cfg) for r in data.records)
         split_cfg = _object(doc, "split")
         fraction = _config_number(split_cfg, "split.train_fraction", 0.8, float)
         split_seed = _config_number(split_cfg, "split.seed", 0, int)
         seeds["split"] = split_seed
-        try:
+        with _stage("split"):
             train_set, dev_set = corpus.stratified_split(cleaned, fraction, split_seed)
-        except ValueError as e:
-            raise ValueError(f"split: {e}") from None
         specs = _specs_from_config(proto)
         ensemble.check_model_ids(m for m, _ in specs)
-        try:
+        with _stage("ensemble"):
             for model_id in sorted(m for m, _ in specs):  # the order decide() looks them up in
                 ens_cfg.threshold_for(model_id)
-        except ValueError as e:
-            raise ValueError(f"ensemble: {e}") from None
         seeds["specs"] = {m: cfg.seed for m, cfg in specs}
         runs = _config_number(proto, "runs", 5, int)
-        try:
+        with _stage("baseline"):
             matrix = baseline.protocol_matrix(train_set, dev_set, specs, runs)
-        except ValueError as e:
-            raise ValueError(f"baseline: {e}") from None
         # Go on from the values predictions.tsv will hold, as `ensemble` on that file would.
         matrix = written = predictions.as_written(matrix)
         outputs["predictions"] = out_dir / "predictions.tsv"
         gold = dev_set.labels()
     else:
-        pred_paths = [Path(p) for p in doc["predictions"]]
+        pred_paths = [Path(p) for p in _config_str(doc, "predictions", list)]
         inputs["predictions"] = ", ".join(map(str, pred_paths))
-        try:
+        with _stage("ingest"):
             matrix = predictions.load_predictions(pred_paths, expected_runs=None)
-        except ValueError as e:
-            raise ValueError(f"ingest: {e}") from None
         all_labels = data.labels()
         missing = [t for t in matrix.tweet_ids if t not in all_labels]
         if missing:
@@ -507,15 +513,11 @@ def cmd_reproduce(args) -> int:
         gold = {t: all_labels[t] for t in matrix.tweet_ids}
 
     if min_dev_f1 is not None:
-        try:
+        with _stage("ingest"):
             matrix = predictions.filter_runs(matrix, gold, min_dev_f1)
-        except ValueError as e:
-            raise ValueError(f"ingest: {e}") from None
 
-    try:
+    with _stage("ensemble"):
         decisions = ensemble.decide(predictions.average_runs(matrix), ens_cfg)
-    except ValueError as e:
-        raise ValueError(f"ensemble: {e}") from None
 
     if written is not None:
         # Only now, so a screen or decision that fails leaves no predictions.tsv;
@@ -534,10 +536,8 @@ def cmd_reproduce(args) -> int:
         config=doc,
         seeds=seeds,
     )
-    try:
+    with _stage("evaluate"):
         scores = _score(decisions, gold)
-    except ValueError as e:
-        raise ValueError(f"evaluate: {e}") from None
     report = _build_report(
         scores, manifest, thresholds={m: ens_cfg.threshold_for(m) for m in matrix.models}
     )
@@ -548,6 +548,16 @@ def cmd_reproduce(args) -> int:
 
 
 # ------------------------------------------------------------------- parser
+
+
+def _run_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -571,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_pred_args(p):
         p.add_argument("--pred", nargs="+", required=True, metavar="FILE")
-        p.add_argument("--expect-runs", type=int, default=5, help="warn if run counts differ (0 disables)")
+        p.add_argument("--expect-runs", type=_run_count, default=5, help="warn if run counts differ (0 disables)")
         p.add_argument("--min-dev-f1", type=float, default=None)
         p.add_argument("--gold", help="dataset file with labels, for --min-dev-f1")
 

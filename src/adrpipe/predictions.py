@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from ._io import atomic_write, read_rows, truncate_ids
 from .evaluate import ConfusionCounts, metrics
@@ -38,19 +38,6 @@ def _check_ids(*ids: str) -> None:
     for field in ids:
         if not isinstance(field, str) or "\t" in field or "\n" in field or "\r" in field:
             raise ValueError(f"identifier {field!r} must be a string with no tab or newline")
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    model_id: str
-    run_id: str
-    tweet_id: str
-    prob: float
-
-    def __post_init__(self):
-        _check_ids(self.model_id, self.run_id, self.tweet_id)
-        if not 0.0 <= self.prob <= 1.0:
-            raise ValueError(f"probability out of range: {self.prob}")
 
 
 @dataclass(frozen=True)
@@ -87,15 +74,6 @@ class RunMatrix:
         for model_id, run_id in self.keys:
             runs.setdefault(model_id, []).append(run_id)
         return {m: tuple(r) for m, r in runs.items()}
-
-    @classmethod
-    def from_records(cls, records: Iterable[PredictionRecord]) -> "RunMatrix":
-        columns: _Columns = {}
-        for rec in records:
-            ids, probs = columns.setdefault((rec.model_id, rec.run_id), ([], []))
-            ids.append(rec.tweet_id)
-            probs.append(float(rec.prob))
-        return cls.from_columns(columns)
 
     @classmethod
     def from_columns(cls, columns: _Columns) -> "RunMatrix":

@@ -3,7 +3,9 @@ plus a token-overlap report for comparing how two words decompose.
 
 The tokenizer mirrors the usual WordPiece convention: the first piece of a
 word is looked up as-is, later pieces with a "##" continuation prefix, and a
-word with no full decomposition comes back as ``["[UNK]"]``.
+word with no full decomposition, or longer than 100 characters, comes back
+as ``["[UNK]"]``. The prefix, the unknown token and the length bound are
+fixed; the vocabulary is the only setting.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 CONTINUATION_PREFIX = "##"
 UNKNOWN_TOKEN = "[UNK]"
+MAX_WORD_CHARS = 100
 
 
 @dataclass(frozen=True)
@@ -22,14 +25,14 @@ class SubwordVocab:
     """A token inventory; continuation tokens are stored with their '##' prefix."""
 
     tokens: frozenset[str]
-    continuation_prefix: str = CONTINUATION_PREFIX
-    unknown_token: str = UNKNOWN_TOKEN
-    max_word_chars: int = 100
+    continuation_prefix: ClassVar[str] = CONTINUATION_PREFIX
+    unknown_token: ClassVar[str] = UNKNOWN_TOKEN
+    max_word_chars: ClassVar[int] = MAX_WORD_CHARS
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", frozenset(self.tokens))
-        if self.unknown_token not in self.tokens:
-            raise ValueError(f"vocabulary must contain the unknown token {self.unknown_token!r}")
+        if UNKNOWN_TOKEN not in self.tokens:
+            raise ValueError(f"vocabulary must contain the unknown token {UNKNOWN_TOKEN!r}")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -49,7 +52,7 @@ class TokenStats(NamedTuple):
     unk_rate: float
 
 
-def load_vocab(path: str | Path, max_word_chars: int = 100) -> SubwordVocab:
+def load_vocab(path: str | Path) -> SubwordVocab:
     """Read a one-token-per-line vocabulary file (UTF-8, blank lines skipped)."""
     tokens = set()
     with open(path, encoding="utf-8") as f:
@@ -57,22 +60,22 @@ def load_vocab(path: str | Path, max_word_chars: int = 100) -> SubwordVocab:
             token = line.strip()
             if token:
                 tokens.add(token)
-    return SubwordVocab(tokens=frozenset(tokens), max_word_chars=max_word_chars)
+    return SubwordVocab(tokens=frozenset(tokens))
 
 
 def wordpiece_tokenize(word: str, vocab: SubwordVocab) -> list[str]:
     """Decompose one word greedily, longest vocabulary match first.
 
     The first piece is matched bare, subsequent pieces with the continuation
-    prefix. Any position with no match, or a word longer than max_word_chars,
-    yields ``[unknown_token]``.
+    prefix. Any position with no match, or a word longer than MAX_WORD_CHARS,
+    yields ``[UNKNOWN_TOKEN]``.
     """
     if not word:
         raise ValueError("word must be non-empty")
     if any(c.isspace() for c in word):
         raise ValueError(f"word must be whitespace-free: {word!r}")
-    if len(word) > vocab.max_word_chars:
-        return [vocab.unknown_token]
+    if len(word) > MAX_WORD_CHARS:
+        return [UNKNOWN_TOKEN]
     pieces = []
     pos = 0
     while pos < len(word):
@@ -81,13 +84,13 @@ def wordpiece_tokenize(word: str, vocab: SubwordVocab) -> list[str]:
         while end > pos:
             candidate = word[pos:end]
             if pos > 0:
-                candidate = vocab.continuation_prefix + candidate
+                candidate = CONTINUATION_PREFIX + candidate
             if candidate in vocab.tokens:
                 match = candidate
                 break
             end -= 1
         if match is None:
-            return [vocab.unknown_token]
+            return [UNKNOWN_TOKEN]
         pieces.append(match)
         pos = end
     return pieces
@@ -117,6 +120,6 @@ def corpus_token_stats(texts: Sequence[str], vocab: SubwordVocab) -> TokenStats:
     total = sum(counts.values())
     unk = sum(
         n for word, n in counts.items()
-        if wordpiece_tokenize(word, vocab) == [vocab.unknown_token]
+        if wordpiece_tokenize(word, vocab) == [UNKNOWN_TOKEN]
     )
     return TokenStats(total, unk, unk / max(total, 1))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import struct
 import zlib
 from collections import Counter
 
@@ -13,7 +14,6 @@ from adrpipe import baseline
 from adrpipe.baseline import (
     BaselineConfig,
     _csr,
-    hashed_features,
     load_model,
     loss_and_grad,
     predict_prob,
@@ -39,6 +39,12 @@ def toy_separable(n_per_class=10):
     return Dataset.from_records(records)
 
 
+def one_row(text, cfg):
+    """The featurizer on one text: (sorted bucket indices, counts), the single row of its CSR matrix."""
+    _, indices, data = _csr([text], cfg)
+    return indices, data
+
+
 def dense_reference_fit(d, cfg):
     """The textbook trainer: re-hash every text, decay all weights on every step."""
 
@@ -48,7 +54,7 @@ def dense_reference_fit(d, cfg):
         e = math.exp(z)
         return e / (1.0 + e)
 
-    feats = [hashed_features(r.text, cfg) for r in d.records]
+    feats = [one_row(r.text, cfg) for r in d.records]
     labels = [float(r.label) for r in d.records]
     sample_weights = [cfg.positive_weight if r.label == 1 else 1.0 for r in d.records]
     weights = np.zeros(cfg.feature_buckets, dtype=np.float64)
@@ -149,19 +155,19 @@ class TestConfig:
 class TestFeatures:
     def test_char_ngram_counts(self):
         cfg = BaselineConfig(ngram_range=(2, 2), feature_buckets=2**16)
-        idx, val = hashed_features("abab", cfg)
+        idx, val = one_row("abab", cfg)
         # "ab" occurs twice, "ba" once
         assert val.sum() == 3
         assert len(idx) == 2
 
     def test_word_mode(self):
         cfg = BaselineConfig(ngram_range=(1, 2), feature_mode="word", feature_buckets=2**16)
-        idx, val = hashed_features("a b c", cfg)
+        idx, val = one_row("a b c", cfg)
         # unigrams a b c + bigrams "a b" "b c"
         assert val.sum() == 5
 
     def test_empty_text(self):
-        idx, val = hashed_features("", BaselineConfig())
+        idx, val = one_row("", BaselineConfig())
         assert idx.size == 0 and val.size == 0
 
     def test_matches_plain_bucket_counting(self):
@@ -171,25 +177,13 @@ class TestFeatures:
             BaselineConfig(ngram_range=(1, 3), feature_mode="word", feature_buckets=2**4),
         ]
         for cfg in cfgs:
-            lo, hi = cfg.ngram_range
             for text in texts:
-                units = list(text) if cfg.feature_mode == "char" else text.split()
-                joiner = "" if cfg.feature_mode == "char" else " "
-                counts = {}
-                for n in range(lo, hi + 1):
-                    for i in range(len(units) - n + 1):
-                        gram = joiner.join(units[i : i + n])
-                        b = zlib.crc32(gram.encode("utf-8")) % cfg.feature_buckets
-                        counts[b] = counts.get(b, 0) + 1
-                idx, val = hashed_features(text, cfg)
-                assert idx.dtype == np.int64 and val.dtype == np.float64
-                assert idx.tolist() == sorted(counts)
-                assert val.tolist() == [counts[b] for b in sorted(counts)]
+                assert_rows_equal_reference([text], cfg)
 
     def test_hashing_is_stable(self):
         cfg = BaselineConfig()
-        a = hashed_features("quetiapine makes me dizzy", cfg)
-        b = hashed_features("quetiapine makes me dizzy", cfg)
+        a = one_row("quetiapine makes me dizzy", cfg)
+        b = one_row("quetiapine makes me dizzy", cfg)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -206,14 +200,8 @@ class TestCSR:
         ],
     )
     def test_rows_equal_hashed_features(self, cfg):
-        indptr, indices, data = _csr(self.TEXTS, cfg)
-        assert indptr.shape == (len(self.TEXTS) + 1,) and indptr[0] == 0
-        assert indptr[-1] == indices.size == data.size
-        for i, text in enumerate(self.TEXTS):
-            idx, val = hashed_features(text, cfg)
-            row_idx, row_val = indices[indptr[i] : indptr[i + 1]], data[indptr[i] : indptr[i + 1]]
-            assert row_idx.dtype == idx.dtype and row_val.dtype == val.dtype
-            assert np.array_equal(row_idx, idx) and np.array_equal(row_val, val)
+        assert _csr(self.TEXTS, cfg)[0][0] == 0
+        assert_rows_equal_reference(self.TEXTS, cfg)
 
     def test_no_texts(self):
         indptr, indices, data = _csr([], BaselineConfig())
@@ -466,6 +454,13 @@ class TestPredict:
         model = train(toy_separable(), BaselineConfig(seed=3))
         for text in ("", "dizzy", "sunny park", "completely new words here"):
             assert 0.0 < predict_prob(model, text) < 1.0
+
+    @pytest.mark.parametrize("mode, ngrams", [("char", (3, 5)), ("word", (1, 2))])
+    def test_one_text_is_bit_equal_to_the_batch_of_one(self, mode, ngrams):
+        model = train(toy_separable(), BaselineConfig(ngram_range=ngrams, feature_mode=mode, seed=3))
+        for text in ("", "feeling dizzy after dose 3", "Quetiapine → 眩暈 \U0001f600 again"):
+            one, batch = predict_prob(model, text), predict_probs(model, [text])[0]
+            assert struct.pack("<d", one) == struct.pack("<d", batch)
 
     def test_save_load_round_trip(self, tmp_path):
         model = train(toy_separable(), BaselineConfig(seed=3, l2=1e-4))

@@ -76,6 +76,16 @@ class TestSplit:
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert run("split", "--input", tmp_path / "absent.tsv", "--seed", "1") == 2
 
+    @pytest.mark.parametrize("dev_out", ["same.tsv", "./sub/../same.tsv", "d.train.tsv"])
+    def test_one_file_for_both_sides_rejected(self, tmp_path, capsys, monkeypatch, dev_out):
+        d = small_dataset(tmp_path)
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        train_out = [] if dev_out == "d.train.tsv" else ["--train-out", "same.tsv"]
+        assert run("split", "--input", "d.tsv", "--seed", "7", *train_out, "--dev-out", dev_out) == 1
+        assert capsys.readouterr() == ("", f"split: train and dev outputs are the same file: {dev_out}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.tsv", "sub"]
+
 
 class TestPreprocessCmd:
     def test_writes_cleaned_dataset(self, tmp_path, capsys):
@@ -184,6 +194,17 @@ class TestPredictionCommands:
         other.write_text(text, encoding="utf-8")
         assert run("evaluate", "--decisions", decisions, "--gold", other, "--report", tmp_path / "r.json") == 1
         assert "coverage mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ingest", "ensemble"])
+    @pytest.mark.parametrize("value", ["-2", "-1", "two", "1.5"])
+    def test_expect_runs_must_be_a_count(self, tmp_path, capsys, command, value):
+        out = tmp_path / "out.tsv"
+        assert run(command, "--pred", tmp_path / "p.tsv", "--expect-runs", value, "--output", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"adrpipe {command}: error: argument --expect-runs: must be an integer >= 0, got '{value}'\nusage: "
+        )
+        assert not out.exists()
 
     def test_min_dev_f1_filter(self, tmp_path, capsys):
         d = small_dataset(tmp_path)
@@ -550,6 +571,49 @@ class TestConfigErrors:
 
 
 BAD_INTEGERS = [([1], "[1]"), (2.7, "2.7"), (2.0, "2.0"), (True, "True"), ("2", "'2'")]
+
+
+class TestPathConfigFields:
+    """Path-valued keys must be strings, and `stages` and `predictions` lists of strings."""
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("dataset", True, "'dataset' must be a string, got True"),
+            ("output_dir", 5, "'output_dir' must be a string, got 5"),
+            ("lexicon", True, "'lexicon' must be a string, got True"),
+            ("stages", [1], "'stages' must be a list of strings, got [1]"),
+            ("stages", "anonymize,handles", "'stages' must be a list of strings, got 'anonymize,handles'"),
+            ("predictions", [1], "'predictions' must be a list of strings, got [1]"),
+            ("predictions", "abc", "'predictions' must be a list of strings, got 'abc'"),
+        ],
+    )
+    def test_reproduce(self, tmp_path, capsys, key, value, message):
+        d = small_dataset(tmp_path)
+        cfg = protocol_config(tmp_path, d)
+        if key == "predictions":
+            del cfg["protocol"]
+        cfg[key] = value
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr() == ("", f"reproduce: config: {message}\n")
+        out = tmp_path / "out"
+        assert out.exists() == (key not in ("dataset", "output_dir"))  # both are checked before mkdir
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "action, key",
+        [("train", "train"), ("train", "model_out"), ("predict", "model"), ("predict", "input"),
+         ("predict", "output"), ("protocol", "train"), ("protocol", "eval"), ("protocol", "output")],
+    )
+    @pytest.mark.parametrize("value, shown", [(True, "True"), (["d.tsv"], "['d.tsv']"), (None, "None")])
+    def test_baseline(self, tmp_path, capsys, action, key, value, shown):
+        d = small_dataset(tmp_path)
+        cfg = {"train": str(d), "eval": str(d), "input": str(d), "model": str(tmp_path / "absent.npz"),
+               "model_out": str(tmp_path / "m.npz"), "output": str(tmp_path / "p.tsv"),
+               "model_id": "m", "run_id": "r1", "specs": [{"model_id": "m", "epochs": 1}], key: value}
+        assert run("baseline", action, "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr() == ("", f"baseline: config: {key!r} must be a string, got {shown}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "d.tsv"]
 
 
 class TestIntegerConfigFields:

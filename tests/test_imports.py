@@ -21,7 +21,7 @@ EXPORTS = (
     "preprocess", "remove_hashtags", "replace_handles",
     "SubwordVocab", "TokenizationReport", "corpus_token_stats", "load_vocab",
     "overlap_report", "wordpiece_tokenize",
-    "PredictionRecord", "RunMatrix", "average_runs", "filter_runs", "load_predictions",
+    "RunMatrix", "average_runs", "filter_runs", "load_predictions",
     "write_predictions",
     "EnsembleConfig", "EnsembleDecision", "decide", "single_model_decide",
     "AttributionBreakdown", "ConfusionCounts", "Metrics", "VariabilityReport", "attribution",

@@ -14,7 +14,6 @@ from adrpipe.corpus import Dataset
 from adrpipe.evaluate import confusion, metrics
 from adrpipe.predictions import (
     HEADER,
-    PredictionRecord,
     _parse_file,
     RunMatrix,
     as_written,
@@ -34,11 +33,28 @@ def grid_rows(model, runs, tweets, prob=0.5):
     return [(model, f"r{i}", t, prob) for i in range(1, runs + 1) for t in tweets]
 
 
-def records_text(records):
-    """Oracle: the record writer the matrix writer replaced, sorted records in the standard format."""
-    rows = sorted(records, key=lambda r: (r.model_id, r.run_id, r.tweet_id))
-    lines = [HEADER] + [f"{r.model_id}\t{r.run_id}\t{r.tweet_id}\t{r.prob:.6f}" for r in rows]
+def records_text(rows):
+    """Oracle: the record writer the matrix writer replaced.
+
+    It writes (model, run, tweet, prob) rows sorted, in the standard format.
+    """
+    lines = [HEADER] + [f"{m}\t{r}\t{t}\t{p:.6f}" for m, r, t, p in sorted(rows, key=lambda row: row[:3])]
     return "\n".join(lines) + "\n"
+
+
+def columns_of(rows):
+    """(model, run, tweet, prob) rows as the columns RunMatrix.from_columns takes, in row order."""
+    columns = {}
+    for model_id, run_id, tweet_id, prob in rows:
+        ids, probs = columns.setdefault((model_id, run_id), ([], []))
+        ids.append(tweet_id)
+        probs.append(prob)
+    return columns
+
+
+def matrix_of(rows):
+    """The RunMatrix of (model, run, tweet, prob) rows, built through from_columns."""
+    return RunMatrix.from_columns(columns_of(rows))
 
 
 class TestLoad:
@@ -133,48 +149,35 @@ class TestLoad:
         assert m.probs[0][1] == 1.0
 
     def test_write_read_round_trip(self, tmp_path):
-        records = [
-            PredictionRecord("m", f"r{i}", f"t{j}", (i + j) / 10)
-            for i in range(1, 3)
-            for j in range(4)
-        ]
+        rows = [("m", f"r{i}", f"t{j}", (i + j) / 10) for i in range(1, 3) for j in range(4)]
         out = tmp_path / "preds.tsv"
-        write_predictions(RunMatrix.from_records(records), out)
-        assert out.read_text(encoding="utf-8") == records_text(records)
+        write_predictions(matrix_of(rows), out)
+        assert out.read_text(encoding="utf-8") == records_text(rows)
         m = load_predictions([out], expected_runs=2)
         assert m.probs[m.keys.index(("m", "r2"))][m.tweet_ids.index("t3")] == pytest.approx(0.5)
 
 
 class TestAverageRuns:
     def test_mean_of_five(self):
-        records = [
-            PredictionRecord("m", f"r{i}", "t1", p)
-            for i, p in enumerate([0.2, 0.4, 0.6, 0.8, 1.0], start=1)
-        ]
-        avg = average_runs(RunMatrix.from_records(records))
+        rows = [("m", f"r{i}", "t1", p) for i, p in enumerate([0.2, 0.4, 0.6, 0.8, 1.0], start=1)]
+        avg = average_runs(matrix_of(rows))
         assert avg["m"]["t1"] == pytest.approx(0.6)
 
     def test_single_run_identity(self):
-        m = RunMatrix.from_records([PredictionRecord("m", "r1", "t1", 0.37)])
+        m = matrix_of([("m", "r1", "t1", 0.37)])
         assert average_runs(m)["m"]["t1"] == 0.37
 
     def test_run_relabeling_invariance(self):
         probs = [0.12, 0.93, 0.4]
-        a = RunMatrix.from_records(
-            [PredictionRecord("m", f"r{i}", "t", p) for i, p in enumerate(probs, 1)]
-        )
-        b = RunMatrix.from_records(
-            [PredictionRecord("m", f"x{i}", "t", p) for i, p in enumerate(reversed(probs), 1)]
-        )
+        a = matrix_of([("m", f"r{i}", "t", p) for i, p in enumerate(probs, 1)])
+        b = matrix_of([("m", f"x{i}", "t", p) for i, p in enumerate(reversed(probs), 1)])
         assert average_runs(a)["m"]["t"] == average_runs(b)["m"]["t"]
 
     def test_mean_within_run_bounds(self):
         rng = random.Random(5)
         for _ in range(50):
             probs = [rng.random() for _ in range(rng.randrange(1, 8))]
-            m = RunMatrix.from_records(
-                [PredictionRecord("m", f"r{i}", "t", p) for i, p in enumerate(probs, 1)]
-            )
+            m = matrix_of([("m", f"r{i}", "t", p) for i, p in enumerate(probs, 1)])
             mean = average_runs(m)["m"]["t"]
             assert min(probs) <= mean <= max(probs)
 
@@ -182,59 +185,44 @@ class TestAverageRuns:
 class TestFilterRuns:
     def test_drops_never_positive_run(self):
         gold = {"t1": 1, "t2": 0}
-        records = [
-            # r1 predicts the positive correctly, r2 predicts nothing positive
-            PredictionRecord("m", "r1", "t1", 0.9),
-            PredictionRecord("m", "r1", "t2", 0.1),
-            PredictionRecord("m", "r2", "t1", 0.1),
-            PredictionRecord("m", "r2", "t2", 0.1),
-        ]
-        m = RunMatrix.from_records(records)
+        # r1 predicts the positive correctly, r2 predicts nothing positive
+        m = matrix_of([("m", "r1", "t1", 0.9), ("m", "r1", "t2", 0.1),
+                       ("m", "r2", "t1", 0.1), ("m", "r2", "t2", 0.1)])
         kept = filter_runs(m, gold, min_f1=0.5)
         assert kept.runs_per_model["m"] == ("r1",)
 
     def test_all_runs_dropped_is_error(self):
         gold = {"t1": 1}
-        m = RunMatrix.from_records([PredictionRecord("m", "r1", "t1", 0.0)])
+        m = matrix_of([("m", "r1", "t1", 0.0)])
         with pytest.raises(ValueError, match="no runs left"):
             with pytest.warns(UserWarning):
                 filter_runs(m, gold, min_f1=0.1)
 
     @pytest.mark.parametrize("min_f1, shown", [(1.5, "1.5"), (math.nan, "nan"), (-3, "-3"), (-1e-9, "-1e-09")])
     def test_min_f1_outside_unit_interval_is_error(self, min_f1, shown):
-        m = RunMatrix.from_records([PredictionRecord("m", "r1", "t1", 0.9)])
+        m = matrix_of([("m", "r1", "t1", 0.9)])
         with pytest.raises(ValueError, match=rf"^min F1 must be in \[0, 1\], got {shown}$"):
             filter_runs(m, {"t1": 1}, min_f1=min_f1)
 
     @pytest.mark.parametrize("min_f1", [0, 0.0, 1.0])
     def test_min_f1_bounds_are_accepted(self, min_f1):
-        m = RunMatrix.from_records([PredictionRecord("m", "r1", "t1", 0.9)])
+        m = matrix_of([("m", "r1", "t1", 0.9)])
         assert filter_runs(m, {"t1": 1}, min_f1=min_f1) == m
 
     def test_missing_gold_is_error(self):
-        m = RunMatrix.from_records([PredictionRecord("m", "r1", "t1", 0.5)])
+        m = matrix_of([("m", "r1", "t1", 0.5)])
         with pytest.raises(ValueError, match="gold labels missing"):
             filter_runs(m, {"other": 1}, min_f1=0.1)
-
-
-class TestRecordValidation:
-    def test_tab_in_identifier_rejected(self):
-        with pytest.raises(ValueError, match="tab or newline"):
-            PredictionRecord("m\tx", "r1", "t1", 0.5)
-
-    def test_prob_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            PredictionRecord("m", "r1", "t1", -0.01)
 
 
 class TestFromColumns:
     def test_builds_the_same_matrix_as_from_records(self):
         columns = {("b", "r2"): (["t2", "t1"], [0.25, 0.5]), ("a", "r1"): (["t1", "t2"], [1.0, 0.0])}
-        records = [PredictionRecord(m, r, t, p) for (m, r), (ids, ps) in columns.items() for t, p in zip(ids, ps)]
-        m = RunMatrix.from_columns(columns)
-        assert m == RunMatrix.from_records(records)
-        assert m.keys == (("a", "r1"), ("b", "r2"))
-        assert m.probs == ((1.0, 0.0), (0.5, 0.25))
+        # The matrix those four records spell out, with keys and tweets sorted.
+        expected = RunMatrix(
+            keys=(("a", "r1"), ("b", "r2")), tweet_ids=("t1", "t2"), probs=((1.0, 0.0), (0.5, 0.25))
+        )
+        assert RunMatrix.from_columns(columns) == expected
 
     def test_one_tweet_and_no_tweets(self):
         one = RunMatrix.from_columns({("m", "r2"): (["t1"], [0.75]), ("m", "r1"): (["t1"], [0.25])})
@@ -289,7 +277,7 @@ class TestProtocolAgainstRecordOracle:
         runs = 12
         out = run_protocol(train_set, eval_set, specs, runs=runs, out_path=tmp_path / "p.tsv")
         records = [
-            PredictionRecord(model_id, f"r{k + 1}", r.tweet_id, predict_prob(model, r.text))
+            (model_id, f"r{k + 1}", r.tweet_id, predict_prob(model, r.text))
             for model_id, cfg in specs
             for k in range(runs)
             for model in [train(train_set, dataclasses.replace(cfg, seed=cfg.seed + k))]
@@ -359,11 +347,7 @@ class TestProperties:
     @HYPOTHESIS
     @given(rows=run_grids(), data=st.data())
     def test_from_columns_rows_are_columns_in_sorted_tweet_order(self, rows, data):
-        columns = {}
-        for model_id, run_id, tweet_id, prob in rows:
-            ids, probs = columns.setdefault((model_id, run_id), ([], []))
-            ids.append(tweet_id)
-            probs.append(prob)
+        columns = columns_of(rows)
         for key, (ids, probs) in columns.items():  # any tweet order, per key
             order = data.draw(st.permutations(range(len(ids))))
             columns[key] = ([ids[k] for k in order], [probs[k] for k in order])
@@ -378,22 +362,19 @@ class TestProperties:
     @HYPOTHESIS
     @given(rows=run_grids())
     def test_write_load_round_trip(self, tmp_path, rows):
-        records = [PredictionRecord(*r) for r in rows]
-        m = RunMatrix.from_records(records)
+        m = matrix_of(rows)
         write_predictions(m, tmp_path / "matrix.tsv")
         text = (tmp_path / "matrix.tsv").read_text(encoding="utf-8")
-        assert text == records_text(records)
+        assert text == records_text(rows)
         again = load_predictions([tmp_path / "matrix.tsv"], expected_runs=None)
-        assert again == RunMatrix.from_records(
-            PredictionRecord(mm, r, t, float(f"{p:.6f}")) for mm, r, t, p in rows
-        )
+        assert again == matrix_of((mm, r, t, float(f"{p:.6f}")) for mm, r, t, p in rows)
         write_predictions(again, tmp_path / "again.tsv")
         assert (tmp_path / "again.tsv").read_text(encoding="utf-8") == text
 
     @HYPOTHESIS
     @given(rows=run_grids(PROBS_TO_ROUND))
     def test_as_written_is_what_load_reads_back(self, tmp_path, rows):
-        m = RunMatrix.from_records(PredictionRecord(*r) for r in rows)
+        m = matrix_of(rows)
         write_predictions(m, tmp_path / "matrix.tsv")
         again = load_predictions([tmp_path / "matrix.tsv"], expected_runs=None)
         written = as_written(m)
@@ -404,7 +385,7 @@ class TestProperties:
     @given(rows=run_grids(PROBS_TO_ROUND))
     def test_as_written_writes_the_same_bytes(self, tmp_path, rows):
         # reproduce writes predictions.tsv from the rounded matrix it decided from.
-        m = RunMatrix.from_records(PredictionRecord(*r) for r in rows)
+        m = matrix_of(rows)
         write_predictions(m, tmp_path / "matrix.tsv")
         write_predictions(as_written(m), tmp_path / "rounded.tsv")
         assert (tmp_path / "rounded.tsv").read_bytes() == (tmp_path / "matrix.tsv").read_bytes()
@@ -412,7 +393,7 @@ class TestProperties:
     @HYPOTHESIS
     @given(rows=run_grids())
     def test_average_matches_sorted_run_order_reference_bit_for_bit(self, rows):
-        m = RunMatrix.from_records(PredictionRecord(*r) for r in rows)
+        m = matrix_of(rows)
         prob = {r[:3]: r[3] for r in rows}
         avg = average_runs(m)
         assert list(avg) == sorted({r[0] for r in rows})
@@ -432,7 +413,7 @@ class TestProperties:
         threshold=st.sampled_from([0.25, 0.5, 0.75]),
     )
     def test_filter_keeps_exactly_runs_at_or_above_min_f1(self, rows, labels, min_f1, threshold):
-        m = RunMatrix.from_records(PredictionRecord(*r) for r in rows)
+        m = matrix_of(rows)
         gold = {f"t{i}": y for i, y in enumerate(labels)}
         subset = {t: gold[t] for t in m.tweet_ids}
         prob = {r[:3]: r[3] for r in rows}

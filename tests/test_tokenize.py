@@ -129,7 +129,7 @@ class TestRoundTrip:
 
 
 # Words built from pieces that decompose, pieces that do not, the unknown
-# token itself and a piece longer than max_word_chars.
+# token itself and a piece longer than MAX_WORD_CHARS.
 _pieces = st.sampled_from(["que", "##tia", "tia", "pine", "o", "lan", "xyz", "[UNK]", "q" * 101])
 _words = st.lists(_pieces, min_size=1, max_size=3).map("".join)
 
