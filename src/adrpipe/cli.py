@@ -21,7 +21,6 @@ import json
 import numbers
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -69,15 +68,7 @@ def _stage(name: str):
         raise ValueError(f"{name}: {e}") from None
 
 
-def _parse_stages(text: str) -> tuple[str, ...]:
-    names = [s.strip() for s in text.split(",") if s.strip()]
-    unknown = [s for s in names if s not in STAGES]
-    if unknown:
-        raise ValueError(f"unknown stages: {', '.join(unknown)} (choose from {', '.join(STAGES)})")
-    return tuple(names)
-
-
-def _pipeline_config(stage_names: tuple[str, ...], lexicon_path: str | None) -> PipelineConfig:
+def _pipeline_config(stage_names: list[str], lexicon_path: str | None) -> PipelineConfig:
     lexicon = load_lexicon(lexicon_path) if lexicon_path else None
     return PipelineConfig(enabled_stages=stage_names, lexicon=lexicon)
 
@@ -93,42 +84,39 @@ def _load_json(path: str | Path) -> dict:
     return doc
 
 
-def _object(doc: dict, key: str) -> dict:
-    """doc[key], {} when absent; anything but a JSON object is an error naming the key."""
-    value = doc.get(key, {})
-    if not isinstance(value, dict):
-        raise ValueError(f"config: {key!r} must be an object")
-    return value
+_REQUIRED = object()
+_KINDS = {dict: "an object", str: "a string", list: "a list of strings", int: "an integer", float: "a number"}
 
 
-def _config_str(doc: dict, key: str, kind: type = str, default=None):
-    """doc[key], or `default` when absent: a string, or for kind=list a list of strings.
+def _config(section: dict, name: str, kind: type, default=_REQUIRED):
+    """The field `name` ("dataset", "split.seed", "thresholds.<model>") of a config section, as `kind`.
 
-    Anything else is an error naming the key. A JSON true would reach open()
-    as 1, the stdout descriptor, and a string where a list belongs would be
-    read one character at a time.
+    Its key in the section is `name` after the first dot, if any. `kind` is
+    dict (a JSON object), str, list (of strings), int, float (any number) or
+    object (any value). Absent, the field is `default`, or an error when there
+    is none; with a default of None, a JSON null is absent too. Anything else
+    of the wrong kind is an error naming the field: a JSON true would reach
+    open() as 1, the stdout descriptor, a string where a list belongs would be
+    read one character at a time, and int() would silently truncate 2.7.
     """
-    value = doc.get(key, default)
+    key = name.split(".", 1)[-1]
+    if key not in section:
+        if default is _REQUIRED:
+            raise ValueError(f"config: {name!r} is required")
+        return default
+    value = section[key]
+    if value is None and default is None:
+        return None
     if kind is list:
-        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-            raise ValueError(f"config: {key!r} must be a list of strings, got {value!r}")
-    elif not isinstance(value, str):
-        raise ValueError(f"config: {key!r} must be a string, got {value!r}")
-    return value
-
-
-def _config_number(section: dict, name: str, default, kind: type):
-    """The field `name` ("runs", "split.seed", "thresholds.<model>") of a config section, as `kind`.
-
-    Its key in the section is `name` after the first dot, if any. Absent, it is
-    `default`. JSON true/false, null, strings, lists and, for an int, any float
-    are errors naming the field, never a silent int() truncation.
-    """
-    value = section.get(name.split(".", 1)[-1], default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"config: {name!r} must be {what}, got {value!r}")
-    return kind(value)
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    elif kind in (int, float):
+        ok = not isinstance(value, bool) and isinstance(value, numbers.Integral if kind is int else numbers.Real)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        got = "" if kind is dict else f", got {value!r}"
+        raise ValueError(f"config: {name!r} must be {_KINDS[kind]}{got}")
+    return kind(value) if kind in (int, float) else value
 
 
 def _baseline_config(d: dict) -> baseline.BaselineConfig:
@@ -167,26 +155,6 @@ def _threshold_config(pairs: list[str], default: float | None) -> ensemble.Ensem
     return ensemble.EnsembleConfig(thresholds=thresholds, default_threshold=default)
 
 
-@dataclass(frozen=True)
-class _Scores:
-    """Confusion counts per member and for the ensemble, and the attribution."""
-
-    members: dict[str, evaluate.ConfusionCounts]
-    ensemble: evaluate.ConfusionCounts
-    attribution: evaluate.AttributionBreakdown
-
-
-def _score(decisions, gold) -> _Scores:
-    ensemble_counts = evaluate.confusion({d.tweet_id: d.ensemble_verdict for d in decisions}, gold)
-    ab = evaluate.attribution(decisions, gold)
-    models = sorted(decisions[0].per_model_verdict) if decisions else []
-    members = {
-        m: evaluate.confusion({d.tweet_id: d.per_model_verdict[m] for d in decisions}, gold)
-        for m in models
-    }
-    return _Scores(members=members, ensemble=ensemble_counts, attribution=ab)
-
-
 def _metric_row(c: evaluate.ConfusionCounts) -> dict:
     m = evaluate.metrics(c)
     return {
@@ -199,22 +167,6 @@ def _metric_row(c: evaluate.ConfusionCounts) -> dict:
 
 def _subset_key(s: frozenset[str]) -> str:
     return "+".join(sorted(s))
-
-
-def _build_report(scores: _Scores, manifest: dict, thresholds: dict[str, float]) -> dict:
-    ab = scores.attribution
-    subsets = sorted(set(ab.tp_by_subset) | set(ab.fp_by_subset), key=lambda s: (len(s), _subset_key(s)))
-    return {
-        "manifest": manifest,
-        "thresholds": {m: round(t, 4) for m, t in thresholds.items()},
-        "members": {m: _metric_row(c) for m, c in scores.members.items()},
-        "ensemble": _metric_row(scores.ensemble),
-        "attribution": {
-            "tp_by_subset": {_subset_key(s): ab.tp_by_subset.get(s, 0) for s in subsets},
-            "fp_by_subset": {_subset_key(s): ab.fp_by_subset.get(s, 0) for s in subsets},
-            "exclusive_fraction": {m: round(v, 4) for m, v in ab.exclusive_fraction.items()},
-        },
-    }
 
 
 def _report_to_tsv(report: dict) -> str:
@@ -236,18 +188,32 @@ def _report_to_tsv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_report(report: dict, path: str | Path) -> None:
-    if str(path).endswith(".json"):
-        atomic_write(path, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
-    else:
-        atomic_write(path, [_report_to_tsv(report)])
-
-
-def _print_report(scores: _Scores) -> None:
-    columns = {m: evaluate.metrics(c) for m, c in scores.members.items()}
-    columns["ensemble"] = evaluate.metrics(scores.ensemble)
+def _report(decisions, gold, manifest: dict, thresholds: dict[str, float], path: str | Path) -> None:
+    """Score the decisions against gold, write the .json or .tsv report to `path`, print both tables."""
+    ensemble_counts = evaluate.confusion({d.tweet_id: d.ensemble_verdict for d in decisions}, gold)
+    ab = evaluate.attribution(decisions, gold)
+    models = sorted(decisions[0].per_model_verdict) if decisions else []
+    members = {
+        m: evaluate.confusion({d.tweet_id: d.per_model_verdict[m] for d in decisions}, gold)
+        for m in models
+    }
+    subsets = sorted(set(ab.tp_by_subset) | set(ab.fp_by_subset), key=lambda s: (len(s), _subset_key(s)))
+    report = {
+        "manifest": manifest,
+        "thresholds": {m: round(t, 4) for m, t in thresholds.items()},
+        "members": {m: _metric_row(c) for m, c in members.items()},
+        "ensemble": _metric_row(ensemble_counts),
+        "attribution": {
+            "tp_by_subset": {_subset_key(s): ab.tp_by_subset.get(s, 0) for s in subsets},
+            "fp_by_subset": {_subset_key(s): ab.fp_by_subset.get(s, 0) for s in subsets},
+            "exclusive_fraction": {m: round(v, 4) for m, v in ab.exclusive_fraction.items()},
+        },
+    }
+    as_json = str(path).endswith(".json")
+    atomic_write(path, [json.dumps(report, indent=2, sort_keys=True) + "\n" if as_json else _report_to_tsv(report)])
+    columns = {m: evaluate.metrics(c) for m, c in members.items()}
+    columns["ensemble"] = evaluate.metrics(ensemble_counts)
     print(evaluate.metrics_table(columns))
-    ab = scores.attribution
     if ab.tp_by_subset or ab.fp_by_subset:
         print()
         print(evaluate.attribution_table(ab))
@@ -257,8 +223,7 @@ def _print_report(scores: _Scores) -> None:
 
 
 def cmd_preprocess(args) -> int:
-    stages = _parse_stages(args.stages)
-    cfg = _pipeline_config(stages, args.lexicon)
+    cfg = _pipeline_config([s.strip() for s in args.stages.split(",") if s.strip()], args.lexicon)
     data = corpus.load_dataset(args.input)
     cleaned = data.with_texts(apply_pipeline(r.text, cfg) for r in data.records)
     corpus.save_dataset(cleaned, args.output)
@@ -331,9 +296,7 @@ def cmd_evaluate(args) -> int:
         config={},
         seeds={},
     )
-    scores = _score(decisions, gold)
-    _write_report(_build_report(scores, manifest, thresholds={}), args.report)
-    _print_report(scores)
+    _report(decisions, gold, manifest, {}, args.report)
     print(f"\nwrote report to {args.report}")
     return 0
 
@@ -406,13 +369,10 @@ def cmd_baseline(args) -> int:
 
     doc = _load_json(args.config)
     for key in _BASELINE_KEYS[args.action]:
-        if key not in doc:
-            raise ValueError(f"baseline {args.action} config needs {key!r}")
-        if key not in ("model_id", "run_id"):
-            _config_str(doc, key)
+        _config(doc, key, object if key.endswith("_id") else str)  # the ids are checked where they are written
     if args.action == "train":
         data = corpus.load_dataset(doc["train"])
-        cfg = _baseline_config(_object(doc, "config"))
+        cfg = _baseline_config(_config(doc, "config", dict, {}))
         model = baseline.train(data, cfg)
         baseline.save_model(model, doc["model_out"])
         print(f"trained on {len(data)} records, saved model to {doc['model_out']}")
@@ -430,39 +390,45 @@ def cmd_baseline(args) -> int:
     train_set = corpus.load_dataset(doc["train"])
     eval_set = corpus.load_dataset(doc["eval"])
     specs = _specs_from_config(doc)
-    runs = _config_number(doc, "runs", 5, int)
+    runs = _config(doc, "runs", int, 5)
     out = baseline.run_protocol(train_set, eval_set, specs, runs, doc["output"])
     print(f"wrote {len(specs)} specs x {runs} runs x {len(eval_set)} tweets to {out}")
     return 0
 
 
+# The keys `reproduce` reads, at the top level and in its two sections. Either
+# mode accepts the other's keys, so `protocol` can be swapped for `predictions`.
+_REPRODUCE_KEYS = {
+    "": ("dataset", "output_dir", "protocol", "predictions", "lexicon", "stages", "split", "thresholds",
+         "min_dev_f1"),
+    "split.": ("train_fraction", "seed"),
+    "protocol.": ("runs", "specs"),
+}
+
+
 def cmd_reproduce(args) -> int:
     doc = _load_json(args.config)
-    for key in ("dataset", "output_dir"):
-        if key not in doc:
-            raise ValueError(f"config: {key!r} is required")
+    dataset_path = _config(doc, "dataset", str)
+    out_dir = Path(_config(doc, "output_dir", str))
     if ("protocol" in doc) == ("predictions" in doc):
         raise ValueError("config: exactly one of 'protocol' or 'predictions' is required")
-    dataset_path = _config_str(doc, "dataset")
-    out_dir = Path(_config_str(doc, "output_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
+    split_cfg = _config(doc, "split", dict, {})
+    proto = _config(doc, "protocol", dict, {})
+    for prefix, section in (("", doc), ("split.", split_cfg), ("protocol.", proto)):
+        unknown = [key for key in section if key not in _REPRODUCE_KEYS[prefix]]
+        if unknown:
+            raise ValueError(f"config: unknown key {prefix + unknown[0]!r}")
 
     with _stage("corpus"):
         data = corpus.load_dataset(dataset_path)
-    thresholds_doc = _object(doc, "thresholds")
+    thresholds_doc = _config(doc, "thresholds", dict, {})
     # "default": null leaves no default, so every model needs a threshold of its own.
-    default = (
-        None if thresholds_doc.get("default", 0.5) is None
-        else _config_number(thresholds_doc, "thresholds.default", 0.5, float)
-    )
-    thresholds = {
-        m: _config_number(thresholds_doc, f"thresholds.{m}", None, float)
-        for m in thresholds_doc
-        if m != "default"
-    }
+    default = _config(thresholds_doc, "thresholds.default", float, None) if "default" in thresholds_doc else 0.5
+    thresholds = {m: _config(thresholds_doc, f"thresholds.{m}", float) for m in thresholds_doc if m != "default"}
     with _stage("ensemble"):
         ens_cfg = ensemble.EnsembleConfig(thresholds=thresholds, default_threshold=default)
-    min_dev_f1 = None if doc.get("min_dev_f1") is None else _config_number(doc, "min_dev_f1", None, float)
+    min_dev_f1 = _config(doc, "min_dev_f1", float, None)
     if min_dev_f1 is not None and not 0.0 <= min_dev_f1 <= 1.0:
         raise ValueError(f"config: 'min_dev_f1' must be in [0, 1], got {min_dev_f1}")
 
@@ -474,17 +440,15 @@ def cmd_reproduce(args) -> int:
     if "protocol" in doc:
         from . import baseline
 
-        proto = _object(doc, "protocol")
-        stage_names = _parse_stages(",".join(_config_str(doc, "stages", list, list(STAGES))))
-        lexicon = None if doc.get("lexicon") is None else _config_str(doc, "lexicon")
+        stage_names = _config(doc, "stages", list, list(STAGES))
+        lexicon = _config(doc, "lexicon", str, None)
         with _stage("preprocess"):
             pipe_cfg = _pipeline_config(stage_names, lexicon)
         if lexicon:
             inputs["lexicon"] = lexicon
         cleaned = data.with_texts(apply_pipeline(r.text, pipe_cfg) for r in data.records)
-        split_cfg = _object(doc, "split")
-        fraction = _config_number(split_cfg, "split.train_fraction", 0.8, float)
-        split_seed = _config_number(split_cfg, "split.seed", 0, int)
+        fraction = _config(split_cfg, "split.train_fraction", float, 0.8)
+        split_seed = _config(split_cfg, "split.seed", int, 0)
         seeds["split"] = split_seed
         with _stage("split"):
             train_set, dev_set = corpus.stratified_split(cleaned, fraction, split_seed)
@@ -494,7 +458,7 @@ def cmd_reproduce(args) -> int:
             for model_id in sorted(m for m, _ in specs):  # the order decide() looks them up in
                 ens_cfg.threshold_for(model_id)
         seeds["specs"] = {m: cfg.seed for m, cfg in specs}
-        runs = _config_number(proto, "runs", 5, int)
+        runs = _config(proto, "runs", int, 5)
         with _stage("baseline"):
             matrix = baseline.protocol_matrix(train_set, dev_set, specs, runs)
         # Go on from the values predictions.tsv will hold, as `ensemble` on that file would.
@@ -502,7 +466,7 @@ def cmd_reproduce(args) -> int:
         outputs["predictions"] = out_dir / "predictions.tsv"
         gold = dev_set.labels()
     else:
-        pred_paths = [Path(p) for p in _config_str(doc, "predictions", list)]
+        pred_paths = [Path(p) for p in _config(doc, "predictions", list)]
         inputs["predictions"] = ", ".join(map(str, pred_paths))
         with _stage("ingest"):
             matrix = predictions.load_predictions(pred_paths, expected_runs=None)
@@ -537,12 +501,7 @@ def cmd_reproduce(args) -> int:
         seeds=seeds,
     )
     with _stage("evaluate"):
-        scores = _score(decisions, gold)
-    report = _build_report(
-        scores, manifest, thresholds={m: ens_cfg.threshold_for(m) for m in matrix.models}
-    )
-    _write_report(report, report_path)
-    _print_report(scores)
+        _report(decisions, gold, manifest, {m: ens_cfg.threshold_for(m) for m in matrix.models}, report_path)
     print(f"\nwrote {decisions_path} and {report_path}")
     return 0
 

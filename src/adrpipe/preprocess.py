@@ -101,6 +101,8 @@ def load_lexicon(path: str | Path) -> DrugLexicon:
         brand, generic = fields[0].strip().lower(), fields[1].strip().lower()
         if not brand or not generic:
             raise ValueError(f"{path}: lexicon entries must be non-empty at line {lineno}")
+        if brand == generic:
+            raise ValueError(f"{path}: self-mapping rejected: {brand!r} at line {lineno}")
         if brand in entries and entries[brand] != generic:
             raise ValueError(
                 f"{path}: conflicting duplicate key {brand!r} at line {lineno}: "
@@ -122,7 +124,7 @@ class PipelineConfig:
         object.__setattr__(self, "enabled_stages", tuple(self.enabled_stages))
         unknown = [s for s in self.enabled_stages if s not in STAGES]
         if unknown:
-            raise ValueError(f"unknown stages: {unknown} (choose from {list(STAGES)})")
+            raise ValueError(f"unknown stages: {', '.join(unknown)} (choose from {', '.join(STAGES)})")
         if len(set(self.enabled_stages)) != len(self.enabled_stages):
             raise ValueError("duplicate stages in enabled_stages")
         ordered = tuple(s for s in STAGES if s in self.enabled_stages)

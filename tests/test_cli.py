@@ -112,6 +112,24 @@ class TestPreprocessCmd:
         assert run("preprocess", "--input", d, "--output", out) == 1
         assert not out.exists()
 
+    def test_unknown_stage(self, tmp_path, capsys):
+        d = small_dataset(tmp_path)
+        out = tmp_path / "x.tsv"
+        assert run("preprocess", "--input", d, "--output", out, "--stages", "anonymize, spellcheck,,") == 1
+        assert capsys.readouterr().err == (
+            "preprocess: unknown stages: spellcheck (choose from anonymize, handles, hashtags, lowercase, drugnorm)\n"
+        )
+        assert not out.exists()
+
+    def test_self_mapping_lexicon_names_file_and_line(self, tmp_path, capsys):
+        d = small_dataset(tmp_path)
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("# brand\tgeneric\nfoo\tfoo\n", encoding="utf-8")
+        out = tmp_path / "x.tsv"
+        assert run("preprocess", "--input", d, "--lexicon", lex, "--output", out) == 1
+        assert capsys.readouterr().err == f"preprocess: {lex}: self-mapping rejected: 'foo' at line 2\n"
+        assert not out.exists()
+
 
 class TestTokensCmd:
     def test_compare(self, capsys):
@@ -781,3 +799,101 @@ class TestUnwritableIds:
         )
         assert calls == []
         assert list((tmp_path / "out").iterdir()) == []
+
+
+class TestReproduceConfigKeys:
+    """A config key `reproduce` would not read, or a malformed `stages` list, fails before any hashing."""
+
+    @pytest.fixture
+    def no_hashing(self, monkeypatch):
+        from adrpipe import baseline
+
+        calls = []
+        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        yield
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"threshold": {"default": 0.9}}, "threshold"),
+            ({"min_dev_F1": 0.5}, "min_dev_F1"),
+            ({"split": {"seed": 3, "fraction": 0.5}}, "split.fraction"),
+            ({"protocol": {"runs": 2, "specs": [{"model_id": "m"}], "run": 3}}, "protocol.run"),
+        ],
+    )
+    def test_unknown_key_rejected(self, tmp_path, capsys, no_hashing, change, key):
+        cfg = {**protocol_config(tmp_path, small_dataset(tmp_path)), **change}
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr() == ("", f"reproduce: config: unknown key {key!r}\n")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_unknown_key_rejected_in_predictions_mode(self, tmp_path, capsys):
+        d = small_dataset(tmp_path)
+        cfg = {"dataset": str(d), "predictions": [str(make_predictions(tmp_path, d))],
+               "output_dir": str(tmp_path / "out"), "split": {"seed": 1, "fraction": 0.5}}
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr().err == "reproduce: config: unknown key 'split.fraction'\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "stages, shown",
+        [
+            (["anonymize,handles", "", " lowercase "], "anonymize,handles, ,  lowercase "),
+            (["anonymize,handles"], "anonymize,handles"),
+            ([""], ""),
+            ([" lowercase "], " lowercase "),
+            (["spellcheck"], "spellcheck"),
+        ],
+    )
+    def test_malformed_stages_list_rejected(self, tmp_path, capsys, no_hashing, stages, shown):
+        cfg = {**protocol_config(tmp_path, small_dataset(tmp_path)), "stages": stages}
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr().err == (
+            f"reproduce: preprocess: unknown stages: {shown} "
+            "(choose from anonymize, handles, hashtags, lowercase, drugnorm)\n"
+        )
+        assert list((tmp_path / "out").iterdir()) == []
+
+
+BASELINE_KEYS = {
+    "train": ["train", "model_out"],
+    "predict": ["model", "input", "output", "model_id", "run_id"],
+    "protocol": ["train", "eval", "output"],
+}
+
+
+class TestMissingRequiredKeys:
+    @pytest.mark.parametrize(
+        "command, key",
+        [("reproduce", "dataset"), ("reproduce", "output_dir")]
+        + [(f"baseline {action}", key) for action, keys in BASELINE_KEYS.items() for key in keys],
+    )
+    def test_named_and_nothing_written(self, tmp_path, capsys, command, key):
+        d = small_dataset(tmp_path)
+        if command == "reproduce":
+            cfg = protocol_config(tmp_path, d)
+        else:
+            cfg = {"train": str(d), "eval": str(d), "input": str(d), "model": str(tmp_path / "absent.npz"),
+                   "model_out": str(tmp_path / "m.npz"), "output": str(tmp_path / "p.tsv"),
+                   "model_id": "m", "run_id": "r1", "specs": [{"model_id": "m", "epochs": 1}]}
+        del cfg[key]
+        assert run(*command.split(), "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr() == ("", f"{command.split()[0]}: config: {key!r} is required\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "d.tsv"]
+
+
+class TestReadmeExample:
+    def test_example_reproduce_config_runs(self, tmp_path, capsys):
+        readme = (DATA.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Example `reproduce.json`:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = json.loads(block)
+        cfg["dataset"] = str(DATA.parent / cfg["dataset"])
+        cfg["lexicon"] = str(DATA.parent / cfg["lexicon"])
+        cfg["output_dir"] = str(tmp_path / "out")
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 0
+        # Swapped for `predictions`, as the README suggests, the protocol-mode keys stay accepted.
+        del cfg["protocol"]
+        cfg["predictions"] = [str(tmp_path / "out" / "predictions.tsv")]
+        cfg["output_dir"] = str(tmp_path / "out2")
+        assert run("reproduce", "--config", write_config(tmp_path, cfg, "swapped.json")) == 0

@@ -2,7 +2,7 @@ import re
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from adrpipe.preprocess import (
@@ -110,6 +110,14 @@ class TestDrugNormalize:
         )
 
 
+# A lexicon entry as the loader keeps it: lowercase, with no tab, line break or surrounding whitespace.
+lexicon_entry = (
+    st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"), min_size=1)
+    .map(lambda s: s.lower().strip())
+    .filter(lambda s: s and s == s.lower().strip())
+)
+
+
 class TestLexicon:
     def test_rejects_self_mapping(self):
         with pytest.raises(ValueError, match="self-mapping"):
@@ -141,6 +149,22 @@ class TestLexicon:
         with pytest.raises(ValueError) as e:
             load_lexicon(p)
         assert str(e.value) == f"{p}: lexicon entries must be non-empty at line 3"
+
+    @pytest.mark.parametrize("line", ["foo\tfoo", "Foo\t foo"])
+    def test_loader_rejects_self_mapping_naming_file_and_line(self, tmp_path, line):
+        p = tmp_path / "lex.tsv"
+        p.write_text(f"prozac\tfluoxetine\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as e:
+            load_lexicon(p)
+        assert str(e.value) == f"{p}: self-mapping rejected: 'foo' at line 2"
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.dictionaries(lexicon_entry.filter(lambda s: not s.startswith("#")), lexicon_entry, max_size=8))
+    def test_loader_round_trip(self, tmp_path, entries):
+        assume(not set(entries.values()) & set(entries))  # no self-mapping, every generic a fixpoint
+        p = tmp_path / "lex.tsv"
+        p.write_text("".join(f"{brand}\t{generic}\n" for brand, generic in entries.items()), encoding="utf-8")
+        assert load_lexicon(p) == DrugLexicon(entries)
 
     def test_fixture_lexicon_is_all_lowercase(self, lexicon):
         for brand, generic in lexicon.entries.items():

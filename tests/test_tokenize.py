@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adrpipe.preprocess import preprocess
@@ -78,6 +78,22 @@ class TestVocab:
         v = load_vocab(p)
         assert v.tokens == frozenset(["[UNK]", "foo", "##bar"])
         assert wordpiece_tokenize("foobar", v) == ["foo", "##bar"]
+
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.frozensets(
+            st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"), min_size=1).filter(
+                lambda s: s == s.strip()
+            ),
+            max_size=8,
+        )
+    )
+    def test_load_vocab_round_trip(self, tmp_path, tokens):
+        vocab = SubwordVocab(tokens | {"[UNK]"})
+        p = tmp_path / "vocab.txt"
+        p.write_text("".join(f"{t}\n" for t in sorted(vocab.tokens)), encoding="utf-8")
+        assert load_vocab(p) == vocab
 
 
 class TestOverlapReport:
