@@ -12,7 +12,6 @@ reactions are expensive and false alarms can be filtered downstream.
 """
 
 import statistics
-import tempfile
 from pathlib import Path
 
 from adrpipe import (
@@ -24,13 +23,12 @@ from adrpipe import (
     confusion,
     decide,
     load_lexicon,
-    load_predictions,
     make_synthetic_dataset,
     metrics,
     preprocess,
-    run_protocol,
     stratified_split,
 )
+from adrpipe.baseline import protocol_matrix
 from adrpipe.evaluate import attribution_table, metrics_table
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -51,9 +49,7 @@ specs = [
     ("char35w3", BaselineConfig(ngram_range=(3, 5), feature_mode="char", positive_weight=3, seed=700)),
 ]
 print("training 3 model specs x 5 seeded runs each ...")
-with tempfile.TemporaryDirectory() as tmp:
-    pred_path = run_protocol(train_set, dev_set, specs, runs=5, out_path=Path(tmp) / "preds.tsv")
-    matrix = load_predictions([pred_path])
+matrix = protocol_matrix(train_set, dev_set, specs, runs=5)
 
 gold = dev_set.labels()
 

@@ -13,7 +13,6 @@ shows up on the tuning split is no guarantee on held-out data. The protocol
 keeps the uniform 0.5.
 """
 
-import tempfile
 from pathlib import Path
 
 from adrpipe import (
@@ -24,13 +23,12 @@ from adrpipe import (
     confusion,
     decide,
     load_lexicon,
-    load_predictions,
     make_synthetic_dataset,
     metrics,
     preprocess,
-    run_protocol,
     stratified_split,
 )
+from adrpipe.baseline import protocol_matrix
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -50,9 +48,7 @@ specs = [
 print("training once, scoring the tuning and held-out splits ...\n")
 avgs = {}
 for name, eval_set in (("tuning split", tune_set), ("held-out split", test_set)):
-    with tempfile.TemporaryDirectory() as tmp:
-        pred = run_protocol(train_set, eval_set, specs, runs=5, out_path=Path(tmp) / "p.tsv")
-        avgs[name] = (average_runs(load_predictions([pred])), eval_set.labels())
+    avgs[name] = (average_runs(protocol_matrix(train_set, eval_set, specs, runs=5)), eval_set.labels())
 
 avg_tune, _ = avgs["tuning split"]
 print("averaged probabilities are bimodal; tweets per model with prob in [0.5, 0.9):")

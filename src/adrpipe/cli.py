@@ -197,7 +197,7 @@ def _report(decisions, gold, manifest: dict, thresholds: dict[str, float], path:
         m: evaluate.confusion({d.tweet_id: d.per_model_verdict[m] for d in decisions}, gold)
         for m in models
     }
-    subsets = sorted(set(ab.tp_by_subset) | set(ab.fp_by_subset), key=lambda s: (len(s), _subset_key(s)))
+    subsets = ab.subsets
     report = {
         "manifest": manifest,
         "thresholds": {m: round(t, 4) for m, t in thresholds.items()},
@@ -253,9 +253,12 @@ def cmd_tokens(args) -> int:
     raise ValueError("nothing to do: pass --compare A B or --stats --input FILE")
 
 
-def _load_matrix(args) -> predictions.RunMatrix:
+def _load_matrix(args, ens_cfg: ensemble.EnsembleConfig | None = None) -> predictions.RunMatrix:
+    """The --pred files' matrix, after --min-dev-f1's screen; ens_cfg's thresholds are checked before it."""
     expected = None if args.expect_runs == 0 else args.expect_runs
     matrix = predictions.load_predictions(args.pred, expected_runs=expected)
+    if ens_cfg is not None:
+        ens_cfg.check_models(matrix.models)
     if args.min_dev_f1 is not None:
         if not args.gold:
             raise ValueError("--min-dev-f1 requires --gold")
@@ -277,8 +280,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    matrix = _load_matrix(args)
     cfg = _threshold_config(args.threshold, None if args.no_default else args.default_threshold)
+    matrix = _load_matrix(args, cfg)
     decisions = ensemble.decide(predictions.average_runs(matrix), cfg)
     ensemble.write_decisions(decisions, args.output)
     positive = sum(d.ensemble_verdict for d in decisions)
@@ -287,6 +290,8 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if not args.report.endswith((".json", ".tsv")):
+        raise ValueError(f"--report must end in .json or .tsv, got {args.report!r}")
     decisions = ensemble.read_decisions(args.decisions)
     gold = corpus.load_dataset(args.gold).labels()
     manifest = _manifest(
@@ -356,11 +361,12 @@ def cmd_split(args) -> int:
     return 0
 
 
-# The keys each `baseline` action's config needs; all but the two ids are paths.
+# The keys each `baseline` action's config reads, as (required, optional).
+# Every required key but the two ids is a path.
 _BASELINE_KEYS = {
-    "train": ("train", "model_out"),
-    "predict": ("model", "input", "output", "model_id", "run_id"),
-    "protocol": ("train", "eval", "output"),
+    "train": (("train", "model_out"), ("config",)),
+    "predict": (("model", "input", "output", "model_id", "run_id"), ()),
+    "protocol": (("train", "eval", "output"), ("specs", "runs")),
 }
 
 
@@ -368,8 +374,12 @@ def cmd_baseline(args) -> int:
     from . import baseline
 
     doc = _load_json(args.config)
-    for key in _BASELINE_KEYS[args.action]:
+    required, optional = _BASELINE_KEYS[args.action]
+    for key in required:
         _config(doc, key, object if key.endswith("_id") else str)  # the ids are checked where they are written
+    unknown = [key for key in doc if key not in required + optional]
+    if unknown:
+        raise ValueError(f"config: unknown key {unknown[0]!r}")
     if args.action == "train":
         data = corpus.load_dataset(doc["train"])
         cfg = _baseline_config(_config(doc, "config", dict, {}))
@@ -455,14 +465,13 @@ def cmd_reproduce(args) -> int:
         specs = _specs_from_config(proto)
         ensemble.check_model_ids(m for m, _ in specs)
         with _stage("ensemble"):
+            ens_cfg.check_models(m for m, _ in specs)
             for model_id in sorted(m for m, _ in specs):  # the order decide() looks them up in
                 ens_cfg.threshold_for(model_id)
         seeds["specs"] = {m: cfg.seed for m, cfg in specs}
         runs = _config(proto, "runs", int, 5)
         with _stage("baseline"):
-            matrix = baseline.protocol_matrix(train_set, dev_set, specs, runs)
-        # Go on from the values predictions.tsv will hold, as `ensemble` on that file would.
-        matrix = written = predictions.as_written(matrix)
+            matrix = written = baseline.protocol_matrix(train_set, dev_set, specs, runs)
         outputs["predictions"] = out_dir / "predictions.tsv"
         gold = dev_set.labels()
     else:
@@ -470,6 +479,8 @@ def cmd_reproduce(args) -> int:
         inputs["predictions"] = ", ".join(map(str, pred_paths))
         with _stage("ingest"):
             matrix = predictions.load_predictions(pred_paths, expected_runs=None)
+        with _stage("ensemble"):
+            ens_cfg.check_models(matrix.models)
         all_labels = data.labels()
         missing = [t for t in matrix.tweet_ids if t not in all_labels]
         if missing:
@@ -484,8 +495,7 @@ def cmd_reproduce(args) -> int:
         decisions = ensemble.decide(predictions.average_runs(matrix), ens_cfg)
 
     if written is not None:
-        # Only now, so a screen or decision that fails leaves no predictions.tsv;
-        # the rounded matrix writes the same bytes as the one it came from.
+        # Only now, so a screen or decision that fails leaves no predictions.tsv.
         predictions.write_predictions(written, outputs["predictions"])
     decisions_path = out_dir / "decisions.tsv"
     ensemble.write_decisions(decisions, decisions_path)

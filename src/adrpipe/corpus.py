@@ -45,11 +45,9 @@ class LabeledTweet:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered, immutable collection of LabeledTweet with tracked class counts."""
+    """An ordered, immutable collection of LabeledTweet; its class counts are read from the records."""
 
     records: tuple[LabeledTweet, ...]
-    positive_count: int
-    negative_count: int
 
     @classmethod
     def from_records(cls, records: Iterable[LabeledTweet]) -> "Dataset":
@@ -59,22 +57,24 @@ class Dataset:
             if r.tweet_id in seen:
                 raise ValueError(f"duplicate tweet_id {r.tweet_id!r}")
             seen.add(r.tweet_id)
-        return cls._counted(records)
+        return cls(records)
 
-    @classmethod
-    def _counted(cls, records: tuple[LabeledTweet, ...]) -> "Dataset":
-        """A Dataset over records whose tweet_ids are already known to be unique."""
-        pos = sum(1 for r in records if r.label == 1)
-        return cls(records=records, positive_count=pos, negative_count=len(records) - pos)
+    @property
+    def positive_count(self) -> int:
+        return sum(r.label == 1 for r in self.records)
+
+    @property
+    def negative_count(self) -> int:
+        return len(self.records) - self.positive_count
 
     def with_texts(self, texts: Iterable[str]) -> "Dataset":
         """A copy with record i's text replaced by texts[i], each record built by LabeledTweet.
 
-        Ids and labels are kept, so there is no duplicate-id pass and no recount."""
+        Ids and labels are kept, so there is no duplicate-id pass."""
         records = tuple(
             LabeledTweet(r.tweet_id, text, r.label) for r, text in zip(self.records, texts, strict=True)
         )
-        return Dataset(records, self.positive_count, self.negative_count)
+        return Dataset(records)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -101,7 +101,7 @@ def load_dataset(path: str | Path) -> Dataset:
             raise ValueError(f"{path}: duplicate tweet_id {tweet_id!r} at line {lineno}")
         seen.add(tweet_id)
         records.append(LabeledTweet(tweet_id, text, int(label_text)))
-    return Dataset._counted(tuple(records))
+    return Dataset(tuple(records))
 
 
 def save_dataset(d: Dataset, path: str | Path, header: bool = True) -> None:
@@ -148,7 +148,7 @@ def stratified_split(d: Dataset, train_fraction: float, seed: int) -> tuple[Data
         train_idx.update(idx[:take])
     train = [r for i, r in enumerate(d.records) if i in train_idx]
     dev = [r for i, r in enumerate(d.records) if i not in train_idx]
-    return Dataset._counted(tuple(train)), Dataset._counted(tuple(dev))
+    return Dataset(tuple(train)), Dataset(tuple(dev))
 
 
 def duplicate_positives(d: Dataset, extra_copies: int) -> Dataset:

@@ -35,6 +35,15 @@ class EnsembleConfig:
         if self.default_threshold is not None and not 0.0 < self.default_threshold < 1.0:
             raise ValueError(f"default threshold must be in (0, 1), got {self.default_threshold}")
 
+    def check_models(self, model_ids: Iterable[str]) -> None:
+        """Reject a threshold for a model not in model_ids: a misspelt id would leave its model on the default."""
+        model_ids = sorted(model_ids)
+        unknown = sorted(set(self.thresholds) - set(model_ids))
+        if unknown:
+            raise ValueError(
+                f"threshold for unknown model {', '.join(map(repr, unknown))} (models: {', '.join(model_ids)})"
+            )
+
     def threshold_for(self, model_id: str) -> float:
         if model_id in self.thresholds:
             return self.thresholds[model_id]

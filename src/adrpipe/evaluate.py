@@ -54,6 +54,13 @@ class AttributionBreakdown:
     def fp_total(self) -> int:
         return sum(self.fp_by_subset.values())
 
+    @property
+    def subsets(self) -> list[frozenset[str]]:
+        """Every voter subset with a TP or FP, smallest first, then by its sorted member ids.
+
+        The printed table and the report both list subsets in this order."""
+        return sorted(set(self.tp_by_subset) | set(self.fp_by_subset), key=lambda s: (len(s), sorted(s)))
+
 
 @dataclass(frozen=True)
 class VariabilityReport:
@@ -167,10 +174,7 @@ def metrics_table(columns: Mapping[str, Metrics]) -> str:
 
 def attribution_table(ab: AttributionBreakdown) -> str:
     """Aligned text table of TP/FP counts per positive-voter subset."""
-    subsets = sorted(
-        set(ab.tp_by_subset) | set(ab.fp_by_subset),
-        key=lambda s: (len(s), tuple(sorted(s))),
-    )
+    subsets = ab.subsets
     name_width = max([len(" + ".join(sorted(s))) for s in subsets] + [len("positive voters")])
     lines = [f"{'positive voters'.ljust(name_width)}  {'TP':>6} {'FP':>6}"]
     for s in subsets:

@@ -205,17 +205,6 @@ def _prediction_chunks(m: RunMatrix) -> Iterator[str]:
         yield "".join([f"{prefix}{t}\t{p:.6f}\n" for t, p in zip(m.tweet_ids, probs)])
 
 
-def as_written(m: RunMatrix) -> RunMatrix:
-    """The matrix load_predictions reads back from the file write_predictions(m) writes.
-
-    The writer prints each probability to 6 decimals, and round(p, 6) is the
-    float that text parses to, so a caller that has just written m can go on
-    from the values the file holds without reading it again.
-    """
-    probs = tuple(tuple(round(p, 6) for p in row) for row in m.probs)
-    return RunMatrix(keys=m.keys, tweet_ids=m.tweet_ids, probs=probs)
-
-
 def average_runs(m: RunMatrix) -> dict[str, dict[str, float]]:
     """Arithmetic mean of each model's runs, per tweet.
 

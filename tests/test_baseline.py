@@ -431,13 +431,16 @@ class TestCompactSpace:
         seen = set(np.concatenate([idx for idx, _ in train_rows]).tolist())
         assert set(eval_rows[-2][0].tolist()) - seen  # buckets that only the eval side uses
         runs = 2
+        spec_probs = list(baseline._spec_predictions(train_set, eval_set, cfg, runs))
         matrix = baseline.protocol_matrix(train_set, eval_set, [("m", cfg)], runs)
         labels = [r.label for r in train_set.records]
         for k in range(runs):
             run_cfg = dataclasses.replace(cfg, seed=cfg.seed + k)
             weights, bias = matmul_reference_fit(train_rows, labels, run_cfg)
             probs = [baseline._sigmoid(float(weights[idx] @ val) + bias) for idx, val in eval_rows]
-            expected = dict(zip((r.tweet_id for r in eval_set.records), probs))
+            assert spec_probs[k] == probs
+            # The matrix holds the 6-decimal values its prediction file holds.
+            expected = dict(zip((r.tweet_id for r in eval_set.records), (round(p, 6) for p in probs)))
             assert dict(zip(matrix.tweet_ids, matrix.probs[k])) == expected
             model = train(train_set, run_cfg)  # the same fit in the full space
             assert model.weights.tobytes() == weights.tobytes()
@@ -574,6 +577,23 @@ class TestProtocol:
                 for r in eval_set.records:
                     expected[(model_id, f"r{k + 1}", r.tweet_id)] = f"{predict_prob(model, r.text):.6f}"
         assert rows == expected
+
+    def test_matrix_is_what_its_file_reads_back(self, tmp_path):
+        data = make_synthetic_dataset(160, 0.25, seed=9)
+        train_set = Dataset.from_records(data.records[:100])
+        eval_set = Dataset.from_records([*data.records[100:], LabeledTweet("empty", "", 0)])
+        specs = [
+            ("char", BaselineConfig(ngram_range=(2, 4), feature_buckets=2**12, epochs=2, seed=1)),
+            ("word", BaselineConfig(ngram_range=(1, 2), feature_mode="word", epochs=2, seed=2)),
+            ("l2", BaselineConfig(feature_buckets=2**12, epochs=2, l2=1e-3, positive_weight=2.0, seed=3)),
+        ]
+        matrix = baseline.protocol_matrix(train_set, eval_set, specs, runs=2)
+        out = run_protocol(train_set, eval_set, specs, runs=2, out_path=tmp_path / "p.tsv")
+        again = load_predictions([out], expected_runs=None)
+        assert matrix == again
+        assert [struct.pack("<d", p) for row in matrix.probs for p in row] == [
+            struct.pack("<d", p) for row in again.probs for p in row
+        ]
 
     def test_single_label_rejected_before_hashing(self, tmp_path, monkeypatch):
         calls = []

@@ -274,6 +274,75 @@ class TestPredictionCommands:
         assert lines[0].startswith("# manifest")
         assert any(line.startswith("ensemble\t") for line in lines)
 
+    @pytest.mark.parametrize("report", ["R.JSON", "report.txt", "report", "report.json.bak"])
+    def test_report_suffix_other_than_json_or_tsv_rejected(self, tmp_path, capsys, report):
+        # Checked before the inputs are read: neither of them exists.
+        out = tmp_path / report
+        assert run("evaluate", "--decisions", tmp_path / "absent.tsv", "--gold", tmp_path / "absent2.tsv",
+                   "--report", out) == 1
+        assert capsys.readouterr() == ("", f"evaluate: --report must end in .json or .tsv, got {str(out)!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_table_and_tsv_report_list_subsets_in_one_order(self, tmp_path, capsys):
+        # '!' sorts before '+', so joining ids with '+' would put a!+z before a+a! and a+z.
+        from adrpipe.ensemble import EnsembleDecision, write_decisions
+
+        voters = [("a", "z"), ("a!", "z"), ("a", "a!"), ("z",)]
+        decisions = [
+            EnsembleDecision(f"t{i}", {m: 0.9 if m in v else 0.1 for m in ("a", "a!", "z")},
+                             {m: int(m in v) for m in ("a", "a!", "z")}, 1)
+            for i, v in enumerate(voters)
+        ]
+        write_decisions(decisions, tmp_path / "decisions.tsv")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("".join(f"t{i}\t{i % 2}\tx\n" for i in range(len(voters))), encoding="utf-8")
+        report = tmp_path / "report.tsv"
+        assert run("evaluate", "--decisions", tmp_path / "decisions.tsv", "--gold", gold, "--report", report) == 0
+        printed = capsys.readouterr().out.split("positive voters")[1].splitlines()[1:5]
+        assert [line.rsplit(None, 2)[0] for line in printed] == ["z", "a + a!", "a + z", "a! + z"]
+        rows = [line.split("\t")[1] for line in report.read_text(encoding="utf-8").splitlines()
+                if line.startswith("attribution\t")]
+        assert rows == ["z", "a+a!", "a+z", "a!+z"]
+
+
+class TestThresholdsNameModels:
+    """A threshold for a model id that no model has fails, as a misspelt id would leave its model on the default."""
+
+    def test_reproduce_protocol_mode_before_hashing(self, tmp_path, capsys, monkeypatch):
+        from adrpipe import baseline
+
+        calls = []
+        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        cfg = {**protocol_config(tmp_path, small_dataset(tmp_path)), "thresholds": {"default": 0.5, "charvew": 0.9}}
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr().err == (
+            "reproduce: ensemble: threshold for unknown model 'charvew' (models: charview, wordview)\n"
+        )
+        assert calls == [] and list((tmp_path / "out").iterdir()) == []
+
+    def test_reproduce_predictions_mode_before_the_screen(self, tmp_path, capsys):
+        d = small_dataset(tmp_path)
+        cfg = {"dataset": str(d), "predictions": [str(make_predictions(tmp_path, d))], "min_dev_f1": 1.0,
+               "thresholds": {"default": 0.5, "wordview": 0.5, "bret": 0.9}, "output_dir": str(tmp_path / "out")}
+        capsys.readouterr()
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr().err == (
+            "reproduce: ensemble: threshold for unknown model 'bret' (models: charview, wordview)\n"
+        )
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_ensemble_before_the_screen(self, tmp_path, capsys):
+        d = small_dataset(tmp_path)
+        preds = make_predictions(tmp_path, d)
+        capsys.readouterr()
+        out = tmp_path / "decisions.tsv"
+        assert run("ensemble", "--pred", preds, "--expect-runs", "2", "--threshold", "bret=0.9",
+                   "--threshold", "charvew=0.9", "--min-dev-f1", "1.0", "--gold", d, "--output", out) == 1
+        assert capsys.readouterr().err == (
+            "ensemble: threshold for unknown model 'bret', 'charvew' (models: charview, wordview)\n"
+        )
+        assert not out.exists()
+
 
 class TestVariabilityCmd:
     def test_table_and_value(self, tmp_path, capsys):
@@ -861,6 +930,27 @@ BASELINE_KEYS = {
     "predict": ["model", "input", "output", "model_id", "run_id"],
     "protocol": ["train", "eval", "output"],
 }
+
+
+class TestBaselineConfigKeys:
+    @pytest.mark.parametrize(
+        "action, key",
+        [("train", "run"), ("train", "specs"), ("predict", "config"), ("protocol", "run"),
+         ("protocol", "config"), ("protocol", "model_out")],
+    )
+    def test_unknown_key_rejected(self, tmp_path, capsys, action, key):
+        d = small_dataset(tmp_path)
+        cfg = {
+            "train": {"train": str(d), "model_out": str(tmp_path / "m.npz")},
+            "predict": {"model": str(tmp_path / "absent.npz"), "input": str(d), "output": str(tmp_path / "p.tsv"),
+                        "model_id": "m", "run_id": "r1"},
+            "protocol": {"train": str(d), "eval": str(d), "output": str(tmp_path / "p.tsv"), "runs": 1,
+                         "specs": [{"model_id": "m", "epochs": 1}]},
+        }[action]
+        cfg[key] = 1
+        assert run("baseline", action, "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr() == ("", f"baseline: config: unknown key {key!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "d.tsv"]
 
 
 class TestMissingRequiredKeys:

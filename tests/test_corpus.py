@@ -146,6 +146,23 @@ class TestLabeledTweet:
         assert load_dataset(tmp_path / "d.tsv") == d
 
 
+class TestDatasetCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(labels=st.lists(st.integers(0, 1), max_size=30))
+    def test_counts_are_the_label_sums(self, labels):
+        d = Dataset(tuple(LabeledTweet(f"t{i}", "x", label) for i, label in enumerate(labels)))
+        assert d.positive_count == sum(labels)
+        assert d.negative_count == len(labels) - sum(labels)
+
+    def test_counts_cannot_be_given(self):
+        # Counts given beside the records could disagree with them.
+        records = (LabeledTweet("t1", "x", 1), LabeledTweet("t2", "y", 1))
+        with pytest.raises(TypeError):
+            Dataset(records, 1, 1)
+        with pytest.raises(TypeError):
+            Dataset(records=records, positive_count=1, negative_count=1)
+
+
 class TestWithTexts:
     def test_equals_rebuilding_from_records(self):
         d = make_dataset(2, 3)

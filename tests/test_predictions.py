@@ -16,7 +16,6 @@ from adrpipe.predictions import (
     HEADER,
     _parse_file,
     RunMatrix,
-    as_written,
     average_runs,
     filter_runs,
     load_predictions,
@@ -373,21 +372,21 @@ class TestProperties:
 
     @HYPOTHESIS
     @given(rows=run_grids(PROBS_TO_ROUND))
-    def test_as_written_is_what_load_reads_back(self, tmp_path, rows):
+    def test_rounding_to_6_places_is_what_load_reads_back(self, tmp_path, rows):
         m = matrix_of(rows)
         write_predictions(m, tmp_path / "matrix.tsv")
         again = load_predictions([tmp_path / "matrix.tsv"], expected_runs=None)
-        written = as_written(m)
+        written = matrix_of((mm, r, t, round(p, 6)) for mm, r, t, p in rows)
         assert written == again
         assert [bits(p) for row in written.probs for p in row] == [bits(p) for row in again.probs for p in row]
 
     @HYPOTHESIS
     @given(rows=run_grids(PROBS_TO_ROUND))
-    def test_as_written_writes_the_same_bytes(self, tmp_path, rows):
-        # reproduce writes predictions.tsv from the rounded matrix it decided from.
+    def test_rounding_to_6_places_writes_the_same_bytes(self, tmp_path, rows):
+        # reproduce writes predictions.tsv from the rounded matrix protocol_matrix returns.
         m = matrix_of(rows)
         write_predictions(m, tmp_path / "matrix.tsv")
-        write_predictions(as_written(m), tmp_path / "rounded.tsv")
+        write_predictions(matrix_of((mm, r, t, round(p, 6)) for mm, r, t, p in rows), tmp_path / "rounded.tsv")
         assert (tmp_path / "rounded.tsv").read_bytes() == (tmp_path / "matrix.tsv").read_bytes()
 
     @HYPOTHESIS
