@@ -20,7 +20,6 @@ from adrpipe import (
     PipelineConfig,
     attribution,
     average_runs,
-    confusion,
     decide,
     load_lexicon,
     make_synthetic_dataset,
@@ -29,7 +28,7 @@ from adrpipe import (
     stratified_split,
 )
 from adrpipe.baseline import protocol_matrix
-from adrpipe.evaluate import attribution_table, metrics_table
+from adrpipe.evaluate import attribution_table, count_cells, metrics_table
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -52,22 +51,19 @@ print("training 3 model specs x 5 seeded runs each ...")
 matrix = protocol_matrix(train_set, dev_set, specs, runs=5)
 
 gold = dev_set.labels()
+labels = [gold[t] for t in matrix.tweet_ids]  # decide() orders its decisions by tweet id too
 
 print("\nper-run F1 before averaging (why averaging is worth it):")
 run_f1s: dict[str, list[float]] = {}
 for (model_id, _), row in zip(matrix.keys, matrix.probs):  # one row per run, sorted
-    verdicts = {t: int(p >= 0.5) for t, p in zip(matrix.tweet_ids, row)}
-    run_f1s.setdefault(model_id, []).append(metrics(confusion(verdicts, gold)).f1)
+    run_f1s.setdefault(model_id, []).append(metrics(count_cells([p >= 0.5 for p in row], labels)).f1)
 for model_id, f1s in run_f1s.items():
     print(f"  {model_id:9s} {[f'{x:.3f}' for x in f1s]}  stdev {statistics.stdev(f1s):.4f}")
 
 decisions = decide(average_runs(matrix), EnsembleConfig())  # 0.5 everywhere
 
-columns = {}
-for model_id in matrix.models:
-    verdicts = {d.tweet_id: d.per_model_verdict[model_id] for d in decisions}
-    columns[model_id] = metrics(confusion(verdicts, gold))
-columns["ensemble"] = metrics(confusion({d.tweet_id: d.ensemble_verdict for d in decisions}, gold))
+columns = {m: metrics(count_cells([d.per_model_verdict[m] for d in decisions], labels)) for m in matrix.models}
+columns["ensemble"] = metrics(count_cells([d.ensemble_verdict for d in decisions], labels))
 
 print("\nrun-averaged members vs the max-positive ensemble:")
 print(metrics_table(columns))

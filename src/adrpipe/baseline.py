@@ -50,6 +50,7 @@ import numbers
 import random
 import zlib
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -488,7 +489,7 @@ def protocol_matrix(
         raise ValueError("runs must be >= 1")
     model_ids = [model_id for model_id, _ in model_specs]
     _check_ids(*model_ids)
-    repeated = sorted({m for m in model_ids if model_ids.count(m) > 1})
+    repeated = sorted(m for m, n in Counter(model_ids).items() if n > 1)  # one pass over the ids
     if repeated:
         raise ValueError(f"duplicate model_id in specs: {', '.join(repeated)}")
     _require_both_labels(train_set)

@@ -20,6 +20,7 @@ import argparse
 import json
 import numbers
 import sys
+import warnings
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -190,13 +191,11 @@ def _report_to_tsv(report: dict) -> str:
 
 def _report(decisions, gold, manifest: dict, thresholds: dict[str, float], path: str | Path) -> None:
     """Score the decisions against gold, write the .json or .tsv report to `path`, print both tables."""
-    ensemble_counts = evaluate.confusion({d.tweet_id: d.ensemble_verdict for d in decisions}, gold)
-    ab = evaluate.attribution(decisions, gold)
+    ab = evaluate.attribution(decisions, gold)  # checks that the decisions cover gold's tweets
+    labels = [gold[d.tweet_id] for d in decisions]
+    ensemble_counts = evaluate.count_cells([d.ensemble_verdict for d in decisions], labels)
     models = sorted(decisions[0].per_model_verdict) if decisions else []
-    members = {
-        m: evaluate.confusion({d.tweet_id: d.per_model_verdict[m] for d in decisions}, gold)
-        for m in models
-    }
+    members = {m: evaluate.count_cells([d.per_model_verdict[m] for d in decisions], labels) for m in models}
     subsets = ab.subsets
     report = {
         "manifest": manifest,
@@ -270,8 +269,7 @@ def _load_matrix(args, ens_cfg: ensemble.EnsembleConfig | None = None) -> predic
 def cmd_ingest(args) -> int:
     matrix = _load_matrix(args)
     print(f"models: {len(matrix.models)}, tweets: {len(matrix.tweet_ids)}")
-    for model_id in matrix.models:
-        runs = matrix.runs_per_model[model_id]
+    for model_id, runs in matrix.runs_per_model.items():
         print(f"  {model_id}: {len(runs)} runs ({', '.join(runs)})")
     if args.output:
         predictions.write_predictions(matrix, args.output)
@@ -307,8 +305,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_variability(args) -> int:
-    rows = []
-    seen: set[tuple[str, str]] = set()
+    runs_by_scenario: dict[str, dict[str, evaluate.Metrics]] = {}  # in first-seen order
     for lineno, (scenario, run_id, f1_text, recall_text) in read_rows(
         args.metrics, 4, "scenario\trun_id\tf1\trecall", header_required=True
     ):
@@ -318,27 +315,19 @@ def cmd_variability(args) -> int:
             raise ValueError(f"{args.metrics}: bad metric value at line {lineno}") from None
         if not (0.0 <= f1 <= 1.0 and 0.0 <= recall <= 1.0):  # NaN fails too
             raise ValueError(f"{args.metrics}: bad metric value at line {lineno}")
-        if (scenario, run_id) in seen:  # counted twice, one run would weigh double in the standard deviation
+        runs = runs_by_scenario.setdefault(scenario, {})
+        if run_id in runs:  # counted twice, one run would weigh double in the standard deviation
             raise ValueError(
                 f"{args.metrics}: duplicate run {run_id} for scenario {scenario} at line {lineno}"
             )
-        seen.add((scenario, run_id))
-        rows.append((scenario, run_id, f1, recall))
-    if not rows:
+        runs[run_id] = evaluate.Metrics(precision=0.0, recall=recall, f1=f1)
+    if not runs_by_scenario:
         raise ValueError(f"{args.metrics}: no metric rows")
     if args.scenario is not None:
-        rows = [r for r in rows if r[0] == args.scenario]
-        if not rows:
+        if args.scenario not in runs_by_scenario:
             raise ValueError(f"no rows for scenario {args.scenario!r}")
-    scenarios = list(dict.fromkeys(r[0] for r in rows))
-    reports = []
-    for scenario in scenarios:
-        per_run = [
-            evaluate.Metrics(precision=0.0, recall=rec, f1=f1)
-            for s, _, f1, rec in rows
-            if s == scenario
-        ]
-        reports.append(evaluate.variability(per_run, scenario))
+        runs_by_scenario = {args.scenario: runs_by_scenario[args.scenario]}
+    reports = [evaluate.variability(list(runs.values()), s) for s, runs in runs_by_scenario.items()]
     print(evaluate.variability_table(reports))
     return 0
 
@@ -611,6 +600,9 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return 1
+    # Warnings print as one line naming the command, not the source line that raised them.
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"{args.command}: warning: {message}\n"
     try:
         return args.func(args)
     except _UsageError as e:
@@ -622,6 +614,8 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"{args.command}: {e}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

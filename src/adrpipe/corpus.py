@@ -39,7 +39,7 @@ class LabeledTweet:
             raise ValueError(f"tweet_id {self.tweet_id!r} contains tab or newline")
         if "\t" in self.text or "\n" in self.text or "\r" in self.text:
             raise ValueError(f"text of {self.tweet_id} contains tab or newline")
-        if self.label not in (0, 1):
+        if type(self.label) is not int or self.label not in (0, 1):  # True or 0.0 would be saved as written
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
 
 

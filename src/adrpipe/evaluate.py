@@ -8,6 +8,7 @@ board; standard deviations use the sample (n-1) estimator.
 
 from __future__ import annotations
 
+import operator
 import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -82,21 +83,20 @@ def _check_coverage(verdicts: Mapping[str, int], gold: Mapping[str, int]) -> Non
         raise ValueError("verdict/gold coverage mismatch; " + "; ".join(parts))
 
 
+def count_cells(verdicts: Sequence[int], labels: Sequence[int]) -> ConfusionCounts:
+    """Count tp/fp/tn/fn over 0/1 (or bool) verdicts paired in order with 0/1 labels."""
+    if len(verdicts) != len(labels):
+        raise ValueError(f"{len(verdicts)} verdicts for {len(labels)} labels")
+    tp = sum(map(operator.and_, verdicts, labels))
+    fp = sum(verdicts) - tp
+    fn = sum(labels) - tp
+    return ConfusionCounts(tp=tp, fp=fp, tn=len(labels) - tp - fp - fn, fn=fn)
+
+
 def confusion(verdicts: Mapping[str, int], gold: Mapping[str, int]) -> ConfusionCounts:
     """Count tp/fp/tn/fn over identical tweet sets (mismatch is an error)."""
     _check_coverage(verdicts, gold)
-    tp = fp = tn = fn = 0
-    for tweet_id, v in verdicts.items():
-        g = gold[tweet_id]
-        if v == 1 and g == 1:
-            tp += 1
-        elif v == 1 and g == 0:
-            fp += 1
-        elif v == 0 and g == 0:
-            tn += 1
-        else:
-            fn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    return count_cells(list(verdicts.values()), [gold[t] for t in verdicts])
 
 
 def metrics(c: ConfusionCounts) -> Metrics:

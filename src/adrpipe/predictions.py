@@ -14,12 +14,11 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from ._io import atomic_write, read_rows, truncate_ids
-from .evaluate import ConfusionCounts, metrics
+from .evaluate import count_cells, metrics
 
 HEADER = "model_id\trun_id\ttweet_id\tprob"
 
@@ -108,13 +107,15 @@ class RunMatrix:
                 seen.add(tweet_id)
 
         all_tweets = distinct[0] if len(distinct) == 1 else set().union(*distinct)
-        problems = []
-        for (model_id, run_id), tweets in covered.items():
-            if len(tweets) != len(all_tweets):
-                missing = sorted(all_tweets - tweets)
+        ragged = [key for key, tweets in covered.items() if len(tweets) != len(all_tweets)]
+        if ragged:  # the first 10 runs are named, as truncate_ids names 10 ids, and the rest counted
+            problems = []
+            for model_id, run_id in ragged[:10]:
+                missing = sorted(all_tweets - covered[model_id, run_id])
                 noun = "tweet" if len(missing) == 1 else "tweets"
                 problems.append(f"run {run_id} of {model_id} missing {noun} {truncate_ids(missing)}")
-        if problems:
+            if len(ragged) > 10:
+                problems.append(f"... ({len(ragged) - 10} more runs)")
             raise ValueError("ragged tweet coverage: " + "; ".join(problems))
 
         tweet_ids = tuple(sorted(all_tweets))
@@ -243,15 +244,8 @@ def filter_runs(
     missing = sorted(t for t in m.tweet_ids if t not in gold)
     if missing:
         raise ValueError(f"gold labels missing for tweets: {truncate_ids(missing)}")
-    positive = [gold[t] == 1 for t in m.tweet_ids]
-    negative = [gold[t] == 0 for t in m.tweet_ids]
-    negatives, n = sum(negative), len(m.tweet_ids)
-    keep = []
-    for row in m.probs:
-        voted = [p >= threshold for p in row]
-        tp, fp = sum(compress(voted, positive)), sum(compress(voted, negative))
-        tn = negatives - fp
-        keep.append(metrics(ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=n - tp - fp - tn)).f1 >= min_f1)
+    labels = [gold[t] for t in m.tweet_ids]
+    keep = [metrics(count_cells([p >= threshold for p in row], labels)).f1 >= min_f1 for row in m.probs]
     kept_models = {model_id for (model_id, _), k in zip(m.keys, keep) if k}
     dropped_models = [model_id for model_id in m.models if model_id not in kept_models]
     if dropped_models:
@@ -264,5 +258,5 @@ def filter_runs(
     return RunMatrix(
         keys=tuple(key for key, k in zip(m.keys, keep) if k),
         tweet_ids=m.tweet_ids,
-        probs=tuple(compress(m.probs, keep)),
+        probs=tuple(row for row, k in zip(m.probs, keep) if k),
     )

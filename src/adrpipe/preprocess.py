@@ -124,7 +124,7 @@ class PipelineConfig:
         object.__setattr__(self, "enabled_stages", tuple(self.enabled_stages))
         unknown = [s for s in self.enabled_stages if s not in STAGES]
         if unknown:
-            raise ValueError(f"unknown stages: {', '.join(unknown)} (choose from {', '.join(STAGES)})")
+            raise ValueError(f"unknown stages: {', '.join(map(repr, unknown))} (choose from {', '.join(STAGES)})")
         if len(set(self.enabled_stages)) != len(self.enabled_stages):
             raise ValueError("duplicate stages in enabled_stages")
         ordered = tuple(s for s in STAGES if s in self.enabled_stages)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -117,7 +121,7 @@ class TestPreprocessCmd:
         out = tmp_path / "x.tsv"
         assert run("preprocess", "--input", d, "--output", out, "--stages", "anonymize, spellcheck,,") == 1
         assert capsys.readouterr().err == (
-            "preprocess: unknown stages: spellcheck (choose from anonymize, handles, hashtags, lowercase, drugnorm)\n"
+            "preprocess: unknown stages: 'spellcheck' (choose from anonymize, handles, hashtags, lowercase, drugnorm)\n"
         )
         assert not out.exists()
 
@@ -303,6 +307,42 @@ class TestPredictionCommands:
         rows = [line.split("\t")[1] for line in report.read_text(encoding="utf-8").splitlines()
                 if line.startswith("attribution\t")]
         assert rows == ["z", "a+a!", "a+z", "a!+z"]
+
+
+class TestWarningLines:
+    def write_predictions(self, tmp_path):
+        """One run per model; `stuck` votes negative on every tweet, so its F1 is 0."""
+        rows = ["model_id\trun_id\ttweet_id\tprob"]
+        for i in range(20):
+            rows += [f"good\tr1\tt{i}\t{0.9 if i < 5 else 0.1}", f"stuck\tr1\tt{i}\t0.0"]
+        p = tmp_path / "p.tsv"
+        p.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        return p
+
+    def test_each_warning_is_one_line_naming_the_command(self, tmp_path):
+        # Not Python's default `<file>:<line>: UserWarning:` and source line, which move as the code does.
+        argv = ["ingest", "--pred", self.write_predictions(tmp_path), "--gold", small_dataset(tmp_path),
+                "--min-dev-f1", "0.5"]
+        done = subprocess.run(
+            [sys.executable, "-m", "adrpipe.cli", *map(str, argv)],
+            env=dict(os.environ, PYTHONPATH=str(DATA.parent / "src")), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stderr == (
+            "ingest: warning: model good has 1 runs (expected 5)\n"
+            "ingest: warning: model stuck has 1 runs (expected 5)\n"
+            "ingest: warning: all runs below min F1 0.5 for: stuck\n"
+        )
+
+    def test_the_warning_format_is_restored(self, tmp_path, capsys):
+        before = warnings.formatwarning
+        with pytest.warns(UserWarning) as caught:
+            assert run("ingest", "--pred", self.write_predictions(tmp_path), "--expect-runs", "5") == 0
+        assert [str(w.message) for w in caught] == [
+            "model good has 1 runs (expected 5)", "model stuck has 1 runs (expected 5)"
+        ]
+        assert warnings.formatwarning is before
+        capsys.readouterr()
 
 
 class TestThresholdsNameModels:
@@ -908,11 +948,11 @@ class TestReproduceConfigKeys:
     @pytest.mark.parametrize(
         "stages, shown",
         [
-            (["anonymize,handles", "", " lowercase "], "anonymize,handles, ,  lowercase "),
-            (["anonymize,handles"], "anonymize,handles"),
-            ([""], ""),
-            ([" lowercase "], " lowercase "),
-            (["spellcheck"], "spellcheck"),
+            (["anonymize,handles", "", " lowercase "], "'anonymize,handles', '', ' lowercase '"),
+            (["anonymize,handles"], "'anonymize,handles'"),
+            ([""], "''"),
+            ([" lowercase "], "' lowercase '"),
+            (["spellcheck"], "'spellcheck'"),
         ],
     )
     def test_malformed_stages_list_rejected(self, tmp_path, capsys, no_hashing, stages, shown):

@@ -116,6 +116,19 @@ class TestLabeledTweet:
         with pytest.raises(ValueError, match="label"):
             LabeledTweet("t1", "x", 2)
 
+    @pytest.mark.parametrize("label", [True, False, 1.0, 0.0])
+    def test_rejects_a_label_that_is_not_an_int(self, label):
+        # save_dataset would write True or 0.0, which load_dataset rejects.
+        with pytest.raises(ValueError, match=f"^label must be 0 or 1, got {label!r}$"):
+            LabeledTweet("t1", "x", label)
+
+    def test_int_labels_round_trip(self, tmp_path):
+        d = Dataset.from_records([LabeledTweet("t1", "x", 1), LabeledTweet("t2", "y", 0)])
+        save_dataset(d, tmp_path / "d.tsv")
+        assert (tmp_path / "d.tsv").read_text(encoding="utf-8").splitlines()[1:] == ["t1\t1\tx", "t2\t0\ty"]
+        again = load_dataset(tmp_path / "d.tsv")
+        assert again == d and [type(r.label) for r in again.records] == [int, int]
+
     def test_rejects_tab_in_id(self):
         with pytest.raises(ValueError):
             LabeledTweet("t\t1", "x", 0)

@@ -2,6 +2,8 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adrpipe.ensemble import EnsembleConfig, decide
 from adrpipe.evaluate import (
@@ -11,6 +13,7 @@ from adrpipe.evaluate import (
     attribution,
     attribution_table,
     confusion,
+    count_cells,
     f1_from,
     metrics,
     metrics_table,
@@ -50,6 +53,33 @@ class TestConfusion:
         assert str(e.value) == (
             f"verdict/gold coverage mismatch; only in verdicts: x; only in gold: {shown}, ... (4 more)"
         )
+
+
+def if_chain_counts(verdicts, labels):
+    """The counting loop `confusion` used before `count_cells`: the oracle for it."""
+    tp = fp = tn = fn = 0
+    for v, g in zip(verdicts, labels):
+        if v == 1 and g == 1:
+            tp += 1
+        elif v == 1 and g == 0:
+            fp += 1
+        elif v == 0 and g == 0:
+            tn += 1
+        else:
+            fn += 1
+    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+
+
+class TestCountCells:
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1))), st.booleans())
+    def test_equals_the_if_chain(self, pairs, as_bool):
+        verdicts = [bool(v) if as_bool else v for v, _ in pairs]
+        labels = [g for _, g in pairs]
+        assert count_cells(verdicts, labels) == if_chain_counts(verdicts, labels)
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="^2 verdicts for 3 labels$"):
+            count_cells([1, 0], [1, 0, 0])
 
 
 class TestMetrics:
