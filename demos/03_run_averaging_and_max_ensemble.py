@@ -51,7 +51,7 @@ print("training 3 model specs x 5 seeded runs each ...")
 matrix = protocol_matrix(train_set, dev_set, specs, runs=5)
 
 gold = dev_set.labels()
-labels = [gold[t] for t in matrix.tweet_ids]  # decide() orders its decisions by tweet id too
+labels = [gold[t] for t in matrix.tweet_ids]
 
 print("\nper-run F1 before averaging (why averaging is worth it):")
 run_f1s: dict[str, list[float]] = {}
@@ -61,9 +61,10 @@ for model_id, f1s in run_f1s.items():
     print(f"  {model_id:9s} {[f'{x:.3f}' for x in f1s]}  stdev {statistics.stdev(f1s):.4f}")
 
 decisions = decide(average_runs(matrix), EnsembleConfig())  # 0.5 everywhere
+labels = [gold[t] for t in decisions.tweet_ids]
 
-columns = {m: metrics(count_cells([d.per_model_verdict[m] for d in decisions], labels)) for m in matrix.models}
-columns["ensemble"] = metrics(count_cells([d.ensemble_verdict for d in decisions], labels))
+columns = {m: metrics(count_cells(verdicts, labels)) for m, verdicts in decisions.verdicts.items()}
+columns["ensemble"] = metrics(count_cells(decisions.ensemble, labels))
 
 print("\nrun-averaged members vs the max-positive ensemble:")
 print(metrics_table(columns))

@@ -20,7 +20,6 @@ from adrpipe import (
     EnsembleConfig,
     PipelineConfig,
     average_runs,
-    confusion,
     decide,
     load_lexicon,
     make_synthetic_dataset,
@@ -29,6 +28,7 @@ from adrpipe import (
     stratified_split,
 )
 from adrpipe.baseline import protocol_matrix
+from adrpipe.evaluate import count_cells
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -64,7 +64,7 @@ for theta in (0.5, 0.7, 0.9):
     for name in ("tuning split", "held-out split"):
         avg, gold = avgs[name]
         decisions = decide(avg, cfg)
-        m = metrics(confusion({d.tweet_id: d.ensemble_verdict for d in decisions}, gold))
+        m = metrics(count_cells(decisions.ensemble, [gold[t] for t in decisions.tweet_ids]))
         print(f"  {name:15s} P={m.precision:.4f} R={m.recall:.4f} F1={m.f1:.4f}")
     print()
 

@@ -189,13 +189,12 @@ def _report_to_tsv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report(decisions, gold, manifest: dict, thresholds: dict[str, float], path: str | Path) -> None:
+def _report(decisions: ensemble.Decisions, gold, manifest: dict, thresholds: dict[str, float], path: str | Path) -> None:
     """Score the decisions against gold, write the .json or .tsv report to `path`, print both tables."""
     ab = evaluate.attribution(decisions, gold)  # checks that the decisions cover gold's tweets
-    labels = [gold[d.tweet_id] for d in decisions]
-    ensemble_counts = evaluate.count_cells([d.ensemble_verdict for d in decisions], labels)
-    models = sorted(decisions[0].per_model_verdict) if decisions else []
-    members = {m: evaluate.count_cells([d.per_model_verdict[m] for d in decisions], labels) for m in models}
+    labels = [gold[t] for t in decisions.tweet_ids]
+    ensemble_counts = evaluate.count_cells(decisions.ensemble, labels)
+    members = {m: evaluate.count_cells(column, labels) for m, column in decisions.verdicts.items()}
     subsets = ab.subsets
     report = {
         "manifest": manifest,
@@ -282,8 +281,7 @@ def cmd_ensemble(args) -> int:
     matrix = _load_matrix(args, cfg)
     decisions = ensemble.decide(predictions.average_runs(matrix), cfg)
     ensemble.write_decisions(decisions, args.output)
-    positive = sum(d.ensemble_verdict for d in decisions)
-    print(f"wrote {len(decisions)} decisions to {args.output} ({positive} ensemble-positive)")
+    print(f"wrote {len(decisions)} decisions to {args.output} ({sum(decisions.ensemble)} ensemble-positive)")
     return 0
 
 

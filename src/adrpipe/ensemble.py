@@ -60,15 +60,43 @@ class EnsembleDecision:
     ensemble_verdict: int
 
 
+@dataclass(frozen=True)
+class Decisions:
+    """Every ensemble decision as columns: probs and verdicts map each model id,
+    in sorted order, to one value per tweet, so every row names the same
+    models. Indexing or iterating builds `EnsembleDecision` rows on demand."""
+
+    tweet_ids: list[str]
+    probs: dict[str, list[float]]
+    verdicts: dict[str, list[int]]
+    ensemble: list[int]
+
+    def __post_init__(self):
+        models, n = list(self.probs), len(self.tweet_ids)
+        if models != sorted(models) or list(self.verdicts) != models:
+            raise ValueError(f"probs and verdicts must name the same sorted models: {models}, {list(self.verdicts)}")
+        if any(len(c) != n for c in (self.ensemble, *self.probs.values(), *self.verdicts.values())):
+            raise ValueError(f"every decision column must hold one value for each of {n} tweets")
+
+    def __len__(self) -> int:
+        return len(self.tweet_ids)
+
+    def __getitem__(self, i: int) -> EnsembleDecision:
+        probs = {m: column[i] for m, column in self.probs.items()}
+        verdicts = {m: column[i] for m, column in self.verdicts.items()}
+        return EnsembleDecision(self.tweet_ids[i], probs, verdicts, self.ensemble[i])
+
+    def __iter__(self) -> Iterator[EnsembleDecision]:
+        return map(self.__getitem__, range(len(self)))
+
+
 def single_model_decide(probs: Mapping[str, float], threshold: float) -> dict[str, int]:
     """Threshold one model's averaged probabilities into 0/1 verdicts."""
     return {t: int(p >= threshold) for t, p in probs.items()}
 
 
-def decide(
-    avg: Mapping[str, Mapping[str, float]], cfg: EnsembleConfig
-) -> list[EnsembleDecision]:
-    """One decision per tweet, ordered by tweet_id.
+def decide(avg: Mapping[str, Mapping[str, float]], cfg: EnsembleConfig) -> Decisions:
+    """Every tweet's decision, ordered by tweet_id.
 
     avg maps model_id -> (tweet_id -> run-averaged probability); all models
     must cover the same tweet set.
@@ -85,20 +113,10 @@ def decide(
                 f"models {models[0]} and {m} cover different tweets: {truncate_ids(diff)}"
             )
     thresholds = {m: cfg.threshold_for(m) for m in models}
-
-    decisions = []
-    for tweet_id in sorted(reference):
-        probs = {m: avg[m][tweet_id] for m in models}
-        verdicts = {m: int(probs[m] >= thresholds[m]) for m in models}
-        decisions.append(
-            EnsembleDecision(
-                tweet_id=tweet_id,
-                per_model_prob=probs,
-                per_model_verdict=verdicts,
-                ensemble_verdict=int(any(verdicts.values())),
-            )
-        )
-    return decisions
+    tweet_ids = sorted(reference)
+    probs = {m: [avg[m][t] for t in tweet_ids] for m in models}
+    verdicts = {m: [int(p >= thresholds[m]) for p in probs[m]] for m in models}
+    return Decisions(tweet_ids, probs, verdicts, [int(any(row)) for row in zip(*verdicts.values())])
 
 
 def check_model_ids(model_ids: Iterable[str]) -> None:
@@ -108,37 +126,37 @@ def check_model_ids(model_ids: Iterable[str]) -> None:
             raise ValueError(f"model id {m!r} cannot be encoded in a decisions file")
 
 
-def write_decisions(decisions: list[EnsembleDecision], path: str | Path) -> None:
+def write_decisions(decisions: Decisions, path: str | Path) -> None:
     """Write decisions as ``tweet_id<TAB>model:prob,...<TAB>model:verdict,...<TAB>ensemble``.
 
-    The file is streamed in chunks of at most 4,096 lines.
+    The file is streamed in chunks of at most 4,096 lines, each formatted
+    as it is written.
     """
+    check_model_ids(decisions.probs)
     atomic_write(path, chunked(_decision_lines(decisions)))
 
 
-def _decision_lines(decisions: Iterable[EnsembleDecision]) -> Iterator[str]:
+def _decision_lines(d: Decisions) -> Iterator[str]:
     yield DECISIONS_HEADER + "\n"
-    model_set = {}.keys()
-    for d in decisions:
-        if d.per_model_prob.keys() != model_set:  # sort and check each distinct model set once
-            model_set = d.per_model_prob.keys()
-            models = sorted(model_set)
-            check_model_ids(models)
-        probs = ",".join(f"{m}:{d.per_model_prob[m]:.6f}" for m in models)
-        verdicts = ",".join(f"{m}:{d.per_model_verdict[m]}" for m in models)
-        yield f"{d.tweet_id}\t{probs}\t{verdicts}\t{d.ensemble_verdict}\n"
+    for i, tweet_id in enumerate(d.tweet_ids):
+        probs = ",".join([f"{m}:{column[i]:.6f}" for m, column in d.probs.items()])
+        verdicts = ",".join([f"{m}:{column[i]}" for m, column in d.verdicts.items()])
+        yield f"{tweet_id}\t{probs}\t{verdicts}\t{d.ensemble[i]}\n"
 
 
-def read_decisions(path: str | Path) -> list[EnsembleDecision]:
+def read_decisions(path: str | Path) -> Decisions:
     """Parse a decisions file; the header line is optional.
 
-    Every line must be consistent with itself and with the first line: each
-    model named once in both model_probs and model_verdicts, the same models
-    as the first line, probabilities in [0, 1], 0/1 verdicts, an ensemble
-    verdict equal to the OR of the member verdicts, and an unseen tweet_id.
-    Errors name the file and the line.
+    Every line must be consistent with itself and with the first line: a
+    non-empty tweet_id not seen before, each non-empty model id named once
+    in both model_probs and model_verdicts, the same models as the first
+    line, probabilities in [0, 1], 0/1 verdicts, and an ensemble verdict
+    equal to the OR of the member verdicts. Each value goes straight to its
+    column. Errors name the file and the line.
     """
-    decisions = []
+    tweet_ids, ensemble = [], []
+    prob_columns: dict[str, list[float]] = {}
+    verdict_columns: dict[str, list[int]] = {}
     seen: set[str] = set()
     first: tuple[int, list[str]] | None = None  # line number and sorted models of the first decision
     for lineno, (tweet_id, prob_text, verdict_text, ens_text) in read_rows(path, 4, DECISIONS_HEADER):
@@ -149,6 +167,8 @@ def read_decisions(path: str | Path) -> list[EnsembleDecision]:
         except ValueError:
             raise ValueError(f"{path}: malformed decision at line {lineno}") from None
         probs, verdicts = dict(prob_pairs), dict(verdict_pairs)
+        if not tweet_id:
+            raise ValueError(f"{path}: tweet_id must be non-empty at line {lineno}")
         if tweet_id in seen:
             raise ValueError(f"{path}: duplicate tweet_id {tweet_id!r} at line {lineno}")
         seen.add(tweet_id)
@@ -163,19 +183,19 @@ def read_decisions(path: str | Path) -> list[EnsembleDecision]:
                 f"each once, at line {lineno}"
             )
         if first is None:
+            if "" in probs:
+                raise ValueError(f"{path}: model id must be non-empty at line {lineno}")
             first = (lineno, models)
+            prob_columns, verdict_columns = {m: [] for m in models}, {m: [] for m in models}
         elif models != first[1]:
             raise ValueError(f"{path}: models differ from those at line {first[0]} at line {lineno}")
         if ens != int(any(verdicts.values())):
             raise ValueError(
                 f"{path}: ensemble verdict {ens} is not the OR of the member verdicts at line {lineno}"
             )
-        decisions.append(
-            EnsembleDecision(
-                tweet_id=tweet_id,
-                per_model_prob=probs,
-                per_model_verdict=verdicts,
-                ensemble_verdict=ens,
-            )
-        )
-    return decisions
+        tweet_ids.append(tweet_id)
+        ensemble.append(ens)
+        for m in models:
+            prob_columns[m].append(probs[m])
+            verdict_columns[m].append(verdicts[m])
+    return Decisions(tweet_ids, prob_columns, verdict_columns, ensemble)

@@ -71,10 +71,10 @@ class VariabilityReport:
     n_runs: int
 
 
-def _check_coverage(verdicts: Mapping[str, int], gold: Mapping[str, int]) -> None:
-    if set(verdicts) != set(gold):
-        only_verdicts = sorted(set(verdicts) - set(gold))
-        only_gold = sorted(set(gold) - set(verdicts))
+def _check_coverage(tweet_ids: Sequence[str], gold: Mapping[str, int]) -> None:
+    if set(tweet_ids) != set(gold):
+        only_verdicts = sorted(set(tweet_ids) - set(gold))
+        only_gold = sorted(set(gold) - set(tweet_ids))
         parts = []
         if only_verdicts:
             parts.append(f"only in verdicts: {truncate_ids(only_verdicts)}")
@@ -113,34 +113,30 @@ def f1_from(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def attribution(decisions: Sequence, gold: Mapping[str, int]) -> AttributionBreakdown:
+def attribution(decisions, gold: Mapping[str, int]) -> AttributionBreakdown:
     """Break ensemble TPs/FPs down by which members voted positive.
 
-    decisions are EnsembleDecision values; only ensemble-positive tweets
+    decisions is an `ensemble.Decisions`; only ensemble-positive tweets
     contribute, keyed by the frozenset of positive-voting member ids.
     """
-    _check_coverage({d.tweet_id: d.ensemble_verdict for d in decisions}, gold)
-    models: set[str] = set()
+    _check_coverage(decisions.tweet_ids, gold)
     tp_by_subset: dict[frozenset[str], int] = {}
     fp_by_subset: dict[frozenset[str], int] = {}
-    tp_missed_by: dict[str, int] = {}
+    tp_missed_by = dict.fromkeys(decisions.verdicts, 0)
     tp_total = 0
-    for d in decisions:
-        models.update(d.per_model_verdict)
-        if d.ensemble_verdict != 1:
+    for i, (tweet_id, ensemble_verdict) in enumerate(zip(decisions.tweet_ids, decisions.ensemble)):
+        if ensemble_verdict != 1:
             continue
-        voters = frozenset(m for m, v in d.per_model_verdict.items() if v == 1)
-        if gold[d.tweet_id] == 1:
+        voters = frozenset(m for m, column in decisions.verdicts.items() if column[i] == 1)
+        if gold[tweet_id] == 1:
             tp_by_subset[voters] = tp_by_subset.get(voters, 0) + 1
             tp_total += 1
-            for m in d.per_model_verdict:
+            for m in tp_missed_by:
                 if m not in voters:
-                    tp_missed_by[m] = tp_missed_by.get(m, 0) + 1
+                    tp_missed_by[m] += 1
         else:
             fp_by_subset[voters] = fp_by_subset.get(voters, 0) + 1
-    exclusive = {
-        m: (tp_missed_by.get(m, 0) / tp_total if tp_total else 0.0) for m in sorted(models)
-    }
+    exclusive = {m: (n / tp_total if tp_total else 0.0) for m, n in tp_missed_by.items()}
     return AttributionBreakdown(
         tp_by_subset=tp_by_subset,
         fp_by_subset=fp_by_subset,

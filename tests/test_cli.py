@@ -289,14 +289,13 @@ class TestPredictionCommands:
 
     def test_table_and_tsv_report_list_subsets_in_one_order(self, tmp_path, capsys):
         # '!' sorts before '+', so joining ids with '+' would put a!+z before a+a! and a+z.
-        from adrpipe.ensemble import EnsembleDecision, write_decisions
+        from adrpipe.ensemble import Decisions, write_decisions
 
         voters = [("a", "z"), ("a!", "z"), ("a", "a!"), ("z",)]
-        decisions = [
-            EnsembleDecision(f"t{i}", {m: 0.9 if m in v else 0.1 for m in ("a", "a!", "z")},
-                             {m: int(m in v) for m in ("a", "a!", "z")}, 1)
-            for i, v in enumerate(voters)
-        ]
+        models = ("a", "a!", "z")
+        decisions = Decisions([f"t{i}" for i in range(len(voters))],
+                              {m: [0.9 if m in v else 0.1 for v in voters] for m in models},
+                              {m: [int(m in v) for v in voters] for m in models}, [1] * len(voters))
         write_decisions(decisions, tmp_path / "decisions.tsv")
         gold = tmp_path / "gold.tsv"
         gold.write_text("".join(f"t{i}\t{i % 2}\tx\n" for i in range(len(voters))), encoding="utf-8")

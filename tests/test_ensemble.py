@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adrpipe.ensemble import (
+    Decisions,
     EnsembleConfig,
     EnsembleDecision,
     decide,
@@ -22,6 +23,37 @@ def random_instance(rng, max_tweets=1000, n_models=3):
     }
     gold = {t: int(rng.random() < 0.5) for t in tweets}
     return avg, gold
+
+
+MODEL_IDS = st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r,"), min_size=1)
+TWEET_IDS = st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"), min_size=1)
+
+
+@st.composite
+def run_averages(draw):
+    """model_id -> (tweet_id -> probability), every model over the same one to six tweets."""
+    models = draw(st.lists(MODEL_IDS, min_size=1, max_size=3, unique=True))
+    tweets = draw(st.lists(TWEET_IDS, min_size=1, max_size=6, unique=True))
+    return {m: {t: draw(st.floats(0.0, 1.0)) for t in tweets} for m in models}
+
+
+def decide_by_rows(avg, cfg):
+    """One EnsembleDecision per tweet, built row by row with dicts: the oracle of decide's per-tweet view."""
+    models = sorted(avg)
+    thresholds = {m: cfg.threshold_for(m) for m in models}
+    decisions = []
+    for tweet_id in sorted(avg[models[0]]):
+        probs = {m: avg[m][tweet_id] for m in models}
+        verdicts = {m: int(probs[m] >= thresholds[m]) for m in models}
+        decisions.append(
+            EnsembleDecision(
+                tweet_id=tweet_id,
+                per_model_prob=probs,
+                per_model_verdict=verdicts,
+                ensemble_verdict=int(any(verdicts.values())),
+            )
+        )
+    return decisions
 
 
 class TestDecide:
@@ -95,6 +127,16 @@ class TestEnsembleLaws:
                 member_union |= {t for t, v in verdicts.items() if v == 1}
             assert ens_pos == member_union
 
+    @settings(max_examples=100, deadline=None)
+    @given(avg=run_averages(), data=st.data())
+    def test_rows_of_decide_equal_the_per_tweet_oracle(self, avg, data):
+        thresholds = {m: data.draw(st.floats(0.01, 0.99)) for m in avg}
+        cfg = EnsembleConfig(thresholds=thresholds)
+        decisions = decide(avg, cfg)
+        expected = decide_by_rows(avg, cfg)
+        assert list(decisions) == expected
+        assert [decisions[i] for i in range(len(decisions))] == expected
+
     def test_lowering_threshold_never_shrinks_positive_set(self):
         rng = random.Random(8)
         avg, _ = random_instance(rng, max_tweets=200)
@@ -139,26 +181,31 @@ class TestDecisionsFile:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_round_trip_over_unicode(self, tmp_path, data):
-        # Ids hold any character but tab and the line breaks; model ids not a comma either.
-        tweet_chars = st.characters(codec="utf-8", exclude_characters="\t\n\r")
-        model_chars = st.characters(codec="utf-8", exclude_characters="\t\n\r,")
-        models = data.draw(st.lists(st.text(model_chars, min_size=1), min_size=1, max_size=3, unique=True))
-        decisions = []
-        for tweet_id in data.draw(st.lists(st.text(tweet_chars), max_size=6, unique=True)):
-            probs = {m: data.draw(st.floats(0.0, 1.0)) for m in models}
-            verdicts = {m: data.draw(st.integers(0, 1)) for m in models}
-            decisions.append(EnsembleDecision(tweet_id, probs, verdicts, int(any(verdicts.values()))))
+        # Ids hold any character but tab and the line breaks; model ids not a comma either. A file
+        # with no decision lines names no models (see test_empty_table_reads_back_with_no_models).
+        models = sorted(data.draw(st.lists(MODEL_IDS, min_size=1, max_size=3, unique=True)))
+        tweet_ids = data.draw(st.lists(TWEET_IDS, min_size=1, max_size=6, unique=True))
+        probs = {m: [data.draw(st.floats(0.0, 1.0)) for _ in tweet_ids] for m in models}
+        verdicts = {m: [data.draw(st.integers(0, 1)) for _ in tweet_ids] for m in models}
+        ensemble = [int(any(row)) for row in zip(*verdicts.values())]
+        write_decisions(Decisions(tweet_ids, probs, verdicts, ensemble), tmp_path / "d.tsv")
+        rounded = {m: [round(p, 6) for p in column] for m, column in probs.items()}
+        assert read_decisions(tmp_path / "d.tsv") == Decisions(tweet_ids, rounded, verdicts, ensemble)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(avg=run_averages(), theta=st.floats(0.01, 0.99))
+    def test_decide_table_survives_the_file_up_to_six_decimals(self, tmp_path, avg, theta):
+        # read_decisions(write_decisions(d)) == d, once d's probabilities are rounded as the file rounds them.
+        decisions = decide(avg, EnsembleConfig(default_threshold=theta))
         write_decisions(decisions, tmp_path / "d.tsv")
-        rounded = [
-            EnsembleDecision(
-                d.tweet_id,
-                {m: round(p, 6) for m, p in d.per_model_prob.items()},
-                d.per_model_verdict,
-                d.ensemble_verdict,
-            )
-            for d in decisions
-        ]
-        assert read_decisions(tmp_path / "d.tsv") == rounded
+        rounded = {m: [round(p, 6) for p in column] for m, column in decisions.probs.items()}
+        expected = Decisions(decisions.tweet_ids, rounded, decisions.verdicts, decisions.ensemble)
+        assert read_decisions(tmp_path / "d.tsv") == expected
+
+    def test_empty_table_reads_back_with_no_models(self, tmp_path):
+        write_decisions(Decisions([], {"a": []}, {"a": []}, []), tmp_path / "d.tsv")
+        assert (tmp_path / "d.tsv").read_text(encoding="utf-8") == "tweet_id\tmodel_probs\tmodel_verdicts\tensemble\n"
+        assert read_decisions(tmp_path / "d.tsv") == Decisions([], {}, {}, [])
 
     def test_unknown_first_line_is_read_as_data(self, tmp_path):
         # The header is optional, so a first line that is not the header is a
@@ -187,34 +234,56 @@ class TestDecisionsFile:
         with pytest.raises(ValueError, match="cannot be encoded"):
             write_decisions(decisions, tmp_path / "d.tsv")
 
-    @pytest.mark.parametrize("bad", ["a,b", "a\tb"])
-    def test_unencodable_model_id_in_a_later_model_set_rejected(self, tmp_path, bad):
-        # The model set changes after the first chunk; the new set is checked too.
-        good = [EnsembleDecision(f"t{i}", {"m": 0.5}, {"m": 1}, 1) for i in range(5000)]
-        last = EnsembleDecision("u", {"m": 0.5, bad: 0.5}, {"m": 1, bad: 1}, 1)
-        p = tmp_path / "d.tsv"
+    @pytest.mark.parametrize("bad", ["a,b", "a\tb", "a\nb", "a\rb"])
+    def test_unencodable_model_id_leaves_no_file(self, tmp_path, bad):
+        # Checked once for the whole table, before anything is written.
+        decisions = Decisions(["t1", "t2"], {bad: [0.5, 0.5], "m": [0.5, 0.5]}, {bad: [1, 1], "m": [1, 1]}, [1, 1])
         with pytest.raises(ValueError) as e:
-            write_decisions([*good, last], p)
+            write_decisions(decisions, tmp_path / "d.tsv")
         assert str(e.value) == f"model id {bad!r} cannot be encoded in a decisions file"
         assert list(tmp_path.iterdir()) == []
 
-    def test_rows_with_different_model_sets_and_orders(self, tmp_path):
-        # Each row's models come out sorted, whatever the dict order and however often the set changes.
-        decisions = []
-        for i in range(9000):
-            models = ["b", "a"] if i % 3 else (["c", "a"] if i % 2 else ["a", "c"])
-            probs = {m: (i % 7) / 8 for m in models}
-            verdicts = {m: int(p >= 0.5) for m, p in probs.items()}
-            decisions.append(EnsembleDecision(f"t{i}", probs, verdicts, int(any(verdicts.values()))))
-        p = tmp_path / "d.tsv"
-        write_decisions(decisions, p)
-        lines = ["tweet_id\tmodel_probs\tmodel_verdicts\tensemble"]
-        for d in decisions:
-            models = sorted(d.per_model_prob)
-            probs = ",".join(f"{m}:{d.per_model_prob[m]:.6f}" for m in models)
-            verdicts = ",".join(f"{m}:{d.per_model_verdict[m]}" for m in models)
-            lines.append(f"{d.tweet_id}\t{probs}\t{verdicts}\t{d.ensemble_verdict}")
-        assert p.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+class TestDecisionsTable:
+    def table(self, **changes):
+        fields = dict(tweet_ids=["t1", "t2"], probs={"a": [0.9, 0.1], "b": [0.2, 0.3]},
+                      verdicts={"a": [1, 0], "b": [0, 0]}, ensemble=[1, 0])
+        return Decisions(**{**fields, **changes})
+
+    def test_rows_are_a_view_of_the_columns(self):
+        d = self.table()
+        assert len(d) == 2
+        assert d[1] == EnsembleDecision("t2", {"a": 0.1, "b": 0.3}, {"a": 0, "b": 0}, 0)
+        assert list(d) == [d[0], d[1]]
+        assert [row.per_model_prob for row in d] == [{"a": 0.9, "b": 0.2}, {"a": 0.1, "b": 0.3}]
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"tweet_ids": ["t1"]},
+            {"ensemble": [1, 0, 0]},
+            {"probs": {"a": [0.9], "b": [0.2, 0.3]}},
+            {"verdicts": {"a": [1, 0], "b": [0]}},
+        ],
+        ids=["fewer-tweet-ids", "longer-ensemble", "short-prob-column", "short-verdict-column"],
+    )
+    def test_columns_of_different_lengths_rejected(self, changes):
+        with pytest.raises(ValueError, match="^every decision column must hold one value for each of [12] tweets$"):
+            self.table(**changes)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"verdicts": {"a": [1, 0], "c": [0, 0]}},
+            {"verdicts": {"a": [1, 0]}},
+            {"verdicts": {"b": [0, 0], "a": [1, 0]}},
+            {"probs": {"b": [0.2, 0.3], "a": [0.9, 0.1]}, "verdicts": {"b": [0, 0], "a": [1, 0]}},
+        ],
+        ids=["other-verdict-model", "verdict-model-missing", "verdicts-unsorted", "both-unsorted"],
+    )
+    def test_models_must_match_and_be_sorted(self, changes):
+        with pytest.raises(ValueError, match="^probs and verdicts must name the same sorted models: "):
+            self.table(**changes)
 
 
 HEADER_LINE = "tweet_id\tmodel_probs\tmodel_verdicts\tensemble\n"
@@ -250,6 +319,29 @@ class TestDecisionsFileRejects:
         with pytest.raises(ValueError) as e:
             read_decisions(p)
         assert str(e.value) == f"{p}: {message}"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("\ta:0.2,b:0.1\ta:0,b:0\t0", "tweet_id must be non-empty at line 3"),
+            ("t2\t:0.7\t:1\t1", "models differ from those at line 2 at line 3"),
+        ],
+        ids=["empty-tweet-id", "empty-model-id-on-a-later-line"],
+    )
+    def test_empty_id_named(self, tmp_path, line, message):
+        p = tmp_path / "d.tsv"
+        p.write_text(HEADER_LINE + GOOD_LINE + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as e:
+            read_decisions(p)
+        assert str(e.value) == f"{p}: {message}"
+
+    @pytest.mark.parametrize("models", [":0.7\t:1", "a:0.7,:0.1\t:0,a:1"], ids=["only-model", "one-of-two"])
+    def test_empty_model_id_on_the_first_line_named(self, tmp_path, models):
+        p = tmp_path / "d.tsv"
+        p.write_text(f"{HEADER_LINE}t1\t{models}\t1\n", encoding="utf-8")
+        with pytest.raises(ValueError) as e:
+            read_decisions(p)
+        assert str(e.value) == f"{p}: model id must be non-empty at line 2"
 
     def test_consistent_file_accepted(self, tmp_path):
         p = tmp_path / "d.tsv"

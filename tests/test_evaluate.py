@@ -120,20 +120,17 @@ class TestMetrics:
 
 
 def decisions_from(verdict_rows):
-    """verdict_rows: tweet_id -> {model: verdict}; probs mirror verdicts."""
-    from adrpipe.ensemble import EnsembleDecision
+    """verdict_rows: tweet_id -> {model: verdict}, every row naming the same models; probs mirror verdicts."""
+    from adrpipe.ensemble import Decisions
 
-    out = []
-    for tweet_id, per_model in verdict_rows.items():
-        out.append(
-            EnsembleDecision(
-                tweet_id=tweet_id,
-                per_model_prob={m: float(v) for m, v in per_model.items()},
-                per_model_verdict=dict(per_model),
-                ensemble_verdict=int(any(per_model.values())),
-            )
-        )
-    return out
+    models = sorted(next(iter(verdict_rows.values())))
+    verdicts = {m: [per_model[m] for per_model in verdict_rows.values()] for m in models}
+    return Decisions(
+        tweet_ids=list(verdict_rows),
+        probs={m: [float(v) for v in column] for m, column in verdicts.items()},
+        verdicts=verdicts,
+        ensemble=[int(any(per_model.values())) for per_model in verdict_rows.values()],
+    )
 
 
 class TestAttribution:

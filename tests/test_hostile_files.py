@@ -1,9 +1,10 @@
 """Commands stay linear in the shape of their input files. Each command's core
 runs in-process on a file with many models, many scenarios, ragged coverage,
-repeated spec ids, many models per decision line, or a (model, run) key that
-changes on every line, at a size where code quadratic in that shape takes
-seconds, under a loose bound."""
+repeated spec ids, many models per decision line, a (model, run) key that
+changes on every line, many runs of one model, or 10 KB tweet ids, at a size
+where code quadratic in that shape takes seconds, under a loose bound."""
 
+import json
 import time
 
 import pytest
@@ -106,3 +107,38 @@ def test_ingest_with_a_key_that_changes_on_every_line(tmp_path, capsys):
     assert code == 0 and took < BOUND_S
     assert capsys.readouterr().out.startswith(f"models: 20, tweets: {len(tweets)}\n")
     assert len(merged.read_text(encoding="utf-8").splitlines()) == 1 + len(keys) * len(tweets)
+
+
+def ensemble_then_evaluate(tmp_path, pred, gold):
+    """Run `ensemble` then `evaluate` on the files, each under the bound; the decision lines and the report."""
+    decisions, report = tmp_path / "d.tsv", tmp_path / "r.json"
+    took, code = fastest(lambda: run("ensemble", "--pred", pred, "--expect-runs", "0", "--output", decisions))
+    assert code == 0 and took < BOUND_S
+    took, code = fastest(lambda: run("evaluate", "--decisions", decisions, "--gold", gold, "--report", report))
+    assert code == 0 and took < BOUND_S
+    return decisions.read_text(encoding="utf-8").splitlines()[1:], json.loads(report.read_text(encoding="utf-8"))
+
+
+def test_ensemble_then_evaluate_with_many_runs_of_one_model(tmp_path):
+    runs = 4000
+    pred = prediction_file(
+        tmp_path / "p.tsv", [("m", f"r{k:04d}", t, f"0.{k % 10}") for k in range(runs) for t in ("t1", "t2")]
+    )
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("t1\t1\ttext 1\nt2\t0\ttext 2\n", encoding="utf-8")
+    lines, report = ensemble_then_evaluate(tmp_path, pred, gold)
+    assert lines == ["t1\tm:0.450000\tm:0\t0", "t2\tm:0.450000\tm:0\t0"]
+    assert report["ensemble"]["fn"] == 1 and report["ensemble"]["tn"] == 1
+
+
+def test_ensemble_then_evaluate_with_10_kb_tweet_ids(tmp_path):
+    tweets = [f"t{j:03d}" + "x" * 10_000 for j in range(300)]
+    pred = prediction_file(
+        tmp_path / "p.tsv",
+        [(m, r, t, 0.75 if j % 2 else 0.25) for j, t in enumerate(tweets) for m in ("a", "b") for r in ("r1", "r2")],
+    )
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("".join(f"{t}\t{j % 2}\ttext {j}\n" for j, t in enumerate(tweets)), encoding="utf-8")
+    lines, report = ensemble_then_evaluate(tmp_path, pred, gold)
+    assert [line.split("\t")[0] for line in lines] == tweets
+    assert report["ensemble"] == {"tp": 150, "fp": 0, "tn": 150, "fn": 0, "precision": 1.0, "recall": 1.0, "f1": 1.0}
