@@ -19,7 +19,6 @@ from adrpipe import (
     EnsembleConfig,
     PipelineConfig,
     attribution,
-    average_runs,
     decide,
     load_lexicon,
     make_synthetic_dataset,
@@ -60,7 +59,7 @@ for (model_id, _), row in zip(matrix.keys, matrix.probs):  # one row per run, so
 for model_id, f1s in run_f1s.items():
     print(f"  {model_id:9s} {[f'{x:.3f}' for x in f1s]}  stdev {statistics.stdev(f1s):.4f}")
 
-decisions = decide(average_runs(matrix), EnsembleConfig())  # 0.5 everywhere
+decisions = decide(matrix, EnsembleConfig())  # 0.5 everywhere
 labels = [gold[t] for t in decisions.tweet_ids]
 
 columns = {m: metrics(count_cells(verdicts, labels)) for m, verdicts in decisions.verdicts.items()}

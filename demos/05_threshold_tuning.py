@@ -46,15 +46,15 @@ specs = [
 ]
 
 print("training once, scoring the tuning and held-out splits ...\n")
-avgs = {}
+splits = {}
 for name, eval_set in (("tuning split", tune_set), ("held-out split", test_set)):
-    avgs[name] = (average_runs(protocol_matrix(train_set, eval_set, specs, runs=5)), eval_set.labels())
+    splits[name] = (protocol_matrix(train_set, eval_set, specs, runs=5), eval_set.labels())
 
-avg_tune, _ = avgs["tuning split"]
+matrix_tune, _ = splits["tuning split"]
 print("averaged probabilities are bimodal; tweets per model with prob in [0.5, 0.9):")
-for model_id, probs in sorted(avg_tune.items()):
-    mid_band = sum(1 for p in probs.values() if 0.5 <= p < 0.9)
-    positive = sum(1 for p in probs.values() if p >= 0.5)
+for model_id, probs in average_runs(matrix_tune).items():  # models in sorted order
+    mid_band = sum(1 for p in probs if 0.5 <= p < 0.9)
+    positive = sum(1 for p in probs if p >= 0.5)
     print(f"  {model_id:9s} {mid_band:3d} of {positive} positives")
 print()
 
@@ -62,8 +62,8 @@ for theta in (0.5, 0.7, 0.9):
     cfg = EnsembleConfig(thresholds={"char46": theta, "char35w3": theta})
     print(f"== char-view thresholds at {theta} (word12 stays at 0.5) ==")
     for name in ("tuning split", "held-out split"):
-        avg, gold = avgs[name]
-        decisions = decide(avg, cfg)
+        matrix, gold = splits[name]
+        decisions = decide(matrix, cfg)
         m = metrics(count_cells(decisions.ensemble, [gold[t] for t in decisions.tweet_ids]))
         print(f"  {name:15s} P={m.precision:.4f} R={m.recall:.4f} F1={m.f1:.4f}")
     print()

@@ -279,7 +279,7 @@ def cmd_ingest(args) -> int:
 def cmd_ensemble(args) -> int:
     cfg = _threshold_config(args.threshold, None if args.no_default else args.default_threshold)
     matrix = _load_matrix(args, cfg)
-    decisions = ensemble.decide(predictions.average_runs(matrix), cfg)
+    decisions = ensemble.decide(matrix, cfg)
     ensemble.write_decisions(decisions, args.output)
     print(f"wrote {len(decisions)} decisions to {args.output} ({sum(decisions.ensemble)} ensemble-positive)")
     return 0
@@ -479,7 +479,7 @@ def cmd_reproduce(args) -> int:
             matrix = predictions.filter_runs(matrix, gold, min_dev_f1)
 
     with _stage("ensemble"):
-        decisions = ensemble.decide(predictions.average_runs(matrix), ens_cfg)
+        decisions = ensemble.decide(matrix, ens_cfg)
 
     if written is not None:
         # Only now, so a screen or decision that fails leaves no predictions.tsv.

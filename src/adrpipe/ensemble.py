@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from ._io import atomic_write, chunked, read_rows, truncate_ids
+from ._io import atomic_write, chunked, read_rows
+from .predictions import RunMatrix, average_runs
 
 DECISIONS_HEADER = "tweet_id\tmodel_probs\tmodel_verdicts\tensemble"
+RESERVED_MODEL_ID = "ensemble"  # the report's name for the ensemble's own row
 
 
 @dataclass(frozen=True)
@@ -95,45 +97,68 @@ def single_model_decide(probs: Mapping[str, float], threshold: float) -> dict[st
     return {t: int(p >= threshold) for t, p in probs.items()}
 
 
-def decide(avg: Mapping[str, Mapping[str, float]], cfg: EnsembleConfig) -> Decisions:
-    """Every tweet's decision, ordered by tweet_id.
+def decide(m: RunMatrix, cfg: EnsembleConfig) -> Decisions:
+    """Every tweet's decision, in the matrix's sorted tweet order.
 
-    avg maps model_id -> (tweet_id -> run-averaged probability); all models
-    must cover the same tweet set.
+    The probability columns are the run averages `average_runs` returns, as
+    they are; the matrix's models are sorted, and each threshold is looked
+    up once, in that order.
     """
-    if not avg:
+    if not m.keys:
         raise ValueError("no models to ensemble")
-    models = sorted(avg)
-    tweet_sets = {m: set(avg[m]) for m in models}
-    reference = tweet_sets[models[0]]
-    for m in models[1:]:
-        if tweet_sets[m] != reference:
-            diff = sorted(tweet_sets[m] ^ reference)
-            raise ValueError(
-                f"models {models[0]} and {m} cover different tweets: {truncate_ids(diff)}"
-            )
-    thresholds = {m: cfg.threshold_for(m) for m in models}
-    tweet_ids = sorted(reference)
-    probs = {m: [avg[m][t] for t in tweet_ids] for m in models}
-    verdicts = {m: [int(p >= thresholds[m]) for p in probs[m]] for m in models}
-    return Decisions(tweet_ids, probs, verdicts, [int(any(row)) for row in zip(*verdicts.values())])
+    probs = average_runs(m)
+    thresholds = {model_id: cfg.threshold_for(model_id) for model_id in probs}
+    verdicts = {model_id: [int(p >= t) for p in probs[model_id]] for model_id, t in thresholds.items()}
+    return Decisions(list(m.tweet_ids), probs, verdicts, [int(any(row)) for row in zip(*verdicts.values())])
 
 
 def check_model_ids(model_ids: Iterable[str]) -> None:
-    """Reject model ids a decisions file cannot hold: any with a comma, tab or line break."""
+    """Reject model ids a decisions file and its report cannot hold: an empty id,
+    any with a comma, tab or line break, and `ensemble`, which names the
+    ensemble's own row in the report."""
     for m in model_ids:
-        if any(c in m for c in ",\t\n\r"):
+        if not m or any(c in m for c in ",\t\n\r"):
             raise ValueError(f"model id {m!r} cannot be encoded in a decisions file")
+        if m == RESERVED_MODEL_ID:
+            raise ValueError(f"model id {m!r} is reserved for the ensemble's row in the report")
 
 
 def write_decisions(decisions: Decisions, path: str | Path) -> None:
     """Write decisions as ``tweet_id<TAB>model:prob,...<TAB>model:verdict,...<TAB>ensemble``.
 
-    The file is streamed in chunks of at most 4,096 lines, each formatted
-    as it is written.
+    A table whose file `read_decisions` would reject is refused before any
+    file is opened. The file is streamed in chunks of at most 4,096 lines,
+    each formatted as it is written.
     """
-    check_model_ids(decisions.probs)
+    _check_table(decisions)
     atomic_write(path, chunked(_decision_lines(decisions)))
+
+
+def _check_table(d: Decisions) -> None:
+    """Refuse what `read_decisions` rejects: a table with tweets but no models, a
+    tweet id that is empty, repeated or holds a tab or line break, a bad
+    model id, a verdict or ensemble value other than the int 0 or 1, an
+    ensemble value that is not the OR of the member verdicts, or a
+    probability outside [0, 1] (NaN included)."""
+    check_model_ids(d.probs)
+    if d.tweet_ids and not d.probs:
+        raise ValueError(f"a decisions table with {len(d)} tweets must name at least one model")
+    seen: set[str] = set()
+    for tweet_id in d.tweet_ids:
+        if not tweet_id or "\t" in tweet_id or "\n" in tweet_id or "\r" in tweet_id:
+            raise ValueError(f"tweet_id {tweet_id!r} cannot be encoded in a decisions file")
+        if tweet_id in seen:
+            raise ValueError(f"duplicate tweet_id {tweet_id!r}")
+        seen.add(tweet_id)
+    for column in (*d.verdicts.values(), d.ensemble):
+        # True and 1.0 equal 1, but the file would hold "True" and "1.0".
+        if not ({0, 1}.issuperset(column) and set(map(type, column)) <= {int}):
+            raise ValueError("verdicts must be 0 or 1")
+    if d.ensemble != [int(any(row)) for row in zip(*d.verdicts.values())]:
+        raise ValueError("ensemble verdicts must be the OR of the member verdicts")
+    for m, column in d.probs.items():
+        if not all(0.0 <= p <= 1.0 for p in column):
+            raise ValueError(f"probability out of range for model {m!r}")
 
 
 def _decision_lines(d: Decisions) -> Iterator[str]:
@@ -148,11 +173,11 @@ def read_decisions(path: str | Path) -> Decisions:
     """Parse a decisions file; the header line is optional.
 
     Every line must be consistent with itself and with the first line: a
-    non-empty tweet_id not seen before, each non-empty model id named once
-    in both model_probs and model_verdicts, the same models as the first
-    line, probabilities in [0, 1], 0/1 verdicts, and an ensemble verdict
-    equal to the OR of the member verdicts. Each value goes straight to its
-    column. Errors name the file and the line.
+    non-empty tweet_id not seen before, each non-empty model id other than
+    `ensemble` named once in both model_probs and model_verdicts, the same
+    models as the first line, probabilities in [0, 1], 0/1 verdicts, and an
+    ensemble verdict equal to the OR of the member verdicts. Each value goes
+    straight to its column. Errors name the file and the line.
     """
     tweet_ids, ensemble = [], []
     prob_columns: dict[str, list[float]] = {}
@@ -185,6 +210,8 @@ def read_decisions(path: str | Path) -> Decisions:
         if first is None:
             if "" in probs:
                 raise ValueError(f"{path}: model id must be non-empty at line {lineno}")
+            if RESERVED_MODEL_ID in probs:
+                raise ValueError(f"{path}: model id {RESERVED_MODEL_ID!r} is reserved at line {lineno}")
             first = (lineno, models)
             prob_columns, verdict_columns = {m: [] for m in models}, {m: [] for m in models}
         elif models != first[1]:

@@ -206,8 +206,8 @@ def _prediction_chunks(m: RunMatrix) -> Iterator[str]:
         yield "".join([f"{prefix}{t}\t{p:.6f}\n" for t, p in zip(m.tweet_ids, probs)])
 
 
-def average_runs(m: RunMatrix) -> dict[str, dict[str, float]]:
-    """Arithmetic mean of each model's runs, per tweet.
+def average_runs(m: RunMatrix) -> dict[str, list[float]]:
+    """Arithmetic mean of each model's runs: one list per model, in `m.tweet_ids` order.
 
     Runs are added one row at a time in sorted run_id order, starting from
     +0.0 as sum() does, then divided once, so the result is bit-identical to
@@ -216,13 +216,13 @@ def average_runs(m: RunMatrix) -> dict[str, dict[str, float]]:
     rows: dict[str, list[tuple[float, ...]]] = {}
     for (model_id, _), row in zip(m.keys, m.probs):
         rows.setdefault(model_id, []).append(row)
-    out: dict[str, dict[str, float]] = {}
+    out: dict[str, list[float]] = {}
     for model_id, model_rows in rows.items():
         total = [0.0] * len(m.tweet_ids)
         for row in model_rows:
             total = list(map(operator.add, total, row))
         n = len(model_rows)
-        out[model_id] = dict(zip(m.tweet_ids, [t / n for t in total]))
+        out[model_id] = [t / n for t in total]
     return out
 
 

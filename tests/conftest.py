@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from adrpipe import DrugLexicon, PipelineConfig, SubwordVocab, load_dataset, load_lexicon, load_vocab
+from adrpipe import DrugLexicon, PipelineConfig, RunMatrix, SubwordVocab, load_dataset, load_lexicon, load_vocab
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -36,3 +36,8 @@ def tiny_lexicon():
 @pytest.fixture(scope="session")
 def full_pipeline(lexicon):
     return PipelineConfig(lexicon=lexicon)
+
+
+def one_run_matrix(avg):
+    """The RunMatrix with one run, r1, per model whose averages are avg: model_id -> (tweet_id -> probability)."""
+    return RunMatrix.from_columns({(m, "r1"): (list(probs), list(probs.values())) for m, probs in avg.items()})

@@ -27,10 +27,11 @@ from adrpipe.evaluate import (
     variability,
     variability_table,
 )
-from adrpipe.predictions import average_runs, load_predictions
+from adrpipe.predictions import load_predictions
 from adrpipe.preprocess import PipelineConfig, preprocess
 from adrpipe.synthetic import make_synthetic_dataset
 from adrpipe.tokenize import wordpiece_tokenize
+from conftest import one_run_matrix
 
 
 def report(criterion, detail):
@@ -101,7 +102,7 @@ def test_criterion_2_ensemble_union_laws():
     for avg, gold, theta in random_instances():
         n += 1
         cfg = EnsembleConfig(default_threshold=theta)
-        decisions = decide(avg, cfg)
+        decisions = decide(one_run_matrix(avg), cfg)
         ens_pos = {d.tweet_id for d in decisions if d.ensemble_verdict == 1}
 
         member_pos = {}
@@ -133,7 +134,7 @@ def test_criterion_3_threshold_equivalence():
     n = checked = 0
     for avg, _, theta in random_instances():
         n += 1
-        decisions = decide(avg, EnsembleConfig(default_threshold=theta))
+        decisions = decide(one_run_matrix(avg), EnsembleConfig(default_threshold=theta))
         for d in decisions:
             checked += 1
             assert d.ensemble_verdict == int(max(d.per_model_prob.values()) >= theta)
@@ -211,7 +212,7 @@ def test_criterion_6_protocol_demonstration(tmp_path, lexicon):
     ]
     pred_path = run_protocol(train_set, dev_set, specs, runs=5, out_path=tmp_path / "preds.tsv")
     matrix = load_predictions([pred_path])
-    decisions = decide(average_runs(matrix), EnsembleConfig())
+    decisions = decide(matrix, EnsembleConfig())
     gold = dev_set.labels()
 
     member_recalls = {}

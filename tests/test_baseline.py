@@ -536,8 +536,7 @@ class TestProtocol:
         matrix = load_predictions([out], expected_runs=1)
         avg = average_runs(matrix)["m"]
         assert matrix.keys == (("m", "r1"),)
-        for j, t in enumerate(matrix.tweet_ids):
-            assert avg[t] == matrix.probs[0][j]
+        assert avg == list(matrix.probs[0])
 
     def test_char_and_word_members_diverge(self, tmp_path):
         data = make_synthetic_dataset(1200, 0.15, seed=6)
@@ -551,7 +550,7 @@ class TestProtocol:
         matrix = load_predictions([out], expected_runs=3)
         avg = average_runs(matrix)
         pos = {
-            m: {t for t, p in avg[m].items() if p >= 0.5} for m in ("charview", "wordview")
+            m: {t for t, p in zip(matrix.tweet_ids, avg[m]) if p >= 0.5} for m in ("charview", "wordview")
         }
         assert pos["charview"] != pos["wordview"]
 

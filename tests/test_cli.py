@@ -909,6 +909,48 @@ class TestUnwritableIds:
         assert list((tmp_path / "out").iterdir()) == []
 
 
+class TestReservedModelId:
+    """`ensemble` names the ensemble's own row in the report, so no member may take it."""
+
+    RESERVED = "model id 'ensemble' is reserved for the ensemble's row in the report"
+
+    def test_ensemble_writes_no_decisions(self, tmp_path, capsys):
+        preds = tmp_path / "p.tsv"
+        preds.write_text(
+            "model_id\trun_id\ttweet_id\tprob\n"
+            + "".join(f"{m}\tr1\tt{i}\t0.{i}\n" for m in ("alpha", "ensemble") for i in range(3)),
+            encoding="utf-8",
+        )
+        out = tmp_path / "d.tsv"
+        assert run("ensemble", "--pred", preds, "--expect-runs", "1", "--output", out) == 1
+        assert capsys.readouterr().err == f"ensemble: {self.RESERVED}\n"
+        assert not out.exists()
+
+    def test_reproduce_protocol_mode_before_hashing(self, tmp_path, capsys, monkeypatch):
+        from adrpipe import baseline
+
+        calls = []
+        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        cfg = protocol_config(tmp_path, small_dataset(tmp_path))
+        cfg["protocol"]["specs"][1]["model_id"] = "ensemble"
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr().err == f"reproduce: {self.RESERVED}\n"
+        assert calls == []
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_evaluate_writes_no_report(self, tmp_path, capsys):
+        decisions = tmp_path / "decisions.tsv"
+        decisions.write_text(
+            "tweet_id\tmodel_probs\tmodel_verdicts\tensemble\n"
+            "t1\talpha:0.200000,ensemble:0.900000\talpha:0,ensemble:1\t1\n",
+            encoding="utf-8",
+        )
+        report = tmp_path / "r.tsv"
+        assert run("evaluate", "--decisions", decisions, "--gold", small_dataset(tmp_path), "--report", report) == 1
+        assert capsys.readouterr().err == f"evaluate: {decisions}: model id 'ensemble' is reserved at line 2\n"
+        assert not report.exists()
+
+
 class TestReproduceConfigKeys:
     """A config key `reproduce` would not read, or a malformed `stages` list, fails before any hashing."""
 

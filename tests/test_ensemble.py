@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from adrpipe import ensemble
 from adrpipe.ensemble import (
     Decisions,
     EnsembleConfig,
@@ -14,6 +15,8 @@ from adrpipe.ensemble import (
     single_model_decide,
     write_decisions,
 )
+from adrpipe.predictions import RunMatrix, average_runs
+from conftest import one_run_matrix
 
 
 def random_instance(rng, max_tweets=1000, n_models=3):
@@ -30,21 +33,35 @@ TWEET_IDS = st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"), m
 
 
 @st.composite
-def run_averages(draw):
-    """model_id -> (tweet_id -> probability), every model over the same one to six tweets."""
+def run_columns(draw):
+    """(model_id, run_id) -> (tweet ids, probabilities): one to three models, each with
+    one to four runs, every run over the same one to six tweets in an order of its own."""
     models = draw(st.lists(MODEL_IDS, min_size=1, max_size=3, unique=True))
     tweets = draw(st.lists(TWEET_IDS, min_size=1, max_size=6, unique=True))
-    return {m: {t: draw(st.floats(0.0, 1.0)) for t in tweets} for m in models}
+    columns = {}
+    for m in models:
+        for run_id in draw(st.lists(TWEET_IDS, min_size=1, max_size=4, unique=True)):
+            order = draw(st.permutations(tweets))
+            columns[m, run_id] = (order, [draw(st.floats(0.0, 1.0)) for _ in order])
+    return columns
 
 
-def decide_by_rows(avg, cfg):
-    """One EnsembleDecision per tweet, built row by row with dicts: the oracle of decide's per-tweet view."""
-    models = sorted(avg)
-    thresholds = {m: cfg.threshold_for(m) for m in models}
+def decide_by_rows(columns, cfg):
+    """One EnsembleDecision per tweet, built row by row with dicts, each model's probability
+    the mean of its runs added in run_id order: the oracle of decide's per-tweet view."""
+    prob = {(m, r, t): p for (m, r), (ids, probs) in columns.items() for t, p in zip(ids, probs)}
+    runs = {}
+    for m, r in sorted(columns):
+        runs.setdefault(m, []).append(r)
     decisions = []
-    for tweet_id in sorted(avg[models[0]]):
-        probs = {m: avg[m][tweet_id] for m in models}
-        verdicts = {m: int(probs[m] >= thresholds[m]) for m in models}
+    for tweet_id in sorted({t for ids, _ in columns.values() for t in ids}):
+        probs = {}
+        for m, run_ids in runs.items():
+            total = 0.0
+            for r in run_ids:
+                total += prob[m, r, tweet_id]
+            probs[m] = total / len(run_ids)
+        verdicts = {m: int(probs[m] >= cfg.threshold_for(m)) for m in probs}
         decisions.append(
             EnsembleDecision(
                 tweet_id=tweet_id,
@@ -59,38 +76,55 @@ def decide_by_rows(avg, cfg):
 class TestDecide:
     def test_or_rule(self):
         avg = {"bert": {"t1": 0.4}, "biobert": {"t1": 0.7}, "clinical": {"t1": 0.2}}
-        (d,) = decide(avg, EnsembleConfig())
+        (d,) = decide(one_run_matrix(avg), EnsembleConfig())
         assert d.per_model_verdict == {"bert": 0, "biobert": 1, "clinical": 0}
         assert d.ensemble_verdict == 1
 
     def test_all_below_threshold(self):
         avg = {"bert": {"t1": 0.4}, "biobert": {"t1": 0.45}, "clinical": {"t1": 0.2}}
-        (d,) = decide(avg, EnsembleConfig())
+        (d,) = decide(one_run_matrix(avg), EnsembleConfig())
         assert d.ensemble_verdict == 0
 
     def test_raised_threshold_flips_verdict(self):
         # thresholds {bert: 0.5, biobert: 0.6, clinical: 0.6}
         cfg = EnsembleConfig(thresholds={"biobert": 0.6, "clinical": 0.6})
         avg = {"bert": {"t1": 0.2}, "biobert": {"t1": 0.55}, "clinical": {"t1": 0.1}}
-        (d,) = decide(avg, cfg)
+        (d,) = decide(one_run_matrix(avg), cfg)
         assert d.per_model_verdict["biobert"] == 0
         assert d.ensemble_verdict == 0
 
     def test_decisions_sorted_by_tweet_id(self):
         avg = {"m": {"t3": 0.1, "t1": 0.9, "t2": 0.4}}
-        ids = [d.tweet_id for d in decide(avg, EnsembleConfig())]
+        ids = [d.tweet_id for d in decide(one_run_matrix(avg), EnsembleConfig())]
         assert ids == sorted(ids)
 
     def test_coverage_mismatch_is_error(self):
+        # decide takes a RunMatrix, and coverage is checked where one is built.
         avg = {"a": {"t1": 0.5, "t2": 0.5}, "b": {"t1": 0.5}}
-        with pytest.raises(ValueError, match="different tweets"):
-            decide(avg, EnsembleConfig())
+        with pytest.raises(ValueError, match="^ragged tweet coverage: run r1 of b missing tweet t2$"):
+            one_run_matrix(avg)
+
+    def test_no_models_is_error(self):
+        with pytest.raises(ValueError, match="^no models to ensemble$"):
+            decide(RunMatrix((), (), ()), EnsembleConfig())
+
+    def test_probability_columns_are_the_run_averages_as_returned(self, monkeypatch):
+        returned = []
+
+        def recorded(m):
+            returned.append(average_runs(m))
+            return returned[-1]
+
+        monkeypatch.setattr(ensemble, "average_runs", recorded)
+        decisions = decide(one_run_matrix({"a": {"t2": 0.25, "t1": 0.75}}), EnsembleConfig())
+        assert decisions.probs is returned[0]
+        assert decisions.tweet_ids == ["t1", "t2"] and decisions.probs == {"a": [0.75, 0.25]}
 
     def test_missing_threshold_without_default(self):
         cfg = EnsembleConfig(thresholds={"a": 0.5}, default_threshold=None)
         avg = {"a": {"t1": 0.5}, "b": {"t1": 0.5}}
         with pytest.raises(ValueError, match="no threshold configured for model b"):
-            decide(avg, cfg)
+            decide(one_run_matrix(avg), cfg)
 
     def test_bad_threshold_value(self):
         with pytest.raises(ValueError, match="must be in"):
@@ -119,7 +153,7 @@ class TestEnsembleLaws:
             cfg = EnsembleConfig(
                 thresholds={m: rng.uniform(0.2, 0.8) for m in avg}, default_threshold=None
             )
-            decisions = decide(avg, cfg)
+            decisions = decide(one_run_matrix(avg), cfg)
             ens_pos = {d.tweet_id for d in decisions if d.ensemble_verdict == 1}
             member_union = set()
             for m in avg:
@@ -128,20 +162,20 @@ class TestEnsembleLaws:
             assert ens_pos == member_union
 
     @settings(max_examples=100, deadline=None)
-    @given(avg=run_averages(), data=st.data())
-    def test_rows_of_decide_equal_the_per_tweet_oracle(self, avg, data):
-        thresholds = {m: data.draw(st.floats(0.01, 0.99)) for m in avg}
+    @given(columns=run_columns(), data=st.data())
+    def test_rows_of_decide_equal_the_per_tweet_oracle(self, columns, data):
+        thresholds = {m: data.draw(st.floats(0.01, 0.99)) for m, _ in columns}
         cfg = EnsembleConfig(thresholds=thresholds)
-        decisions = decide(avg, cfg)
-        expected = decide_by_rows(avg, cfg)
+        decisions = decide(RunMatrix.from_columns(columns), cfg)
+        expected = decide_by_rows(columns, cfg)
         assert list(decisions) == expected
         assert [decisions[i] for i in range(len(decisions))] == expected
 
     def test_lowering_threshold_never_shrinks_positive_set(self):
         rng = random.Random(8)
         avg, _ = random_instance(rng, max_tweets=200)
-        hi = decide(avg, EnsembleConfig(default_threshold=0.7))
-        lo = decide(avg, EnsembleConfig(default_threshold=0.3))
+        hi = decide(one_run_matrix(avg), EnsembleConfig(default_threshold=0.7))
+        lo = decide(one_run_matrix(avg), EnsembleConfig(default_threshold=0.3))
         hi_pos = {d.tweet_id for d in hi if d.ensemble_verdict == 1}
         lo_pos = {d.tweet_id for d in lo if d.ensemble_verdict == 1}
         assert hi_pos <= lo_pos
@@ -151,7 +185,7 @@ class TestEnsembleLaws:
         for _ in range(40):
             avg, _ = random_instance(rng, max_tweets=150)
             theta = rng.uniform(0.2, 0.8)
-            decisions = decide(avg, EnsembleConfig(default_threshold=theta))
+            decisions = decide(one_run_matrix(avg), EnsembleConfig(default_threshold=theta))
             for d in decisions:
                 assert d.ensemble_verdict == int(max(d.per_model_prob.values()) >= theta)
 
@@ -164,7 +198,7 @@ class TestEnsembleLaws:
             smaller = {m: avg[m] for m in list(avg)[:2]}
             cfg = EnsembleConfig()
             recall_of = lambda a: metrics(
-                confusion({d.tweet_id: d.ensemble_verdict for d in decide(a, cfg)}, gold)
+                confusion({d.tweet_id: d.ensemble_verdict for d in decide(one_run_matrix(a), cfg)}, gold)
             ).recall
             assert recall_of(avg) >= recall_of(smaller)
 
@@ -172,7 +206,7 @@ class TestEnsembleLaws:
 class TestDecisionsFile:
     def test_round_trip(self, tmp_path):
         avg = {"a": {"t1": 0.5, "t2": 0.25}, "b": {"t1": 0.125, "t2": 0.75}}
-        decisions = decide(avg, EnsembleConfig())
+        decisions = decide(one_run_matrix(avg), EnsembleConfig())
         path = tmp_path / "decisions.tsv"
         write_decisions(decisions, path)
         again = read_decisions(path)
@@ -193,10 +227,10 @@ class TestDecisionsFile:
         assert read_decisions(tmp_path / "d.tsv") == Decisions(tweet_ids, rounded, verdicts, ensemble)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(avg=run_averages(), theta=st.floats(0.01, 0.99))
-    def test_decide_table_survives_the_file_up_to_six_decimals(self, tmp_path, avg, theta):
+    @given(columns=run_columns(), theta=st.floats(0.01, 0.99))
+    def test_decide_table_survives_the_file_up_to_six_decimals(self, tmp_path, columns, theta):
         # read_decisions(write_decisions(d)) == d, once d's probabilities are rounded as the file rounds them.
-        decisions = decide(avg, EnsembleConfig(default_threshold=theta))
+        decisions = decide(RunMatrix.from_columns(columns), EnsembleConfig(default_threshold=theta))
         write_decisions(decisions, tmp_path / "d.tsv")
         rounded = {m: [round(p, 6) for p in column] for m, column in decisions.probs.items()}
         expected = Decisions(decisions.tweet_ids, rounded, decisions.verdicts, decisions.ensemble)
@@ -230,7 +264,7 @@ class TestDecisionsFile:
 
     def test_unencodable_model_id_rejected(self, tmp_path):
         avg = {"a,b": {"t1": 0.9}}
-        decisions = decide(avg, EnsembleConfig())
+        decisions = decide(one_run_matrix(avg), EnsembleConfig())
         with pytest.raises(ValueError, match="cannot be encoded"):
             write_decisions(decisions, tmp_path / "d.tsv")
 
@@ -241,6 +275,38 @@ class TestDecisionsFile:
         with pytest.raises(ValueError) as e:
             write_decisions(decisions, tmp_path / "d.tsv")
         assert str(e.value) == f"model id {bad!r} cannot be encoded in a decisions file"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            (Decisions(["t1"], {}, {}, [0]), "a decisions table with 1 tweets must name at least one model"),
+            (Decisions(["t1"], {"a": [0.9]}, {"a": [1]}, [0]),
+             "ensemble verdicts must be the OR of the member verdicts"),
+            (Decisions(["t1", "t1"], {"a": [0.9, 0.9]}, {"a": [1, 1]}, [1, 1]), "duplicate tweet_id 't1'"),
+            (Decisions([""], {"a": [0.9]}, {"a": [1]}, [1]), "tweet_id '' cannot be encoded in a decisions file"),
+            (Decisions(["t\t1"], {"a": [0.9]}, {"a": [1]}, [1]),
+             "tweet_id 't\\t1' cannot be encoded in a decisions file"),
+            (Decisions(["t\r1"], {"a": [0.9]}, {"a": [1]}, [1]),
+             "tweet_id 't\\r1' cannot be encoded in a decisions file"),
+            (Decisions(["t1"], {"": [0.9]}, {"": [1]}, [1]), "model id '' cannot be encoded in a decisions file"),
+            (Decisions(["t1"], {"ensemble": [0.9]}, {"ensemble": [1]}, [1]),
+             "model id 'ensemble' is reserved for the ensemble's row in the report"),
+            (Decisions(["t1"], {"a": [0.9]}, {"a": [2]}, [1]), "verdicts must be 0 or 1"),
+            (Decisions(["t1"], {"a": [0.9]}, {"a": [True]}, [1]), "verdicts must be 0 or 1"),
+            (Decisions(["t1"], {"a": [0.9]}, {"a": [1]}, [1.0]), "verdicts must be 0 or 1"),
+            (Decisions(["t1"], {"a": [float("nan")]}, {"a": [0]}, [0]), "probability out of range for model 'a'"),
+            (Decisions(["t1"], {"a": [1.5]}, {"a": [1]}, [1]), "probability out of range for model 'a'"),
+            (Decisions(["t1"], {"a": [-0.1]}, {"a": [0]}, [0]), "probability out of range for model 'a'"),
+        ],
+        ids=["tweets-without-models", "ensemble-not-the-or", "repeated-tweet-id", "empty-tweet-id", "tab-in-tweet-id", "cr-in-tweet-id",
+             "empty-model-id", "reserved-model-id", "verdict-2", "verdict-true", "ensemble-float",
+             "nan-prob", "prob-above-1", "negative-prob"],
+    )
+    def test_table_the_reader_would_reject_leaves_no_file(self, tmp_path, table, message):
+        with pytest.raises(ValueError) as e:
+            write_decisions(table, tmp_path / "d.tsv")
+        assert str(e.value) == message
         assert list(tmp_path.iterdir()) == []
 
 
@@ -343,6 +409,15 @@ class TestDecisionsFileRejects:
             read_decisions(p)
         assert str(e.value) == f"{p}: model id must be non-empty at line 2"
 
+    @pytest.mark.parametrize("models", ["ensemble:0.7\tensemble:1", "a:0.7,ensemble:0.1\ta:1,ensemble:0"],
+                             ids=["only-model", "one-of-two"])
+    def test_reserved_model_id_on_the_first_line_named(self, tmp_path, models):
+        p = tmp_path / "d.tsv"
+        p.write_text(f"{HEADER_LINE}t1\t{models}\t1\n", encoding="utf-8")
+        with pytest.raises(ValueError) as e:
+            read_decisions(p)
+        assert str(e.value) == f"{p}: model id 'ensemble' is reserved at line 2"
+
     def test_consistent_file_accepted(self, tmp_path):
         p = tmp_path / "d.tsv"
         p.write_text(HEADER_LINE + GOOD_LINE + "t2\ta:0.0,b:1.0\ta:0,b:1\t1\n", encoding="utf-8")
@@ -353,5 +428,5 @@ class TestDecisionsFileRejects:
         avg = {"a": {t: 0.5 for t in tweets}, "b": {"t00": 0.5}}
         shown = ", ".join(tweets[1:11])
         with pytest.raises(ValueError) as e:
-            decide(avg, EnsembleConfig())
-        assert str(e.value) == f"models a and b cover different tweets: {shown}, ... (1 more)"
+            one_run_matrix(avg)
+        assert str(e.value) == f"ragged tweet coverage: run r1 of b missing tweets {shown}, ... (1 more)"

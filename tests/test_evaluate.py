@@ -20,6 +20,7 @@ from adrpipe.evaluate import (
     variability,
     variability_table,
 )
+from conftest import one_run_matrix
 
 
 class TestConfusion:
@@ -161,7 +162,7 @@ class TestAttribution:
         tweets = [f"t{i}" for i in range(200)]
         avg = {m: {t: rng.random() for t in tweets} for m in ("a", "b", "c")}
         gold = {t: int(rng.random() < 0.3) for t in tweets}
-        decisions = decide(avg, EnsembleConfig())
+        decisions = decide(one_run_matrix(avg), EnsembleConfig())
         ab = attribution(decisions, gold)
 
         # brute-force recount by direct iteration
@@ -191,7 +192,7 @@ class TestAttribution:
             tweets = [f"t{i}" for i in range(rng.randrange(20, 300))]
             avg = {m: {t: rng.random() for t in tweets} for m in ("a", "b", "c")}
             gold = {t: int(rng.random() < 0.25) for t in tweets}
-            decisions = decide(avg, EnsembleConfig())
+            decisions = decide(one_run_matrix(avg), EnsembleConfig())
             ens = metrics(confusion({d.tweet_id: d.ensemble_verdict for d in decisions}, gold))
             gold_pos = {t for t, g in gold.items() if g == 1}
             member_fn_sets = []
