@@ -28,6 +28,7 @@ from adrpipe import (
 )
 from adrpipe.baseline import protocol_matrix
 from adrpipe.evaluate import attribution_table, count_cells, metrics_table
+from adrpipe.predictions import run_scores
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -50,12 +51,11 @@ print("training 3 model specs x 5 seeded runs each ...")
 matrix = protocol_matrix(train_set, dev_set, specs, runs=5)
 
 gold = dev_set.labels()
-labels = [gold[t] for t in matrix.tweet_ids]
 
 print("\nper-run F1 before averaging (why averaging is worth it):")
 run_f1s: dict[str, list[float]] = {}
-for (model_id, _), row in zip(matrix.keys, matrix.probs):  # one row per run, sorted
-    run_f1s.setdefault(model_id, []).append(metrics(count_cells([p >= 0.5 for p in row], labels)).f1)
+for (model_id, _), counts in run_scores(matrix, gold).items():  # one entry per run, sorted
+    run_f1s.setdefault(model_id, []).append(metrics(counts).f1)
 for model_id, f1s in run_f1s.items():
     print(f"  {model_id:9s} {[f'{x:.3f}' for x in f1s]}  stdev {statistics.stdev(f1s):.4f}")
 

@@ -18,18 +18,17 @@ from pathlib import Path
 from adrpipe import (
     BaselineConfig,
     PipelineConfig,
-    confusion,
     duplicate_positives,
     load_lexicon,
     make_synthetic_dataset,
     metrics,
     preprocess,
     stratified_split,
-    train,
     variability,
 )
-from adrpipe.baseline import predict_probs
+from adrpipe.baseline import protocol_matrix
 from adrpipe.evaluate import variability_table
+from adrpipe.predictions import run_scores
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 RUNS = 5
@@ -44,29 +43,21 @@ print(f"train {len(train_set)} / dev {len(dev_set)}, {RUNS} seeded runs per scen
 
 
 def run_scenario(transform, **cfg_kwargs):
-    per_run = []
-    for seed in range(RUNS):
-        model = train(transform(train_set), BaselineConfig(seed=seed, **cfg_kwargs))
-        probs = predict_probs(model, [r.text for r in dev_set.records])
-        verdicts = {r.tweet_id: int(p >= 0.5) for r, p in zip(dev_set.records, probs)}
-        per_run.append(metrics(confusion(verdicts, gold)))
-    return per_run
+    """Dev metrics of RUNS seeded fits (seeds 0..RUNS-1) on the transformed training set."""
+    spec = ("baseline", BaselineConfig(**cfg_kwargs))
+    matrix = protocol_matrix(transform(train_set), dev_set, [spec], runs=RUNS)
+    return [metrics(c) for c in run_scores(matrix, gold).values()]
 
 
-reports = [
-    variability(run_scenario(lambda d: d), "original"),
-    variability(run_scenario(lambda d: duplicate_positives(d, 2)), "positive duplication (3x)"),
-    variability(run_scenario(lambda d: d, positive_weight=3.0), "positive loss weight (3x)"),
-]
-print(variability_table(reports))
+scenarios = {
+    "original": run_scenario(lambda d: d),
+    "positive duplication (3x)": run_scenario(lambda d: duplicate_positives(d, 2)),
+    "positive loss weight (3x)": run_scenario(lambda d: d, positive_weight=3.0),
+}
+print(variability_table([variability(per_run, label) for label, per_run in scenarios.items()]))
 
 print("\nmean dev F1 per scenario, for context:")
-for label, transform, kwargs in (
-    ("original", lambda d: d, {}),
-    ("positive duplication (3x)", lambda d: duplicate_positives(d, 2), {}),
-    ("positive loss weight (3x)", lambda d: d, {"positive_weight": 3.0}),
-):
-    per_run = run_scenario(transform, **kwargs)
+for label, per_run in scenarios.items():
     mean_f1 = sum(m.f1 for m in per_run) / len(per_run)
     mean_recall = sum(m.recall for m in per_run) / len(per_run)
     print(f"  {label:26s} F1 {mean_f1:.4f}  recall {mean_recall:.4f}")

@@ -409,7 +409,6 @@ def cmd_reproduce(args) -> int:
     out_dir = Path(_config(doc, "output_dir", str))
     if ("protocol" in doc) == ("predictions" in doc):
         raise ValueError("config: exactly one of 'protocol' or 'predictions' is required")
-    out_dir.mkdir(parents=True, exist_ok=True)
     split_cfg = _config(doc, "split", dict, {})
     proto = _config(doc, "protocol", dict, {})
     for prefix, section in (("", doc), ("split.", split_cfg), ("protocol.", proto)):
@@ -457,6 +456,7 @@ def cmd_reproduce(args) -> int:
                 ens_cfg.threshold_for(model_id)
         seeds["specs"] = {m: cfg.seed for m, cfg in specs}
         runs = _config(proto, "runs", int, 5)
+        out_dir.mkdir(parents=True, exist_ok=True)  # every config check has passed; nothing is hashed yet
         with _stage("baseline"):
             matrix = written = baseline.protocol_matrix(train_set, dev_set, specs, runs)
         outputs["predictions"] = out_dir / "predictions.tsv"
@@ -466,6 +466,7 @@ def cmd_reproduce(args) -> int:
         inputs["predictions"] = ", ".join(map(str, pred_paths))
         with _stage("ingest"):
             matrix = predictions.load_predictions(pred_paths, expected_runs=None)
+        ensemble.check_model_ids(matrix.models)
         with _stage("ensemble"):
             ens_cfg.check_models(matrix.models)
         all_labels = data.labels()
@@ -473,6 +474,7 @@ def cmd_reproduce(args) -> int:
         if missing:
             raise ValueError(f"ingest: dataset lacks labels for: {truncate_ids(sorted(missing))}")
         gold = {t: all_labels[t] for t in matrix.tweet_ids}
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     if min_dev_f1 is not None:
         with _stage("ingest"):

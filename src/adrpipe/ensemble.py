@@ -114,11 +114,14 @@ def decide(m: RunMatrix, cfg: EnsembleConfig) -> Decisions:
 
 def check_model_ids(model_ids: Iterable[str]) -> None:
     """Reject model ids a decisions file and its report cannot hold: an empty id,
-    any with a comma, tab or line break, and `ensemble`, which names the
+    any with a comma, tab or line break, any with a `+`, which joins a voter
+    subset's ids into one report key, and `ensemble`, which names the
     ensemble's own row in the report."""
     for m in model_ids:
         if not m or any(c in m for c in ",\t\n\r"):
             raise ValueError(f"model id {m!r} cannot be encoded in a decisions file")
+        if "+" in m:
+            raise ValueError(f"model id {m!r} holds '+', which joins a voter subset's ids in the report")
         if m == RESERVED_MODEL_ID:
             raise ValueError(f"model id {m!r} is reserved for the ensemble's row in the report")
 
@@ -174,10 +177,11 @@ def read_decisions(path: str | Path) -> Decisions:
 
     Every line must be consistent with itself and with the first line: a
     non-empty tweet_id not seen before, each non-empty model id other than
-    `ensemble` named once in both model_probs and model_verdicts, the same
-    models as the first line, probabilities in [0, 1], 0/1 verdicts, and an
-    ensemble verdict equal to the OR of the member verdicts. Each value goes
-    straight to its column. Errors name the file and the line.
+    `ensemble` and free of `+` named once in both model_probs and
+    model_verdicts, the same models as the first line, probabilities in
+    [0, 1], 0/1 verdicts, and an ensemble verdict equal to the OR of the
+    member verdicts. Each value goes straight to its column. Errors name the
+    file and the line.
     """
     tweet_ids, ensemble = [], []
     prob_columns: dict[str, list[float]] = {}
@@ -212,6 +216,9 @@ def read_decisions(path: str | Path) -> Decisions:
                 raise ValueError(f"{path}: model id must be non-empty at line {lineno}")
             if RESERVED_MODEL_ID in probs:
                 raise ValueError(f"{path}: model id {RESERVED_MODEL_ID!r} is reserved at line {lineno}")
+            for m in models:
+                if "+" in m:
+                    raise ValueError(f"{path}: model id {m!r} holds '+' at line {lineno}")
             first = (lineno, models)
             prob_columns, verdict_columns = {m: [] for m in models}, {m: [] for m in models}
         elif models != first[1]:

@@ -11,6 +11,7 @@ rather than something to impute, since silent gaps would corrupt recall.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import warnings
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from ._io import atomic_write, read_rows, truncate_ids
-from .evaluate import count_cells, metrics
+from .evaluate import ConfusionCounts, count_cells, metrics
 
 HEADER = "model_id\trun_id\ttweet_id\tprob"
 
@@ -44,11 +45,12 @@ class RunMatrix:
     """Validated probabilities with rectangular coverage.
 
     probs[i][j] is the probability that run keys[i] = (model_id, run_id) gave
-    tweet tweet_ids[j]; keys and tweet_ids are sorted, so a model's runs are
-    adjacent rows in run_id order. One row per run rather than a models x
-    runs x tweets tensor, because models may have different run counts. Rows
-    are tuples of floats: the arithmetic here is a few comparisons, sums and
-    one division per cell, which plain Python does bit for bit as numpy would.
+    tweet tweet_ids[j]; keys and tweet_ids are strictly increasing (checked),
+    so a model's runs are adjacent rows in run_id order. One row per run
+    rather than a models x runs x tweets tensor, because models may have
+    different run counts. Rows are tuples of floats: the arithmetic here is
+    a few comparisons, sums and one division per cell, which plain Python
+    does bit for bit as numpy would.
     """
 
     keys: tuple[tuple[str, str], ...]
@@ -62,6 +64,10 @@ class RunMatrix:
                 f"probs must be {len(self.keys)} rows of {width} probabilities, "
                 f"got rows of {[len(row) for row in self.probs]}"
             )
+        for name in ("keys", "tweet_ids"):  # neighbours compared in place: no copy, no set
+            ids = getattr(self, name)
+            if not all(map(operator.lt, ids, itertools.islice(ids, 1, None))):
+                raise ValueError(f"RunMatrix {name} must be strictly increasing")
 
     @property
     def models(self) -> tuple[str, ...]:
@@ -226,13 +232,22 @@ def average_runs(m: RunMatrix) -> dict[str, list[float]]:
     return out
 
 
+def run_scores(m: RunMatrix, gold: Mapping[str, int], threshold: float = 0.5) -> dict[tuple[str, str], ConfusionCounts]:
+    """Each run's confusion counts against gold at `threshold`, keyed by (model_id, run_id) in `m.keys` order."""
+    missing = sorted(t for t in m.tweet_ids if t not in gold)
+    if missing:
+        raise ValueError(f"gold labels missing for tweets: {truncate_ids(missing)}")
+    labels = [gold[t] for t in m.tweet_ids]
+    return {key: count_cells([p >= threshold for p in row], labels) for key, row in zip(m.keys, m.probs)}
+
+
 def filter_runs(
     m: RunMatrix,
     gold: Mapping[str, int],
     min_f1: float,
     threshold: float = 0.5,
 ) -> RunMatrix:
-    """Drop runs whose standalone F1 against gold falls below min_f1.
+    """Drop runs whose standalone F1 against gold (`run_scores`) falls below min_f1.
 
     This is the screen for runs that never converged (an all-negative run
     scores F1 = 0 and is excluded by any positive min_f1). Models losing all
@@ -241,11 +256,7 @@ def filter_runs(
     """
     if not 0.0 <= min_f1 <= 1.0:
         raise ValueError(f"min F1 must be in [0, 1], got {min_f1}")
-    missing = sorted(t for t in m.tweet_ids if t not in gold)
-    if missing:
-        raise ValueError(f"gold labels missing for tweets: {truncate_ids(missing)}")
-    labels = [gold[t] for t in m.tweet_ids]
-    keep = [metrics(count_cells([p >= threshold for p in row], labels)).f1 >= min_f1 for row in m.probs]
+    keep = [metrics(c).f1 >= min_f1 for c in run_scores(m, gold, threshold).values()]
     kept_models = {model_id for (model_id, _), k in zip(m.keys, keep) if k}
     dropped_models = [model_id for model_id in m.models if model_id not in kept_models]
     if dropped_models:

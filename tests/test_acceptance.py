@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from adrpipe.baseline import BaselineConfig, loss_and_grad, run_protocol
+from adrpipe.baseline import BaselineConfig, loss_and_grad, protocol_matrix, run_protocol
 from adrpipe.corpus import Dataset, LabeledTweet, duplicate_positives, stratified_split
 from adrpipe.ensemble import EnsembleConfig, decide, single_model_decide
 from adrpipe.evaluate import (
@@ -27,7 +27,7 @@ from adrpipe.evaluate import (
     variability,
     variability_table,
 )
-from adrpipe.predictions import load_predictions
+from adrpipe.predictions import load_predictions, run_scores
 from adrpipe.preprocess import PipelineConfig, preprocess
 from adrpipe.synthetic import make_synthetic_dataset
 from adrpipe.tokenize import wordpiece_tokenize
@@ -285,21 +285,13 @@ def test_criterion_8_variability_harness(fixture_corpus):
     assert original.f1_std == pytest.approx(0.0164, abs=1e-4)
     assert original.f1_std == pytest.approx(statistics.stdev(run_f1))
 
-    # drive the two classifier-side scenario knobs over repeated seeded runs
-    from adrpipe.baseline import predict_probs, train
-
+    # drive the two classifier-side scenario knobs over repeated seeded runs (seeds 0, 1, 2)
     train_set, dev_set = stratified_split(fixture_corpus, 0.8, seed=3)
-    gold = dev_set.labels()
 
     def run_metrics(transform, **cfg_kwargs):
-        out = []
-        for seed in range(3):
-            cfg = BaselineConfig(epochs=2, seed=seed, **cfg_kwargs)
-            model = train(transform(train_set), cfg)
-            probs = predict_probs(model, [r.text for r in dev_set.records])
-            verdicts = {r.tweet_id: int(p >= 0.5) for r, p in zip(dev_set.records, probs)}
-            out.append(metrics(confusion(verdicts, gold)))
-        return out
+        spec = ("baseline", BaselineConfig(epochs=2, **cfg_kwargs))
+        matrix = protocol_matrix(transform(train_set), dev_set, [spec], runs=3)
+        return [metrics(c) for c in run_scores(matrix, dev_set.labels()).values()]
 
     reports = [
         original,

@@ -357,7 +357,7 @@ class TestThresholdsNameModels:
         assert capsys.readouterr().err == (
             "reproduce: ensemble: threshold for unknown model 'charvew' (models: charview, wordview)\n"
         )
-        assert calls == [] and list((tmp_path / "out").iterdir()) == []
+        assert calls == [] and not (tmp_path / "out").exists()
 
     def test_reproduce_predictions_mode_before_the_screen(self, tmp_path, capsys):
         d = small_dataset(tmp_path)
@@ -368,7 +368,7 @@ class TestThresholdsNameModels:
         assert capsys.readouterr().err == (
             "reproduce: ensemble: threshold for unknown model 'bret' (models: charview, wordview)\n"
         )
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_ensemble_before_the_screen(self, tmp_path, capsys):
         d = small_dataset(tmp_path)
@@ -723,8 +723,7 @@ class TestPathConfigFields:
         assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
         assert capsys.readouterr() == ("", f"reproduce: config: {message}\n")
         out = tmp_path / "out"
-        assert out.exists() == (key not in ("dataset", "output_dir"))  # both are checked before mkdir
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()  # every config check runs before output_dir is created
 
     @pytest.mark.parametrize(
         "action, key",
@@ -769,7 +768,7 @@ class TestIntegerConfigFields:
         cfg[section][key] = value
         assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
         assert capsys.readouterr().err == f"reproduce: config: {message}\n"
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_integral_values_accepted(self, tmp_path, capsys):
         d = small_dataset(tmp_path)
@@ -807,7 +806,7 @@ class TestReproduceWritesNothingOnConfigErrors:
         cfg = {**protocol_config(tmp_path, d), **change}
         assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
         assert capsys.readouterr().err == f"reproduce: {message}\n"
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_missing_model_threshold_rejected_before_hashing(self, tmp_path, capsys, monkeypatch):
         from adrpipe import baseline
@@ -817,7 +816,7 @@ class TestReproduceWritesNothingOnConfigErrors:
         cfg = {**protocol_config(tmp_path, small_dataset(tmp_path)), "thresholds": {"default": None, "charview": 0.5}}
         assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
         assert capsys.readouterr().err == "reproduce: ensemble: no threshold configured for model wordview\n"
-        assert calls == [] and list((tmp_path / "out").iterdir()) == []
+        assert calls == [] and not (tmp_path / "out").exists()
 
     def test_threshold_needed_even_for_a_model_the_screen_drops(self, tmp_path, capsys, monkeypatch):
         # The screen runs after training, so the check cannot spare the models it will drop.
@@ -843,7 +842,7 @@ class TestReproduceWritesNothingOnConfigErrors:
         cfg["output_dir"] = str(tmp_path / "out2")
         assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
         assert capsys.readouterr().err == "reproduce: ensemble: no threshold configured for model stuck\n"
-        assert calls == [] and list((tmp_path / "out2").iterdir()) == []
+        assert calls == [] and not (tmp_path / "out2").exists()
 
     def test_null_default_takes_each_models_threshold(self, tmp_path, capsys):
         d = small_dataset(tmp_path)
@@ -906,7 +905,7 @@ class TestUnwritableIds:
             f"reproduce: model id {model_id!r} cannot be encoded in a decisions file\n"
         )
         assert calls == []
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestReservedModelId:
@@ -936,7 +935,7 @@ class TestReservedModelId:
         assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
         assert capsys.readouterr().err == f"reproduce: {self.RESERVED}\n"
         assert calls == []
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_evaluate_writes_no_report(self, tmp_path, capsys):
         decisions = tmp_path / "decisions.tsv"
@@ -949,6 +948,80 @@ class TestReservedModelId:
         assert run("evaluate", "--decisions", decisions, "--gold", small_dataset(tmp_path), "--report", report) == 1
         assert capsys.readouterr().err == f"evaluate: {decisions}: model id 'ensemble' is reserved at line 2\n"
         assert not report.exists()
+
+
+class TestPlusInModelId:
+    """The report keys a voter subset by its model ids joined with `+`, so {`a+b`} and {`a`, `b`} would share a key."""
+
+    PLUS = "model id 'a+b' holds '+', which joins a voter subset's ids in the report"
+
+    def test_ensemble_writes_no_decisions(self, tmp_path, capsys):
+        preds = tmp_path / "p.tsv"
+        preds.write_text(
+            "model_id\trun_id\ttweet_id\tprob\n"
+            + "".join(f"{m}\tr1\tt{i}\t0.{i}\n" for m in ("a", "b", "a+b") for i in range(4)),
+            encoding="utf-8",
+        )
+        out = tmp_path / "d.tsv"
+        assert run("ensemble", "--pred", preds, "--expect-runs", "1", "--output", out) == 1
+        assert capsys.readouterr().err == f"ensemble: {self.PLUS}\n"
+        assert not out.exists()
+
+    def test_reproduce_protocol_mode_before_hashing(self, tmp_path, capsys, monkeypatch):
+        from adrpipe import baseline
+
+        calls = []
+        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        cfg = protocol_config(tmp_path, small_dataset(tmp_path))
+        cfg["protocol"]["specs"][1]["model_id"] = "a+b"
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr().err == f"reproduce: {self.PLUS}\n"
+        assert calls == [] and not (tmp_path / "out").exists()
+
+    def test_reproduce_predictions_mode_before_output_dir(self, tmp_path, capsys):
+        d = small_dataset(tmp_path)
+        preds = tmp_path / "p.tsv"
+        preds.write_text(
+            "model_id\trun_id\ttweet_id\tprob\n" + "".join(f"a+b\tr1\tt{i}\t0.5\n" for i in range(20)),
+            encoding="utf-8",
+        )
+        cfg = {"dataset": str(d), "predictions": [str(preds)], "output_dir": str(tmp_path / "out")}
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr().err == f"reproduce: {self.PLUS}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_writes_no_report(self, tmp_path, capsys):
+        decisions = tmp_path / "decisions.tsv"
+        decisions.write_text(
+            "tweet_id\tmodel_probs\tmodel_verdicts\tensemble\n"
+            "t1\ta:0.200000,a+b:0.900000\ta:0,a+b:1\t1\n",
+            encoding="utf-8",
+        )
+        report = tmp_path / "r.json"
+        assert run("evaluate", "--decisions", decisions, "--gold", small_dataset(tmp_path), "--report", report) == 1
+        assert capsys.readouterr().err == f"evaluate: {decisions}: model id 'a+b' holds '+' at line 2\n"
+        assert not report.exists()
+
+
+class TestReproduceCreatesOutputDirAfterItsChecks:
+    """Unknown keys and thresholds for unknown models are covered where those checks are tested."""
+
+    def test_missing_dataset_leaves_no_output_dir(self, tmp_path, capsys):
+        cfg = protocol_config(tmp_path, tmp_path / "absent.tsv")
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 2
+        assert "absent.tsv" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_output_dir_naming_a_file_fails_before_hashing(self, tmp_path, capsys, monkeypatch):
+        from adrpipe import baseline
+
+        calls = []
+        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        (tmp_path / "out").write_text("not a directory\n", encoding="utf-8")
+        cfg = protocol_config(tmp_path, small_dataset(tmp_path))
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 2
+        assert "out" in capsys.readouterr().err
+        assert calls == [] and (tmp_path / "out").read_text(encoding="utf-8") == "not a directory\n"
 
 
 class TestReproduceConfigKeys:
@@ -976,7 +1049,7 @@ class TestReproduceConfigKeys:
         cfg = {**protocol_config(tmp_path, small_dataset(tmp_path)), **change}
         assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
         assert capsys.readouterr() == ("", f"reproduce: config: unknown key {key!r}\n")
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_rejected_in_predictions_mode(self, tmp_path, capsys):
         d = small_dataset(tmp_path)
@@ -984,7 +1057,7 @@ class TestReproduceConfigKeys:
                "output_dir": str(tmp_path / "out"), "split": {"seed": 1, "fraction": 0.5}}
         assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
         assert capsys.readouterr().err == "reproduce: config: unknown key 'split.fraction'\n"
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "stages, shown",
@@ -1003,7 +1076,7 @@ class TestReproduceConfigKeys:
             f"reproduce: preprocess: unknown stages: {shown} "
             "(choose from anonymize, handles, hashtags, lowercase, drugnorm)\n"
         )
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
 
 BASELINE_KEYS = {

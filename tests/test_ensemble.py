@@ -28,7 +28,7 @@ def random_instance(rng, max_tweets=1000, n_models=3):
     return avg, gold
 
 
-MODEL_IDS = st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r,"), min_size=1)
+MODEL_IDS = st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r,+"), min_size=1)
 TWEET_IDS = st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"), min_size=1)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from adrpipe.baseline import BaselineConfig, predict_prob, run_protocol, train
 from adrpipe.corpus import Dataset
-from adrpipe.evaluate import confusion, metrics
+from adrpipe.evaluate import ConfusionCounts, confusion, metrics
 from adrpipe.predictions import (
     HEADER,
     _parse_file,
@@ -19,6 +19,7 @@ from adrpipe.predictions import (
     average_runs,
     filter_runs,
     load_predictions,
+    run_scores,
     write_predictions,
 )
 
@@ -213,6 +214,45 @@ class TestFilterRuns:
         with pytest.raises(ValueError, match="gold labels missing"):
             filter_runs(m, {"other": 1}, min_f1=0.1)
 
+    def test_min_f1_is_checked_before_gold(self):
+        m = matrix_of([("m", "r1", "t1", 0.5)])
+        with pytest.raises(ValueError, match=r"^min F1 must be in \[0, 1\], got 2$"):
+            filter_runs(m, {"other": 1}, min_f1=2)
+
+
+class TestRunScores:
+    def test_counts_each_run_in_key_order(self):
+        m = matrix_of([("b", "r1", "t1", 0.5), ("b", "r1", "t2", 0.4),
+                       ("a", "r2", "t1", 0.1), ("a", "r2", "t2", 0.9)])
+        scores = run_scores(m, {"t1": 1, "t2": 0, "t3": 1})  # a gold label with no prediction is ignored
+        assert list(scores) == [("a", "r2"), ("b", "r1")]
+        assert scores == {
+            ("a", "r2"): ConfusionCounts(tp=0, fp=1, tn=0, fn=1),
+            ("b", "r1"): ConfusionCounts(tp=1, fp=0, tn=1, fn=0),  # 0.5 is at the threshold: positive
+        }
+
+    def test_missing_gold_names_the_sorted_tweets(self):
+        tweets = [f"t{i:02d}" for i in range(12)]
+        m = matrix_of([("m", "r1", t, 0.5) for t in reversed(tweets)])
+        with pytest.raises(ValueError) as e:
+            run_scores(m, {"t05": 1})
+        missing = [t for t in tweets if t != "t05"]
+        assert str(e.value) == f"gold labels missing for tweets: {', '.join(missing[:10])}, ... (1 more)"
+
+
+class TestRunMatrixOrder:
+    """keys and tweet_ids must be strictly increasing, as from_columns lays them out."""
+
+    @pytest.mark.parametrize("keys", [(("b", "r1"), ("a", "r1")), (("a", "r1"), ("a", "r1"))])
+    def test_unsorted_or_repeated_keys_rejected(self, keys):
+        with pytest.raises(ValueError, match="^RunMatrix keys must be strictly increasing$"):
+            RunMatrix(keys, ("t",), ((0.5,), (0.5,)))
+
+    @pytest.mark.parametrize("tweet_ids", [("t2", "t1"), ("t1", "t1")])
+    def test_unsorted_or_repeated_tweet_ids_rejected(self, tweet_ids):
+        with pytest.raises(ValueError, match="^RunMatrix tweet_ids must be strictly increasing$"):
+            RunMatrix((("a", "r1"),), tweet_ids, ((0.5, 0.5),))
+
 
 class TestFromColumns:
     def test_builds_the_same_matrix_as_from_records(self):
@@ -312,6 +352,16 @@ def run_grids(draw, probs=PROBS):
     return rows
 
 
+def per_tweet_confusions(rows, tweet_ids, gold, threshold):
+    """Oracle: each run's confusion counts from a per-tweet verdict dict, through `confusion`."""
+    subset = {t: gold[t] for t in tweet_ids}
+    prob = {r[:3]: r[3] for r in rows}
+    return {
+        (model_id, run_id): confusion({t: int(prob[(model_id, run_id, t)] >= threshold) for t in tweet_ids}, subset)
+        for model_id, run_id in {r[:2] for r in rows}
+    }
+
+
 def bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
@@ -408,22 +458,27 @@ class TestProperties:
     @given(
         rows=run_grids(),
         labels=st.lists(st.integers(0, 1), min_size=8, max_size=8),
+        threshold=st.one_of(st.sampled_from([0.25, 0.5, 0.75]), PROBS),
+    )
+    def test_run_scores_equal_per_tweet_confusion(self, rows, labels, threshold):
+        m = matrix_of(rows)
+        gold = {f"t{i}": y for i, y in enumerate(labels)}
+        scores = run_scores(m, gold, threshold)
+        assert list(scores) == list(m.keys)
+        assert scores == per_tweet_confusions(rows, m.tweet_ids, gold, threshold)
+
+    @HYPOTHESIS
+    @given(
+        rows=run_grids(),
+        labels=st.lists(st.integers(0, 1), min_size=8, max_size=8),
         min_f1=st.floats(min_value=0.0, max_value=1.0),
         threshold=st.sampled_from([0.25, 0.5, 0.75]),
     )
     def test_filter_keeps_exactly_runs_at_or_above_min_f1(self, rows, labels, min_f1, threshold):
         m = matrix_of(rows)
         gold = {f"t{i}": y for i, y in enumerate(labels)}
-        subset = {t: gold[t] for t in m.tweet_ids}
-        prob = {r[:3]: r[3] for r in rows}
-        expected = tuple(
-            (model_id, run_id)
-            for model_id, run_id in m.keys
-            if metrics(
-                confusion({t: int(prob[(model_id, run_id, t)] >= threshold) for t in m.tweet_ids}, subset)
-            ).f1
-            >= min_f1
-        )
+        oracle = per_tweet_confusions(rows, m.tweet_ids, gold, threshold)
+        expected = tuple(key for key in m.keys if metrics(oracle[key]).f1 >= min_f1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             if not expected:
