@@ -471,20 +471,10 @@ def _spec_predictions(train_set: Dataset, eval_set: Dataset, cfg: BaselineConfig
         yield probs
 
 
-def protocol_matrix(
-    train_set: Dataset,
-    eval_set: Dataset,
-    model_specs: Sequence[tuple[str, BaselineConfig]],
-    runs: int,
-) -> RunMatrix:
-    """Train `runs` seeded models per spec and collect their eval-set probabilities.
-
-    Run k of a spec uses seed cfg.seed + k; run ids are r1..rN. Model ids are
-    checked (non-empty, no tab or newline, each given once) before any hashing.
-    Each probability is held as round(p, 6), the float that write_predictions'
-    6-decimal text parses back to, so the matrix equals what load_predictions
-    reads from the file run_protocol writes.
-    """
+def check_protocol(train_set: Dataset, model_specs: Sequence[tuple[str, BaselineConfig]], runs: int) -> None:
+    """What protocol_matrix needs before it hashes: runs >= 1, model ids that
+    are non-empty, free of tab and newline and each given once, and both
+    labels in the training set."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     model_ids = [model_id for model_id, _ in model_specs]
@@ -493,6 +483,23 @@ def protocol_matrix(
     if repeated:
         raise ValueError(f"duplicate model_id in specs: {', '.join(repeated)}")
     _require_both_labels(train_set)
+
+
+def protocol_matrix(
+    train_set: Dataset,
+    eval_set: Dataset,
+    model_specs: Sequence[tuple[str, BaselineConfig]],
+    runs: int,
+) -> RunMatrix:
+    """Train `runs` seeded models per spec and collect their eval-set probabilities.
+
+    Run k of a spec uses seed cfg.seed + k; run ids are r1..rN.
+    `check_protocol` runs before any hashing.
+    Each probability is held as round(p, 6), the float that write_predictions'
+    6-decimal text parses back to, so the matrix equals what load_predictions
+    reads from the file run_protocol writes.
+    """
+    check_protocol(train_set, model_specs, runs)
     tweet_ids = [r.tweet_id for r in eval_set.records]
     columns = {
         (model_id, f"r{k + 1}"): (tweet_ids, probs)

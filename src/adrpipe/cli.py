@@ -456,8 +456,9 @@ def cmd_reproduce(args) -> int:
                 ens_cfg.threshold_for(model_id)
         seeds["specs"] = {m: cfg.seed for m, cfg in specs}
         runs = _config(proto, "runs", int, 5)
-        out_dir.mkdir(parents=True, exist_ok=True)  # every config check has passed; nothing is hashed yet
         with _stage("baseline"):
+            baseline.check_protocol(train_set, specs, runs)
+            out_dir.mkdir(parents=True, exist_ok=True)  # every check has passed; nothing is hashed yet
             matrix = written = baseline.protocol_matrix(train_set, dev_set, specs, runs)
         outputs["predictions"] = out_dir / "predictions.tsv"
         gold = dev_set.labels()
@@ -545,7 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="validate prediction files")
     add_pred_args(p)
-    p.add_argument("--check", action="store_true", help="validate only (default behavior)")
+    p.add_argument("--check", action="store_true",
+                   help="changes nothing: ingest always validates, and writes only with --output")
     p.add_argument("--output", help="write the merged, validated predictions here")
     p.set_defaults(func=cmd_ingest)
 

@@ -62,11 +62,24 @@ class EnsembleDecision:
     ensemble_verdict: int
 
 
+class RowError(ValueError):
+    """A `Decisions` rule broken; `row` is the first row of the table that breaks one."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 @dataclass(frozen=True)
 class Decisions:
     """Every ensemble decision as columns: probs and verdicts map each model id,
     in sorted order, to one value per tweet, so every row names the same
-    models. Indexing or iterating builds `EnsembleDecision` rows on demand."""
+    models. Indexing or iterating builds `EnsembleDecision` rows on demand.
+
+    A table is valid by construction: the constructor holds every rule of the
+    decisions file and its report, so the rules hold for the table as built.
+    The first row that breaks one raises `RowError`; a bad model id counts
+    as row 0's fault."""
 
     tweet_ids: list[str]
     probs: dict[str, list[float]]
@@ -79,6 +92,28 @@ class Decisions:
             raise ValueError(f"probs and verdicts must name the same sorted models: {models}, {list(self.verdicts)}")
         if any(len(c) != n for c in (self.ensemble, *self.probs.values(), *self.verdicts.values())):
             raise ValueError(f"every decision column must hold one value for each of {n} tweets")
+        if n and not models:
+            raise ValueError(f"a decisions table with {n} tweets must name at least one model")
+        try:
+            check_model_ids(models)
+        except ValueError as e:
+            raise RowError(str(e), 0) from None
+        seen: set[str] = set()
+        rows = zip(self.tweet_ids, self.ensemble, zip(*self.verdicts.values()), zip(*self.probs.values()))
+        for row, (tweet_id, ens, verdicts, probs) in enumerate(rows):
+            if not tweet_id or "\t" in tweet_id or "\n" in tweet_id or "\r" in tweet_id:
+                raise RowError(f"tweet_id {tweet_id!r} cannot be encoded in a decisions file", row)
+            if tweet_id in seen:
+                raise RowError(f"duplicate tweet_id {tweet_id!r}", row)
+            seen.add(tweet_id)
+            # True and 1.0 equal 1, but the file would hold "True" and "1.0".
+            if not all(type(v) is int and 0 <= v <= 1 for v in (ens, *verdicts)):
+                raise RowError("verdicts must be 0 or 1", row)
+            for m, p in zip(models, probs):
+                if not 0.0 <= p <= 1.0:
+                    raise RowError(f"probability out of range for model {m!r}", row)
+            if ens != any(verdicts):
+                raise RowError(f"ensemble verdict {ens} is not the OR of the member verdicts", row)
 
     def __len__(self) -> int:
         return len(self.tweet_ids)
@@ -129,39 +164,10 @@ def check_model_ids(model_ids: Iterable[str]) -> None:
 def write_decisions(decisions: Decisions, path: str | Path) -> None:
     """Write decisions as ``tweet_id<TAB>model:prob,...<TAB>model:verdict,...<TAB>ensemble``.
 
-    A table whose file `read_decisions` would reject is refused before any
-    file is opened. The file is streamed in chunks of at most 4,096 lines,
-    each formatted as it is written.
+    Every table is valid by construction, so its file reads back. The file is
+    streamed in chunks of at most 4,096 lines, each formatted as it is written.
     """
-    _check_table(decisions)
     atomic_write(path, chunked(_decision_lines(decisions)))
-
-
-def _check_table(d: Decisions) -> None:
-    """Refuse what `read_decisions` rejects: a table with tweets but no models, a
-    tweet id that is empty, repeated or holds a tab or line break, a bad
-    model id, a verdict or ensemble value other than the int 0 or 1, an
-    ensemble value that is not the OR of the member verdicts, or a
-    probability outside [0, 1] (NaN included)."""
-    check_model_ids(d.probs)
-    if d.tweet_ids and not d.probs:
-        raise ValueError(f"a decisions table with {len(d)} tweets must name at least one model")
-    seen: set[str] = set()
-    for tweet_id in d.tweet_ids:
-        if not tweet_id or "\t" in tweet_id or "\n" in tweet_id or "\r" in tweet_id:
-            raise ValueError(f"tweet_id {tweet_id!r} cannot be encoded in a decisions file")
-        if tweet_id in seen:
-            raise ValueError(f"duplicate tweet_id {tweet_id!r}")
-        seen.add(tweet_id)
-    for column in (*d.verdicts.values(), d.ensemble):
-        # True and 1.0 equal 1, but the file would hold "True" and "1.0".
-        if not ({0, 1}.issuperset(column) and set(map(type, column)) <= {int}):
-            raise ValueError("verdicts must be 0 or 1")
-    if d.ensemble != [int(any(row)) for row in zip(*d.verdicts.values())]:
-        raise ValueError("ensemble verdicts must be the OR of the member verdicts")
-    for m, column in d.probs.items():
-        if not all(0.0 <= p <= 1.0 for p in column):
-            raise ValueError(f"probability out of range for model {m!r}")
 
 
 def _decision_lines(d: Decisions) -> Iterator[str]:
@@ -175,18 +181,16 @@ def _decision_lines(d: Decisions) -> Iterator[str]:
 def read_decisions(path: str | Path) -> Decisions:
     """Parse a decisions file; the header line is optional.
 
-    Every line must be consistent with itself and with the first line: a
-    non-empty tweet_id not seen before, each non-empty model id other than
-    `ensemble` and free of `+` named once in both model_probs and
-    model_verdicts, the same models as the first line, probabilities in
-    [0, 1], 0/1 verdicts, and an ensemble verdict equal to the OR of the
-    member verdicts. Each value goes straight to its column. Errors name the
-    file and the line.
+    Each line names every model once in both model_probs and model_verdicts,
+    and the same models as the first line; each value goes straight to its
+    column, and `Decisions` checks the rest. Errors name the file and the line:
+    a malformed line or model list where it is met, otherwise the first row
+    that breaks a rule.
     """
     tweet_ids, ensemble = [], []
+    shifts = [(0, 0)]  # (row, line - row) from each row where a skipped header or blank line shifts the count
     prob_columns: dict[str, list[float]] = {}
     verdict_columns: dict[str, list[int]] = {}
-    seen: set[str] = set()
     first: tuple[int, list[str]] | None = None  # line number and sorted models of the first decision
     for lineno, (tweet_id, prob_text, verdict_text, ens_text) in read_rows(path, 4, DECISIONS_HEADER):
         try:
@@ -196,15 +200,6 @@ def read_decisions(path: str | Path) -> Decisions:
         except ValueError:
             raise ValueError(f"{path}: malformed decision at line {lineno}") from None
         probs, verdicts = dict(prob_pairs), dict(verdict_pairs)
-        if not tweet_id:
-            raise ValueError(f"{path}: tweet_id must be non-empty at line {lineno}")
-        if tweet_id in seen:
-            raise ValueError(f"{path}: duplicate tweet_id {tweet_id!r} at line {lineno}")
-        seen.add(tweet_id)
-        if ens not in (0, 1) or any(v not in (0, 1) for v in verdicts.values()):
-            raise ValueError(f"{path}: verdicts must be 0 or 1 at line {lineno}")
-        if not all(0.0 <= p <= 1.0 for p in probs.values()):
-            raise ValueError(f"{path}: probability out of range at line {lineno}")
         models = sorted(probs)
         if len(probs) != len(prob_pairs) or sorted(k for k, _ in verdict_pairs) != models:
             raise ValueError(
@@ -212,24 +207,19 @@ def read_decisions(path: str | Path) -> Decisions:
                 f"each once, at line {lineno}"
             )
         if first is None:
-            if "" in probs:
-                raise ValueError(f"{path}: model id must be non-empty at line {lineno}")
-            if RESERVED_MODEL_ID in probs:
-                raise ValueError(f"{path}: model id {RESERVED_MODEL_ID!r} is reserved at line {lineno}")
-            for m in models:
-                if "+" in m:
-                    raise ValueError(f"{path}: model id {m!r} holds '+' at line {lineno}")
             first = (lineno, models)
             prob_columns, verdict_columns = {m: [] for m in models}, {m: [] for m in models}
         elif models != first[1]:
             raise ValueError(f"{path}: models differ from those at line {first[0]} at line {lineno}")
-        if ens != int(any(verdicts.values())):
-            raise ValueError(
-                f"{path}: ensemble verdict {ens} is not the OR of the member verdicts at line {lineno}"
-            )
+        if lineno - len(tweet_ids) != shifts[-1][1]:
+            shifts.append((len(tweet_ids), lineno - len(tweet_ids)))
         tweet_ids.append(tweet_id)
         ensemble.append(ens)
         for m in models:
             prob_columns[m].append(probs[m])
             verdict_columns[m].append(verdicts[m])
-    return Decisions(tweet_ids, prob_columns, verdict_columns, ensemble)
+    try:
+        return Decisions(tweet_ids, prob_columns, verdict_columns, ensemble)
+    except RowError as e:
+        shift = max(s for row, s in shifts if row <= e.row)  # shifts only grow
+        raise ValueError(f"{path}: {e} at line {e.row + shift}") from None

@@ -946,7 +946,7 @@ class TestReservedModelId:
         )
         report = tmp_path / "r.tsv"
         assert run("evaluate", "--decisions", decisions, "--gold", small_dataset(tmp_path), "--report", report) == 1
-        assert capsys.readouterr().err == f"evaluate: {decisions}: model id 'ensemble' is reserved at line 2\n"
+        assert capsys.readouterr().err == f"evaluate: {decisions}: {self.RESERVED} at line 2\n"
         assert not report.exists()
 
 
@@ -999,7 +999,7 @@ class TestPlusInModelId:
         )
         report = tmp_path / "r.json"
         assert run("evaluate", "--decisions", decisions, "--gold", small_dataset(tmp_path), "--report", report) == 1
-        assert capsys.readouterr().err == f"evaluate: {decisions}: model id 'a+b' holds '+' at line 2\n"
+        assert capsys.readouterr().err == f"evaluate: {decisions}: {self.PLUS} at line 2\n"
         assert not report.exists()
 
 
@@ -1022,6 +1022,32 @@ class TestReproduceCreatesOutputDirAfterItsChecks:
         assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 2
         assert "out" in capsys.readouterr().err
         assert calls == [] and (tmp_path / "out").read_text(encoding="utf-8") == "not a directory\n"
+
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"protocol": {"runs": 0, "specs": [{"model_id": "m"}]}}, "runs must be >= 1"),
+            ({"protocol": {"runs": 1, "specs": [{"model_id": "m"}, {"model_id": "m"}]}},
+             "duplicate model_id in specs: m"),
+            ({"dataset": "all-negative"}, "training data must contain both labels"),
+        ],
+        ids=["no-runs", "repeated-model-id", "one-label"],
+    )
+    def test_protocol_matrix_checks_leave_no_output_dir(self, tmp_path, capsys, monkeypatch, change, message):
+        # protocol_matrix's own checks run before the directory is made, through the same function.
+        from adrpipe import baseline
+
+        calls = []
+        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        negative = tmp_path / "negative.tsv"
+        negative.write_text("".join(f"t{i}\t0\tsunny park walk {i}\n" for i in range(20)), encoding="utf-8")
+        cfg = {**protocol_config(tmp_path, small_dataset(tmp_path)), **change}
+        if cfg["dataset"] == "all-negative":
+            cfg["dataset"] = str(negative)
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
+        assert capsys.readouterr() == ("", f"reproduce: baseline: {message}\n")
+        assert calls == [] and not (tmp_path / "out").exists()
 
 
 class TestReproduceConfigKeys:

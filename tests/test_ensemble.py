@@ -46,6 +46,35 @@ def run_columns(draw):
     return columns
 
 
+@st.composite
+def tables_with_one_fault_or_none(draw):
+    """A decisions table's columns, some with one injected fault, and the row that breaks a rule
+    (None if none does): a verdict of 2, a NaN probability, a repeated tweet id, an ensemble
+    value that is not the OR of its row, or the reserved model id `ensemble` (charged to row 0)."""
+    models = sorted(draw(st.lists(MODEL_IDS.filter(lambda m: m != "ensemble"), min_size=1, max_size=3, unique=True)))
+    tweet_ids = draw(st.lists(TWEET_IDS, min_size=1, max_size=6, unique=True))
+    probs = {m: [draw(st.integers(0, 10**6)) / 10**6 for _ in tweet_ids] for m in models}  # exact in 6 decimals
+    verdicts = {m: [draw(st.integers(0, 1)) for _ in tweet_ids] for m in models}
+    ensemble = [int(any(row)) for row in zip(*verdicts.values())]
+    fault = draw(st.sampled_from(["none", "verdict", "nan", "duplicate", "or", "reserved"]))
+    row, model = draw(st.integers(0, len(tweet_ids) - 1)), draw(st.sampled_from(models))
+    if fault == "verdict":
+        verdicts[model][row] = 2
+    elif fault == "nan":
+        probs[model][row] = float("nan")
+    elif fault == "duplicate" and row > 0:
+        tweet_ids[row] = tweet_ids[draw(st.integers(0, row - 1))]
+    elif fault == "or":
+        ensemble[row] = 1 - ensemble[row]
+    elif fault == "reserved":
+        probs["ensemble"], verdicts["ensemble"] = [0.5] * len(tweet_ids), [0] * len(tweet_ids)
+        probs, verdicts = ({m: c[m] for m in sorted(c)} for c in (probs, verdicts))  # columns stay sorted
+        row = 0
+    else:
+        row = None
+    return tweet_ids, probs, verdicts, ensemble, row
+
+
 def decide_by_rows(columns, cfg):
     """One EnsembleDecision per tweet, built row by row with dicts, each model's probability
     the mean of its runs added in run_id order: the oracle of decide's per-tweet view."""
@@ -262,50 +291,49 @@ class TestDecisionsFile:
         assert d.per_model_prob == {"m": 0.75}
         assert d.ensemble_verdict == 1
 
-    def test_unencodable_model_id_rejected(self, tmp_path):
-        avg = {"a,b": {"t1": 0.9}}
-        decisions = decide(one_run_matrix(avg), EnsembleConfig())
+    def test_unencodable_model_id_rejected(self):
+        # decide builds no table that write_decisions could not write.
         with pytest.raises(ValueError, match="cannot be encoded"):
-            write_decisions(decisions, tmp_path / "d.tsv")
+            decide(one_run_matrix({"a,b": {"t1": 0.9}}), EnsembleConfig())
 
     @pytest.mark.parametrize("bad", ["a,b", "a\tb", "a\nb", "a\rb"])
     def test_unencodable_model_id_leaves_no_file(self, tmp_path, bad):
-        # Checked once for the whole table, before anything is written.
-        decisions = Decisions(["t1", "t2"], {bad: [0.5, 0.5], "m": [0.5, 0.5]}, {bad: [1, 1], "m": [1, 1]}, [1, 1])
+        # The constructor refuses the table, so there is nothing to write.
         with pytest.raises(ValueError) as e:
-            write_decisions(decisions, tmp_path / "d.tsv")
+            columns = {bad: [0.5, 0.5], "m": [0.5, 0.5]}, {bad: [1, 1], "m": [1, 1]}
+            write_decisions(Decisions(["t1", "t2"], *columns, [1, 1]), tmp_path / "d.tsv")
         assert str(e.value) == f"model id {bad!r} cannot be encoded in a decisions file"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "table, message",
+        "fields, message",
         [
-            (Decisions(["t1"], {}, {}, [0]), "a decisions table with 1 tweets must name at least one model"),
-            (Decisions(["t1"], {"a": [0.9]}, {"a": [1]}, [0]),
-             "ensemble verdicts must be the OR of the member verdicts"),
-            (Decisions(["t1", "t1"], {"a": [0.9, 0.9]}, {"a": [1, 1]}, [1, 1]), "duplicate tweet_id 't1'"),
-            (Decisions([""], {"a": [0.9]}, {"a": [1]}, [1]), "tweet_id '' cannot be encoded in a decisions file"),
-            (Decisions(["t\t1"], {"a": [0.9]}, {"a": [1]}, [1]),
+            ((["t1"], {}, {}, [0]), "a decisions table with 1 tweets must name at least one model"),
+            ((["t1"], {"a": [0.9]}, {"a": [1]}, [0]), "ensemble verdict 0 is not the OR of the member verdicts"),
+            ((["t1", "t1"], {"a": [0.9, 0.9]}, {"a": [1, 1]}, [1, 1]), "duplicate tweet_id 't1'"),
+            (([""], {"a": [0.9]}, {"a": [1]}, [1]), "tweet_id '' cannot be encoded in a decisions file"),
+            ((["t\t1"], {"a": [0.9]}, {"a": [1]}, [1]),
              "tweet_id 't\\t1' cannot be encoded in a decisions file"),
-            (Decisions(["t\r1"], {"a": [0.9]}, {"a": [1]}, [1]),
+            ((["t\r1"], {"a": [0.9]}, {"a": [1]}, [1]),
              "tweet_id 't\\r1' cannot be encoded in a decisions file"),
-            (Decisions(["t1"], {"": [0.9]}, {"": [1]}, [1]), "model id '' cannot be encoded in a decisions file"),
-            (Decisions(["t1"], {"ensemble": [0.9]}, {"ensemble": [1]}, [1]),
+            ((["t1"], {"": [0.9]}, {"": [1]}, [1]), "model id '' cannot be encoded in a decisions file"),
+            ((["t1"], {"ensemble": [0.9]}, {"ensemble": [1]}, [1]),
              "model id 'ensemble' is reserved for the ensemble's row in the report"),
-            (Decisions(["t1"], {"a": [0.9]}, {"a": [2]}, [1]), "verdicts must be 0 or 1"),
-            (Decisions(["t1"], {"a": [0.9]}, {"a": [True]}, [1]), "verdicts must be 0 or 1"),
-            (Decisions(["t1"], {"a": [0.9]}, {"a": [1]}, [1.0]), "verdicts must be 0 or 1"),
-            (Decisions(["t1"], {"a": [float("nan")]}, {"a": [0]}, [0]), "probability out of range for model 'a'"),
-            (Decisions(["t1"], {"a": [1.5]}, {"a": [1]}, [1]), "probability out of range for model 'a'"),
-            (Decisions(["t1"], {"a": [-0.1]}, {"a": [0]}, [0]), "probability out of range for model 'a'"),
+            ((["t1"], {"a": [0.9]}, {"a": [2]}, [1]), "verdicts must be 0 or 1"),
+            ((["t1"], {"a": [0.9]}, {"a": [True]}, [1]), "verdicts must be 0 or 1"),
+            ((["t1"], {"a": [0.9]}, {"a": [1]}, [1.0]), "verdicts must be 0 or 1"),
+            ((["t1"], {"a": [float("nan")]}, {"a": [0]}, [0]), "probability out of range for model 'a'"),
+            ((["t1"], {"a": [1.5]}, {"a": [1]}, [1]), "probability out of range for model 'a'"),
+            ((["t1"], {"a": [-0.1]}, {"a": [0]}, [0]), "probability out of range for model 'a'"),
         ],
         ids=["tweets-without-models", "ensemble-not-the-or", "repeated-tweet-id", "empty-tweet-id", "tab-in-tweet-id", "cr-in-tweet-id",
              "empty-model-id", "reserved-model-id", "verdict-2", "verdict-true", "ensemble-float",
              "nan-prob", "prob-above-1", "negative-prob"],
     )
-    def test_table_the_reader_would_reject_leaves_no_file(self, tmp_path, table, message):
+    def test_table_the_reader_would_reject_leaves_no_file(self, tmp_path, fields, message):
+        # The constructor refuses the table, so there is nothing to write.
         with pytest.raises(ValueError) as e:
-            write_decisions(table, tmp_path / "d.tsv")
+            write_decisions(Decisions(*fields), tmp_path / "d.tsv")
         assert str(e.value) == message
         assert list(tmp_path.iterdir()) == []
 
@@ -360,9 +388,9 @@ class TestDecisionsFileRejects:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("t2\ta:nan,b:0.1\ta:0,b:0\t0", "probability out of range at line 3"),
-            ("t2\ta:1.5,b:0.1\ta:1,b:0\t1", "probability out of range at line 3"),
-            ("t2\ta:-0.1,b:0.1\ta:0,b:0\t0", "probability out of range at line 3"),
+            ("t2\ta:nan,b:0.1\ta:0,b:0\t0", "probability out of range for model 'a' at line 3"),
+            ("t2\ta:1.5,b:0.1\ta:1,b:0\t1", "probability out of range for model 'a' at line 3"),
+            ("t2\ta:-0.1,b:0.1\ta:0,b:0\t0", "probability out of range for model 'a' at line 3"),
             ("t2\ta:0.9,b:0.1\ta:1,b:0\t0", "ensemble verdict 0 is not the OR of the member verdicts at line 3"),
             ("t2\ta:0.1,b:0.1\ta:0,b:0\t1", "ensemble verdict 1 is not the OR of the member verdicts at line 3"),
             ("t2\ta:0.1,b:0.1\ta:0,c:0\t0",
@@ -389,7 +417,7 @@ class TestDecisionsFileRejects:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("\ta:0.2,b:0.1\ta:0,b:0\t0", "tweet_id must be non-empty at line 3"),
+            ("\ta:0.2,b:0.1\ta:0,b:0\t0", "tweet_id '' cannot be encoded in a decisions file at line 3"),
             ("t2\t:0.7\t:1\t1", "models differ from those at line 2 at line 3"),
         ],
         ids=["empty-tweet-id", "empty-model-id-on-a-later-line"],
@@ -407,7 +435,7 @@ class TestDecisionsFileRejects:
         p.write_text(f"{HEADER_LINE}t1\t{models}\t1\n", encoding="utf-8")
         with pytest.raises(ValueError) as e:
             read_decisions(p)
-        assert str(e.value) == f"{p}: model id must be non-empty at line 2"
+        assert str(e.value) == f"{p}: model id '' cannot be encoded in a decisions file at line 2"
 
     @pytest.mark.parametrize("models", ["ensemble:0.7\tensemble:1", "a:0.7,ensemble:0.1\ta:1,ensemble:0"],
                              ids=["only-model", "one-of-two"])
@@ -416,7 +444,63 @@ class TestDecisionsFileRejects:
         p.write_text(f"{HEADER_LINE}t1\t{models}\t1\n", encoding="utf-8")
         with pytest.raises(ValueError) as e:
             read_decisions(p)
-        assert str(e.value) == f"{p}: model id 'ensemble' is reserved at line 2"
+        assert str(e.value) == f"{p}: model id 'ensemble' is reserved for the ensemble's row in the report at line 2"
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=tables_with_one_fault_or_none(), header=st.booleans(), blanks=st.lists(st.booleans(), min_size=6, max_size=6))
+    def test_reader_rejects_exactly_what_the_constructor_rejects(self, tmp_path, table, header, blanks):
+        # Lines written by hand, since write_decisions takes only a table the constructor built.
+        tweet_ids, probs, verdicts, ensemble, faulty_row = table
+        lines, line_of_row = [HEADER_LINE] if header else [], []
+        for i, tweet_id in enumerate(tweet_ids):
+            if blanks[i]:
+                lines.append("\n")
+            line_of_row.append(len(lines) + 1)
+            prob_text = ",".join(f"{m}:{column[i]:.6f}" for m, column in probs.items())
+            verdict_text = ",".join(f"{m}:{column[i]}" for m, column in verdicts.items())
+            lines.append(f"{tweet_id}\t{prob_text}\t{verdict_text}\t{ensemble[i]}\n")
+        p = tmp_path / "d.tsv"
+        p.write_text("".join(lines), encoding="utf-8")
+        try:
+            expected = Decisions(tweet_ids, probs, verdicts, ensemble)
+        except ValueError as built:
+            assert faulty_row is not None
+            with pytest.raises(ValueError) as read:
+                read_decisions(p)
+            assert str(read.value) == f"{p}: {built} at line {line_of_row[faulty_row]}"
+        else:
+            assert faulty_row is None
+            assert read_decisions(p) == expected
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ([GOOD_LINE, "t2\ta:0.9,b:0.1\ta:1,b:0\t0\n", "t3\tnope\tnope\t0\n"], "malformed decision at line 4"),
+            (["t1\tensemble:0.9\tensemble:1\t1\n", "t2\ta:0.1\ta:0\t0\n"],
+             "models differ from those at line 2 at line 3"),
+            ([GOOD_LINE, "t2\ta:0.9,b:0.1\ta:1,b:0\t0\n", "t3\ta:0.1,a:0.2\ta:0,a:0\t0\n"],
+             "model_probs and model_verdicts must name the same models, each once, at line 4"),
+            ([GOOD_LINE, "t1\ta:0.1,b:0.1\ta:0,b:0\t0\n", "t3\ta:nan,b:0.1\ta:0,b:0\t0\n"],
+             "duplicate tweet_id 't1' at line 3"),
+            ([GOOD_LINE, "t3\ta:nan,b:0.1\ta:0,b:0\t0\n", "t1\ta:0.1,b:0.1\ta:0,b:0\t0\n"],
+             "probability out of range for model 'a' at line 3"),
+        ],
+        ids=["malformed-after-faulty-row", "models-differ-after-reserved-id", "repeated-model-after-faulty-row",
+             "duplicate-before-nan", "nan-before-duplicate"],
+    )
+    def test_line_faults_first_as_met_then_the_earliest_faulty_row(self, tmp_path, lines, message):
+        p = tmp_path / "d.tsv"
+        p.write_text(HEADER_LINE + "".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError) as e:
+            read_decisions(p)
+        assert str(e.value) == f"{p}: {message}"
+
+    def test_faulty_row_named_past_blank_lines_without_a_header(self, tmp_path):
+        p = tmp_path / "d.tsv"
+        p.write_text("\n\n" + GOOD_LINE + "\n" + "t1\ta:0.1,b:0.1\ta:0,b:0\t0\n", encoding="utf-8")
+        with pytest.raises(ValueError) as e:
+            read_decisions(p)
+        assert str(e.value) == f"{p}: duplicate tweet_id 't1' at line 5"
 
     def test_consistent_file_accepted(self, tmp_path):
         p = tmp_path / "d.tsv"
