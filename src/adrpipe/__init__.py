@@ -1,20 +1,15 @@
 """adrpipe: preprocessing, subword analysis, prediction ensembling, and
 recall-oriented evaluation for adverse-drug-reaction tweet classification.
 
-The baseline names are imported on first use (PEP 562), so every other
-module, the prediction path included, loads without numpy.
+Every exported name but the preprocessing ones is imported on first use (PEP
+562), so a command loads only the modules it runs, and every module but the
+baseline loads without numpy. The preprocessing names load eagerly: the CLI
+parser reads `STAGES` anyway, and importing the `preprocess` submodule later
+would rebind `adrpipe.preprocess` from the function to the module.
 """
 
 import importlib
 
-from .corpus import (
-    Dataset,
-    LabeledTweet,
-    duplicate_positives,
-    load_dataset,
-    save_dataset,
-    stratified_split,
-)
 from .preprocess import (
     DrugLexicon,
     PipelineConfig,
@@ -25,42 +20,46 @@ from .preprocess import (
     remove_hashtags,
     replace_handles,
 )
-from .tokenize import (
-    SubwordVocab,
-    TokenizationReport,
-    corpus_token_stats,
-    load_vocab,
-    overlap_report,
-    wordpiece_tokenize,
-)
-from .predictions import (
-    RunMatrix,
-    average_runs,
-    filter_runs,
-    load_predictions,
-    write_predictions,
-)
-from .ensemble import EnsembleConfig, EnsembleDecision, decide, single_model_decide
-from .evaluate import (
-    AttributionBreakdown,
-    ConfusionCounts,
-    Metrics,
-    VariabilityReport,
-    attribution,
-    confusion,
-    metrics,
-    variability,
-)
-from .synthetic import make_synthetic_dataset
 
 __version__ = "0.1.0"
 
-# Exported name -> the numpy-backed module that defines it.
-_LAZY = dict.fromkeys(
-    ("BaselineConfig", "BaselineModel", "load_model", "predict_prob", "run_protocol",
-     "save_model", "train"),
-    "baseline",
-)
+# Exported name -> the submodule that defines it.
+_LAZY = {
+    **dict.fromkeys(
+        ("Dataset", "LabeledTweet", "duplicate_positives", "load_dataset", "save_dataset",
+         "stratified_split"),
+        "corpus",
+    ),
+    **dict.fromkeys(
+        ("SubwordVocab", "TokenizationReport", "corpus_token_stats", "load_vocab", "overlap_report",
+         "wordpiece_tokenize"),
+        "tokenize",
+    ),
+    **dict.fromkeys(
+        ("RunMatrix", "average_runs", "filter_runs", "load_predictions", "write_predictions"),
+        "predictions",
+    ),
+    **dict.fromkeys(("EnsembleConfig", "EnsembleDecision", "decide", "single_model_decide"), "ensemble"),
+    **dict.fromkeys(
+        ("AttributionBreakdown", "ConfusionCounts", "Metrics", "VariabilityReport", "attribution",
+         "confusion", "metrics", "variability"),
+        "evaluate",
+    ),
+    "make_synthetic_dataset": "synthetic",
+    **dict.fromkeys(
+        ("BaselineConfig", "BaselineModel", "load_model", "predict_prob", "run_protocol", "save_model",
+         "train"),
+        "baseline",
+    ),
+}
+
+# What `from adrpipe import *` binds: every export but the numpy-backed ones,
+# as when all the others were imported eagerly.
+__all__ = [
+    "DrugLexicon", "PipelineConfig", "anonymize", "drug_normalize", "load_lexicon", "preprocess",
+    "remove_hashtags", "replace_handles",
+    *(name for name, module in _LAZY.items() if module != "baseline"),
+]
 
 
 def __getattr__(name):

@@ -8,10 +8,12 @@ are written atomically (temp + rename), so a failing command never leaves a
 partial file behind. Every report embeds a run manifest (inputs, outputs,
 config echo, seeds, tool version, timestamp) sufficient to rerun it.
 
-Only the baseline classifier uses numpy. It is imported inside the commands
-that train or score with it (`baseline`, and `reproduce` in protocol mode),
-so every other command, ingest and ensemble included, runs without loading
-numpy.
+Each command imports only the modules it runs: the stage modules are
+imported inside the commands that use them, and only `corpus` and
+`preprocess`, which the parser and most commands need, load with this module.
+So `preprocess` and `tokens` never load the prediction, ensemble or
+evaluation code, and only the commands that train or score with the baseline
+classifier (`baseline`, and `reproduce` in protocol mode) load numpy.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import __version__, corpus, ensemble, evaluate, predictions, tokenize
+from . import __version__, corpus
 from ._io import atomic_write, read_rows, truncate_ids
 from .preprocess import STAGES, PipelineConfig, load_lexicon
 from .preprocess import preprocess as apply_pipeline
 
 if TYPE_CHECKING:
-    from . import baseline
+    from . import baseline, ensemble, evaluate, predictions
 
 PROG = "adrpipe"
 
@@ -144,6 +146,8 @@ def _specs_from_config(doc: dict) -> list[tuple[str, baseline.BaselineConfig]]:
 
 
 def _threshold_config(pairs: list[str], default: float | None) -> ensemble.EnsembleConfig:
+    from . import ensemble
+
     thresholds = {}
     for pair in pairs or []:
         if "=" not in pair:
@@ -157,6 +161,8 @@ def _threshold_config(pairs: list[str], default: float | None) -> ensemble.Ensem
 
 
 def _metric_row(c: evaluate.ConfusionCounts) -> dict:
+    from . import evaluate
+
     m = evaluate.metrics(c)
     return {
         "tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn,
@@ -191,6 +197,8 @@ def _report_to_tsv(report: dict) -> str:
 
 def _report(decisions: ensemble.Decisions, gold, manifest: dict, thresholds: dict[str, float], path: str | Path) -> None:
     """Score the decisions against gold, write the .json or .tsv report to `path`, print both tables."""
+    from . import evaluate
+
     ab = evaluate.attribution(decisions, gold)  # checks that the decisions cover gold's tweets
     labels = [gold[t] for t in decisions.tweet_ids]
     ensemble_counts = evaluate.count_cells(decisions.ensemble, labels)
@@ -230,6 +238,8 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_tokens(args) -> int:
+    from . import tokenize
+
     vocab = tokenize.load_vocab(args.vocab)
     if args.compare:
         word_a, word_b = args.compare
@@ -253,6 +263,8 @@ def cmd_tokens(args) -> int:
 
 def _load_matrix(args, ens_cfg: ensemble.EnsembleConfig | None = None) -> predictions.RunMatrix:
     """The --pred files' matrix, after --min-dev-f1's screen; ens_cfg's thresholds are checked before it."""
+    from . import predictions
+
     expected = None if args.expect_runs == 0 else args.expect_runs
     matrix = predictions.load_predictions(args.pred, expected_runs=expected)
     if ens_cfg is not None:
@@ -266,6 +278,8 @@ def _load_matrix(args, ens_cfg: ensemble.EnsembleConfig | None = None) -> predic
 
 
 def cmd_ingest(args) -> int:
+    from . import predictions
+
     matrix = _load_matrix(args)
     print(f"models: {len(matrix.models)}, tweets: {len(matrix.tweet_ids)}")
     for model_id, runs in matrix.runs_per_model.items():
@@ -277,6 +291,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
+    from . import ensemble
+
     cfg = _threshold_config(args.threshold, None if args.no_default else args.default_threshold)
     matrix = _load_matrix(args, cfg)
     decisions = ensemble.decide(matrix, cfg)
@@ -286,6 +302,8 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import ensemble
+
     if not args.report.endswith((".json", ".tsv")):
         raise ValueError(f"--report must end in .json or .tsv, got {args.report!r}")
     decisions = ensemble.read_decisions(args.decisions)
@@ -303,6 +321,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_variability(args) -> int:
+    from . import evaluate
+
     runs_by_scenario: dict[str, dict[str, evaluate.Metrics]] = {}  # in first-seen order
     for lineno, (scenario, run_id, f1_text, recall_text) in read_rows(
         args.metrics, 4, "scenario\trun_id\tf1\trecall", header_required=True
@@ -358,7 +378,7 @@ _BASELINE_KEYS = {
 
 
 def cmd_baseline(args) -> int:
-    from . import baseline
+    from . import baseline, predictions
 
     doc = _load_json(args.config)
     required, optional = _BASELINE_KEYS[args.action]
@@ -404,6 +424,8 @@ _REPRODUCE_KEYS = {
 
 
 def cmd_reproduce(args) -> int:
+    from . import ensemble, predictions
+
     doc = _load_json(args.config)
     dataset_path = _config(doc, "dataset", str)
     out_dir = Path(_config(doc, "output_dir", str))

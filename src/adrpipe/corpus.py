@@ -13,51 +13,77 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
+from functools import partial
 from itertools import chain
+from operator import itemgetter
+from pathlib import Path
+from typing import Iterable, NamedTuple
 
 from ._io import atomic_write, chunked, read_rows
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
 
 HEADER = "tweet_id\tlabel\ttext"
 
 
-@dataclass(frozen=True)
-class LabeledTweet:
-    """One tweet with a binary label (1 = adverse drug reaction mentioned)."""
-
+class _TweetFields(NamedTuple):
     tweet_id: str
     text: str
     label: int
 
-    def __post_init__(self):
-        if not self.tweet_id:
+
+class LabeledTweet(_TweetFields):
+    """One tweet with a binary label (1 = adverse drug reaction mentioned).
+
+    An immutable (tweet_id, text, label) tuple: it unpacks, and it compares
+    equal to a plain tuple of its fields. The constructor, `_make` and
+    `_replace` all check the fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tweet_id: str, text: str, label: int):
+        if not tweet_id:
             raise ValueError("tweet_id must be non-empty")
         # The loader reads in universal-newline mode, where \r also ends a line.
-        if "\t" in self.tweet_id or "\n" in self.tweet_id or "\r" in self.tweet_id:
-            raise ValueError(f"tweet_id {self.tweet_id!r} contains tab or newline")
-        if "\t" in self.text or "\n" in self.text or "\r" in self.text:
-            raise ValueError(f"text of {self.tweet_id} contains tab or newline")
-        if type(self.label) is not int or self.label not in (0, 1):  # True or 0.0 would be saved as written
-            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
+        if "\t" in tweet_id or "\n" in tweet_id or "\r" in tweet_id:
+            raise ValueError(f"tweet_id {tweet_id!r} contains tab or newline")
+        if "\t" in text or "\n" in text or "\r" in text:
+            raise ValueError(f"text of {tweet_id} contains tab or newline")
+        if type(label) is not int or label not in (0, 1):  # True or 0.0 would be saved as written
+            raise ValueError(f"label must be 0 or 1, got {label!r}")
+        return tuple.__new__(cls, (tweet_id, text, label))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "LabeledTweet":
+        # namedtuple's own _make, which _replace calls, would skip the checks.
+        return cls(*iterable)
+
+
+# Builds a record from fields that the caller has already checked in bulk.
+_checked_record = partial(tuple.__new__, LabeledTweet)
+_tweet_id = itemgetter(0)
+_label = itemgetter(2)
+_LABELS = {"0": 0, "1": 1}
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered, immutable collection of LabeledTweet; its class counts are read from the records."""
+    """An ordered, immutable collection of LabeledTweet with unique ids; its class counts are read from the records."""
 
     records: tuple[LabeledTweet, ...]
 
+    def __post_init__(self):
+        # A dict holds 20k ids in a quarter of the memory of a set.
+        if len(dict.fromkeys(map(_tweet_id, self.records))) < len(self.records):
+            seen: set[str] = set()
+            for tweet_id in map(_tweet_id, self.records):
+                if tweet_id in seen:
+                    raise ValueError(f"duplicate tweet_id {tweet_id!r}")
+                seen.add(tweet_id)
+
     @classmethod
     def from_records(cls, records: Iterable[LabeledTweet]) -> "Dataset":
-        records = tuple(records)
-        seen: set[str] = set()
-        for r in records:
-            if r.tweet_id in seen:
-                raise ValueError(f"duplicate tweet_id {r.tweet_id!r}")
-            seen.add(r.tweet_id)
-        return cls(records)
+        return cls(tuple(records))
 
     @property
     def positive_count(self) -> int:
@@ -68,13 +94,25 @@ class Dataset:
         return len(self.records) - self.positive_count
 
     def with_texts(self, texts: Iterable[str]) -> "Dataset":
-        """A copy with record i's text replaced by texts[i], each record built by LabeledTweet.
+        """A copy with record i's text replaced by texts[i], checked as LabeledTweet checks it.
 
-        Ids and labels are kept, so there is no duplicate-id pass."""
-        records = tuple(
-            LabeledTweet(r.tweet_id, text, r.label) for r, text in zip(self.records, texts, strict=True)
-        )
-        return Dataset(records)
+        All texts are checked in one scan of their concatenation. Only when that
+        finds a fault, or the counts differ, are the records rebuilt one at a
+        time through LabeledTweet, which raises for the first faulty text
+        before zip reports the count mismatch. `texts` is read to its end first.
+        """
+        texts = list(texts)
+        try:
+            joined = "".join(texts)
+        except TypeError:  # a text that is not a str
+            joined = "\t"
+        if len(texts) != len(self.records) or "\t" in joined or "\n" in joined or "\r" in joined:
+            return Dataset(tuple(
+                LabeledTweet(r.tweet_id, text, r.label) for r, text in zip(self.records, texts, strict=True)
+            ))
+        return Dataset(tuple(map(
+            _checked_record, zip(map(_tweet_id, self.records), texts, map(_label, self.records))
+        )))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -89,18 +127,22 @@ def load_dataset(path: str | Path) -> Dataset:
 
     Raises ValueError naming the offending line number for malformed lines (wrong
     field count, label outside {0,1}, empty id) and naming the id for duplicates.
+    read_rows yields no field holding a tab, \\n or \\r, so with these checks
+    a record needs none of LabeledTweet's own.
     """
     records = []
     seen: set[str] = set()
     for lineno, (tweet_id, label_text, text) in read_rows(path, 3, HEADER):
-        if label_text not in ("0", "1"):
+        label = _LABELS.get(label_text)
+        if label is None:
             raise ValueError(f"{path}: label out of range at line {lineno}: {label_text!r}")
         if not tweet_id:
             raise ValueError(f"{path}: tweet_id must be non-empty at line {lineno}")
         if tweet_id in seen:
             raise ValueError(f"{path}: duplicate tweet_id {tweet_id!r} at line {lineno}")
         seen.add(tweet_id)
-        records.append(LabeledTweet(tweet_id, text, int(label_text)))
+        records.append(_checked_record((tweet_id, text, label)))
+    del seen  # before Dataset's own id check allocates
     return Dataset(tuple(records))
 
 

@@ -9,7 +9,6 @@ board; standard deviations use the sample (n-1) estimator.
 from __future__ import annotations
 
 import operator
-import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -146,6 +145,8 @@ def attribution(decisions, gold: Mapping[str, int]) -> AttributionBreakdown:
 
 def variability(per_run_metrics: Sequence[Metrics], scenario: str) -> VariabilityReport:
     """Sample standard deviation of F1 and recall across repeated runs."""
+    import statistics  # here, so that the commands that never call this do not import it
+
     if len(per_run_metrics) < 2:
         raise ValueError(f"need at least 2 runs to measure variability, got {len(per_run_metrics)}")
     return VariabilityReport(

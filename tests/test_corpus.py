@@ -1,10 +1,15 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from adrpipe._io import read_rows
 from adrpipe.corpus import (
+    HEADER,
     Dataset,
     LabeledTweet,
     duplicate_positives,
@@ -17,6 +22,13 @@ from adrpipe.corpus import (
 
 # Any character a field can hold: all of Unicode but tab and the two line breaks.
 FIELD_CHARS = st.characters(codec="utf-8", exclude_characters="\t\n\r")
+# Short strings, empty ones included, of the characters a record rejects (tab,
+# \n, \r) and of those str.splitlines() breaks at but the file format keeps.
+HOSTILE = st.lists(st.sampled_from(["a", "b", "\t", "\n", "\r", "\x1c", "\x85", " ", "é"]), max_size=4).map("".join)
+# Ids a record accepts, few enough that duplicates are common.
+IDS = st.lists(st.sampled_from(["a", "b", "\x1c", "\x85", " "]), min_size=1, max_size=2).map("".join)
+# Labels, with the ones a record rejects: save_dataset would write True or 0.0 as is.
+LABELS = st.sampled_from([0, 1, True, False, 0.0, 1.0, 2])
 
 
 def write_lines(path, lines):
@@ -156,6 +168,124 @@ class TestLabeledTweet:
             [LabeledTweet(f"t{char}1", f"a{char}b", 1), LabeledTweet("t2", "c", 0)]
         )
         save_dataset(d, tmp_path / "d.tsv")
+        assert load_dataset(tmp_path / "d.tsv") == d
+
+
+    def test_a_record_is_a_tuple_of_its_fields(self):
+        r = LabeledTweet("t1", "x", 1)
+        assert r == ("t1", "x", 1) and hash(r) == hash(("t1", "x", 1))
+        tweet_id, text, label = r
+        assert (tweet_id, text, label) == (r.tweet_id, r.text, r.label) == ("t1", "x", 1)
+        assert repr(r) == "LabeledTweet(tweet_id='t1', text='x', label=1)"
+        with pytest.raises(AttributeError):
+            r.text = "y"
+        with pytest.raises(TypeError):
+            dataclasses.replace(r, text="y")
+
+
+def outcome(build):
+    """What build() returns, or the type and message of the ValueError or TypeError it raises."""
+    try:
+        return build()
+    except (ValueError, TypeError) as e:
+        return type(e), str(e)
+
+
+def load_one_at_a_time(path):
+    """The loader that builds each record through LabeledTweet, the reference for load_dataset."""
+    records, seen = [], set()
+    for lineno, (tweet_id, label_text, text) in read_rows(path, 3, HEADER):
+        if label_text not in ("0", "1"):
+            raise ValueError(f"{path}: label out of range at line {lineno}: {label_text!r}")
+        if not tweet_id:
+            raise ValueError(f"{path}: tweet_id must be non-empty at line {lineno}")
+        if tweet_id in seen:
+            raise ValueError(f"{path}: duplicate tweet_id {tweet_id!r} at line {lineno}")
+        seen.add(tweet_id)
+        records.append(LabeledTweet(tweet_id, text, int(label_text)))
+    return Dataset(tuple(records))
+
+
+class TestBulkRecordsAreChecked:
+    """with_texts and load_dataset build records in bulk: they must give and reject what LabeledTweet does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ids=st.lists(IDS, max_size=5, unique=True), texts=st.lists(st.one_of(HOSTILE, st.none()), max_size=6),
+           as_iterator=st.booleans())
+    def test_with_texts_equals_one_record_at_a_time(self, ids, texts, as_iterator):
+        d = Dataset(tuple(LabeledTweet(tweet_id, "x", i % 2) for i, tweet_id in enumerate(ids)))
+        expected = outcome(lambda: Dataset(tuple(
+            LabeledTweet(r.tweet_id, text, r.label) for r, text in zip(d.records, texts, strict=True)
+        )))
+        got = outcome(lambda: d.with_texts(iter(texts) if as_iterator else texts))
+        assert got == expected
+        if isinstance(got, Dataset):
+            assert {type(r) for r in got.records} <= {LabeledTweet}
+
+    def test_with_texts_reports_an_earlier_faulty_text_before_a_count_mismatch(self):
+        d = make_dataset(2, 2)
+        for texts in (["ok", "a\tb"], ["ok", "a\rb", "c", "d", "e"]):
+            with pytest.raises(ValueError, match="^text of p1 contains tab or newline$"):
+                d.with_texts(texts)
+        with pytest.raises(ValueError, match="shorter"):
+            d.with_texts(["ok", "fine"])
+        with pytest.raises(ValueError, match="longer"):
+            d.with_texts(["a", "b", "c", "d", "e\tf"])
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(HOSTILE, LABELS, HOSTILE), max_size=5), header=st.booleans())
+    def test_load_dataset_equals_one_record_at_a_time(self, tmp_path, rows, header):
+        lines = [HEADER] * header + [f"{tweet_id}\t{label}\t{text}" for tweet_id, label, text in rows]
+        path = tmp_path / "d.tsv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="")
+        got = outcome(lambda: load_dataset(path))
+        assert got == outcome(lambda: load_one_at_a_time(path))
+        if isinstance(got, Dataset):
+            assert {type(r) for r in got.records} <= {LabeledTweet}
+
+    @settings(max_examples=300, deadline=None)
+    @given(fields=st.tuples(HOSTILE, HOSTILE, LABELS))
+    def test_no_inherited_helper_builds_an_unchecked_record(self, fields):
+        expected = outcome(lambda: LabeledTweet(*fields))
+        tweet_id, text, label = fields
+        record = LabeledTweet("t1", "x", 0)
+        for build in (
+            lambda: LabeledTweet(tweet_id=tweet_id, text=text, label=label),
+            lambda: LabeledTweet._make(fields),
+            lambda: LabeledTweet._make(iter(fields)),
+            lambda: record._replace(tweet_id=tweet_id, text=text, label=label),
+        ):
+            got = outcome(build)
+            assert got == expected
+            assert type(got) is type(expected)
+        if isinstance(expected, LabeledTweet):
+            for again in (pickle.loads(pickle.dumps(expected)), copy.copy(expected), copy.deepcopy(expected)):
+                assert again == expected and type(again) is LabeledTweet
+
+
+class TestDatasetIds:
+    def test_duplicate_ids_are_rejected_by_the_constructor(self):
+        records = (LabeledTweet("a", "x", 0), LabeledTweet("a", "y", 1), LabeledTweet("b", "z", 1))
+        for build in (Dataset, Dataset.from_records):
+            with pytest.raises(ValueError, match="^duplicate tweet_id 'a'$"):
+                build(records)
+
+    def test_the_first_repeated_id_is_named(self):
+        records = [LabeledTweet(tweet_id, "x", 0) for tweet_id in ("a", "b", "b", "a")]
+        with pytest.raises(ValueError, match="^duplicate tweet_id 'b'$"):
+            Dataset(tuple(records))
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=st.lists(st.tuples(IDS, st.text(FIELD_CHARS), st.integers(0, 1)), max_size=6),
+           header=st.booleans())
+    def test_every_dataset_that_constructs_round_trips(self, tmp_path, records, header):
+        ids = [tweet_id for tweet_id, _, _ in records]
+        try:
+            d = Dataset(tuple(LabeledTweet(*r) for r in records))
+        except ValueError:
+            assert len(set(ids)) < len(ids)
+            return
+        save_dataset(d, tmp_path / "d.tsv", header=header)
         assert load_dataset(tmp_path / "d.tsv") == d
 
 

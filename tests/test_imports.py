@@ -1,6 +1,6 @@
-"""The package's import surface: every command but `baseline` and protocol-mode
-`reproduce` runs without numpy, and every name the package has exported still
-imports from `adrpipe`."""
+"""The package's import surface: each command loads only the modules it runs,
+so every command but `baseline` and protocol-mode `reproduce` runs without
+numpy, and every name the package has exported still imports from `adrpipe`."""
 
 import json
 import os
@@ -33,23 +33,30 @@ EXPORTS = (
 )
 
 # Runs adrpipe commands (a JSON list of argument lists) in a fresh interpreter
-# and prints their exit codes and whether numpy loaded.
+# and prints their exit codes and the modules loaded by the end, as JSON.
 RUN_COMMANDS = """
 import json, sys
 from adrpipe.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(codes, "numpy" in sys.modules, file=sys.stderr)
+print(json.dumps([codes, sorted(sys.modules)]), file=sys.stderr)
 """
 
+# Modules that neither `preprocess` nor `tokens` runs.
+NOT_TEXT = {"adrpipe.predictions", "adrpipe.ensemble", "adrpipe.evaluate", "adrpipe.synthetic",
+            "adrpipe.baseline", "statistics"}
+# Modules that no prediction command (ingest, ensemble, evaluate) runs.
+NOT_PREDICTION = {"adrpipe.tokenize", "adrpipe.synthetic", "adrpipe.baseline", "numpy"}
 
-def run_fresh(argvs: list[list[str]]) -> str:
-    """The last stderr line of RUN_COMMANDS: exit codes, then whether numpy loaded."""
+
+def run_fresh(argvs: list[list[str]]) -> tuple[list[int], set[str]]:
+    """The commands' exit codes, run one after another in a fresh interpreter, and the modules it loaded."""
     done = subprocess.run(
         [sys.executable, "-c", RUN_COMMANDS, json.dumps(argvs)],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    return done.stderr.splitlines()[-1]
+    codes, modules = json.loads(done.stderr.splitlines()[-1])
+    return codes, set(modules)
 
 
 def write_tweets(d: Path) -> Path:
@@ -68,6 +75,31 @@ def test_every_exported_name_imports_from_package():
     assert set(EXPORTS) <= set(dir(adrpipe))
 
 
+def test_preprocess_stays_the_function_once_the_cli_is_loaded():
+    # Importing the submodule after the package would rebind `adrpipe.preprocess` to it.
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, adrpipe.cli; from adrpipe import preprocess;"
+         " print(preprocess is sys.modules['adrpipe.preprocess'].preprocess)"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert done.stdout.split() == ["True"], done.stderr
+
+
+def test_star_import_binds_every_export_but_the_baseline_ones():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json as _json, sys as _sys; from adrpipe import *;"
+         " print(_json.dumps([sorted(n for n in dir() if not n.startswith('_')), 'numpy' in _sys.modules]))"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    names, numpy_loaded = json.loads(done.stdout)
+    baseline_names = {"BaselineConfig", "BaselineModel", "load_model", "predict_prob", "run_protocol",
+                      "save_model", "train"}
+    assert set(names) == set(EXPORTS) - baseline_names - {"__version__"}
+    assert not numpy_loaded
+
+
 def test_submodules_resolve_as_package_attributes():
     done = subprocess.run(
         [sys.executable, "-c",
@@ -76,6 +108,18 @@ def test_submodules_resolve_as_package_attributes():
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
     )
     assert done.stdout.split() == ["True", "True"], done.stderr
+
+
+def test_text_commands_load_no_prediction_code(tmp_path):
+    tweets = write_tweets(tmp_path)
+    argvs = [
+        ["preprocess", "--input", str(tweets), "--lexicon", f"{DATA}/drug_lexicon.tsv",
+         "--output", f"{tmp_path}/clean.tsv"],
+        ["tokens", "--vocab", f"{DATA}/fixture_vocab.txt", "--stats", "--input", f"{tmp_path}/clean.tsv"],
+    ]
+    codes, modules = run_fresh(argvs)
+    assert codes == [0, 0]
+    assert modules & NOT_TEXT == set()
 
 
 def test_text_only_commands_do_not_load_numpy(tmp_path):
@@ -92,7 +136,8 @@ def test_text_only_commands_do_not_load_numpy(tmp_path):
         ["evaluate", "--decisions", f"{tmp_path}/decisions.tsv", "--gold", str(tweets),
          "--report", f"{tmp_path}/report.json"],
     ]
-    assert run_fresh(argvs) == "[0, 0, 0, 0] False"
+    codes, modules = run_fresh(argvs)
+    assert codes == [0, 0, 0, 0] and "numpy" not in modules
 
 
 def test_prediction_commands_do_not_load_numpy(tmp_path):
@@ -117,7 +162,10 @@ def test_prediction_commands_do_not_load_numpy(tmp_path):
          "--output", f"{tmp_path}/decisions.tsv"],
         ["evaluate", "--decisions", f"{tmp_path}/decisions.tsv", "--gold", str(tweets),
          "--report", f"{tmp_path}/report.json"],
-        ["reproduce", "--config", str(config)],
     ]
-    assert run_fresh(argvs) == "[0, 0, 0, 0] False"
+    codes, modules = run_fresh(argvs)
+    assert codes == [0, 0, 0]
+    assert modules & NOT_PREDICTION == set()
+    codes, modules = run_fresh([["reproduce", "--config", str(config)]])
+    assert codes == [0] and "numpy" not in modules
     assert (tmp_path / "out" / "report.json").is_file()

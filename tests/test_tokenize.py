@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from adrpipe.preprocess import preprocess
 from adrpipe.tokenize import (
+    COUNT_CHUNK,
     SubwordVocab,
     corpus_token_stats,
     load_vocab,
@@ -164,6 +166,20 @@ class TestCorpusStats:
         words = [w for text in texts for w in text.split()]
         unk = sum(wordpiece_tokenize(w, tiny_vocab) == ["[UNK]"] for w in words)
         assert corpus_token_stats(texts, tiny_vocab) == (len(words), unk, unk / max(len(words), 1))
+
+    @pytest.mark.parametrize("n", [0, 1, COUNT_CHUNK - 1, COUNT_CHUNK, COUNT_CHUNK + 1])
+    def test_chunked_counts_equal_per_text_counts(self, tiny_vocab, n):
+        # Texts that start or end in a word, in ASCII or Unicode whitespace, or are
+        # empty: joining must neither fuse words across texts nor add any.
+        pool = ["que", "tia", "", " ", "  quetiapine  ", "\u3000o\u2003xyz", "lan\x1cza", "\x85que\t", "\npine"]
+        texts = [pool[i % len(pool)] for i in range(n)]
+        counts = Counter()
+        for text in texts:
+            counts.update(text.split())
+        total = sum(counts.values())
+        unk = sum(k for word, k in counts.items() if wordpiece_tokenize(word, tiny_vocab) == ["[UNK]"])
+        assert corpus_token_stats(texts, tiny_vocab) == (total, unk, unk / max(total, 1))
+        assert corpus_token_stats(iter(texts), tiny_vocab) == (total, unk, unk / max(total, 1))
 
     def test_preprocessing_reduces_unk_rate(self, fixture_corpus, file_vocab, full_pipeline):
         raw = corpus_token_stats([r.text for r in fixture_corpus.records], file_vocab)
