@@ -509,7 +509,7 @@ def protocol_matrix(
     # Rounded once every run is trained: rounding each run as it came in raised
     # the `protocol` workload's median peak RSS by ~0.2 MB (12 seeds, 2-vCPU VM).
     return RunMatrix.from_columns(
-        {key: (ids, [round(p, 6) for p in probs]) for key, (ids, probs) in columns.items()}
+        {key: (ids, array("d", [round(p, 6) for p in probs])) for key, (ids, probs) in columns.items()}
     )
 
 

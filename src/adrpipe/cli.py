@@ -262,16 +262,21 @@ def cmd_tokens(args) -> int:
 
 
 def _load_matrix(args, ens_cfg: ensemble.EnsembleConfig | None = None) -> predictions.RunMatrix:
-    """The --pred files' matrix, after --min-dev-f1's screen; ens_cfg's thresholds are checked before it."""
+    """The --pred files' matrix, after --min-dev-f1's screen; ens_cfg's thresholds are checked before it.
+
+    --min-dev-f1's own rules are checked before any file is opened.
+    """
     from . import predictions
 
+    if args.min_dev_f1 is not None:
+        if not args.gold:
+            raise ValueError("--min-dev-f1 requires --gold")
+        predictions.check_min_f1(args.min_dev_f1)
     expected = None if args.expect_runs == 0 else args.expect_runs
     matrix = predictions.load_predictions(args.pred, expected_runs=expected)
     if ens_cfg is not None:
         ens_cfg.check_models(matrix.models)
     if args.min_dev_f1 is not None:
-        if not args.gold:
-            raise ValueError("--min-dev-f1 requires --gold")
         gold = corpus.load_dataset(args.gold).labels()
         matrix = predictions.filter_runs(matrix, gold, args.min_dev_f1)
     return matrix

@@ -9,12 +9,13 @@ same as comparing the max of the averaged probabilities to the threshold.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from ._io import atomic_write, chunked, read_rows
-from .predictions import RunMatrix, average_runs
+from .predictions import RunMatrix, as_cells, average_runs
 
 DECISIONS_HEADER = "tweet_id\tmodel_probs\tmodel_verdicts\tensemble"
 RESERVED_MODEL_ID = "ensemble"  # the report's name for the ensemble's own row
@@ -74,7 +75,9 @@ class RowError(ValueError):
 class Decisions:
     """Every ensemble decision as columns: probs and verdicts map each model id,
     in sorted order, to one value per tweet, so every row names the same
-    models. Indexing or iterating builds `EnsembleDecision` rows on demand.
+    models. Each probability column is an `array('d')`, 8 bytes a cell; one
+    given as another sequence is copied into one. Indexing or iterating builds
+    `EnsembleDecision` rows on demand.
 
     A table is valid by construction: the constructor holds every rule of the
     decisions file and its report, so the rules hold for the table as built.
@@ -82,11 +85,13 @@ class Decisions:
     as row 0's fault."""
 
     tweet_ids: list[str]
-    probs: dict[str, list[float]]
+    probs: dict[str, array]
     verdicts: dict[str, list[int]]
     ensemble: list[int]
 
     def __post_init__(self):
+        if not all(isinstance(column, array) and column.typecode == "d" for column in self.probs.values()):
+            object.__setattr__(self, "probs", {m: as_cells(column) for m, column in self.probs.items()})
         models, n = list(self.probs), len(self.tweet_ids)
         if models != sorted(models) or list(self.verdicts) != models:
             raise ValueError(f"probs and verdicts must name the same sorted models: {models}, {list(self.verdicts)}")
@@ -189,7 +194,7 @@ def read_decisions(path: str | Path) -> Decisions:
     """
     tweet_ids, ensemble = [], []
     shifts = [(0, 0)]  # (row, line - row) from each row where a skipped header or blank line shifts the count
-    prob_columns: dict[str, list[float]] = {}
+    prob_columns: dict[str, array] = {}
     verdict_columns: dict[str, list[int]] = {}
     first: tuple[int, list[str]] | None = None  # line number and sorted models of the first decision
     for lineno, (tweet_id, prob_text, verdict_text, ens_text) in read_rows(path, 4, DECISIONS_HEADER):
@@ -208,7 +213,7 @@ def read_decisions(path: str | Path) -> Decisions:
             )
         if first is None:
             first = (lineno, models)
-            prob_columns, verdict_columns = {m: [] for m in models}, {m: [] for m in models}
+            prob_columns, verdict_columns = {m: array("d") for m in models}, {m: [] for m in models}
         elif models != first[1]:
             raise ValueError(f"{path}: models differ from those at line {first[0]} at line {lineno}")
         if lineno - len(tweet_ids) != shifts[-1][1]:

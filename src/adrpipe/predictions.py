@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import operator
 import warnings
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -24,7 +25,7 @@ from .evaluate import ConfusionCounts, count_cells, metrics
 HEADER = "model_id\trun_id\ttweet_id\tprob"
 
 # (model_id, run_id) -> (tweet ids, probabilities), in the order they were produced.
-_Columns = dict[tuple[str, str], tuple[list[str], list[float]]]
+_Columns = dict[tuple[str, str], tuple[Sequence[str], Sequence[float]]]
 
 
 def _check_ids(*ids: str) -> None:
@@ -48,16 +49,20 @@ class RunMatrix:
     tweet tweet_ids[j]; keys and tweet_ids are strictly increasing (checked),
     so a model's runs are adjacent rows in run_id order. One row per run
     rather than a models x runs x tweets tensor, because models may have
-    different run counts. Rows are tuples of floats: the arithmetic here is
-    a few comparisons, sums and one division per cell, which plain Python
-    does bit for bit as numpy would.
+    different run counts. Rows are `array('d')`: 8 bytes a cell, against 32
+    for a boxed float and its slot, and the same IEEE double. The arithmetic
+    here is a few comparisons, sums and one division per cell, which plain
+    Python does bit for bit as numpy would. Rows given as other sequences
+    are copied into arrays; an array row is kept as it is, so it may be the
+    very array its producer parsed, and must not be changed.
     """
 
     keys: tuple[tuple[str, str], ...]
     tweet_ids: tuple[str, ...]
-    probs: tuple[tuple[float, ...], ...]
+    probs: tuple[array, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "probs", tuple(map(as_cells, self.probs)))
         width = len(self.tweet_ids)
         if len(self.probs) != len(self.keys) or any(len(row) != width for row in self.probs):
             raise ValueError(
@@ -85,7 +90,10 @@ class RunMatrix:
         """The one constructor every producer (loader, run_protocol, `baseline predict`) uses.
 
         Checks ids, duplicate tweets within a key, rectangular coverage and
-        the [0, 1] range (NaN included), then lays the columns out as sorted rows.
+        the [0, 1] range (NaN included), then lays the columns out as sorted
+        rows. A column whose ids already come in sorted order, as in every
+        file this package writes, is its row: an `array('d')` is used as it
+        is, any other sequence is copied into one.
         """
         if not columns:
             raise ValueError("no prediction records")
@@ -140,22 +148,38 @@ class RunMatrix:
         return cls(keys=keys, tweet_ids=tweet_ids, probs=tuple(rows))
 
 
-def _layout(ids: list[str], tweet_ids: tuple[str, ...]):
-    """A function that takes a column in `ids` order to a tuple in `tweet_ids` order."""
-    if len(tweet_ids) < 2:
-        return tuple  # itemgetter takes at least one index, and of one returns the bare item
+def _layout(ids: Sequence[str], tweet_ids: tuple[str, ...]):
+    """A function that takes a column in `ids` order to an `array('d')` in `tweet_ids` order.
+
+    `ids` holds each of `tweet_ids` once. Where it is already in that order, as
+    in every file this package writes and always for one or no tweets, the
+    column is its own row; otherwise itemgetter gets the two or more indices
+    it needs to return a tuple.
+    """
+    if all(map(operator.eq, ids, tweet_ids)):
+        return as_cells
     position = {t: k for k, t in enumerate(ids)}
-    return operator.itemgetter(*map(position.__getitem__, tweet_ids))
+    get = operator.itemgetter(*map(position.__getitem__, tweet_ids))
+    return lambda values: array("d", get(values))
 
 
-def _parse_file(path: str | Path, columns: _Columns, tweet_ids: dict[str, str]) -> None:
-    """Append each line's tweet id and probability to its (model, run) column.
+def as_cells(values: Sequence[float]) -> array:
+    """`values` as an `array('d')`: itself if it is one, else a copy."""
+    return values if isinstance(values, array) and values.typecode == "d" else array("d", values)
+
+
+def _parse_file(path: str | Path, tweet_ids: dict[str, str]) -> Iterator[tuple[tuple[str, str], list[str], array]]:
+    """Each stretch of consecutive lines with one (model, run) key: the key, its tweet ids and probabilities.
 
     `tweet_ids` maps each tweet id seen so far to the one string kept for it,
-    so an id that 30 runs repeat is stored once, not 30 times.
+    so an id that 30 runs repeat is stored once, not 30 times. A stretch's
+    probabilities are gathered in a list and moved into an `array('d')` at
+    its end: `array.append` costs more a call than `list.append`.
     """
     intern = tweet_ids.setdefault
     model = run = None
+    ids: list[str] = []
+    probs: list[float] = []
     for lineno, (model_id, run_id, tweet_id, prob_text) in read_rows(path, 4, HEADER, header_required=True):
         try:
             prob = float(prob_text)
@@ -168,10 +192,14 @@ def _parse_file(path: str | Path, columns: _Columns, tweet_ids: dict[str, str]) 
                 f"{path}: model_id, run_id and tweet_id must be non-empty at line {lineno}"
             )
         if run_id != run or model_id != model:  # no key tuple per line
+            if ids:
+                yield (model, run), ids, array("d", probs)
             model, run = model_id, run_id
-            ids, probs = columns.setdefault((model, run), ([], []))
+            ids, probs = [], []
         ids.append(intern(tweet_id, tweet_id))
         probs.append(prob)
+    if ids:
+        yield (model, run), ids, array("d", probs)
 
 
 def load_predictions(paths: Sequence[str | Path], expected_runs: int | None = 5) -> RunMatrix:
@@ -180,11 +208,19 @@ def load_predictions(paths: Sequence[str | Path], expected_runs: int | None = 5)
     Warns (without failing) when a model's run count differs from
     expected_runs; pass None to skip that check.
     """
-    columns: _Columns = {}
+    # A list is never changed once parsed, so a stretch whose ids equal the
+    # previous stretch's can share its list: the runs of a file written in one
+    # tweet order then hold one list of ids between them, not one each.
+    stretches: dict[tuple[str, str], list[tuple[list[str], array]]] = {}
     tweet_ids: dict[str, str] = {}
+    last: list[str] = []
     for path in paths:
-        _parse_file(path, columns, tweet_ids)
-    matrix = RunMatrix.from_columns(columns)
+        for key, ids, probs in _parse_file(path, tweet_ids):
+            if ids == last:
+                ids = last
+            stretches.setdefault(key, []).append((ids, probs))
+            last = ids
+    matrix = RunMatrix.from_columns({key: _join(parts) for key, parts in stretches.items()})
     if expected_runs is not None:
         for model_id, runs in matrix.runs_per_model.items():
             if len(runs) != expected_runs:
@@ -193,6 +229,18 @@ def load_predictions(paths: Sequence[str | Path], expected_runs: int | None = 5)
                     stacklevel=2,
                 )
     return matrix
+
+
+def _join(parts: list[tuple[list[str], array]]) -> tuple[list[str], array]:
+    """One column from a run's stretches, in file order; a run met in one stretch is that stretch."""
+    if len(parts) == 1:
+        return parts[0]
+    ids: list[str] = []
+    probs = array("d")
+    for part_ids, part_probs in parts:
+        ids += part_ids
+        probs += part_probs
+    return ids, probs
 
 
 def write_predictions(m: RunMatrix, path: str | Path) -> None:
@@ -212,23 +260,23 @@ def _prediction_chunks(m: RunMatrix) -> Iterator[str]:
         yield "".join([f"{prefix}{t}\t{p:.6f}\n" for t, p in zip(m.tweet_ids, probs)])
 
 
-def average_runs(m: RunMatrix) -> dict[str, list[float]]:
-    """Arithmetic mean of each model's runs: one list per model, in `m.tweet_ids` order.
+def average_runs(m: RunMatrix) -> dict[str, array]:
+    """Arithmetic mean of each model's runs: one `array('d')` per model, in `m.tweet_ids` order.
 
     Runs are added one row at a time in sorted run_id order, starting from
     +0.0 as sum() does, then divided once, so the result is bit-identical to
     summing in that order no matter how the files were loaded.
     """
-    rows: dict[str, list[tuple[float, ...]]] = {}
+    rows: dict[str, list[array]] = {}
     for (model_id, _), row in zip(m.keys, m.probs):
         rows.setdefault(model_id, []).append(row)
-    out: dict[str, list[float]] = {}
+    out: dict[str, array] = {}
     for model_id, model_rows in rows.items():
         total = [0.0] * len(m.tweet_ids)
         for row in model_rows:
             total = list(map(operator.add, total, row))
         n = len(model_rows)
-        out[model_id] = [t / n for t in total]
+        out[model_id] = array("d", [t / n for t in total])
     return out
 
 
@@ -239,6 +287,12 @@ def run_scores(m: RunMatrix, gold: Mapping[str, int], threshold: float = 0.5) ->
         raise ValueError(f"gold labels missing for tweets: {truncate_ids(missing)}")
     labels = [gold[t] for t in m.tweet_ids]
     return {key: count_cells([p >= threshold for p in row], labels) for key, row in zip(m.keys, m.probs)}
+
+
+def check_min_f1(min_f1: float) -> None:
+    """Reject a min F1 outside [0, 1] or NaN, which would keep or drop every run."""
+    if not 0.0 <= min_f1 <= 1.0:
+        raise ValueError(f"min F1 must be in [0, 1], got {min_f1}")
 
 
 def filter_runs(
@@ -252,10 +306,9 @@ def filter_runs(
     This is the screen for runs that never converged (an all-negative run
     scores F1 = 0 and is excluded by any positive min_f1). Models losing all
     their runs are dropped with a warning; an empty result is an error. So is
-    a min_f1 outside [0, 1] or NaN, which would keep or drop every run.
+    a min_f1 that `check_min_f1` rejects.
     """
-    if not 0.0 <= min_f1 <= 1.0:
-        raise ValueError(f"min F1 must be in [0, 1], got {min_f1}")
+    check_min_f1(min_f1)
     keep = [metrics(c).f1 >= min_f1 for c in run_scores(m, gold, threshold).values()]
     kept_models = {model_id for (model_id, _), k in zip(m.keys, keep) if k}
     dropped_models = [model_id for model_id in m.models if model_id not in kept_models]

@@ -536,7 +536,7 @@ class TestProtocol:
         matrix = load_predictions([out], expected_runs=1)
         avg = average_runs(matrix)["m"]
         assert matrix.keys == (("m", "r1"),)
-        assert avg == list(matrix.probs[0])
+        assert avg == matrix.probs[0]
 
     def test_char_and_word_members_diverge(self, tmp_path):
         data = make_synthetic_dataset(1200, 0.15, seed=6)

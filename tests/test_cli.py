@@ -247,6 +247,22 @@ class TestPredictionCommands:
         assert capsys.readouterr().err == f"{command}: min F1 must be in [0, 1], got {shown}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ingest", "ensemble"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--min-dev-f1", "0.5"], "--min-dev-f1 requires --gold"),
+            (["--min-dev-f1", "nan", "--gold", "missing-gold.tsv"], "min F1 must be in [0, 1], got nan"),
+            (["--min-dev-f1", "1.5", "--gold", "missing-gold.tsv"], "min F1 must be in [0, 1], got 1.5"),
+        ],
+    )
+    def test_min_dev_f1_is_checked_before_any_file_is_opened(self, tmp_path, capsys, command, flags, message):
+        # A missing --pred file would fail with exit 2; the flag's own error comes first, with exit 1.
+        out = tmp_path / "out.tsv"
+        assert run(command, "--pred", tmp_path / "missing.tsv", *flags, "--output", out) == 1
+        assert capsys.readouterr().err == f"{command}: {message}\n"
+        assert not out.exists()
+
     def test_line_separators_in_ids_survive_ensemble_and_evaluate(self, tmp_path, capsys):
         # str.splitlines() breaks at \x1c, \x85 and \u2028; no file here does.
         ids = [f"t\x1c{i}" for i in range(3)] + [f"t\x85{i}" for i in range(3)] + ["t\u20280"]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from array import array
 import random
 import struct
 import tracemalloc
@@ -161,11 +162,11 @@ class TestAverageRuns:
     def test_mean_of_five(self):
         rows = [("m", f"r{i}", "t1", p) for i, p in enumerate([0.2, 0.4, 0.6, 0.8, 1.0], start=1)]
         avg = average_runs(matrix_of(rows))
-        assert avg == {"m": [pytest.approx(0.6)]}
+        assert list(avg) == ["m"] and avg["m"].typecode == "d" and list(avg["m"]) == [pytest.approx(0.6)]
 
     def test_single_run_identity(self):
         m = matrix_of([("m", "r1", "t1", 0.37)])
-        assert average_runs(m) == {"m": [0.37]}
+        assert average_runs(m) == {"m": array("d", [0.37])}
 
     def test_run_relabeling_invariance(self):
         probs = [0.12, 0.93, 0.4]
@@ -265,10 +266,10 @@ class TestFromColumns:
 
     def test_one_tweet_and_no_tweets(self):
         one = RunMatrix.from_columns({("m", "r2"): (["t1"], [0.75]), ("m", "r1"): (["t1"], [0.25])})
-        assert one.probs == ((0.25,), (0.75,))
-        assert average_runs(one) == {"m": [0.5]}
+        assert one.probs == (array("d", [0.25]), array("d", [0.75]))
+        assert average_runs(one) == {"m": array("d", [0.5])}
         none = RunMatrix.from_columns({("m", "r1"): ([], []), ("m", "r2"): ([], [])})
-        assert none.tweet_ids == () and none.probs == ((), ())
+        assert none.tweet_ids == () and none.probs == (array("d"), array("d"))
 
     @pytest.mark.parametrize(
         "key, message",
@@ -405,8 +406,32 @@ class TestProperties:
         for key, row in zip(m.keys, m.probs):
             ids, probs = columns[key]
             by_id = dict(zip(ids, probs))
-            assert type(row) is tuple
+            assert type(row) is array and row.typecode == "d"
             assert [bits(p) for p in row] == [bits(by_id[t]) for t in m.tweet_ids]
+
+    @HYPOTHESIS
+    @given(rows=run_grids(PROBS_TO_ROUND), data=st.data())
+    def test_from_columns_keeps_the_bits_and_uses_a_sorted_column_as_its_row(self, rows, data):
+        in_order = {key: (ids, array("d", probs)) for key, (ids, probs) in columns_of(sorted(rows)).items()}
+        permuted = {}
+        for key, (ids, probs) in in_order.items():
+            order = data.draw(st.permutations(range(len(ids))))
+            permuted[key] = ([ids[k] for k in order], [probs[k] for k in order])
+        for columns in (in_order, permuted):
+            m = RunMatrix.from_columns(columns)
+            for key, row in zip(m.keys, m.probs):
+                assert type(row) is array and row.typecode == "d"
+                assert [bits(p) for p in row] == [bits(p) for p in in_order[key][1]]
+        for key, row in zip(m.keys, RunMatrix.from_columns(in_order).probs):
+            assert row is in_order[key][1]
+
+    @HYPOTHESIS
+    @given(rows=run_grids(st.one_of(PROBS_TO_ROUND, st.sampled_from([-0.0, 1e-07, 5e-07, 0.9999995]))))
+    def test_write_after_load_keeps_every_6_decimal_text(self, tmp_path, rows):
+        text = records_text(rows)  # sorted, every probability as its 6-decimal text
+        (tmp_path / "p.tsv").write_text(text, encoding="utf-8")
+        write_predictions(load_predictions([tmp_path / "p.tsv"], expected_runs=None), tmp_path / "again.tsv")
+        assert (tmp_path / "again.tsv").read_text(encoding="utf-8") == text
 
     @HYPOTHESIS
     @given(rows=run_grids())
@@ -512,15 +537,33 @@ class TestMemory:
         assert size > 60_000 * 30
         assert peak < size / 4
 
+    def test_loaded_matrix_holds_at_most_16_bytes_a_cell(self, tmp_path):
+        # 20 runs x 3,000 tweets in sorted order, as this package writes them. Each
+        # row is an array('d') of 8 bytes a cell; the rest is the tweet ids. A
+        # boxed float and its list or tuple slot take 32 bytes.
+        tweets = [f"tweet{j:05d}" for j in range(3000)]
+        path = tmp_path / "p.tsv"
+        rows = [("m", f"r{r:02d}", t, (j * 7919 % 1000) / 1000) for r in range(1, 21) for j, t in enumerate(tweets)]
+        write_pred_file(path, rows)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            m = load_predictions([path], expected_runs=None)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        cells = len(m.keys) * len(m.tweet_ids)
+        assert cells == 60_000
+        assert held / cells <= 16
+
     def test_parsed_columns_keep_one_string_per_tweet_id(self, tmp_path):
         ids = [f"t{i}" for i in range(50)]
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         write_pred_file(a, [("a", r, t, 0.5) for r in ("r1", "r2") for t in ids])
         write_pred_file(b, [("b", "r1", t, 0.25) for t in reversed(ids)])
-        columns, tweet_ids = {}, {}
-        _parse_file(a, columns, tweet_ids)
-        _parse_file(b, columns, tweet_ids)
-        a1, a2, b1 = (columns[key][0] for key in (("a", "r1"), ("a", "r2"), ("b", "r1")))
+        tweet_ids = {}
+        columns = {key: ids for path in (a, b) for key, ids, _ in _parse_file(path, tweet_ids)}
+        a1, a2, b1 = (columns[key] for key in (("a", "r1"), ("a", "r2"), ("b", "r1")))
         assert a1 == ids and b1 == ids[::-1]
         for j, t in enumerate(a1):
             assert a2[j] is t and b1[-1 - j] is t and tweet_ids[t] is t
