@@ -3,9 +3,13 @@ recall-oriented evaluation for adverse-drug-reaction tweet classification.
 
 Every exported name but the preprocessing ones is imported on first use (PEP
 562), so a command loads only the modules it runs, and every module but the
-baseline loads without numpy. The preprocessing names load eagerly: the CLI
-parser reads `STAGES` anyway, and importing the `preprocess` submodule later
-would rebind `adrpipe.preprocess` from the function to the module.
+baseline loads without numpy or `dataclasses`. The preprocessing names load
+eagerly: the CLI parser reads `STAGES` anyway, and importing the `preprocess`
+submodule later would rebind `adrpipe.preprocess` from the function to the
+module.
+
+The plain records, such as `Metrics` and `EnsembleDecision`, are named tuples:
+they take `_replace`, not `dataclasses.replace`.
 """
 
 import importlib

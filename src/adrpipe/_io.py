@@ -1,8 +1,8 @@
-"""Helpers shared by the file formats: the one line reader of every
-tab-separated file, the one writer of every output (streamed in chunks to a
-temp file that is renamed on success, so consumers never see a partial file
-when a write fails mid-way), and the shortened id lists that error messages
-quote."""
+"""Helpers shared by the modules: the one line reader of every tab-separated
+file, the one writer of every output (streamed in chunks to a temp file that
+is renamed on success, so consumers never see a partial file when a write
+fails mid-way), the shortened id lists that error messages quote, and the
+immutable-value base of the classes that check their fields."""
 
 from __future__ import annotations
 
@@ -82,3 +82,39 @@ def truncate_ids(ids: Sequence[str], limit: int = 10) -> str:
     if len(ids) <= limit:
         return ", ".join(ids)
     return ", ".join(ids[:limit]) + f", ... ({len(ids) - limit} more)"
+
+
+class Frozen:
+    """Base of the classes whose constructor checks its fields: an instance is immutable,
+    and two of one class are equal, and hash alike, when their fields are.
+
+    A subclass names its fields, in constructor order, in `_fields`, and its
+    `__init__` sets them with `_set`; any other assignment raises AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -13,18 +13,18 @@ imported inside the commands that use them, and only `corpus` and
 `preprocess`, which the parser and most commands need, load with this module.
 So `preprocess` and `tokens` never load the prediction, ensemble or
 evaluation code, and only the commands that train or score with the baseline
-classifier (`baseline`, and `reproduce` in protocol mode) load numpy.
+classifier (`baseline`, and `reproduce` in protocol mode) load numpy. No
+numpy-free command loads `dataclasses`, and `json` and `datetime` load only
+where a config is read or a report written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import numbers
 import sys
 import warnings
 from contextlib import contextmanager
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -50,6 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _manifest(command: str, inputs: dict, outputs: dict, config: dict, seeds: dict) -> dict:
     """Everything needed to rerun a command: echoed config, paths, seeds."""
+    from datetime import datetime, timezone
+
     return {
         "tool": PROG,
         "version": __version__,
@@ -77,6 +79,8 @@ def _pipeline_config(stage_names: list[str], lexicon_path: str | None) -> Pipeli
 
 
 def _load_json(path: str | Path) -> dict:
+    import json
+
     with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
@@ -177,6 +181,8 @@ def _subset_key(s: frozenset[str]) -> str:
 
 
 def _report_to_tsv(report: dict) -> str:
+    import json
+
     lines = ["# manifest\t" + json.dumps(report["manifest"], sort_keys=True)]
     lines.append("row\tname\ttp\tfp\ttn\tfn\tprecision\trecall\tf1")
     for name, row in list(report["members"].items()) + [("ensemble", report["ensemble"])]:
@@ -197,6 +203,8 @@ def _report_to_tsv(report: dict) -> str:
 
 def _report(decisions: ensemble.Decisions, gold, manifest: dict, thresholds: dict[str, float], path: str | Path) -> None:
     """Score the decisions against gold, write the .json or .tsv report to `path`, print both tables."""
+    import json
+
     from . import evaluate
 
     ab = evaluate.attribution(decisions, gold)  # checks that the decisions cover gold's tweets
@@ -264,7 +272,9 @@ def cmd_tokens(args) -> int:
 def _load_matrix(args, ens_cfg: ensemble.EnsembleConfig | None = None) -> predictions.RunMatrix:
     """The --pred files' matrix, after --min-dev-f1's screen; ens_cfg's thresholds are checked before it.
 
-    --min-dev-f1's own rules are checked before any file is opened.
+    --min-dev-f1's own rules are checked before any file is opened, and a
+    missing or unreadable --gold fails before any --pred file is parsed. Its
+    labels are read after the parse, so that they do not add to its peak memory.
     """
     from . import predictions
 
@@ -272,6 +282,7 @@ def _load_matrix(args, ens_cfg: ensemble.EnsembleConfig | None = None) -> predic
         if not args.gold:
             raise ValueError("--min-dev-f1 requires --gold")
         predictions.check_min_f1(args.min_dev_f1)
+        open(args.gold, "rb").close()
     expected = None if args.expect_runs == 0 else args.expect_runs
     matrix = predictions.load_predictions(args.pred, expected_runs=expected)
     if ens_cfg is not None:
@@ -452,8 +463,9 @@ def cmd_reproduce(args) -> int:
     with _stage("ensemble"):
         ens_cfg = ensemble.EnsembleConfig(thresholds=thresholds, default_threshold=default)
     min_dev_f1 = _config(doc, "min_dev_f1", float, None)
-    if min_dev_f1 is not None and not 0.0 <= min_dev_f1 <= 1.0:
-        raise ValueError(f"config: 'min_dev_f1' must be in [0, 1], got {min_dev_f1}")
+    if min_dev_f1 is not None:
+        with _stage("config"):
+            predictions.check_min_f1(min_dev_f1)
 
     seeds: dict = {}
     inputs = {"dataset": dataset_path}

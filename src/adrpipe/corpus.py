@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from ._io import atomic_write, chunked, read_rows
+from ._io import Frozen, atomic_write, chunked, read_rows
 
 HEADER = "tweet_id\tlabel\ttext"
 
@@ -66,13 +65,13 @@ _label = itemgetter(2)
 _LABELS = {"0": 0, "1": 1}
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Frozen):
     """An ordered, immutable collection of LabeledTweet with unique ids; its class counts are read from the records."""
 
-    records: tuple[LabeledTweet, ...]
+    _fields = ("records",)
 
-    def __post_init__(self):
+    def __init__(self, records: tuple[LabeledTweet, ...]):
+        self._set(records=records)
         # A dict holds 20k ids in a quarter of the memory of a set.
         if len(dict.fromkeys(map(_tweet_id, self.records))) < len(self.records):
             seen: set[str] = set()

@@ -10,28 +10,26 @@ same as comparing the max of the averaged probabilities to the threshold.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from ._io import atomic_write, chunked, read_rows
+from ._io import Frozen, atomic_write, chunked, read_rows
 from .predictions import RunMatrix, as_cells, average_runs
 
 DECISIONS_HEADER = "tweet_id\tmodel_probs\tmodel_verdicts\tensemble"
 RESERVED_MODEL_ID = "ensemble"  # the report's name for the ensemble's own row
 
 
-@dataclass(frozen=True)
-class EnsembleConfig:
+class EnsembleConfig(Frozen):
     """Per-model thresholds in (0,1); default_threshold fills in unlisted models.
 
     Set default_threshold=None to require an explicit threshold per model.
     """
 
-    thresholds: dict[str, float] = field(default_factory=dict)
-    default_threshold: float | None = 0.5
+    _fields = ("thresholds", "default_threshold")
 
-    def __post_init__(self):
+    def __init__(self, thresholds: dict[str, float] | None = None, default_threshold: float | None = 0.5):
+        self._set(thresholds={} if thresholds is None else thresholds, default_threshold=default_threshold)
         for model_id, t in self.thresholds.items():
             if not 0.0 < t < 1.0:
                 raise ValueError(f"threshold for {model_id} must be in (0, 1), got {t}")
@@ -55,8 +53,7 @@ class EnsembleConfig:
         return self.default_threshold
 
 
-@dataclass(frozen=True)
-class EnsembleDecision:
+class EnsembleDecision(NamedTuple):
     tweet_id: str
     per_model_prob: dict[str, float]
     per_model_verdict: dict[str, int]
@@ -71,8 +68,7 @@ class RowError(ValueError):
         self.row = row
 
 
-@dataclass(frozen=True)
-class Decisions:
+class Decisions(Frozen):
     """Every ensemble decision as columns: probs and verdicts map each model id,
     in sorted order, to one value per tweet, so every row names the same
     models. Each probability column is an `array('d')`, 8 bytes a cell; one
@@ -84,14 +80,14 @@ class Decisions:
     The first row that breaks one raises `RowError`; a bad model id counts
     as row 0's fault."""
 
-    tweet_ids: list[str]
-    probs: dict[str, array]
-    verdicts: dict[str, list[int]]
-    ensemble: list[int]
+    _fields = ("tweet_ids", "probs", "verdicts", "ensemble")
 
-    def __post_init__(self):
-        if not all(isinstance(column, array) and column.typecode == "d" for column in self.probs.values()):
-            object.__setattr__(self, "probs", {m: as_cells(column) for m, column in self.probs.items()})
+    def __init__(
+        self, tweet_ids: list[str], probs: dict[str, array], verdicts: dict[str, list[int]], ensemble: list[int]
+    ):
+        if not all(isinstance(column, array) and column.typecode == "d" for column in probs.values()):
+            probs = {m: as_cells(column) for m, column in probs.items()}
+        self._set(tweet_ids=tweet_ids, probs=probs, verdicts=verdicts, ensemble=ensemble)
         models, n = list(self.probs), len(self.tweet_ids)
         if models != sorted(models) or list(self.verdicts) != models:
             raise ValueError(f"probs and verdicts must name the same sorted models: {models}, {list(self.verdicts)}")

@@ -9,14 +9,12 @@ board; standard deviations use the sample (n-1) estimator.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ._io import truncate_ids
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     tp: int
     fp: int
     tn: int
@@ -27,15 +25,13 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     precision: float
     recall: float
     f1: float
 
 
-@dataclass(frozen=True)
-class AttributionBreakdown:
+class AttributionBreakdown(NamedTuple):
     """Ensemble TPs and FPs partitioned by the exact set of members voting positive.
 
     exclusive_fraction[m] is the share of ensemble true positives that model m
@@ -62,8 +58,7 @@ class AttributionBreakdown:
         return sorted(set(self.tp_by_subset) | set(self.fp_by_subset), key=lambda s: (len(s), sorted(s)))
 
 
-@dataclass(frozen=True)
-class VariabilityReport:
+class VariabilityReport(NamedTuple):
     scenario: str
     f1_std: float
     recall_std: float

@@ -15,11 +15,10 @@ import itertools
 import operator
 import warnings
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from ._io import atomic_write, read_rows, truncate_ids
+from ._io import Frozen, atomic_write, read_rows, truncate_ids
 from .evaluate import ConfusionCounts, count_cells, metrics
 
 HEADER = "model_id\trun_id\ttweet_id\tprob"
@@ -41,8 +40,7 @@ def _check_ids(*ids: str) -> None:
             raise ValueError(f"identifier {field!r} must be a string with no tab or newline")
 
 
-@dataclass(frozen=True)
-class RunMatrix:
+class RunMatrix(Frozen):
     """Validated probabilities with rectangular coverage.
 
     probs[i][j] is the probability that run keys[i] = (model_id, run_id) gave
@@ -57,12 +55,10 @@ class RunMatrix:
     very array its producer parsed, and must not be changed.
     """
 
-    keys: tuple[tuple[str, str], ...]
-    tweet_ids: tuple[str, ...]
-    probs: tuple[array, ...]
+    _fields = ("keys", "tweet_ids", "probs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(map(as_cells, self.probs)))
+    def __init__(self, keys: tuple[tuple[str, str], ...], tweet_ids: tuple[str, ...], probs: Sequence[Sequence[float]]):
+        self._set(keys=keys, tweet_ids=tweet_ids, probs=tuple(map(as_cells, probs)))
         width = len(self.tweet_ids)
         if len(self.probs) != len(self.keys) or any(len(row) != width for row in self.probs):
             raise ValueError(

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from ._io import read_rows
+from ._io import Frozen, read_rows
 
 STAGES = ("anonymize", "handles", "hashtags", "lowercase", "drugnorm")
 
@@ -50,8 +49,7 @@ _HANDLE_RE = re.compile(rf"(?<!{_NON_DELIM})@[A-Za-z0-9_]+")
 _HASHTAG_RE = re.compile(r"(?:^|(?<=\s))#")
 
 
-@dataclass(frozen=True)
-class DrugLexicon:
+class DrugLexicon(Frozen):
     """Lowercase brand-name -> generic-name mapping.
 
     Keys may be multi-token ("tylenol pm"). Generic names must be fixpoints:
@@ -59,10 +57,10 @@ class DrugLexicon:
     idempotent.
     """
 
-    entries: dict[str, str]
-    _pattern: re.Pattern = field(init=False, repr=False, compare=False)
+    _fields = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: dict[str, str]):
+        self._set(entries=entries)
         for brand, generic in self.entries.items():
             if not brand or not generic:
                 raise ValueError("lexicon entries must be non-empty")
@@ -84,7 +82,7 @@ class DrugLexicon:
             )
         else:
             pattern = re.compile(r"(?!)")  # never matches
-        object.__setattr__(self, "_pattern", pattern)
+        self._set(_pattern=pattern)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -112,16 +110,14 @@ def load_lexicon(path: str | Path) -> DrugLexicon:
     return DrugLexicon(entries)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Frozen):
     """Which stages run. Stage order is fixed; enabled_stages must list them
     in pipeline order, and drugnorm requires lowercase (and a lexicon)."""
 
-    enabled_stages: tuple[str, ...] = STAGES
-    lexicon: DrugLexicon | None = None
+    _fields = ("enabled_stages", "lexicon")
 
-    def __post_init__(self):
-        object.__setattr__(self, "enabled_stages", tuple(self.enabled_stages))
+    def __init__(self, enabled_stages: tuple[str, ...] = STAGES, lexicon: DrugLexicon | None = None):
+        self._set(enabled_stages=tuple(enabled_stages), lexicon=lexicon)
         unknown = [s for s in self.enabled_stages if s not in STAGES]
         if unknown:
             raise ValueError(f"unknown stages: {', '.join(map(repr, unknown))} (choose from {', '.join(STAGES)})")

@@ -11,10 +11,11 @@ fixed; the vocabulary is the only setting.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import ClassVar, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
+
+from ._io import Frozen
 
 CONTINUATION_PREFIX = "##"
 UNKNOWN_TOKEN = "[UNK]"
@@ -24,17 +25,16 @@ MAX_WORD_CHARS = 100
 COUNT_CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class SubwordVocab:
+class SubwordVocab(Frozen):
     """A token inventory; continuation tokens are stored with their '##' prefix."""
 
-    tokens: frozenset[str]
-    continuation_prefix: ClassVar[str] = CONTINUATION_PREFIX
-    unknown_token: ClassVar[str] = UNKNOWN_TOKEN
-    max_word_chars: ClassVar[int] = MAX_WORD_CHARS
+    _fields = ("tokens",)
+    continuation_prefix = CONTINUATION_PREFIX
+    unknown_token = UNKNOWN_TOKEN
+    max_word_chars = MAX_WORD_CHARS
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", frozenset(self.tokens))
+    def __init__(self, tokens: frozenset[str]):
+        self._set(tokens=frozenset(tokens))
         if UNKNOWN_TOKEN not in self.tokens:
             raise ValueError(f"vocabulary must contain the unknown token {UNKNOWN_TOKEN!r}")
 

@@ -263,6 +263,20 @@ class TestPredictionCommands:
         assert capsys.readouterr().err == f"{command}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ingest", "ensemble"])
+    @pytest.mark.parametrize("gold", ["missing-gold.tsv", "."], ids=["missing", "directory"])
+    def test_bad_gold_fails_before_any_pred_file_is_parsed(self, tmp_path, capsys, monkeypatch, command, gold):
+        from adrpipe import predictions
+
+        parsed = []
+        monkeypatch.setattr(predictions, "_parse_file", lambda *a: parsed.append(a) or iter(()))
+        preds = make_predictions(tmp_path, small_dataset(tmp_path))
+        out = tmp_path / "out.tsv"
+        assert run(command, "--pred", preds, "--min-dev-f1", "0.5", "--gold", tmp_path / gold, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: [Errno ") and repr(str(tmp_path / gold)) in err
+        assert parsed == [] and not out.exists()
+
     def test_line_separators_in_ids_survive_ensemble_and_evaluate(self, tmp_path, capsys):
         # str.splitlines() breaks at \x1c, \x85 and \u2028; no file here does.
         ids = [f"t\x1c{i}" for i in range(3)] + [f"t\x85{i}" for i in range(3)] + ["t\u20280"]
@@ -807,9 +821,9 @@ class TestReproduceWritesNothingOnConfigErrors:
             ({"min_dev_f1": [0.1]}, "config: 'min_dev_f1' must be a number, got [0.1]"),
             ({"min_dev_f1": True}, "config: 'min_dev_f1' must be a number, got True"),
             ({"min_dev_f1": "0.05"}, "config: 'min_dev_f1' must be a number, got '0.05'"),
-            ({"min_dev_f1": 1.5}, "config: 'min_dev_f1' must be in [0, 1], got 1.5"),
-            ({"min_dev_f1": float("nan")}, "config: 'min_dev_f1' must be in [0, 1], got nan"),
-            ({"min_dev_f1": -3}, "config: 'min_dev_f1' must be in [0, 1], got -3.0"),
+            ({"min_dev_f1": 1.5}, "config: min F1 must be in [0, 1], got 1.5"),
+            ({"min_dev_f1": float("nan")}, "config: min F1 must be in [0, 1], got nan"),
+            ({"min_dev_f1": -3}, "config: min F1 must be in [0, 1], got -3.0"),
             ({"thresholds": {"default": "0.5"}}, "config: 'thresholds.default' must be a number, got '0.5'"),
             ({"thresholds": {"default": [0.5]}}, "config: 'thresholds.default' must be a number, got [0.5]"),
             ({"thresholds": {"default": True}}, "config: 'thresholds.default' must be a number, got True"),
