@@ -236,12 +236,20 @@ def _report(decisions: ensemble.Decisions, gold, manifest: dict, thresholds: dic
 # ---------------------------------------------------------------- subcommands
 
 
+def _cleaned(records, cfg: PipelineConfig):
+    """Each record with its text cleaned; a text holding a tab or line break raises LabeledTweet's error."""
+    for tweet_id, text, label in records:
+        text = apply_pipeline(text, cfg)
+        if "\t" in text or "\n" in text or "\r" in text:
+            corpus.LabeledTweet(tweet_id, text, label)
+        yield tweet_id, text, label
+
+
 def cmd_preprocess(args) -> int:
     cfg = _pipeline_config([s.strip() for s in args.stages.split(",") if s.strip()], args.lexicon)
-    data = corpus.load_dataset(args.input)
-    cleaned = data.with_texts(apply_pipeline(r.text, cfg) for r in data.records)
-    corpus.save_dataset(cleaned, args.output)
-    print(f"wrote {len(cleaned)} records to {args.output}")
+    open(args.input, "rb").close()  # a missing input is named before a missing output directory
+    written = corpus.write_records(_cleaned(corpus.read_records(args.input), cfg), args.output)
+    print(f"wrote {written} records to {args.output}")
     return 0
 
 
@@ -260,8 +268,7 @@ def cmd_tokens(args) -> int:
     if args.stats:
         if not args.input:
             raise ValueError("--stats requires --input")
-        data = corpus.load_dataset(args.input)
-        stats = tokenize.corpus_token_stats([r.text for r in data.records], vocab)
+        stats = tokenize.corpus_token_stats((r.text for r in corpus.read_records(args.input)), vocab)
         print(f"total words: {stats.total_words}")
         print(f"unk words:   {stats.unk_words}")
         print(f"unk rate:    {stats.unk_rate:.4f}")

@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 import random
 from functools import partial
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from ._io import Frozen, atomic_write, chunked, read_rows
 
@@ -121,16 +121,16 @@ class Dataset(Frozen):
         return {r.tweet_id: r.label for r in self.records}
 
 
-def load_dataset(path: str | Path) -> Dataset:
-    """Read a dataset file, validating every line.
+def read_records(path: str | Path) -> Iterator[LabeledTweet]:
+    """Yield a dataset file's records one at a time, validating each line as it is read.
 
     Raises ValueError naming the offending line number for malformed lines (wrong
-    field count, label outside {0,1}, empty id) and naming the id for duplicates.
+    field count, label outside {0,1}, empty id, an id seen on an earlier line).
     read_rows yields no field holding a tab, \\n or \\r, so with these checks
-    a record needs none of LabeledTweet's own.
+    a record needs none of LabeledTweet's own. Only the ids read so far are
+    held, in a dict: 20k ids take a quarter of the memory of a set.
     """
-    records = []
-    seen: set[str] = set()
+    seen: dict[str, None] = {}
     for lineno, (tweet_id, label_text, text) in read_rows(path, 3, HEADER):
         label = _LABELS.get(label_text)
         if label is None:
@@ -139,16 +139,28 @@ def load_dataset(path: str | Path) -> Dataset:
             raise ValueError(f"{path}: tweet_id must be non-empty at line {lineno}")
         if tweet_id in seen:
             raise ValueError(f"{path}: duplicate tweet_id {tweet_id!r} at line {lineno}")
-        seen.add(tweet_id)
-        records.append(_checked_record((tweet_id, text, label)))
-    del seen  # before Dataset's own id check allocates
-    return Dataset(tuple(records))
+        seen[tweet_id] = None
+        yield _checked_record((tweet_id, text, label))
+
+
+def load_dataset(path: str | Path) -> Dataset:
+    """Read a whole dataset file, validating every line as read_records does."""
+    return Dataset(tuple(read_records(path)))
+
+
+def write_records(records: Iterable[tuple[str, str, int]], path: str | Path, header: bool = True) -> int:
+    """Write (tweet_id, text, label) records, each a LabeledTweet or a tuple that passes its checks, as
+    tab-separated UTF-8 lines with LF endings. `records` is read once, 1,024 at a time, so it may be
+    a stream. Returns how many records were written."""
+    written = count()  # zip draws each number after its record, so the next number is the record count
+    lines = (f"{tweet_id}\t{label}\t{text}\n" for (tweet_id, text, label), _ in zip(records, written))
+    atomic_write(path, chunked(chain([HEADER + "\n"], lines) if header else lines, 1024))
+    return next(written)
 
 
 def save_dataset(d: Dataset, path: str | Path, header: bool = True) -> None:
-    """Write a dataset in the tab-separated format (LF endings, UTF-8), in chunks of at most 4,096 lines."""
-    lines = (f"{r.tweet_id}\t{r.label}\t{r.text}\n" for r in d.records)
-    atomic_write(path, chunked(chain([HEADER + "\n"], lines) if header else lines))
+    """Write a dataset in the tab-separated format, as write_records does."""
+    write_records(d.records, path, header)
 
 
 def seeded_shuffle(items: list, rng: random.Random) -> None:

@@ -167,7 +167,10 @@ class TestCorpusStats:
         unk = sum(wordpiece_tokenize(w, tiny_vocab) == ["[UNK]"] for w in words)
         assert corpus_token_stats(texts, tiny_vocab) == (len(words), unk, unk / max(len(words), 1))
 
-    @pytest.mark.parametrize("n", [0, 1, COUNT_CHUNK - 1, COUNT_CHUNK, COUNT_CHUNK + 1])
+    # Edges of one chunk, and of a run of whole chunks (4,096 texts is 16 chunks of 256).
+    @pytest.mark.parametrize(
+        "n", sorted({0, 1, COUNT_CHUNK - 1, COUNT_CHUNK, COUNT_CHUNK + 1, 4095, 4096, 4097})
+    )
     def test_chunked_counts_equal_per_text_counts(self, tiny_vocab, n):
         # Texts that start or end in a word, in ASCII or Unicode whitespace, or are
         # empty: joining must neither fuse words across texts nor add any.
