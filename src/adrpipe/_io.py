@@ -1,5 +1,6 @@
-"""Helpers shared by the modules: the one line reader of every tab-separated
-file, the one writer of every output (streamed in chunks to a temp file that
+"""Helpers shared by the modules: the line rules of every tab-separated file
+(the header, blank lines, the field count) and the one reader built on them,
+the one writer of every output (streamed in chunks to a temp file that
 is renamed on success, so consumers never see a partial file when a write
 fails mid-way), the shortened id lists that error messages quote, and the
 immutable-value base of the classes that check their fields."""
@@ -8,42 +9,64 @@ from __future__ import annotations
 
 import os
 import tempfile
+from array import array
+from contextlib import contextmanager
 from itertools import chain, count, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 
-def read_rows(
-    path: str | Path, width: int, header: str | None = None, *, header_required=False, comments=False
-) -> Iterator[tuple[int, list[str]]]:
-    r"""Yield (line number, fields) for each non-blank line of a tab-separated UTF-8 file.
+@contextmanager
+def lines_of(path: str | Path, header: str | None = None, *, header_required=False):
+    r"""Open a UTF-8 file for its lines after the header: a context manager giving (lines, start),
+    where `start` is the number of the first line in `lines`.
 
     Lines end at \n, \r\n or a lone \r (universal newlines) and nowhere else:
     never str.splitlines(), which also breaks at \x1c, \x85 or \u2028,
-    characters an id may hold. A first line equal to `header` is skipped;
-    with `header_required` any other first line is an error. Blank lines
-    are skipped, and so are '#' lines when `comments` is set. Every other
-    line must have exactly `width` fields.
+    characters an id may hold. Each line keeps its "\n", if it has one. A
+    first line equal to `header` is skipped; with `header_required` any other
+    first line is an error.
     """
     with open(path, encoding="utf-8") as f:
-        lines, start = f, 1
-        if header is not None:
-            first = f.readline()
-            if first.rstrip("\n") == header:
-                start = 2
-            elif header_required:
-                raise ValueError(f"{path}: missing or malformed header (expected {header!r})")
-            else:
-                lines = chain([first], f)
-        # map() instead of a method call per line, which the prediction files have 10^5 of.
+        if header is None:
+            yield f, 1
+            return
+        first = f.readline()
+        if first.rstrip("\n") == header:
+            yield f, 2
+        elif header_required:
+            raise ValueError(f"{path}: missing or malformed header (expected {header!r})")
+        else:
+            yield chain([first], f), 1
+
+
+def require_blank(path: str | Path, width: int, lineno: int, line: str) -> None:
+    """The rule for a line that does not split into `width` tab-separated fields:
+    a blank line is skipped (nothing happens), any other is an error."""
+    if line.rstrip("\n"):
+        got = line.count("\t") + 1
+        raise ValueError(f"{path}: expected {width} fields at line {lineno}, got {got}")
+
+
+def read_rows(
+    path: str | Path, width: int, header: str | None = None, *, header_required=False, comments=False
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each non-blank line of a tab-separated UTF-8 file.
+
+    The lines and the header are those of `lines_of`. Blank lines are
+    skipped, and so are '#' lines when `comments` is set. Every other line
+    must have exactly `width` fields (`require_blank`). A reader that loops
+    over `lines_of` itself applies the same two rules.
+    """
+    with lines_of(path, header, header_required=header_required) as (lines, start):
+        # map() instead of a method call per line, which a dataset file has 10^5 of.
         rows = zip(count(start), map(str.split, map(str.rstrip, lines, repeat("\n")), repeat("\t")))
         if comments:
             rows = (row for row in rows if not row[1][0].startswith("#"))
         for row in rows:
             if len(row[1]) != width:
-                if row[1] == [""]:  # a blank line
-                    continue
-                raise ValueError(f"{path}: expected {width} fields at line {row[0]}, got {len(row[1])}")
+                require_blank(path, width, row[0], "\t".join(row[1]))
+                continue
             yield row
 
 
@@ -55,8 +78,11 @@ def atomic_write(path: str | Path, chunks: Iterable[str | bytes]) -> None:
     If a chunk, a write or the rename fails, the temp file is removed and
     `path` is left as it was.
     """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.", suffix=".tmp")
+    target, path = path, Path(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.", suffix=".tmp")
+    except OSError as e:  # it names a random temp file; the output is what the user can act on
+        raise type(e)(e.errno, e.strerror, str(target)) from None
     try:
         with os.fdopen(fd, "wb") as f:
             for chunk in chunks:
@@ -75,6 +101,11 @@ def chunked(lines: Iterable[str], size: int = 4096) -> Iterator[str]:
     lines = iter(lines)
     while chunk := "".join(islice(lines, size)):
         yield chunk
+
+
+def as_cells(values: Sequence[float]) -> array:
+    """`values` as an `array('d')`: itself if it is one, else a copy."""
+    return values if isinstance(values, array) and values.typecode == "d" else array("d", values)
 
 
 def truncate_ids(ids: Sequence[str], limit: int = 10) -> str:

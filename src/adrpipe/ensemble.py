@@ -9,12 +9,15 @@ same as comparing the max of the averaged probabilities to the threshold.
 
 from __future__ import annotations
 
+import re
 from array import array
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
-from ._io import Frozen, atomic_write, chunked, read_rows
-from .predictions import RunMatrix, as_cells, average_runs
+from ._io import Frozen, as_cells, atomic_write, chunked, lines_of, require_blank
+
+if TYPE_CHECKING:
+    from .predictions import RunMatrix
 
 DECISIONS_HEADER = "tweet_id\tmodel_probs\tmodel_verdicts\tensemble"
 RESERVED_MODEL_ID = "ensemble"  # the report's name for the ensemble's own row
@@ -140,6 +143,8 @@ def decide(m: RunMatrix, cfg: EnsembleConfig) -> Decisions:
     they are; the matrix's models are sorted, and each threshold is looked
     up once, in that order.
     """
+    from .predictions import average_runs  # here, so that `evaluate`, which only reads decisions, never loads it
+
     if not m.keys:
         raise ValueError("no models to ensemble")
     probs = average_runs(m)
@@ -183,44 +188,79 @@ def read_decisions(path: str | Path) -> Decisions:
     """Parse a decisions file; the header line is optional.
 
     Each line names every model once in both model_probs and model_verdicts,
-    and the same models as the first line; each value goes straight to its
-    column, and `Decisions` checks the rest. Errors name the file and the line:
-    a malformed line or model list where it is met, otherwise the first row
-    that breaks a rule.
+    and the same models as the first line; `Decisions` checks the rest.
+    Errors name the file and the line: a malformed line or model list where
+    it is met, otherwise the first row that breaks a rule.
+
+    A line whose lists name the first line's models in the first line's
+    order is read by one regular expression per list, which yields its
+    values; any other line is split pair by pair and checked. Either way
+    the values go, in the first line's order, into one flat array of
+    probabilities and one flat list of verdicts, and each model's column is
+    a stride slice of those.
     """
     tweet_ids, ensemble = [], []
     shifts = [(0, 0)]  # (row, line - row) from each row where a skipped header or blank line shifts the count
-    prob_columns: dict[str, array] = {}
-    verdict_columns: dict[str, list[int]] = {}
+    flat_probs, flat_verdicts = array("d"), []
     first: tuple[int, list[str]] | None = None  # line number and sorted models of the first decision
-    for lineno, (tweet_id, prob_text, verdict_text, ens_text) in read_rows(path, 4, DECISIONS_HEADER):
-        try:
-            prob_pairs = [(k, float(v)) for k, v in (kv.rsplit(":", 1) for kv in prob_text.split(","))]
-            verdict_pairs = [(k, int(v)) for k, v in (kv.rsplit(":", 1) for kv in verdict_text.split(","))]
-            ens = int(ens_text)
-        except ValueError:
-            raise ValueError(f"{path}: malformed decision at line {lineno}") from None
-        probs, verdicts = dict(prob_pairs), dict(verdict_pairs)
-        models = sorted(probs)
-        if len(probs) != len(prob_pairs) or sorted(k for k, _ in verdict_pairs) != models:
-            raise ValueError(
-                f"{path}: model_probs and model_verdicts must name the same models, "
-                f"each once, at line {lineno}"
-            )
-        if first is None:
-            first = (lineno, models)
-            prob_columns, verdict_columns = {m: array("d") for m in models}, {m: [] for m in models}
-        elif models != first[1]:
-            raise ValueError(f"{path}: models differ from those at line {first[0]} at line {lineno}")
-        if lineno - len(tweet_ids) != shifts[-1][1]:
-            shifts.append((len(tweet_ids), lineno - len(tweet_ids)))
-        tweet_ids.append(tweet_id)
-        ensemble.append(ens)
-        for m in models:
-            prob_columns[m].append(probs[m])
-            verdict_columns[m].append(verdicts[m])
+    prob_order: list[str] = []  # the first decision's models, in the order its model_probs names them
+    verdict_order: list[str] = []  # and in the order its model_verdicts names them
+    same_probs = same_verdicts = None  # each list's pattern, from the first decision
+    with lines_of(path, DECISIONS_HEADER) as (lines, start):
+        for lineno, line in enumerate(lines, start):
+            try:
+                tweet_id, prob_text, verdict_text, ens_text = line.split("\t")
+            except ValueError:
+                require_blank(path, 4, lineno, line)
+                continue
+            fast = first is not None and (pm := same_probs(prob_text)) and (vm := same_verdicts(verdict_text))
+            try:
+                if fast:
+                    flat_probs.extend(map(float, pm.groups()))
+                    flat_verdicts.extend(map(int, vm.groups()))
+                else:
+                    prob_pairs = [(k, float(v)) for k, v in (kv.rsplit(":", 1) for kv in prob_text.split(","))]
+                    verdict_pairs = [(k, int(v)) for k, v in (kv.rsplit(":", 1) for kv in verdict_text.split(","))]
+                ens = int(ens_text)
+            except ValueError:
+                raise ValueError(f"{path}: malformed decision at line {lineno}") from None
+            if not fast:
+                probs, verdicts = dict(prob_pairs), dict(verdict_pairs)
+                models = sorted(probs)
+                if len(probs) != len(prob_pairs) or sorted(k for k, _ in verdict_pairs) != models:
+                    raise ValueError(
+                        f"{path}: model_probs and model_verdicts must name the same models, "
+                        f"each once, at line {lineno}"
+                    )
+                if first is None:
+                    first = (lineno, models)
+                    prob_order, verdict_order = list(probs), list(verdicts)
+                    same_probs, same_verdicts = _list_pattern(prob_order), _list_pattern(verdict_order)
+                elif models != first[1]:
+                    raise ValueError(f"{path}: models differ from those at line {first[0]} at line {lineno}")
+                flat_probs.extend(map(probs.__getitem__, prob_order))
+                flat_verdicts.extend(map(verdicts.__getitem__, verdict_order))
+            if lineno - len(tweet_ids) != shifts[-1][1]:
+                shifts.append((len(tweet_ids), lineno - len(tweet_ids)))
+            tweet_ids.append(tweet_id)
+            ensemble.append(ens)
+    models, step = (first[1] if first else []), len(prob_order)
+    prob_at = {m: j for j, m in enumerate(prob_order)}
+    verdict_at = {m: j for j, m in enumerate(verdict_order)}
+    prob_columns = {m: flat_probs[prob_at[m]::step] for m in models}
+    verdict_columns = {m: flat_verdicts[verdict_at[m]::step] for m in models}
+    del flat_probs, flat_verdicts  # the columns are copies; the table's check need not run beside both
     try:
         return Decisions(tweet_ids, prob_columns, verdict_columns, ensemble)
     except RowError as e:
         shift = max(s for row, s in shifts if row <= e.row)  # shifts only grow
         raise ValueError(f"{path}: {e} at line {e.row + shift}") from None
+
+
+def _list_pattern(models: list[str]):
+    """The `fullmatch` of a regular expression that matches a `model:value,...` list naming
+    `models` in that order, each value free of `,` and `:`, and groups the values.
+
+    A list it matches splits into exactly those pairs, as `rsplit(":", 1)` splits
+    each, even where a model id holds a `:`."""
+    return re.compile(",".join(re.escape(m) + ":([^,:]*)" for m in models)).fullmatch

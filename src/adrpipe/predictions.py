@@ -18,7 +18,7 @@ from array import array
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from ._io import Frozen, atomic_write, read_rows, truncate_ids
+from ._io import Frozen, as_cells, atomic_write, lines_of, require_blank, truncate_ids
 from .evaluate import ConfusionCounts, count_cells, metrics
 
 HEADER = "model_id\trun_id\ttweet_id\tprob"
@@ -159,41 +159,46 @@ def _layout(ids: Sequence[str], tweet_ids: tuple[str, ...]):
     return lambda values: array("d", get(values))
 
 
-def as_cells(values: Sequence[float]) -> array:
-    """`values` as an `array('d')`: itself if it is one, else a copy."""
-    return values if isinstance(values, array) and values.typecode == "d" else array("d", values)
-
-
 def _parse_file(path: str | Path, tweet_ids: dict[str, str]) -> Iterator[tuple[tuple[str, str], list[str], array]]:
     """Each stretch of consecutive lines with one (model, run) key: the key, its tweet ids and probabilities.
 
     `tweet_ids` maps each tweet id seen so far to the one string kept for it,
     so an id that 30 runs repeat is stored once, not 30 times. A stretch's
     probabilities are gathered in a list and moved into an `array('d')` at
-    its end: `array.append` costs more a call than `list.append`.
+    its end: `array.append` costs more a call than `list.append`. Each line
+    is split and unpacked here, with no tuple or generator step per line;
+    the probability keeps the line's "\n", which float() ignores.
     """
     intern = tweet_ids.setdefault
     model = run = None
     ids: list[str] = []
     probs: list[float] = []
-    for lineno, (model_id, run_id, tweet_id, prob_text) in read_rows(path, 4, HEADER, header_required=True):
-        try:
-            prob = float(prob_text)
-        except ValueError:
-            raise ValueError(f"{path}: bad probability {prob_text!r} at line {lineno}") from None
-        if not 0.0 <= prob <= 1.0:
-            raise ValueError(f"{path}: probability out of range at line {lineno}: {prob_text}")
-        if not (model_id and run_id and tweet_id):
-            raise ValueError(
-                f"{path}: model_id, run_id and tweet_id must be non-empty at line {lineno}"
-            )
-        if run_id != run or model_id != model:  # no key tuple per line
-            if ids:
-                yield (model, run), ids, array("d", probs)
-            model, run = model_id, run_id
-            ids, probs = [], []
-        ids.append(intern(tweet_id, tweet_id))
-        probs.append(prob)
+    with lines_of(path, HEADER, header_required=True) as (lines, start):
+        for lineno, line in enumerate(lines, start):
+            try:
+                model_id, run_id, tweet_id, prob_text = line.split("\t")
+            except ValueError:
+                require_blank(path, 4, lineno, line)
+                continue
+            try:
+                prob = float(prob_text)
+            except ValueError:
+                text = prob_text.rstrip("\n")
+                raise ValueError(f"{path}: bad probability {text!r} at line {lineno}") from None
+            if not 0.0 <= prob <= 1.0:
+                text = prob_text.rstrip("\n")
+                raise ValueError(f"{path}: probability out of range at line {lineno}: {text}")
+            if not (model_id and run_id and tweet_id):
+                raise ValueError(
+                    f"{path}: model_id, run_id and tweet_id must be non-empty at line {lineno}"
+                )
+            if run_id != run or model_id != model:  # no key tuple per line
+                if ids:
+                    yield (model, run), ids, array("d", probs)
+                model, run = model_id, run_id
+                ids, probs = [], []
+            ids.append(intern(tweet_id, tweet_id))
+            probs.append(prob)
     if ids:
         yield (model, run), ids, array("d", probs)
 

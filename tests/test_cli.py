@@ -338,6 +338,33 @@ class TestPredictionCommands:
         assert rows == ["z", "a+a!", "a+z", "a!+z"]
 
 
+class TestMissingOutputDirectory:
+    @pytest.mark.parametrize("command", ["preprocess", "ensemble", "evaluate"])
+    def test_error_names_the_output_and_is_the_same_on_every_run(self, tmp_path, capsys, command):
+        d = small_dataset(tmp_path)
+        pred = tmp_path / "p.tsv"
+        pred.write_text(
+            "model_id\trun_id\ttweet_id\tprob\n" + "".join(f"m\tr1\tt{i}\t0.{i % 10}\n" for i in range(20)),
+            encoding="utf-8",
+        )
+        decisions = tmp_path / "decisions.tsv"
+        assert run("ensemble", "--pred", pred, "--expect-runs", "1", "--output", decisions) == 0
+        out = tmp_path / "no_dir" / ("report.json" if command == "evaluate" else "out.tsv")
+        argv = {
+            "preprocess": ["preprocess", "--input", d, "--stages", "lowercase", "--output", out],
+            "ensemble": ["ensemble", "--pred", pred, "--expect-runs", "1", "--output", out],
+            "evaluate": ["evaluate", "--decisions", decisions, "--gold", d, "--report", out],
+        }[command]
+        capsys.readouterr()
+        errors = []
+        for _ in range(3):
+            assert run(*argv) == 2
+            errors.append(capsys.readouterr())
+        # mkstemp's own error names a random temp file beside the output.
+        assert errors == [("", f"{command}: [Errno 2] No such file or directory: {str(out)!r}\n")] * 3
+        assert sorted(x.name for x in tmp_path.iterdir()) == ["d.tsv", "decisions.tsv", "p.tsv"]
+
+
 class TestWarningLines:
     def write_predictions(self, tmp_path):
         """One run per model; `stuck` votes negative on every tweet, so its F1 is 0."""

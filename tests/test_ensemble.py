@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adrpipe import ensemble
+from adrpipe import predictions
 from adrpipe.ensemble import (
     Decisions,
     EnsembleConfig,
@@ -145,7 +145,7 @@ class TestDecide:
             returned.append(average_runs(m))
             return returned[-1]
 
-        monkeypatch.setattr(ensemble, "average_runs", recorded)
+        monkeypatch.setattr(predictions, "average_runs", recorded)  # decide imports it from there when called
         decisions = decide(one_run_matrix({"a": {"t2": 0.25, "t1": 0.75}}), EnsembleConfig())
         assert decisions.probs is returned[0]
         assert decisions.tweet_ids == ["t1", "t2"] and decisions.probs == {"a": array("d", [0.75, 0.25])}

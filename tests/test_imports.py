@@ -172,3 +172,17 @@ def test_prediction_commands_do_not_load_numpy(tmp_path):
     codes, modules = run_fresh([["reproduce", "--config", str(config)]])
     assert codes == [0] and modules & NOT_NUMPY_FREE == set()
     assert (tmp_path / "out" / "report.json").is_file()
+
+
+def test_evaluate_does_not_load_the_prediction_code(tmp_path):
+    tweets = write_tweets(tmp_path)
+    decisions = ["tweet_id\tmodel_probs\tmodel_verdicts\tensemble"] + [
+        f"t{i}\ta:0.9,b:0.2\ta:1,b:0\t1" if i < 3 else f"t{i}\ta:0.1,b:0.2\ta:0,b:0\t0" for i in range(6)
+    ]
+    (tmp_path / "decisions.tsv").write_text("\n".join(decisions) + "\n", encoding="utf-8")
+    codes, modules = run_fresh([
+        ["evaluate", "--decisions", f"{tmp_path}/decisions.tsv", "--gold", str(tweets),
+         "--report", f"{tmp_path}/report.json"],
+    ])
+    assert codes == [0]
+    assert "adrpipe.ensemble" in modules and "adrpipe.predictions" not in modules
