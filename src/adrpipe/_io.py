@@ -1,9 +1,9 @@
 """Helpers shared by the modules: the line rules of every tab-separated file
-(the header, blank lines, the field count) and the one reader built on them,
-the one writer of every output (streamed in chunks to a temp file that
-is renamed on success, so consumers never see a partial file when a write
-fails mid-way), the shortened id lists that error messages quote, and the
-immutable-value base of the classes that check their fields."""
+(the header, blank lines, the field count), which each reader applies in its
+own loop over the lines, the one writer of every output (streamed in chunks
+to a temp file that is renamed on success, so consumers never see a partial
+file when a write fails mid-way), the shortened id lists that error messages
+quote, and the immutable-value base of the classes that check their fields."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import os
 import tempfile
 from array import array
 from contextlib import contextmanager
-from itertools import chain, count, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -48,28 +48,6 @@ def require_blank(path: str | Path, width: int, lineno: int, line: str) -> None:
         raise ValueError(f"{path}: expected {width} fields at line {lineno}, got {got}")
 
 
-def read_rows(
-    path: str | Path, width: int, header: str | None = None, *, header_required=False, comments=False
-) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) for each non-blank line of a tab-separated UTF-8 file.
-
-    The lines and the header are those of `lines_of`. Blank lines are
-    skipped, and so are '#' lines when `comments` is set. Every other line
-    must have exactly `width` fields (`require_blank`). A reader that loops
-    over `lines_of` itself applies the same two rules.
-    """
-    with lines_of(path, header, header_required=header_required) as (lines, start):
-        # map() instead of a method call per line, which a dataset file has 10^5 of.
-        rows = zip(count(start), map(str.split, map(str.rstrip, lines, repeat("\n")), repeat("\t")))
-        if comments:
-            rows = (row for row in rows if not row[1][0].startswith("#"))
-        for row in rows:
-            if len(row[1]) != width:
-                require_blank(path, width, row[0], "\t".join(row[1]))
-                continue
-            yield row
-
-
 def atomic_write(path: str | Path, chunks: Iterable[str | bytes]) -> None:
     """Write the chunks to a temp file beside `path`, one at a time, then rename it over `path`.
 
@@ -96,10 +74,10 @@ def atomic_write(path: str | Path, chunks: Iterable[str | bytes]) -> None:
         raise
 
 
-def chunked(lines: Iterable[str], size: int = 4096) -> Iterator[str]:
-    """Lines, each ending in a newline, joined into chunks of at most `size` lines."""
+def chunked(lines: Iterable[str]) -> Iterator[str]:
+    """Lines, each ending in a newline, joined into chunks of at most 1,024 lines."""
     lines = iter(lines)
-    while chunk := "".join(islice(lines, size)):
+    while chunk := "".join(islice(lines, 1024)):
         yield chunk
 
 

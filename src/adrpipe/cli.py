@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, corpus
-from ._io import atomic_write, read_rows, truncate_ids
+from ._io import atomic_write, lines_of, require_blank, truncate_ids
 from .preprocess import STAGES, PipelineConfig, load_lexicon
 from .preprocess import preprocess as apply_pipeline
 
@@ -293,7 +293,7 @@ def _load_matrix(args, ens_cfg: ensemble.EnsembleConfig | None = None) -> predic
     expected = None if args.expect_runs == 0 else args.expect_runs
     matrix = predictions.load_predictions(args.pred, expected_runs=expected)
     if ens_cfg is not None:
-        ens_cfg.check_models(matrix.models)
+        ens_cfg.thresholds_for(matrix.models)
     if args.min_dev_f1 is not None:
         gold = corpus.load_dataset(args.gold).labels()
         matrix = predictions.filter_runs(matrix, gold, args.min_dev_f1)
@@ -347,21 +347,23 @@ def cmd_variability(args) -> int:
     from . import evaluate
 
     runs_by_scenario: dict[str, dict[str, evaluate.Metrics]] = {}  # in first-seen order
-    for lineno, (scenario, run_id, f1_text, recall_text) in read_rows(
-        args.metrics, 4, "scenario\trun_id\tf1\trecall", header_required=True
-    ):
-        try:
-            f1, recall = float(f1_text), float(recall_text)
-        except ValueError:
-            raise ValueError(f"{args.metrics}: bad metric value at line {lineno}") from None
-        if not (0.0 <= f1 <= 1.0 and 0.0 <= recall <= 1.0):  # NaN fails too
-            raise ValueError(f"{args.metrics}: bad metric value at line {lineno}")
-        runs = runs_by_scenario.setdefault(scenario, {})
-        if run_id in runs:  # counted twice, one run would weigh double in the standard deviation
-            raise ValueError(
-                f"{args.metrics}: duplicate run {run_id} for scenario {scenario} at line {lineno}"
-            )
-        runs[run_id] = evaluate.Metrics(precision=0.0, recall=recall, f1=f1)
+    with lines_of(args.metrics, "scenario\trun_id\tf1\trecall", header_required=True) as (lines, start):
+        for lineno, line in enumerate(lines, start):
+            try:
+                scenario, run_id, f1_text, recall_text = line.split("\t")  # float() ignores recall's "\n"
+            except ValueError:
+                require_blank(args.metrics, 4, lineno, line)
+                continue
+            try:
+                f1, recall = float(f1_text), float(recall_text)
+            except ValueError:
+                raise ValueError(f"{args.metrics}: bad metric value at line {lineno}") from None
+            if not (0.0 <= f1 <= 1.0 and 0.0 <= recall <= 1.0):  # NaN fails too
+                raise ValueError(f"{args.metrics}: bad metric value at line {lineno}")
+            runs = runs_by_scenario.setdefault(scenario, {})
+            if run_id in runs:  # counted twice, one run would weigh double in the standard deviation
+                raise ValueError(f"{args.metrics}: duplicate run {run_id} for scenario {scenario} at line {lineno}")
+            runs[run_id] = evaluate.Metrics(precision=0.0, recall=recall, f1=f1)
     if not runs_by_scenario:
         raise ValueError(f"{args.metrics}: no metric rows")
     if args.scenario is not None:
@@ -446,13 +448,61 @@ _REPRODUCE_KEYS = {
 }
 
 
+def _protocol_inputs(doc: dict, data: corpus.Dataset, ens_cfg: ensemble.EnsembleConfig, out_dir: Path):
+    """Protocol mode's (matrix, gold, thresholds, inputs, seeds): every spec's runs, trained on the cleaned
+    dataset's train side and scored on its dev side, the gold. output_dir is made after every check."""
+    from . import baseline, ensemble
+
+    stage_names = _config(doc, "stages", list, list(STAGES))
+    lexicon = _config(doc, "lexicon", str, None)
+    with _stage("preprocess"):
+        pipe_cfg = _pipeline_config(stage_names, lexicon)
+    inputs = {"dataset": doc["dataset"], **({"lexicon": lexicon} if lexicon else {})}
+    cleaned = data.with_texts(apply_pipeline(r.text, pipe_cfg) for r in data.records)
+    fraction = _config(doc.get("split", {}), "split.train_fraction", float, 0.8)
+    split_seed = _config(doc.get("split", {}), "split.seed", int, 0)
+    with _stage("split"):
+        train_set, dev_set = corpus.stratified_split(cleaned, fraction, split_seed)
+    specs = _specs_from_config(doc["protocol"])
+    ensemble.check_model_ids(m for m, _ in specs)
+    with _stage("ensemble"):
+        thresholds = ens_cfg.thresholds_for(m for m, _ in specs)
+    runs = _config(doc["protocol"], "runs", int, 5)
+    with _stage("baseline"):
+        baseline.check_protocol(train_set, specs, runs)
+        out_dir.mkdir(parents=True, exist_ok=True)  # every check has passed; nothing is hashed yet
+        matrix = baseline.protocol_matrix(train_set, dev_set, specs, runs)
+    seeds = {"split": split_seed, "specs": {m: cfg.seed for m, cfg in specs}}
+    return matrix, dev_set.labels(), thresholds, inputs, seeds
+
+
+def _predictions_inputs(doc: dict, labels: dict[str, int], ens_cfg: ensemble.EnsembleConfig, out_dir: Path):
+    """Predictions mode's (matrix, gold, thresholds, inputs, seeds): the prediction files' matrix,
+    and the dataset's labels for its tweets as the gold. output_dir is made after every check."""
+    from . import ensemble, predictions
+
+    pred_paths = [Path(p) for p in _config(doc, "predictions", list)]
+    with _stage("ingest"):
+        matrix = predictions.load_predictions(pred_paths, expected_runs=None)
+    ensemble.check_model_ids(matrix.models)
+    with _stage("ensemble"):
+        thresholds = ens_cfg.thresholds_for(matrix.models)
+    missing = [t for t in matrix.tweet_ids if t not in labels]
+    if missing:
+        raise ValueError(f"ingest: dataset lacks labels for: {truncate_ids(sorted(missing))}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    inputs = {"dataset": doc["dataset"], "predictions": ", ".join(map(str, pred_paths))}
+    return matrix, {t: labels[t] for t in matrix.tweet_ids}, thresholds, inputs, {}
+
+
 def cmd_reproduce(args) -> int:
     from . import ensemble, predictions
 
     doc = _load_json(args.config)
     dataset_path = _config(doc, "dataset", str)
     out_dir = Path(_config(doc, "output_dir", str))
-    if ("protocol" in doc) == ("predictions" in doc):
+    protocol = "protocol" in doc
+    if protocol == ("predictions" in doc):
         raise ValueError("config: exactly one of 'protocol' or 'predictions' is required")
     split_cfg = _config(doc, "split", dict, {})
     proto = _config(doc, "protocol", dict, {})
@@ -461,94 +511,37 @@ def cmd_reproduce(args) -> int:
         if unknown:
             raise ValueError(f"config: unknown key {prefix + unknown[0]!r}")
 
-    with _stage("corpus"):
-        data = corpus.load_dataset(dataset_path)
+    with _stage("corpus"):  # predictions mode needs only the labels, not the texts
+        data = corpus.load_dataset(dataset_path) if protocol else corpus.read_labels(dataset_path)
     thresholds_doc = _config(doc, "thresholds", dict, {})
     # "default": null leaves no default, so every model needs a threshold of its own.
     default = _config(thresholds_doc, "thresholds.default", float, None) if "default" in thresholds_doc else 0.5
-    thresholds = {m: _config(thresholds_doc, f"thresholds.{m}", float) for m in thresholds_doc if m != "default"}
+    listed = {m: _config(thresholds_doc, f"thresholds.{m}", float) for m in thresholds_doc if m != "default"}
     with _stage("ensemble"):
-        ens_cfg = ensemble.EnsembleConfig(thresholds=thresholds, default_threshold=default)
+        ens_cfg = ensemble.EnsembleConfig(thresholds=listed, default_threshold=default)
     min_dev_f1 = _config(doc, "min_dev_f1", float, None)
     if min_dev_f1 is not None:
         with _stage("config"):
             predictions.check_min_f1(min_dev_f1)
 
-    seeds: dict = {}
-    inputs = {"dataset": dataset_path}
-    outputs: dict = {}
-    written = None  # protocol mode's matrix for predictions.tsv
-
-    if "protocol" in doc:
-        from . import baseline
-
-        stage_names = _config(doc, "stages", list, list(STAGES))
-        lexicon = _config(doc, "lexicon", str, None)
-        with _stage("preprocess"):
-            pipe_cfg = _pipeline_config(stage_names, lexicon)
-        if lexicon:
-            inputs["lexicon"] = lexicon
-        cleaned = data.with_texts(apply_pipeline(r.text, pipe_cfg) for r in data.records)
-        fraction = _config(split_cfg, "split.train_fraction", float, 0.8)
-        split_seed = _config(split_cfg, "split.seed", int, 0)
-        seeds["split"] = split_seed
-        with _stage("split"):
-            train_set, dev_set = corpus.stratified_split(cleaned, fraction, split_seed)
-        specs = _specs_from_config(proto)
-        ensemble.check_model_ids(m for m, _ in specs)
-        with _stage("ensemble"):
-            ens_cfg.check_models(m for m, _ in specs)
-            for model_id in sorted(m for m, _ in specs):  # the order decide() looks them up in
-                ens_cfg.threshold_for(model_id)
-        seeds["specs"] = {m: cfg.seed for m, cfg in specs}
-        runs = _config(proto, "runs", int, 5)
-        with _stage("baseline"):
-            baseline.check_protocol(train_set, specs, runs)
-            out_dir.mkdir(parents=True, exist_ok=True)  # every check has passed; nothing is hashed yet
-            matrix = written = baseline.protocol_matrix(train_set, dev_set, specs, runs)
-        outputs["predictions"] = out_dir / "predictions.tsv"
-        gold = dev_set.labels()
-    else:
-        pred_paths = [Path(p) for p in _config(doc, "predictions", list)]
-        inputs["predictions"] = ", ".join(map(str, pred_paths))
-        with _stage("ingest"):
-            matrix = predictions.load_predictions(pred_paths, expected_runs=None)
-        ensemble.check_model_ids(matrix.models)
-        with _stage("ensemble"):
-            ens_cfg.check_models(matrix.models)
-        all_labels = data.labels()
-        missing = [t for t in matrix.tweet_ids if t not in all_labels]
-        if missing:
-            raise ValueError(f"ingest: dataset lacks labels for: {truncate_ids(sorted(missing))}")
-        gold = {t: all_labels[t] for t in matrix.tweet_ids}
-        out_dir.mkdir(parents=True, exist_ok=True)
-
+    inputs_of = _protocol_inputs if protocol else _predictions_inputs
+    matrix, gold, thresholds, inputs, seeds = inputs_of(doc, data, ens_cfg, out_dir)
+    written = matrix if protocol else None  # protocol mode's unscreened matrix, for predictions.tsv
     if min_dev_f1 is not None:
         with _stage("ingest"):
             matrix = predictions.filter_runs(matrix, gold, min_dev_f1)
-
     with _stage("ensemble"):
         decisions = ensemble.decide(matrix, ens_cfg)
 
-    if written is not None:
-        # Only now, so a screen or decision that fails leaves no predictions.tsv.
+    outputs = {"decisions": out_dir / "decisions.tsv", "report": out_dir / "report.json"}
+    if written is not None:  # only now, so a screen or decision that fails leaves no predictions.tsv
+        outputs["predictions"] = out_dir / "predictions.tsv"
         predictions.write_predictions(written, outputs["predictions"])
-    decisions_path = out_dir / "decisions.tsv"
-    ensemble.write_decisions(decisions, decisions_path)
-    outputs["decisions"] = decisions_path
-
-    report_path = out_dir / "report.json"
-    outputs["report"] = report_path
-    manifest = _manifest(
-        command="reproduce",
-        inputs=inputs,
-        outputs=outputs,
-        config=doc,
-        seeds=seeds,
-    )
+    ensemble.write_decisions(decisions, outputs["decisions"])
+    manifest = _manifest(command="reproduce", inputs=inputs, outputs=outputs, config=doc, seeds=seeds)
     with _stage("evaluate"):
-        _report(decisions, gold, manifest, {m: ens_cfg.threshold_for(m) for m in matrix.models}, report_path)
-    print(f"\nwrote {decisions_path} and {report_path}")
+        _report(decisions, gold, manifest, {m: thresholds[m] for m in matrix.models}, outputs["report"])
+    print(f"\nwrote {outputs['decisions']} and {outputs['report']}")
     return 0
 
 

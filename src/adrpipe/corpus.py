@@ -19,7 +19,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from ._io import Frozen, atomic_write, chunked, read_rows
+from ._io import Frozen, atomic_write, chunked, lines_of, require_blank
 
 HEADER = "tweet_id\tlabel\ttext"
 
@@ -126,21 +126,32 @@ def read_records(path: str | Path) -> Iterator[LabeledTweet]:
 
     Raises ValueError naming the offending line number for malformed lines (wrong
     field count, label outside {0,1}, empty id, an id seen on an earlier line).
-    read_rows yields no field holding a tab, \\n or \\r, so with these checks
-    a record needs none of LabeledTweet's own. Only the ids read so far are
-    held, in a dict: 20k ids take a quarter of the memory of a set.
+    A line's fields hold no tab, nor a line break once the text loses its "\\n",
+    so with these checks a record needs none of LabeledTweet's own. Only the ids
+    read so far are held, in a dict: 20k ids take a quarter of the memory of a set.
     """
     seen: dict[str, None] = {}
-    for lineno, (tweet_id, label_text, text) in read_rows(path, 3, HEADER):
-        label = _LABELS.get(label_text)
-        if label is None:
-            raise ValueError(f"{path}: label out of range at line {lineno}: {label_text!r}")
-        if not tweet_id:
-            raise ValueError(f"{path}: tweet_id must be non-empty at line {lineno}")
-        if tweet_id in seen:
-            raise ValueError(f"{path}: duplicate tweet_id {tweet_id!r} at line {lineno}")
-        seen[tweet_id] = None
-        yield _checked_record((tweet_id, text, label))
+    with lines_of(path, HEADER) as (lines, start):
+        for lineno, line in enumerate(lines, start):
+            try:
+                tweet_id, label_text, text = line.split("\t")
+            except ValueError:
+                require_blank(path, 3, lineno, line)
+                continue
+            label = _LABELS.get(label_text)
+            if label is None:
+                raise ValueError(f"{path}: label out of range at line {lineno}: {label_text!r}")
+            if not tweet_id:
+                raise ValueError(f"{path}: tweet_id must be non-empty at line {lineno}")
+            if tweet_id in seen:
+                raise ValueError(f"{path}: duplicate tweet_id {tweet_id!r} at line {lineno}")
+            seen[tweet_id] = None
+            yield _checked_record((tweet_id, text.rstrip("\n"), label))
+
+
+def read_labels(path: str | Path) -> dict[str, int]:
+    """A dataset file's tweet_id -> label mapping, read and checked as read_records reads it, without the texts."""
+    return {r.tweet_id: r.label for r in read_records(path)}
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -154,7 +165,7 @@ def write_records(records: Iterable[tuple[str, str, int]], path: str | Path, hea
     a stream. Returns how many records were written."""
     written = count()  # zip draws each number after its record, so the next number is the record count
     lines = (f"{tweet_id}\t{label}\t{text}\n" for (tweet_id, text, label), _ in zip(records, written))
-    atomic_write(path, chunked(chain([HEADER + "\n"], lines) if header else lines, 1024))
+    atomic_write(path, chunked(chain([HEADER + "\n"], lines) if header else lines))
     return next(written)
 
 

@@ -39,14 +39,17 @@ class EnsembleConfig(Frozen):
         if self.default_threshold is not None and not 0.0 < self.default_threshold < 1.0:
             raise ValueError(f"default threshold must be in (0, 1), got {self.default_threshold}")
 
-    def check_models(self, model_ids: Iterable[str]) -> None:
-        """Reject a threshold for a model not in model_ids: a misspelt id would leave its model on the default."""
+    def thresholds_for(self, model_ids: Iterable[str]) -> dict[str, float]:
+        """Each model's threshold, in sorted model order: the check to make before any work on the models.
+        A threshold for a model not in model_ids (a misspelt id, which would leave its model on the
+        default) is an error, and so is a model with none: the first, in that order, is named."""
         model_ids = sorted(model_ids)
         unknown = sorted(set(self.thresholds) - set(model_ids))
         if unknown:
             raise ValueError(
                 f"threshold for unknown model {', '.join(map(repr, unknown))} (models: {', '.join(model_ids)})"
             )
+        return {m: self.threshold_for(m) for m in model_ids}
 
     def threshold_for(self, model_id: str) -> float:
         if model_id in self.thresholds:
@@ -171,7 +174,7 @@ def write_decisions(decisions: Decisions, path: str | Path) -> None:
     """Write decisions as ``tweet_id<TAB>model:prob,...<TAB>model:verdict,...<TAB>ensemble``.
 
     Every table is valid by construction, so its file reads back. The file is
-    streamed in chunks of at most 4,096 lines, each formatted as it is written.
+    streamed in chunks of at most 1,024 lines, each formatted as it is written.
     """
     atomic_write(path, chunked(_decision_lines(decisions)))
 

@@ -16,10 +16,12 @@ import operator
 import warnings
 from array import array
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from ._io import Frozen, as_cells, atomic_write, lines_of, require_blank, truncate_ids
-from .evaluate import ConfusionCounts, count_cells, metrics
+
+if TYPE_CHECKING:
+    from .evaluate import ConfusionCounts
 
 HEADER = "model_id\trun_id\ttweet_id\tprob"
 
@@ -283,6 +285,8 @@ def average_runs(m: RunMatrix) -> dict[str, array]:
 
 def run_scores(m: RunMatrix, gold: Mapping[str, int], threshold: float = 0.5) -> dict[tuple[str, str], ConfusionCounts]:
     """Each run's confusion counts against gold at `threshold`, keyed by (model_id, run_id) in `m.keys` order."""
+    from .evaluate import count_cells  # here, so that the commands that score no runs never load it
+
     missing = sorted(t for t in m.tweet_ids if t not in gold)
     if missing:
         raise ValueError(f"gold labels missing for tweets: {truncate_ids(missing)}")
@@ -309,6 +313,8 @@ def filter_runs(
     their runs are dropped with a warning; an empty result is an error. So is
     a min_f1 that `check_min_f1` rejects.
     """
+    from .evaluate import metrics
+
     check_min_f1(min_f1)
     keep = [metrics(c).f1 >= min_f1 for c in run_scores(m, gold, threshold).values()]
     kept_models = {model_id for (model_id, _), k in zip(m.keys, keep) if k}

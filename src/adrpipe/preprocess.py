@@ -30,7 +30,7 @@ import re
 import string
 from pathlib import Path
 
-from ._io import Frozen, read_rows
+from ._io import Frozen, lines_of, require_blank
 
 STAGES = ("anonymize", "handles", "hashtags", "lowercase", "drugnorm")
 
@@ -95,18 +95,25 @@ def load_lexicon(path: str | Path) -> DrugLexicon:
     duplicate keys are rejected.
     """
     entries: dict[str, str] = {}
-    for lineno, fields in read_rows(path, 2, comments=True):
-        brand, generic = fields[0].strip().lower(), fields[1].strip().lower()
-        if not brand or not generic:
-            raise ValueError(f"{path}: lexicon entries must be non-empty at line {lineno}")
-        if brand == generic:
-            raise ValueError(f"{path}: self-mapping rejected: {brand!r} at line {lineno}")
-        if brand in entries and entries[brand] != generic:
-            raise ValueError(
-                f"{path}: conflicting duplicate key {brand!r} at line {lineno}: "
-                f"{entries[brand]!r} vs {generic!r}"
-            )
-        entries[brand] = generic
+    with lines_of(path) as (lines, start):
+        for lineno, line in enumerate(lines, start):
+            if line.startswith("#"):
+                continue
+            try:
+                brand, generic = map(str.lower, map(str.strip, line.split("\t")))
+            except ValueError:
+                require_blank(path, 2, lineno, line)
+                continue
+            if not brand or not generic:
+                raise ValueError(f"{path}: lexicon entries must be non-empty at line {lineno}")
+            if brand == generic:
+                raise ValueError(f"{path}: self-mapping rejected: {brand!r} at line {lineno}")
+            if brand in entries and entries[brand] != generic:
+                raise ValueError(
+                    f"{path}: conflicting duplicate key {brand!r} at line {lineno}: "
+                    f"{entries[brand]!r} vs {generic!r}"
+                )
+            entries[brand] = generic
     return DrugLexicon(entries)
 
 

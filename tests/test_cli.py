@@ -381,7 +381,8 @@ class TestWarningLines:
                 "--min-dev-f1", "0.5"]
         done = subprocess.run(
             [sys.executable, "-m", "adrpipe.cli", *map(str, argv)],
-            env=dict(os.environ, PYTHONPATH=str(DATA.parent / "src")), capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(DATA.parent / "src")), capture_output=True, text=True,
+            encoding="utf-8", timeout=60,
         )
         assert done.returncode == 0
         assert done.stderr == (
@@ -908,6 +909,51 @@ class TestReproduceWritesNothingOnConfigErrors:
         assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
         assert report["thresholds"] == {"charview": 0.25, "wordview": 0.75}
+
+
+class TestOneThresholdRule:
+    """Every model the inputs name needs a threshold, in every command and mode, a model the
+    --min-dev-f1 screen drops included: protocol mode checks before it trains, so before it can
+    know which runs the screen drops, and the other paths check as early."""
+
+    STUCK = {"model_id": "stuck", "ngram_range": [1, 1], "feature_mode": "word", "epochs": 1,
+             "learning_rate": 1e-9, "seed": 300}  # all-negative on the dev side: F1 = 0
+
+    def argv(self, tmp_path, path, dataset, thresholds, out):
+        """The path's arguments with `thresholds` and no default, writing to `out`."""
+        if path == "ensemble":
+            pairs = [a for m, t in thresholds.items() for a in ("--threshold", f"{m}={t}")]
+            return ["ensemble", "--pred", tmp_path / "p.tsv", "--expect-runs", "1", "--gold", dataset,
+                    "--min-dev-f1", "0.5", "--no-default", *pairs, "--output", out]
+        cfg = {**protocol_config(tmp_path, dataset), "min_dev_f1": 0.5, "output_dir": str(out),
+               "thresholds": {"default": None, **thresholds}}
+        if path == "protocol":
+            cfg["protocol"]["specs"].append(self.STUCK)
+        else:
+            del cfg["protocol"]
+            cfg["predictions"] = [str(tmp_path / "p.tsv")]
+        return ["reproduce", "--config", write_config(tmp_path, cfg)]
+
+    @pytest.mark.parametrize("path", ["protocol", "predictions", "ensemble"])
+    def test_a_model_the_screen_drops_needs_one(self, tmp_path, capsys, path):
+        d = tmp_path / "d.tsv"
+        data = make_synthetic_dataset(200, 0.3, seed=5)
+        save_dataset(data, d)
+        (tmp_path / "p.tsv").write_text("model_id\trun_id\ttweet_id\tprob\n" + "".join(
+            f"{m}\tr1\t{r.tweet_id}\t{p[r.label]}\n"
+            for m, p in (("charview", (0.1, 0.9)), ("stuck", (0.0, 0.0)), ("wordview", (0.3, 0.8)))
+            for r in data.records
+        ), encoding="utf-8")
+        thresholds = {"charview": 0.5, "stuck": 0.5, "wordview": 0.5}
+        with pytest.warns(UserWarning, match="all runs below min F1 0.5 for: stuck$"):
+            assert run(*self.argv(tmp_path, path, d, thresholds, tmp_path / "first")) == 0  # the screen drops it
+        capsys.readouterr()
+
+        del thresholds["stuck"]
+        assert run(*self.argv(tmp_path, path, d, thresholds, tmp_path / "second")) == 1
+        prefix = "ensemble: " if path == "ensemble" else "reproduce: ensemble: "
+        assert capsys.readouterr() == ("", f"{prefix}no threshold configured for model stuck\n")
+        assert not (tmp_path / "second").exists()
 
 
 class TestUnwritableIds:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adrpipe._io import read_rows
 from adrpipe.corpus import (
     HEADER,
     Dataset,
@@ -18,6 +17,7 @@ from adrpipe.corpus import (
     seeded_shuffle,
     stratified_split,
 )
+from test_line_loops import oracle_read_records
 
 
 # Any character a field can hold: all of Unicode but tab and the two line breaks.
@@ -193,17 +193,7 @@ def outcome(build):
 
 def load_one_at_a_time(path):
     """The loader that builds each record through LabeledTweet, the reference for load_dataset."""
-    records, seen = [], set()
-    for lineno, (tweet_id, label_text, text) in read_rows(path, 3, HEADER):
-        if label_text not in ("0", "1"):
-            raise ValueError(f"{path}: label out of range at line {lineno}: {label_text!r}")
-        if not tweet_id:
-            raise ValueError(f"{path}: tweet_id must be non-empty at line {lineno}")
-        if tweet_id in seen:
-            raise ValueError(f"{path}: duplicate tweet_id {tweet_id!r} at line {lineno}")
-        seen.add(tweet_id)
-        records.append(LabeledTweet(tweet_id, text, int(label_text)))
-    return Dataset(tuple(records))
+    return Dataset(tuple(LabeledTweet(*fields) for fields in oracle_read_records(path)))
 
 
 class TestBulkRecordsAreChecked:

@@ -21,7 +21,7 @@ def test_demos_are_found():
 def test_demo_runs(demo):
     done = subprocess.run(
         [sys.executable, str(demo)],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, encoding="utf-8", timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()

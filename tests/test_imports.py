@@ -55,7 +55,7 @@ def run_fresh(argvs: list[list[str]]) -> tuple[list[int], set[str]]:
     """The commands' exit codes, run one after another in a fresh interpreter, and the modules it loaded."""
     done = subprocess.run(
         [sys.executable, "-c", RUN_COMMANDS, json.dumps(argvs)],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, encoding="utf-8", timeout=60,
     )
     assert done.returncode == 0, done.stderr
     codes, modules = json.loads(done.stderr.splitlines()[-1])
@@ -84,7 +84,7 @@ def test_preprocess_stays_the_function_once_the_cli_is_loaded():
         [sys.executable, "-c",
          "import sys, adrpipe.cli; from adrpipe import preprocess;"
          " print(preprocess is sys.modules['adrpipe.preprocess'].preprocess)"],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, encoding="utf-8", timeout=60,
     )
     assert done.stdout.split() == ["True"], done.stderr
 
@@ -94,7 +94,7 @@ def test_star_import_binds_every_export_but_the_baseline_ones():
         [sys.executable, "-c",
          "import json as _json, sys as _sys; from adrpipe import *;"
          " print(_json.dumps([sorted(n for n in dir() if not n.startswith('_')), 'numpy' in _sys.modules]))"],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, encoding="utf-8", timeout=60,
     )
     names, numpy_loaded = json.loads(done.stdout)
     baseline_names = {"BaselineConfig", "BaselineModel", "load_model", "predict_prob", "run_protocol",
@@ -108,7 +108,7 @@ def test_submodules_resolve_as_package_attributes():
         [sys.executable, "-c",
          "import adrpipe; print(adrpipe.baseline.train is adrpipe.train,"
          " adrpipe.predictions.RunMatrix is adrpipe.RunMatrix)"],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, encoding="utf-8", timeout=60,
     )
     assert done.stdout.split() == ["True", "True"], done.stderr
 
@@ -172,6 +172,19 @@ def test_prediction_commands_do_not_load_numpy(tmp_path):
     codes, modules = run_fresh([["reproduce", "--config", str(config)]])
     assert codes == [0] and modules & NOT_NUMPY_FREE == set()
     assert (tmp_path / "out" / "report.json").is_file()
+
+
+def test_ensemble_without_a_screen_does_not_load_the_evaluation_code(tmp_path):
+    preds = tmp_path / "preds.tsv"
+    preds.write_text(
+        "model_id\trun_id\ttweet_id\tprob\n" + "".join(f"m\tr1\tt{i}\t0.{i}\n" for i in range(6)),
+        encoding="utf-8",
+    )
+    codes, modules = run_fresh([
+        ["ensemble", "--pred", str(preds), "--expect-runs", "1", "--output", f"{tmp_path}/decisions.tsv"],
+    ])
+    assert codes == [0]
+    assert "adrpipe.predictions" in modules and "adrpipe.evaluate" not in modules
 
 
 def test_evaluate_does_not_load_the_prediction_code(tmp_path):

@@ -120,9 +120,9 @@ class TestAtomicWrite:
         assert "ingest: cannot rename" in capsys.readouterr().err
         assert sorted(x.name for x in tmp_path.iterdir()) == ["pred.tsv"]
 
-    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 10_000])
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 4095, 4096, 4097, 10_000])
     def test_chunked_keeps_every_line_in_order(self, n):
         lines = [f"line {i}\n" for i in range(n)]
         chunks = list(chunked(lines))
         assert "".join(chunks) == "".join(lines)
-        assert [c.count("\n") for c in chunks] == [4096] * (n // 4096) + [n % 4096] * (n % 4096 > 0)
+        assert [c.count("\n") for c in chunks] == [1024] * (n // 1024) + [n % 1024] * (n % 1024 > 0)

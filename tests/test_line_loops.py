@@ -1,8 +1,11 @@
-"""The prediction and decisions readers loop over a file's lines themselves. Each must accept
-exactly the files the generator-based readers they replaced accepted, build the same value,
-and fail with the same message. Those readers are kept here, as the oracles."""
+"""Every tab-separated reader loops over a file's lines itself: the prediction, decisions,
+dataset, lexicon and metrics readers. Each must accept exactly the files the generator-based
+readers they replaced accepted, build the same value, and fail with the same message. Those
+readers are kept here, as the oracles."""
 
+import io
 from array import array
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain, count, repeat
 from unittest import mock
 
@@ -10,13 +13,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adrpipe import predictions
+from adrpipe import corpus, evaluate, predictions
+from adrpipe.cli import main
 from adrpipe.ensemble import DECISIONS_HEADER, Decisions, RowError, read_decisions
 from adrpipe.predictions import HEADER, load_predictions
+from adrpipe.preprocess import DrugLexicon, load_lexicon
+
+METRICS_HEADER = "scenario\trun_id\tf1\trecall"
 
 
-def oracle_read_rows(path, width, header=None, *, header_required=False):
-    """The line reader both readers were built on: one (line number, fields) tuple per line."""
+def oracle_read_rows(path, width, header=None, *, header_required=False, comments=False):
+    """The line reader every reader was built on: one (line number, fields) tuple per line,
+    '#' lines skipped with `comments`."""
     with open(path, encoding="utf-8") as f:
         lines, start = f, 1
         if header is not None:
@@ -28,6 +36,8 @@ def oracle_read_rows(path, width, header=None, *, header_required=False):
             else:
                 lines = chain([first], f)
         rows = zip(count(start), map(str.split, map(str.rstrip, lines, repeat("\n")), repeat("\t")))
+        if comments:
+            rows = (row for row in rows if not row[1][0].startswith("#"))
         for row in rows:
             if len(row[1]) != width:
                 if row[1] == [""]:
@@ -97,6 +107,69 @@ def oracle_read_decisions(path):
     except RowError as e:
         shift = max(s for row, s in shifts if row <= e.row)
         raise ValueError(f"{path}: {e} at line {e.row + shift}") from None
+
+
+def oracle_read_records(path):
+    """The dataset reader over `oracle_read_rows`."""
+    seen = set()
+    for lineno, (tweet_id, label_text, text) in oracle_read_rows(path, 3, corpus.HEADER):
+        if label_text not in ("0", "1"):
+            raise ValueError(f"{path}: label out of range at line {lineno}: {label_text!r}")
+        if not tweet_id:
+            raise ValueError(f"{path}: tweet_id must be non-empty at line {lineno}")
+        if tweet_id in seen:
+            raise ValueError(f"{path}: duplicate tweet_id {tweet_id!r} at line {lineno}")
+        seen.add(tweet_id)
+        yield tweet_id, text, int(label_text)
+
+
+def oracle_load_lexicon(path):
+    """The lexicon reader over `oracle_read_rows`, '#' lines skipped."""
+    entries = {}
+    for lineno, fields in oracle_read_rows(path, 2, comments=True):
+        brand, generic = fields[0].strip().lower(), fields[1].strip().lower()
+        if not brand or not generic:
+            raise ValueError(f"{path}: lexicon entries must be non-empty at line {lineno}")
+        if brand == generic:
+            raise ValueError(f"{path}: self-mapping rejected: {brand!r} at line {lineno}")
+        if brand in entries and entries[brand] != generic:
+            raise ValueError(
+                f"{path}: conflicting duplicate key {brand!r} at line {lineno}: {entries[brand]!r} vs {generic!r}"
+            )
+        entries[brand] = generic
+    return DrugLexicon(entries)
+
+
+def oracle_variability(path):
+    """The table `variability` prints for a metrics file, its rows read over `oracle_read_rows`."""
+    runs_by_scenario = {}
+    for lineno, (scenario, run_id, f1_text, recall_text) in oracle_read_rows(
+        path, 4, METRICS_HEADER, header_required=True
+    ):
+        try:
+            f1, recall = float(f1_text), float(recall_text)
+        except ValueError:
+            raise ValueError(f"{path}: bad metric value at line {lineno}") from None
+        if not (0.0 <= f1 <= 1.0 and 0.0 <= recall <= 1.0):
+            raise ValueError(f"{path}: bad metric value at line {lineno}")
+        runs = runs_by_scenario.setdefault(scenario, {})
+        if run_id in runs:
+            raise ValueError(f"{path}: duplicate run {run_id} for scenario {scenario} at line {lineno}")
+        runs[run_id] = evaluate.Metrics(precision=0.0, recall=recall, f1=f1)
+    if not runs_by_scenario:
+        raise ValueError(f"{path}: no metric rows")
+    reports = [evaluate.variability(list(runs.values()), s) for s, runs in runs_by_scenario.items()]
+    return evaluate.variability_table(reports) + "\n"
+
+
+def variability_outcome(path):
+    """("ok", stdout) or ("error", message) of `adrpipe variability --metrics path`."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["variability", "--metrics", str(path)])
+    if code == 0:
+        return "ok", out.getvalue()
+    return "error", err.getvalue().removeprefix("variability: ").removesuffix("\n")
 
 
 def outcome(load):
@@ -275,3 +348,81 @@ class TestDecisionsLoop:
         d = read_decisions(p)
         assert d.probs == {"a": array("d", [0.1, 0.3, 0.7]), "b": array("d", [0.9, 0.2, 0.6])}
         assert d.verdicts == {"a": [0, 0, 1], "b": [1, 0, 1]}
+
+
+LABEL_TEXTS = ["0", "1", "1", "2", " 1", "x", ""]
+TEXTS = ["text", "", " a b ", "#tag", "x\x1cy", "é"]
+
+
+@st.composite
+def dataset_files(draw):
+    """A dataset file's text: rows with odd ids, labels and texts, an optional header,
+    mixed line breaks and a few faults."""
+    rows = [
+        f"{draw(st.sampled_from(['t1', 't2', 't3', *ODD_IDS]))}\t{draw(st.sampled_from(LABEL_TEXTS))}"
+        f"\t{draw(st.sampled_from(TEXTS))}"
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    header = draw(st.sampled_from([[corpus.HEADER], [corpus.HEADER], []]))
+    return join_lines(draw, header + mutate(draw, rows, 3))
+
+
+TERMS = ["tylenol", "Tylenol PM", " advil ", "ibuprofen", "x\x1cy", "", "#note", "a#b"]
+
+
+@st.composite
+def lexicon_files(draw):
+    """A lexicon file's text: brand and generic pairs, mixed case and spaces among them,
+    '#' comment lines of any width, mixed line breaks and a few faults."""
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["# comment", "#", "#a\tb", "#a\tb\tc"])))
+        else:
+            lines.append(f"{draw(st.sampled_from(TERMS))}\t{draw(st.sampled_from(TERMS))}")
+    return join_lines(draw, mutate(draw, lines, 2))
+
+
+METRIC_VALUES = ["0.5", "0.25", "1", "0", " 0.125 ", "-0.0", "nan", "1.5", "x", ""]
+
+
+@st.composite
+def metrics_files(draw):
+    """A metrics file's text: a grid of scenarios x runs in some order, two metric values a row,
+    with odd ids and values, a header that may be wrong or missing, mixed line breaks and a few faults."""
+    scenarios = draw(st.lists(st.sampled_from(["a", "b", *ODD_IDS]), min_size=1, max_size=2, unique=True))
+    runs = draw(st.lists(st.sampled_from(["r1", "r2", "r3", *ODD_IDS]), min_size=2, max_size=3, unique=True))
+    valid = draw(st.booleans())
+    value = st.sampled_from(METRIC_VALUES[:6] if valid else METRIC_VALUES)
+    rows = [f"{s}\t{r}\t{draw(value)}\t{draw(value)}" for s in scenarios for r in runs]
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    header = draw(st.sampled_from([METRICS_HEADER, METRICS_HEADER, METRICS_HEADER, "scenario\trun_id\tf1", ""]))
+    return join_lines(draw, [header, *mutate(draw, list(rows), 4)])
+
+
+class TestTextFileLoops:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=dataset_files())
+    def test_records_agree_with_the_read_rows_reader(self, tmp_path, text):
+        p = tmp_path / "d.tsv"
+        p.write_bytes(text.encode("utf-8"))
+        got = outcome(lambda: list(corpus.read_records(p)))
+        expected = outcome(lambda: list(oracle_read_records(p)))
+        assert got == expected
+        labels = outcome(lambda: {tweet_id: label for tweet_id, _, label in oracle_read_records(p)})
+        assert outcome(lambda: corpus.read_labels(p)) == labels
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=lexicon_files())
+    def test_lexicon_agrees_with_the_read_rows_reader(self, tmp_path, text):
+        p = tmp_path / "lexicon.tsv"
+        p.write_bytes(text.encode("utf-8"))
+        assert outcome(lambda: load_lexicon(p)) == outcome(lambda: oracle_load_lexicon(p))
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=metrics_files())
+    def test_variability_agrees_with_the_read_rows_reader(self, tmp_path, text):
+        p = tmp_path / "metrics.tsv"
+        p.write_bytes(text.encode("utf-8"))
+        assert variability_outcome(p) == outcome(lambda: oracle_variability(p))
