@@ -17,19 +17,24 @@ every window start keeps its own crc32 register, and table-driven numpy steps
 character position of the longest n-gram costs a few numpy calls for the
 first bytes, plus a few per further byte over just the windows whose
 character is multi-byte there. Word grams, which can be any length, go
-through zlib.crc32 one at a time. The protocol
-hashes each spec's train side and dev side once, each into a CSR matrix
-(indptr/indices/data arrays) whose rows all R runs of the spec share.
+through zlib.crc32 one at a time. `_csr_blocks` yields each block as a CSR
+matrix (indptr/indices/data arrays), and `_csr` concatenates them. The
+protocol hashes each spec's train side once into one CSR matrix, whose rows
+all R runs of the spec share, and its dev side block by block.
 
 Training runs in a compact bucket space. A corpus of a few thousand tweets
-uses a few thousand of the 2^16 or 2^18 buckets, so `_compact` renumbers the
-buckets that a spec's train and dev sides use to 0..k-1 in bucket order, and
-each run trains a k-long weight vector instead of a feature_buckets one.
-Renumbering keeps every row's order, so each gather, dot product and update
-sees the same values in the same order as in the full space, and every
-output keeps its bits. The per-row training tuples (`_examples`) are built
-once per spec, not once per run. `train`, which fits one model, runs the
-same `_fit` in the full feature_buckets space.
+uses a few thousand of the 2^16 or 2^18 buckets, so `_compact` builds an
+int32 table that renumbers the k buckets a spec's train side uses to
+0..k-1 in bucket order and maps every other bucket to k. Each run trains a
+(k+1)-long weight vector instead of a feature_buckets one, and slot k,
+which training never touches, stays 0.0. Renumbering keeps every row's
+order, so each gather, dot product and update sees the same values in the
+same order as in the full space, and every output keeps its bits. The
+per-row training tuples (`_examples`) are built once per spec, not once per
+run. Once all R runs are fitted, the train side is dropped, and each dev
+block is renumbered through the same table, scored for every run and
+dropped, so a spec never holds its whole dev side. `train`, which fits one
+model, runs the same `_fit` in the full feature_buckets space.
 
 l2 weight decay is applied through a lazy scale factor (weights = scale * v),
 so an SGD step costs O(nonzeros of the example) rather than O(feature_buckets):
@@ -275,24 +280,33 @@ def _blocks(texts: Sequence[str], cfg: BaselineConfig, stride: int):
         yield keys(block, lo, hi, stride), len(block)
 
 
-def _csr(texts: Sequence[str], cfg: BaselineConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hash every text once into a CSR matrix (indptr, indices, data).
+def _csr_blocks(texts: Sequence[str], cfg: BaselineConfig):
+    """Yield the CSR matrix (indptr, indices, data) of each _blocks run of texts; _csr concatenates them.
 
-    Row i, indices[indptr[i]:indptr[i + 1]] with its data, holds the sorted
-    distinct buckets (crc32 & (feature_buckets - 1)) of texts[i]'s n-grams and
-    their float64 counts. Each block's keys row * stride + bucket are sorted
-    once; stride is a power of two above every bucket, capped so keys fit int64.
-    Grams are hashed as UTF-8: in char mode a text holding a lone surrogate
-    raises UnicodeEncodeError, in word mode only one inside a gram does.
+    Row i of a block, indices[indptr[i]:indptr[i + 1]] with its data, holds the
+    sorted distinct buckets (crc32 & (feature_buckets - 1)) of its text's
+    n-grams and their float64 counts. Each block's keys row * stride + bucket
+    are sorted once; stride is a power of two above every bucket, capped so
+    keys fit int64. Grams are hashed as UTF-8: in char mode a text holding a
+    lone surrogate raises UnicodeEncodeError, in word mode only one inside a
+    gram does.
     """
     stride = min(cfg.feature_buckets, 1 << 32)  # crc32 < 2**32
-    nnz, indices, data = [np.zeros(1, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
     for keys, count in _blocks(texts, cfg, stride):
         keys, counts = np.unique(keys, return_counts=True)
-        nnz.append(np.bincount(keys // stride, minlength=count))
-        indices.append(keys & (stride - 1))
-        data.append(counts.astype(np.float64))
-    return np.cumsum(np.concatenate(nnz)), np.concatenate(indices), np.concatenate(data)
+        indptr = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // stride, minlength=count), out=indptr[1:])
+        yield indptr, keys & (stride - 1), counts.astype(np.float64)
+
+
+def _csr(texts: Sequence[str], cfg: BaselineConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hash every text once into one CSR matrix (indptr, indices, data): _csr_blocks' blocks, concatenated."""
+    indptr, indices, data = [np.zeros(1, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for ptr, idx, val in _csr_blocks(texts, cfg):
+        indptr.append(ptr[1:] + indptr[-1][-1])
+        indices.append(idx)
+        data.append(val)
+    return np.concatenate(indptr), np.concatenate(indices), np.concatenate(data)
 
 
 def _rows(csr: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -317,24 +331,25 @@ def _require_both_labels(d: Dataset) -> None:
 _MIN_SCALE = 1e-9
 
 
-def _compact(buckets: int, *sides: np.ndarray) -> np.ndarray:
-    """Renumber in place the buckets the index arrays use to 0..k-1; return those k buckets, sorted.
+def _compact(buckets: int, idx: np.ndarray) -> tuple[np.ndarray, int]:
+    """Renumber in place the k buckets idx uses to 0..k-1; return the bucket -> id table and k.
 
-    Ids keep bucket order, so CSR rows stay sorted, and a bucket that several
-    sides use gets one id. A gather from a k-long weight vector then yields
-    the same values in the same order as a gather from the full one, so every
-    dot product adds the same terms in the same order and keeps its bits. The
-    table holds one int64 per bucket, as much as a full weight vector, and is
-    freed on return.
+    Ids keep bucket order, so CSR rows stay sorted. Every bucket idx does not
+    use maps to k, a weight slot that training never touches, so it stays
+    0.0. A gather through the table from a (k + 1)-long weight vector then
+    yields the same values in the same order as a gather from the full one,
+    for any buckets, so every dot product adds the same terms in the same
+    order and keeps its bits. The table holds one int32 per bucket, half a
+    full weight vector; the indices it renumbers stay int64, which numpy
+    fancy-indexes several times faster.
     """
-    table = np.zeros(buckets, dtype=np.int64)
-    for idx in sides:
-        table[idx] = 1
+    table = np.zeros(buckets, dtype=np.int32)
+    table[idx] = 1
     used = np.flatnonzero(table)
-    table[used] = np.arange(used.size)
-    for idx in sides:
-        idx[:] = table[idx]
-    return used
+    table.fill(used.size)
+    table[used] = np.arange(used.size, dtype=np.int32)
+    idx[:] = table[idx]
+    return table, used.size
 
 
 def _examples(
@@ -357,8 +372,8 @@ def _fit(
     """Per-example SGD over seeded-shuffled epochs on _examples rows; returns (weights, bias).
 
     weights is `size` long, and every example index lies below it. The
-    protocol passes rows renumbered by _compact, so size is the number of
-    buckets the data uses rather than feature_buckets: each step does the
+    protocol passes rows renumbered by _compact and one more than the number
+    of buckets they use, rather than feature_buckets: each step does the
     same arithmetic on the same values as in the full space, over a far
     smaller vector. `train` passes full-space rows and feature_buckets.
 
@@ -447,28 +462,33 @@ def load_model(path: str | Path) -> BaselineModel:
         return BaselineModel(weights=data["weights"], bias=float(data["bias"]), config=cfg)
 
 
-def _spec_predictions(train_set: Dataset, eval_set: Dataset, cfg: BaselineConfig, runs: int):
-    """Yield the eval-set probabilities of `runs` seeded fits of one spec, a list per run.
+def _spec_predictions(train_set: Dataset, eval_set: Dataset, cfg: BaselineConfig, runs: int) -> list[list[float]]:
+    """The eval-set probabilities of `runs` seeded fits of one spec, a list per run.
 
-    Each side is hashed once into a CSR matrix whose rows every run shares,
-    and the buckets either side uses are renumbered into one compact space
-    (_compact), so a run trains a weight vector as long as the spec's
-    vocabulary instead of feature_buckets. The training examples are prepared
-    once for all runs. Dev rows are scored one row's gather at a time: one
-    gather of the whole dev side per run raised a 2,500-tweet `reproduce`'s
-    peak RSS by ~2.3 MB and saved no time.
+    The train side is hashed once into a CSR matrix whose rows every run
+    shares, and the k buckets it uses are renumbered through a train-only
+    table (_compact), so a run trains a (k + 1)-long weight vector instead of
+    a feature_buckets one; slot k, which every bucket training never saw maps
+    to, stays 0.0. The training examples are prepared once, all runs are
+    fitted, and the train side is dropped. The dev side is then hashed block
+    by block (_csr_blocks); each block is renumbered through the same table,
+    every row is scored for every run, and the block is dropped. So the spec
+    never holds its whole dev side, and a dev text that cannot be hashed
+    raises only after the runs are fitted. Rows are scored one row's gather
+    at a time.
     """
-    labels = [r.label for r in train_set.records]
     train_csr = _csr([r.text for r in train_set.records], cfg)
-    eval_csr = _csr([r.text for r in eval_set.records], cfg)
-    size = _compact(cfg.feature_buckets, train_csr[1], eval_csr[1]).size
-    examples = _examples(train_csr, labels, cfg)
-    eval_rows = _rows(eval_csr)
-    for k in range(runs):
-        weights, bias = _fit(examples, size, dataclasses.replace(cfg, seed=cfg.seed + k))
-        probs = [_prob(weights, bias, idx, val) for idx, val in eval_rows]
-        del weights
-        yield probs
+    table, size = _compact(cfg.feature_buckets, train_csr[1])
+    examples = _examples(train_csr, [r.label for r in train_set.records], cfg)
+    fits = [_fit(examples, size + 1, dataclasses.replace(cfg, seed=cfg.seed + k)) for k in range(runs)]
+    del train_csr, examples
+    probs: list[list[float]] = [[] for _ in fits]
+    for indptr, indices, data in _csr_blocks([r.text for r in eval_set.records], cfg):
+        indices[:] = table[indices]
+        rows = _rows((indptr, indices, data))
+        for (weights, bias), run_probs in zip(fits, probs):
+            run_probs.extend([_prob(weights, bias, idx, val) for idx, val in rows])
+    return probs
 
 
 def check_protocol(train_set: Dataset, model_specs: Sequence[tuple[str, BaselineConfig]], runs: int) -> None:

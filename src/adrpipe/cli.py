@@ -295,7 +295,7 @@ def _load_matrix(args, ens_cfg: ensemble.EnsembleConfig | None = None) -> predic
     if ens_cfg is not None:
         ens_cfg.thresholds_for(matrix.models)
     if args.min_dev_f1 is not None:
-        gold = corpus.load_dataset(args.gold).labels()
+        gold = corpus.read_labels(args.gold)
         matrix = predictions.filter_runs(matrix, gold, args.min_dev_f1)
     return matrix
 
@@ -330,7 +330,7 @@ def cmd_evaluate(args) -> int:
     if not args.report.endswith((".json", ".tsv")):
         raise ValueError(f"--report must end in .json or .tsv, got {args.report!r}")
     decisions = ensemble.read_decisions(args.decisions)
-    gold = corpus.load_dataset(args.gold).labels()
+    gold = corpus.read_labels(args.gold)
     manifest = _manifest(
         command="evaluate",
         inputs={"decisions": args.decisions, "gold": args.gold},

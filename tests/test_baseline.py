@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import struct
+import tracemalloc
 import zlib
 from collections import Counter
 
@@ -396,18 +397,28 @@ def csr_indices(draw, buckets):
 class TestCompactSpace:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), log_buckets=st.integers(0, 12))
-    def test_renumbers_the_used_buckets_in_order(self, data, log_buckets):
+    def test_train_only_table_renumbers_used_buckets_and_maps_the_rest_to_a_zero_slot(self, data, log_buckets):
         buckets = 1 << log_buckets
-        sides = [data.draw(csr_indices(buckets)) for _ in range(2)]
-        before = [indices.copy() for indices, _ in sides]
-        used = baseline._compact(buckets, *(indices for indices, _ in sides))
-        assert used.tolist() == sorted(set().union(*(old.tolist() for old in before)))
-        for (indices, indptr), old in zip(sides, before):
-            # An id names its bucket on either side, so a shared bucket has one id.
-            assert indices.dtype == np.int64 and np.array_equal(used[indices], old)
-            assert ((0 <= indices) & (indices < used.size)).all()
-            for a, b in zip(indptr, indptr[1:]):
-                assert (np.diff(indices[a:b]) > 0).all()
+        indices, indptr = data.draw(csr_indices(buckets))
+        before = indices.copy()
+        table, k = baseline._compact(buckets, indices)
+        used = sorted(set(before.tolist()))
+        unused = sorted(set(range(buckets)) - set(used))
+        assert table.dtype == np.int32 and table.shape == (buckets,) and k == len(used)
+        assert table[used].tolist() == list(range(k))  # ids in bucket order
+        assert (table[unused] == k).all()
+        assert indices.dtype == np.int64 and np.array_equal(indices, table[before])
+        for a, b in zip(indptr, indptr[1:]):
+            assert (np.diff(indices[a:b]) > 0).all()
+        # A full-space weight vector is 0.0 wherever training never stepped; the
+        # compact one holds the used buckets' weights and 0.0 in slot k.
+        full = np.zeros(buckets)
+        full[used] = data.draw(st.lists(st.floats(width=64), min_size=k, max_size=k))
+        compact = np.append(full[used], 0.0)
+        probe = np.array(
+            data.draw(st.lists(st.integers(0, buckets - 1), max_size=20)) + unused[:1], dtype=np.int64
+        )
+        assert compact[table[probe]].tobytes() == full[probe].tobytes()
 
     @pytest.mark.parametrize(
         "cfg",
@@ -420,12 +431,22 @@ class TestCompactSpace:
             ),
         ],
     )
-    def test_protocol_matrix_equals_the_full_space_oracle(self, fixture_corpus, cfg):
+    # The default block holds the whole eval side; a block of 16 grams ends at every
+    # text of 8 or more characters, so the unseen and the empty tweet fall in different ones.
+    @pytest.mark.parametrize("block", (None, 16))
+    def test_protocol_matrix_equals_the_full_space_oracle(self, fixture_corpus, monkeypatch, cfg, block):
+        if block:
+            monkeypatch.setattr(baseline, "_BLOCK_GRAMS", block)
         train_set = Dataset.from_records(fixture_corpus.records[:60])
         eval_set = Dataset.from_records(
             [*fixture_corpus.records[60:90], LabeledTweet("unseen", "zqxj vkwq qqqzz", 0),
              LabeledTweet("empty", "", 1)]
         )
+        if block:
+            counts = [n for _, n in baseline._blocks([r.text for r in eval_set.records], cfg, cfg.feature_buckets)]
+            last_two = [len(eval_set) - 2, len(eval_set) - 1]
+            unseen_block, empty_block = np.searchsorted(np.cumsum(counts), last_two, "right")
+            assert len(counts) >= 3 and unseen_block < empty_block
         train_rows = baseline._rows(_csr([r.text for r in train_set.records], cfg))
         eval_rows = baseline._rows(_csr([r.text for r in eval_set.records], cfg))
         seen = set(np.concatenate([idx for idx, _ in train_rows]).tolist())
@@ -445,6 +466,42 @@ class TestCompactSpace:
             model = train(train_set, run_cfg)  # the same fit in the full space
             assert model.weights.tobytes() == weights.tobytes()
             assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
+
+
+class TestDevBlocks:
+    """_spec_predictions scores the dev side one _csr_blocks block at a time, after every run is fitted."""
+
+    def test_never_holds_the_whole_dev_side(self, monkeypatch):
+        monkeypatch.setattr(baseline, "_BLOCK_GRAMS", 2_000)
+        cfg = BaselineConfig(feature_buckets=2**12, epochs=1)
+        train_set = toy_separable()
+        eval_texts = [r.text for r in make_synthetic_dataset(1_000, 0.1, seed=4).records]
+        eval_set = Dataset.from_records(LabeledTweet(f"d{i}", t, 0) for i, t in enumerate(eval_texts))
+        assert sum(1 for _ in baseline._blocks(eval_texts, cfg, cfg.feature_buckets)) >= 20
+        dev_csr_bytes = sum(a.nbytes for a in _csr(eval_texts, cfg))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            probs = list(baseline._spec_predictions(train_set, eval_set, cfg, runs=2))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert [len(p) for p in probs] == [len(eval_texts)] * 2
+        assert peak < dev_csr_bytes
+
+    def test_unhashable_dev_text_raises_after_the_runs_are_fitted(self, monkeypatch):
+        fits = []
+        fit = baseline._fit
+        monkeypatch.setattr(baseline, "_fit", lambda *a: fits.append(a) or fit(*a))
+        cfg = BaselineConfig(epochs=1)
+        train_set = toy_separable()
+        eval_set = Dataset.from_records([*train_set.records[:3], LabeledTweet("bad", "lone \ud800 surrogate", 1)])
+        with pytest.raises(UnicodeEncodeError) as expected:
+            _csr([r.text for r in eval_set.records], cfg)
+        with pytest.raises(UnicodeEncodeError) as raised:
+            baseline.protocol_matrix(train_set, eval_set, [("m", cfg)], runs=2)
+        assert str(raised.value) == str(expected.value)
+        assert len(fits) == 2
 
 
 class TestPredict:
@@ -604,14 +661,18 @@ class TestProtocol:
 
     def test_valid_protocol_goes_through_the_hashing_hook(self, tmp_path, monkeypatch):
         # The positive control for the *_rejected_before_hashing tests: a valid call
-        # hashes each spec's two sides through the function they patch.
+        # hashes each spec's train side through the function they patch, before its
+        # dev side, and both sides through _csr_blocks.
         calls = []
-        csr = baseline._csr
-        monkeypatch.setattr(baseline, "_csr", lambda texts, cfg: calls.append(cfg) or csr(texts, cfg))
+        csr, blocks = baseline._csr, baseline._csr_blocks
+        monkeypatch.setattr(baseline, "_csr", lambda texts, cfg: calls.append(("csr", cfg)) or csr(texts, cfg))
+        monkeypatch.setattr(
+            baseline, "_csr_blocks", lambda texts, cfg: calls.append(("blocks", cfg)) or blocks(texts, cfg)
+        )
         d = toy_separable()
         specs = [("a", BaselineConfig(epochs=1)), ("b", BaselineConfig(epochs=1, feature_mode="word"))]
         run_protocol(d, d, specs, runs=2, out_path=tmp_path / "p.tsv")
-        assert calls == [specs[0][1]] * 2 + [specs[1][1]] * 2
+        assert calls == [(hook, cfg) for _, cfg in specs for hook in ("csr", "blocks", "blocks")]
 
     def test_zero_runs_rejected(self, tmp_path):
         d = toy_separable()

@@ -236,6 +236,19 @@ class TestPredictionCommands:
             "--min-dev-f1", "0.05", "--gold", d,
         ) == 0
 
+    def test_gold_is_read_as_labels_only(self, tmp_path, monkeypatch):
+        # --gold is read through corpus.read_labels: no Dataset of every text is built.
+        from adrpipe import corpus
+
+        d = small_dataset(tmp_path)
+        preds = make_predictions(tmp_path, d)
+        decisions = tmp_path / "decisions.tsv"
+        monkeypatch.setattr(corpus, "load_dataset", lambda path: pytest.fail(f"load_dataset({path})"))
+        assert run("ingest", "--pred", preds, "--expect-runs", "0", "--min-dev-f1", "0.05", "--gold", d) == 0
+        assert run("ensemble", "--pred", preds, "--expect-runs", "0", "--min-dev-f1", "0.05", "--gold", d,
+                   "--output", decisions) == 0
+        assert run("evaluate", "--decisions", decisions, "--gold", d, "--report", tmp_path / "r.json") == 0
+
     @pytest.mark.parametrize("command", ["ingest", "ensemble"])
     @pytest.mark.parametrize("value, shown", [("1.5", "1.5"), ("nan", "nan"), ("-3", "-3.0")])
     def test_min_dev_f1_outside_unit_interval_fails(self, tmp_path, capsys, command, value, shown):
