@@ -97,7 +97,7 @@ class Frozen:
     """Base of the classes whose constructor checks its fields: an instance is immutable,
     and two of one class are equal, and hash alike, when their fields are.
 
-    A subclass names its fields, in constructor order, in `_fields`, and its
+    A subclass names its fields in `_fields`, the order of its repr, and its
     `__init__` sets them with `_set`; any other assignment raises AttributeError.
     """
 

@@ -20,7 +20,8 @@ character is multi-byte there. Word grams, which can be any length, go
 through zlib.crc32 one at a time. `_csr_blocks` yields each block as a CSR
 matrix (indptr/indices/data arrays), and `_csr` concatenates them. The
 protocol hashes each spec's train side once into one CSR matrix, whose rows
-all R runs of the spec share, and its dev side block by block.
+all R runs of the spec share, and its dev side block by block, as
+`predict_probs` scores its texts.
 
 Training runs in a compact bucket space. A corpus of a few thousand tweets
 uses a few thousand of the 2^16 or 2^18 buckets, so `_compact` builds an
@@ -429,14 +430,17 @@ def predict_prob(m: BaselineModel, text: str) -> float:
     """Positive-class probability: sigmoid of the hashed-feature linear score.
 
     Each call hashes its text alone and pays the hasher's fixed numpy cost;
-    score a batch with predict_probs, which hashes every text in one pass.
+    score a batch with predict_probs, which hashes many texts a block at a time.
     """
     return predict_probs(m, [text])[0]
 
 
 def predict_probs(m: BaselineModel, texts: Sequence[str]) -> list[float]:
-    """predict_prob of every text, with all texts hashed in one _csr pass."""
-    return [_prob(m.weights, m.bias, idx, val) for idx, val in _rows(_csr(texts, m.config))]
+    """predict_prob of every text, hashed and scored one _csr_blocks block at a time, so one block is held."""
+    probs: list[float] = []
+    for block in _csr_blocks(texts, m.config):
+        probs.extend([_prob(m.weights, m.bias, idx, val) for idx, val in _rows(block)])
+    return probs
 
 
 def save_model(m: BaselineModel, path: str | Path) -> None:
@@ -528,7 +532,7 @@ def protocol_matrix(
     }
     # Rounded once every run is trained: rounding each run as it came in raised
     # the `protocol` workload's median peak RSS by ~0.2 MB (12 seeds, 2-vCPU VM).
-    return RunMatrix.from_columns(
+    return RunMatrix(
         {key: (ids, array("d", [round(p, 6) for p in probs])) for key, (ids, probs) in columns.items()}
     )
 

@@ -424,7 +424,7 @@ def cmd_baseline(args) -> int:
         data = corpus.load_dataset(doc["input"])
         ids = [r.tweet_id for r in data.records]
         probs = baseline.predict_probs(model, [r.text for r in data.records])
-        matrix = predictions.RunMatrix.from_columns({(doc["model_id"], doc["run_id"]): (ids, probs)})
+        matrix = predictions.RunMatrix({(doc["model_id"], doc["run_id"]): (ids, probs)})
         predictions.write_predictions(matrix, doc["output"])
         print(f"wrote {len(data)} predictions to {doc['output']}")
         return 0

@@ -148,8 +148,6 @@ def decide(m: RunMatrix, cfg: EnsembleConfig) -> Decisions:
     """
     from .predictions import average_runs  # here, so that `evaluate`, which only reads decisions, never loads it
 
-    if not m.keys:
-        raise ValueError("no models to ensemble")
     probs = average_runs(m)
     thresholds = {model_id: cfg.threshold_for(model_id) for model_id in probs}
     verdicts = {model_id: [int(p >= t) for p in probs[model_id]] for model_id, t in thresholds.items()}

@@ -4,14 +4,14 @@ Files are tab-separated with a mandatory header:
 
     model_id<TAB>run_id<TAB>tweet_id<TAB>prob
 
-Rows from any number of files are merged into a RunMatrix. Every (model, run)
-pair must cover exactly the same tweet set; coverage gaps are a hard error
-rather than something to impute, since silent gaps would corrupt recall.
+Rows from any number of files are merged into a RunMatrix, whose one
+constructor holds every matrix rule. Every (model, run) pair must cover
+exactly the same tweet set; coverage gaps are a hard error rather than
+something to impute, since silent gaps would corrupt recall.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 import warnings
 from array import array
@@ -43,56 +43,29 @@ def _check_ids(*ids: str) -> None:
 
 
 class RunMatrix(Frozen):
-    """Validated probabilities with rectangular coverage.
+    """Validated probabilities with rectangular coverage, built from one column per run.
 
-    probs[i][j] is the probability that run keys[i] = (model_id, run_id) gave
-    tweet tweet_ids[j]; keys and tweet_ids are strictly increasing (checked),
-    so a model's runs are adjacent rows in run_id order. One row per run
-    rather than a models x runs x tweets tensor, because models may have
-    different run counts. Rows are `array('d')`: 8 bytes a cell, against 32
-    for a boxed float and its slot, and the same IEEE double. The arithmetic
-    here is a few comparisons, sums and one division per cell, which plain
-    Python does bit for bit as numpy would. Rows given as other sequences
-    are copied into arrays; an array row is kept as it is, so it may be the
-    very array its producer parsed, and must not be changed.
+    `RunMatrix(columns)` is the one constructor; the loader, the protocol,
+    `baseline predict` and `filter_runs` all call it. `columns` maps each
+    (model_id, run_id) to its (tweet ids, probabilities), in any tweet order.
+    It checks ids, duplicate tweets within a key, rectangular coverage and
+    the [0, 1] range (NaN included), then lays the columns out as sorted
+    rows: probs[i][j] is the probability that run keys[i] gave tweet
+    tweet_ids[j], and keys and tweet_ids are sorted and distinct, so a
+    model's runs are adjacent rows in run_id order. One row per run rather
+    than a models x runs x tweets tensor, because models may have different
+    run counts. Rows are `array('d')`: 8 bytes a cell, against 32 for a boxed
+    float and its slot, and the same IEEE double. The arithmetic here is a
+    few comparisons, sums and one division per cell, which plain Python does
+    bit for bit as numpy would. A column whose ids already come in sorted
+    order, as in every file this package writes, is its row: an
+    `array('d')` is kept as it is, so it may be the very array its producer
+    parsed, and must not be changed; any other sequence is copied into one.
     """
 
     _fields = ("keys", "tweet_ids", "probs")
 
-    def __init__(self, keys: tuple[tuple[str, str], ...], tweet_ids: tuple[str, ...], probs: Sequence[Sequence[float]]):
-        self._set(keys=keys, tweet_ids=tweet_ids, probs=tuple(map(as_cells, probs)))
-        width = len(self.tweet_ids)
-        if len(self.probs) != len(self.keys) or any(len(row) != width for row in self.probs):
-            raise ValueError(
-                f"probs must be {len(self.keys)} rows of {width} probabilities, "
-                f"got rows of {[len(row) for row in self.probs]}"
-            )
-        for name in ("keys", "tweet_ids"):  # neighbours compared in place: no copy, no set
-            ids = getattr(self, name)
-            if not all(map(operator.lt, ids, itertools.islice(ids, 1, None))):
-                raise ValueError(f"RunMatrix {name} must be strictly increasing")
-
-    @property
-    def models(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(m for m, _ in self.keys))
-
-    @property
-    def runs_per_model(self) -> dict[str, tuple[str, ...]]:
-        runs: dict[str, list[str]] = {}
-        for model_id, run_id in self.keys:
-            runs.setdefault(model_id, []).append(run_id)
-        return {m: tuple(r) for m, r in runs.items()}
-
-    @classmethod
-    def from_columns(cls, columns: _Columns) -> "RunMatrix":
-        """The one constructor every producer (loader, run_protocol, `baseline predict`) uses.
-
-        Checks ids, duplicate tweets within a key, rectangular coverage and
-        the [0, 1] range (NaN included), then lays the columns out as sorted
-        rows. A column whose ids already come in sorted order, as in every
-        file this package writes, is its row: an `array('d')` is used as it
-        is, any other sequence is copied into one.
-        """
+    def __init__(self, columns: _Columns):
         if not columns:
             raise ValueError("no prediction records")
         keys = tuple(sorted(columns))
@@ -143,7 +116,18 @@ class RunMatrix(Frozen):
                 if not 0.0 <= p <= 1.0:
                     raise ValueError(f"probability out of range: {p}")
             rows.append(row)
-        return cls(keys=keys, tweet_ids=tweet_ids, probs=tuple(rows))
+        self._set(keys=keys, tweet_ids=tweet_ids, probs=tuple(rows))
+
+    @property
+    def models(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(m for m, _ in self.keys))
+
+    @property
+    def runs_per_model(self) -> dict[str, tuple[str, ...]]:
+        runs: dict[str, list[str]] = {}
+        for model_id, run_id in self.keys:
+            runs.setdefault(model_id, []).append(run_id)
+        return {m: tuple(r) for m, r in runs.items()}
 
 
 def _layout(ids: Sequence[str], tweet_ids: tuple[str, ...]):
@@ -169,7 +153,8 @@ def _parse_file(path: str | Path, tweet_ids: dict[str, str]) -> Iterator[tuple[t
     probabilities are gathered in a list and moved into an `array('d')` at
     its end: `array.append` costs more a call than `list.append`. Each line
     is split and unpacked here, with no tuple or generator step per line;
-    the probability keeps the line's "\n", which float() ignores.
+    the probability keeps the line's "\n", which float() ignores. The range
+    and empty-id checks, which RunMatrix makes too, are made here to name the line.
     """
     intern = tweet_ids.setdefault
     model = run = None
@@ -223,7 +208,7 @@ def load_predictions(paths: Sequence[str | Path], expected_runs: int | None = 5)
                 ids = last
             stretches.setdefault(key, []).append((ids, probs))
             last = ids
-    matrix = RunMatrix.from_columns({key: _join(parts) for key, parts in stretches.items()})
+    matrix = RunMatrix({key: _join(parts) for key, parts in stretches.items()})
     if expected_runs is not None:
         for model_id, runs in matrix.runs_per_model.items():
             if len(runs) != expected_runs:
@@ -311,7 +296,8 @@ def filter_runs(
     This is the screen for runs that never converged (an all-negative run
     scores F1 = 0 and is excluded by any positive min_f1). Models losing all
     their runs are dropped with a warning; an empty result is an error. So is
-    a min_f1 that `check_min_f1` rejects.
+    a min_f1 that `check_min_f1` rejects. The kept rows, as they are, are the
+    columns of a new matrix, which the constructor checks again.
     """
     from .evaluate import metrics
 
@@ -326,8 +312,4 @@ def filter_runs(
         )
     if not kept_models:
         raise ValueError(f"no runs left after filtering at min F1 {min_f1}")
-    return RunMatrix(
-        keys=tuple(key for key, k in zip(m.keys, keep) if k),
-        tweet_ids=m.tweet_ids,
-        probs=tuple(row for row, k in zip(m.probs, keep) if k),
-    )
+    return RunMatrix({key: (m.tweet_ids, row) for key, row, k in zip(m.keys, m.probs, keep) if k})

@@ -40,4 +40,4 @@ def full_pipeline(lexicon):
 
 def one_run_matrix(avg):
     """The RunMatrix with one run, r1, per model whose averages are avg: model_id -> (tweet_id -> probability)."""
-    return RunMatrix.from_columns({(m, "r1"): (list(probs), list(probs.values())) for m, probs in avg.items()})
+    return RunMatrix({(m, "r1"): (list(probs), list(probs.values())) for m, probs in avg.items()})

@@ -505,6 +505,27 @@ class TestDevBlocks:
 
 
 class TestPredict:
+    def test_predict_probs_never_holds_the_whole_input(self, monkeypatch):
+        # Scored one _csr_blocks block at a time, with the bits of scoring the whole CSR matrix.
+        monkeypatch.setattr(baseline, "_BLOCK_GRAMS", 2_000)
+        cfg = BaselineConfig(feature_buckets=2**12, epochs=1)
+        model = train(toy_separable(), cfg)
+        texts = [r.text for r in make_synthetic_dataset(1_000, 0.1, seed=4).records]
+        assert sum(1 for _ in baseline._blocks(texts, cfg, cfg.feature_buckets)) >= 20
+        csr = _csr(texts, cfg)
+        expected = [baseline._prob(model.weights, model.bias, idx, val) for idx, val in baseline._rows(csr)]
+        csr_bytes = sum(a.nbytes for a in csr)
+        del csr
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            probs = predict_probs(model, texts)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert [struct.pack("<d", p) for p in probs] == [struct.pack("<d", p) for p in expected]
+        assert peak < csr_bytes
+
     def test_empty_text_gives_sigmoid_bias(self):
         model = train(toy_separable(), BaselineConfig(seed=3))
         expected = 1.0 / (1.0 + math.exp(-model.bias))

@@ -351,6 +351,27 @@ class TestPredictionCommands:
         assert rows == ["z", "a+a!", "a+z", "a!+z"]
 
 
+class TestHeaderOnlyPredictions:
+    """A prediction file with a header and no line holds no record: every command that reads one
+    refuses it with the constructor's `no prediction records`, and writes nothing."""
+
+    @pytest.mark.parametrize("command", ["ingest", "ensemble", "reproduce"])
+    def test_refused_and_nothing_written(self, tmp_path, capsys, command):
+        pred = tmp_path / "p.tsv"
+        pred.write_text("model_id\trun_id\ttweet_id\tprob\n", encoding="utf-8")
+        out = tmp_path / "out"
+        if command == "reproduce":
+            cfg = {"dataset": str(small_dataset(tmp_path)), "predictions": [str(pred)], "output_dir": str(out)}
+            argv, prefix = ["reproduce", "--config", write_config(tmp_path, cfg)], "reproduce: ingest"
+        else:
+            argv, prefix = [command, "--pred", pred, "--output", out], command
+        before = sorted(tmp_path.iterdir())
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"{prefix}: no prediction records\n")
+        assert sorted(tmp_path.iterdir()) == before and not out.exists()
+
+
 class TestMissingOutputDirectory:
     @pytest.mark.parametrize("command", ["preprocess", "ensemble", "evaluate"])
     def test_error_names_the_output_and_is_the_same_on_every_run(self, tmp_path, capsys, command):
@@ -564,7 +585,7 @@ class TestBaselineCmd:
                                       "output": str(tmp_path / "preds.tsv"), "model_id": "m", "run_id": "r1"})
         assert run("baseline", "predict", "--config", cfg) == 0
         per_text = [baseline.predict_prob(model, r.text) for r in records]
-        expected = predictions.RunMatrix.from_columns({("m", "r1"): ([r.tweet_id for r in records], per_text)})
+        expected = predictions.RunMatrix({("m", "r1"): ([r.tweet_id for r in records], per_text)})
         predictions.write_predictions(expected, tmp_path / "expected.tsv")
         assert (tmp_path / "preds.tsv").read_bytes() == (tmp_path / "expected.tsv").read_bytes()
 

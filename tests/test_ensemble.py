@@ -134,10 +134,6 @@ class TestDecide:
         with pytest.raises(ValueError, match="^ragged tweet coverage: run r1 of b missing tweet t2$"):
             one_run_matrix(avg)
 
-    def test_no_models_is_error(self):
-        with pytest.raises(ValueError, match="^no models to ensemble$"):
-            decide(RunMatrix((), (), ()), EnsembleConfig())
-
     def test_probability_columns_are_the_run_averages_as_returned(self, monkeypatch):
         returned = []
 
@@ -196,7 +192,7 @@ class TestEnsembleLaws:
     def test_rows_of_decide_equal_the_per_tweet_oracle(self, columns, data):
         thresholds = {m: data.draw(st.floats(0.01, 0.99)) for m, _ in columns}
         cfg = EnsembleConfig(thresholds=thresholds)
-        decisions = decide(RunMatrix.from_columns(columns), cfg)
+        decisions = decide(RunMatrix(columns), cfg)
         expected = decide_by_rows(columns, cfg)
         assert list(decisions) == expected
         assert [decisions[i] for i in range(len(decisions))] == expected
@@ -260,7 +256,7 @@ class TestDecisionsFile:
     @given(columns=run_columns(), theta=st.floats(0.01, 0.99))
     def test_decide_table_survives_the_file_up_to_six_decimals(self, tmp_path, columns, theta):
         # read_decisions(write_decisions(d)) == d, once d's probabilities are rounded as the file rounds them.
-        decisions = decide(RunMatrix.from_columns(columns), EnsembleConfig(default_threshold=theta))
+        decisions = decide(RunMatrix(columns), EnsembleConfig(default_threshold=theta))
         write_decisions(decisions, tmp_path / "d.tsv")
         rounded = {m: [round(p, 6) for p in column] for m, column in decisions.probs.items()}
         expected = Decisions(decisions.tweet_ids, rounded, decisions.verdicts, decisions.ensemble)

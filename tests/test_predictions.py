@@ -10,11 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from adrpipe._io import truncate_ids
 from adrpipe.baseline import BaselineConfig, predict_prob, run_protocol, train
 from adrpipe.corpus import Dataset
 from adrpipe.evaluate import ConfusionCounts, confusion, metrics
 from adrpipe.predictions import (
     HEADER,
+    _check_ids,
     _parse_file,
     RunMatrix,
     average_runs,
@@ -44,7 +46,7 @@ def records_text(rows):
 
 
 def columns_of(rows):
-    """(model, run, tweet, prob) rows as the columns RunMatrix.from_columns takes, in row order."""
+    """(model, run, tweet, prob) rows as the columns RunMatrix takes, in row order."""
     columns = {}
     for model_id, run_id, tweet_id, prob in rows:
         ids, probs = columns.setdefault((model_id, run_id), ([], []))
@@ -54,8 +56,8 @@ def columns_of(rows):
 
 
 def matrix_of(rows):
-    """The RunMatrix of (model, run, tweet, prob) rows, built through from_columns."""
-    return RunMatrix.from_columns(columns_of(rows))
+    """The RunMatrix of (model, run, tweet, prob) rows."""
+    return RunMatrix(columns_of(rows))
 
 
 class TestLoad:
@@ -241,34 +243,20 @@ class TestRunScores:
         assert str(e.value) == f"gold labels missing for tweets: {', '.join(missing[:10])}, ... (1 more)"
 
 
-class TestRunMatrixOrder:
-    """keys and tweet_ids must be strictly increasing, as from_columns lays them out."""
-
-    @pytest.mark.parametrize("keys", [(("b", "r1"), ("a", "r1")), (("a", "r1"), ("a", "r1"))])
-    def test_unsorted_or_repeated_keys_rejected(self, keys):
-        with pytest.raises(ValueError, match="^RunMatrix keys must be strictly increasing$"):
-            RunMatrix(keys, ("t",), ((0.5,), (0.5,)))
-
-    @pytest.mark.parametrize("tweet_ids", [("t2", "t1"), ("t1", "t1")])
-    def test_unsorted_or_repeated_tweet_ids_rejected(self, tweet_ids):
-        with pytest.raises(ValueError, match="^RunMatrix tweet_ids must be strictly increasing$"):
-            RunMatrix((("a", "r1"),), tweet_ids, ((0.5, 0.5),))
-
-
-class TestFromColumns:
-    def test_builds_the_same_matrix_as_from_records(self):
+class TestConstructor:
+    def test_lays_the_columns_out_as_the_records_spell_them(self):
         columns = {("b", "r2"): (["t2", "t1"], [0.25, 0.5]), ("a", "r1"): (["t1", "t2"], [1.0, 0.0])}
         # The matrix those four records spell out, with keys and tweets sorted.
-        expected = RunMatrix(
-            keys=(("a", "r1"), ("b", "r2")), tweet_ids=("t1", "t2"), probs=((1.0, 0.0), (0.5, 0.25))
-        )
-        assert RunMatrix.from_columns(columns) == expected
+        m = RunMatrix(columns)
+        assert m.keys == (("a", "r1"), ("b", "r2")) and m.tweet_ids == ("t1", "t2")
+        assert m.probs == (array("d", [1.0, 0.0]), array("d", [0.5, 0.25]))
+        assert m == RunMatrix({("a", "r1"): (("t2", "t1"), [0.0, 1.0]), ("b", "r2"): (("t1", "t2"), [0.5, 0.25])})
 
     def test_one_tweet_and_no_tweets(self):
-        one = RunMatrix.from_columns({("m", "r2"): (["t1"], [0.75]), ("m", "r1"): (["t1"], [0.25])})
+        one = RunMatrix({("m", "r2"): (["t1"], [0.75]), ("m", "r1"): (["t1"], [0.25])})
         assert one.probs == (array("d", [0.25]), array("d", [0.75]))
         assert average_runs(one) == {"m": array("d", [0.5])}
-        none = RunMatrix.from_columns({("m", "r1"): ([], []), ("m", "r2"): ([], [])})
+        none = RunMatrix({("m", "r1"): ([], []), ("m", "r2"): ([], [])})
         assert none.tweet_ids == () and none.probs == (array("d"), array("d"))
 
     @pytest.mark.parametrize(
@@ -284,24 +272,24 @@ class TestFromColumns:
     )
     def test_unwritable_key_rejected(self, key, message):
         with pytest.raises(ValueError) as e:
-            RunMatrix.from_columns({key: (["t1"], [0.5])})
+            RunMatrix({key: (["t1"], [0.5])})
         assert str(e.value) == message
 
     @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
     def test_other_line_separators_reload_unchanged(self, tmp_path, char):
-        m = RunMatrix.from_columns({(f"m{char}", f"r{char}1"): ([f"t{char}1", "t2"], [0.25, 0.5])})
+        m = RunMatrix({(f"m{char}", f"r{char}1"): ([f"t{char}1", "t2"], [0.25, 0.5])})
         write_predictions(m, tmp_path / "p.tsv")
         assert load_predictions([tmp_path / "p.tsv"], expected_runs=None) == m
 
     @pytest.mark.parametrize("tweet_id", ["", "t\t1", "t\n1", "t\r1"])
     def test_unwritable_tweet_id_rejected(self, tweet_id):
         with pytest.raises(ValueError, match="must be"):
-            RunMatrix.from_columns({("m", "r1"): ([tweet_id], [0.5])})
+            RunMatrix({("m", "r1"): ([tweet_id], [0.5])})
 
     @pytest.mark.parametrize("prob", [float("nan"), -0.5, 1.5])
     def test_probability_outside_unit_interval_rejected(self, prob):
         with pytest.raises(ValueError, match="^probability out of range: "):
-            RunMatrix.from_columns({("m", "r1"): (["t1", "t2"], [0.5, prob])})
+            RunMatrix({("m", "r1"): (["t1", "t2"], [0.5, prob])})
 
 
 class TestProtocolAgainstRecordOracle:
@@ -396,12 +384,12 @@ class TestProperties:
 
     @HYPOTHESIS
     @given(rows=run_grids(), data=st.data())
-    def test_from_columns_rows_are_columns_in_sorted_tweet_order(self, rows, data):
+    def test_rows_are_columns_in_sorted_tweet_order(self, rows, data):
         columns = columns_of(rows)
         for key, (ids, probs) in columns.items():  # any tweet order, per key
             order = data.draw(st.permutations(range(len(ids))))
             columns[key] = ([ids[k] for k in order], [probs[k] for k in order])
-        m = RunMatrix.from_columns(columns)
+        m = RunMatrix(columns)
         assert m.keys == tuple(sorted(columns))
         for key, row in zip(m.keys, m.probs):
             ids, probs = columns[key]
@@ -411,18 +399,18 @@ class TestProperties:
 
     @HYPOTHESIS
     @given(rows=run_grids(PROBS_TO_ROUND), data=st.data())
-    def test_from_columns_keeps_the_bits_and_uses_a_sorted_column_as_its_row(self, rows, data):
+    def test_constructor_keeps_the_bits_and_uses_a_sorted_column_as_its_row(self, rows, data):
         in_order = {key: (ids, array("d", probs)) for key, (ids, probs) in columns_of(sorted(rows)).items()}
         permuted = {}
         for key, (ids, probs) in in_order.items():
             order = data.draw(st.permutations(range(len(ids))))
             permuted[key] = ([ids[k] for k in order], [probs[k] for k in order])
         for columns in (in_order, permuted):
-            m = RunMatrix.from_columns(columns)
+            m = RunMatrix(columns)
             for key, row in zip(m.keys, m.probs):
                 assert type(row) is array and row.typecode == "d"
                 assert [bits(p) for p in row] == [bits(p) for p in in_order[key][1]]
-        for key, row in zip(m.keys, RunMatrix.from_columns(in_order).probs):
+        for key, row in zip(m.keys, RunMatrix(in_order).probs):
             assert row is in_order[key][1]
 
     @HYPOTHESIS
@@ -517,6 +505,136 @@ class TestProperties:
             assert kept.probs[i] == m.probs[m.keys.index(key)]
 
 
+def from_columns_oracle(columns):
+    """Oracle: the body of the classmethod `RunMatrix.from_columns`, which the one constructor
+    replaced, as (keys, tweet_ids, rows); its column layout is written here as a dict lookup."""
+    if not columns:
+        raise ValueError("no prediction records")
+    keys = tuple(sorted(columns))
+    covered = {}
+    distinct = []
+    order = None
+    for key in keys:
+        ids = columns[key][0]
+        if ids != order:
+            order = ids
+            distinct.append(set(ids))
+        covered[key] = distinct[-1]
+    for (model_id, run_id), tweets in covered.items():
+        _check_ids(model_id, run_id)
+        ids = columns[model_id, run_id][0]
+        if len(tweets) == len(ids):
+            continue
+        seen = set()
+        for tweet_id in ids:
+            if tweet_id in seen:
+                raise ValueError(f"duplicate prediction for model {model_id}, run {run_id}, tweet {tweet_id}")
+            seen.add(tweet_id)
+    all_tweets = distinct[0] if len(distinct) == 1 else set().union(*distinct)
+    ragged = [key for key, tweets in covered.items() if len(tweets) != len(all_tweets)]
+    if ragged:
+        problems = []
+        for model_id, run_id in ragged[:10]:
+            missing = sorted(all_tweets - covered[model_id, run_id])
+            noun = "tweet" if len(missing) == 1 else "tweets"
+            problems.append(f"run {run_id} of {model_id} missing {noun} {truncate_ids(missing)}")
+        if len(ragged) > 10:
+            problems.append(f"... ({len(ragged) - 10} more runs)")
+        raise ValueError("ragged tweet coverage: " + "; ".join(problems))
+    tweet_ids = tuple(sorted(all_tweets))
+    _check_ids(*tweet_ids)
+    rows = []
+    for key in keys:
+        by_id = dict(zip(*columns[key]))
+        row = array("d", [by_id[t] for t in tweet_ids])
+        for p in row:
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"probability out of range: {p}")
+        rows.append(row)
+    return keys, tweet_ids, rows
+
+
+WRITABLE_IDS = st.sampled_from(["m", "n", "r1", "r2", "t1", "t2", "t3", "\x1c"])
+CELLS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 0.0, 1.0]))
+FAULTS = ["model id", "run id", "tweet id", "cell", "repeated tweet", "missing tweet", "no tweets", "no keys"]
+
+
+@st.composite
+def odd_columns(draw):
+    """Columns the constructor may accept or refuse: a grid of writable ids and cells, each key's
+    tweets in its own drawn order, with up to two faults drawn in. A fault is an id a file cannot
+    hold (empty, tab, \\r, \\n), a cell outside [0, 1] (NaN too), a repeated or a missing tweet,
+    runs with no tweets, or no runs; \\x1c, ±0.0 and 1.0 are no fault."""
+    tweets = draw(st.lists(WRITABLE_IDS, min_size=1, max_size=4, unique=True))
+    keys = draw(st.lists(st.tuples(WRITABLE_IDS, WRITABLE_IDS), min_size=1, max_size=11, unique=True))
+    columns = {}
+    for key in keys:
+        ids = draw(st.permutations(tweets))
+        columns[key] = (ids, draw(st.lists(CELLS, min_size=len(ids), max_size=len(ids))))
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+        bad_id = draw(st.sampled_from(["", "a\tb", "a\rb", "a\nb"]))
+        key = draw(st.sampled_from(sorted(columns) or [("m", "r1")]))
+        ids, probs = columns.pop(key, ([], []))
+        j = draw(st.integers(0, max(len(ids) - 1, 0)))
+        if fault in ("model id", "run id"):
+            key = (bad_id, key[1]) if fault == "model id" else (key[0], bad_id)
+        elif fault == "tweet id":  # renamed in every run, so coverage stays rectangular
+            old = ids[j] if ids else "t1"
+            columns = {k: ([bad_id if t == old else t for t in c[0]], c[1]) for k, c in columns.items()}
+            ids = [bad_id if t == old else t for t in ids]
+        elif fault == "cell" and ids:
+            probs = [*probs[:j], draw(st.sampled_from([math.nan, 1.5, -0.5])), *probs[j + 1:]]
+        elif fault == "repeated tweet" and ids:
+            ids, probs = [*ids, ids[j]], [*probs, draw(CELLS)]
+        elif fault == "missing tweet":
+            ids, probs = ids[:j] + ids[j + 1:], probs[:j] + probs[j + 1:]
+        elif fault == "no tweets":
+            columns = {k: ([], []) for k in columns}
+            ids, probs = [], []
+        columns[key] = (ids, probs)
+        if fault == "no keys":
+            columns = {}
+    return columns
+
+
+class TestOneConstructor:
+    """RunMatrix(columns) is the only way to a matrix, so what it accepts is what a file can hold."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(columns=odd_columns())
+    def test_accepts_exactly_what_from_columns_accepted(self, columns):
+        try:
+            keys, tweet_ids, rows = from_columns_oracle(columns)
+        except ValueError as e:
+            with pytest.raises(ValueError) as raised:
+                RunMatrix(columns)
+            assert str(raised.value) == str(e)
+            return
+        m = RunMatrix(columns)
+        assert m.keys == keys and m.tweet_ids == tweet_ids
+        assert [row.tobytes() for row in m.probs] == [row.tobytes() for row in rows]
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(columns=odd_columns())
+    def test_every_matrix_it_accepts_reads_back_from_its_file(self, tmp_path, columns):
+        try:
+            m = RunMatrix(columns)
+        except ValueError:
+            return
+        write_predictions(m, tmp_path / "p.tsv")
+        if not m.tweet_ids:
+            # Runs with no tweets write no line, and a file with no line holds no run: the one
+            # matrix the format cannot carry. The loader refuses what is left, the header.
+            with pytest.raises(ValueError, match="^no prediction records$"):
+                load_predictions([tmp_path / "p.tsv"], expected_runs=None)
+            return
+        again = load_predictions([tmp_path / "p.tsv"], expected_runs=None)
+        assert again.keys == m.keys and again.tweet_ids == m.tweet_ids
+        assert [row.tobytes() for row in again.probs] == [
+            array("d", [round(p, 6) for p in row]).tobytes() for row in m.probs
+        ]
+
+
 class TestMemory:
     """tracemalloc guards: allocation peaks, which RSS is too noisy to pin."""
 
@@ -524,8 +642,7 @@ class TestMemory:
         rng = random.Random(12)
         keys = tuple((f"model{m}", f"r{r}") for m in range(6) for r in range(1, 6))
         tweet_ids = tuple(sorted(f"tweet{i:06d}" for i in range(2000)))
-        probs = tuple(tuple(rng.random() for _ in tweet_ids) for _ in keys)
-        m = RunMatrix(keys=keys, tweet_ids=tweet_ids, probs=probs)
+        m = RunMatrix({key: (tweet_ids, [rng.random() for _ in tweet_ids]) for key in keys})
         out = tmp_path / "preds.tsv"
         tracemalloc.start()
         try:

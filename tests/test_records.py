@@ -13,7 +13,7 @@ from adrpipe.tokenize import SubwordVocab
 # Each class whose constructor checks its fields: a function that builds a
 # fresh instance, and one of its fields.
 VALIDATED = {
-    "RunMatrix": (lambda: RunMatrix(keys=(("a", "r1"),), tweet_ids=("t1", "t2"), probs=([0.2, 0.9],)), "probs"),
+    "RunMatrix": (lambda: RunMatrix({("a", "r1"): (["t1", "t2"], [0.2, 0.9])}), "probs"),
     "Decisions": (lambda: Decisions(["t1"], {"a": [0.7]}, {"a": [1]}, [1]), "ensemble"),
     "Dataset": (lambda: Dataset((LabeledTweet("t1", "x", 1),)), "records"),
     "EnsembleConfig": (lambda: EnsembleConfig({"a": 0.3}), "thresholds"),
