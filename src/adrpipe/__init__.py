@@ -51,8 +51,7 @@ _LAZY = {
     ),
     "make_synthetic_dataset": "synthetic",
     **dict.fromkeys(
-        ("BaselineConfig", "BaselineModel", "load_model", "predict_prob", "run_protocol", "save_model",
-         "train"),
+        ("BaselineConfig", "BaselineModel", "load_model", "save_model", "train"),
         "baseline",
     ),
 }

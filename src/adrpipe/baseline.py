@@ -18,10 +18,10 @@ character position of the longest n-gram costs a few numpy calls for the
 first bytes, plus a few per further byte over just the windows whose
 character is multi-byte there. Word grams, which can be any length, go
 through zlib.crc32 one at a time. `_csr_blocks` yields each block as a CSR
-matrix (indptr/indices/data arrays), and `_csr` concatenates them. The
-protocol hashes each spec's train side once into one CSR matrix, whose rows
-all R runs of the spec share, and its dev side block by block, as
-`predict_probs` scores its texts.
+matrix (indptr/indices/data arrays), and `_csr` concatenates them. A fit
+(`_fit_runs`) hashes its training texts once into one CSR matrix, whose rows
+all R runs of a spec share; the protocol hashes each spec's dev side block
+by block, as `predict_probs` scores its texts.
 
 Training runs in a compact bucket space. A corpus of a few thousand tweets
 uses a few thousand of the 2^16 or 2^18 buckets, so `_compact` builds an
@@ -34,8 +34,8 @@ same order as in the full space, and every output keeps its bits. The
 per-row training tuples (`_examples`) are built once per spec, not once per
 run. Once all R runs are fitted, the train side is dropped, and each dev
 block is renumbered through the same table, scored for every run and
-dropped, so a spec never holds its whole dev side. `train`, which fits one
-model, runs the same `_fit` in the full feature_buckets space.
+dropped, so a spec never holds its whole dev side. `train` is the same fit
+of one run, its weights gathered back to the full space through the table.
 
 l2 weight decay is applied through a lazy scale factor (weights = scale * v),
 so an SGD step costs O(nonzeros of the example) rather than O(feature_buckets):
@@ -65,7 +65,7 @@ import numpy as np
 
 from ._io import atomic_write
 from .corpus import Dataset, seeded_shuffle
-from .predictions import RunMatrix, _check_ids, write_predictions
+from .predictions import RunMatrix, _check_ids
 
 MODEL_FORMAT_VERSION = 1
 
@@ -372,11 +372,11 @@ def _fit(
 ) -> tuple[np.ndarray, float]:
     """Per-example SGD over seeded-shuffled epochs on _examples rows; returns (weights, bias).
 
-    weights is `size` long, and every example index lies below it. The
-    protocol passes rows renumbered by _compact and one more than the number
-    of buckets they use, rather than feature_buckets: each step does the
-    same arithmetic on the same values as in the full space, over a far
-    smaller vector. `train` passes full-space rows and feature_buckets.
+    weights is `size` long, and every example index lies below it. _fit_runs
+    passes rows renumbered by _compact and one more than the number of
+    buckets they use, rather than feature_buckets: each step does the same
+    arithmetic on the same values as with full-space rows and
+    feature_buckets, over a far smaller vector.
 
     The true weights are scale * weights. Decay multiplies only the scalar,
     and the update to the example's buckets is divided by it, so a step
@@ -413,30 +413,36 @@ def _fit(
     return weights, bias
 
 
+def _fit_runs(d: Dataset, cfg: BaselineConfig, runs: int) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
+    """The bucket -> id table of d's texts and `runs` seeded fits on them; run k uses seed cfg.seed + k.
+
+    d is hashed once, its k buckets are renumbered (_compact), and the examples
+    are built once: every run shares them and trains a (k + 1)-long weight
+    vector, whose slot k, where every bucket d never uses maps, stays 0.0.
+    """
+    csr = _csr([r.text for r in d.records], cfg)
+    table, size = _compact(cfg.feature_buckets, csr[1])
+    examples = _examples(csr, [r.label for r in d.records], cfg)
+    return table, [_fit(examples, size + 1, dataclasses.replace(cfg, seed=cfg.seed + k)) for k in range(runs)]
+
+
 def train(d: Dataset, cfg: BaselineConfig) -> BaselineModel:
     """Fit by per-example gradient descent over seeded-shuffled epochs.
 
     Positive examples carry cfg.positive_weight in the loss; training twice
-    with the same inputs gives bit-identical weights. This is the one _fit
-    the protocol runs, here over the full feature_buckets space.
+    with the same inputs gives bit-identical weights. This is the protocol's
+    fit (_fit_runs) of one run, gathered back to feature_buckets weights
+    through its table: every bucket training never saw reads slot k, 0.0.
     """
     _require_both_labels(d)
-    csr = _csr([r.text for r in d.records], cfg)
-    weights, bias = _fit(_examples(csr, [r.label for r in d.records], cfg), cfg.feature_buckets, cfg)
-    return BaselineModel(weights=weights, bias=bias, config=cfg)
-
-
-def predict_prob(m: BaselineModel, text: str) -> float:
-    """Positive-class probability: sigmoid of the hashed-feature linear score.
-
-    Each call hashes its text alone and pays the hasher's fixed numpy cost;
-    score a batch with predict_probs, which hashes many texts a block at a time.
-    """
-    return predict_probs(m, [text])[0]
+    table, [(weights, bias)] = _fit_runs(d, cfg, 1)
+    return BaselineModel(weights=weights[table], bias=bias, config=cfg)
 
 
 def predict_probs(m: BaselineModel, texts: Sequence[str]) -> list[float]:
-    """predict_prob of every text, hashed and scored one _csr_blocks block at a time, so one block is held."""
+    """Each text's positive-class probability, the sigmoid of its hashed-feature linear score.
+
+    Texts are hashed and scored one _csr_blocks block at a time, so one block is held."""
     probs: list[float] = []
     for block in _csr_blocks(texts, m.config):
         probs.extend([_prob(m.weights, m.bias, idx, val) for idx, val in _rows(block)])
@@ -467,25 +473,16 @@ def load_model(path: str | Path) -> BaselineModel:
 
 
 def _spec_predictions(train_set: Dataset, eval_set: Dataset, cfg: BaselineConfig, runs: int) -> list[list[float]]:
-    """The eval-set probabilities of `runs` seeded fits of one spec, a list per run.
+    """The eval-set probabilities of `runs` seeded fits of one spec (_fit_runs), a list per run.
 
-    The train side is hashed once into a CSR matrix whose rows every run
-    shares, and the k buckets it uses are renumbered through a train-only
-    table (_compact), so a run trains a (k + 1)-long weight vector instead of
-    a feature_buckets one; slot k, which every bucket training never saw maps
-    to, stays 0.0. The training examples are prepared once, all runs are
-    fitted, and the train side is dropped. The dev side is then hashed block
-    by block (_csr_blocks); each block is renumbered through the same table,
-    every row is scored for every run, and the block is dropped. So the spec
-    never holds its whole dev side, and a dev text that cannot be hashed
-    raises only after the runs are fitted. Rows are scored one row's gather
-    at a time.
+    Once all runs are fitted, the train side is gone. The dev side is then
+    hashed block by block (_csr_blocks); each block is renumbered through
+    the train side's table, every row is scored for every run, one row's
+    gather at a time, and the block is dropped. So the spec never holds its
+    whole dev side, and a dev text that cannot be hashed raises only after
+    the runs are fitted.
     """
-    train_csr = _csr([r.text for r in train_set.records], cfg)
-    table, size = _compact(cfg.feature_buckets, train_csr[1])
-    examples = _examples(train_csr, [r.label for r in train_set.records], cfg)
-    fits = [_fit(examples, size + 1, dataclasses.replace(cfg, seed=cfg.seed + k)) for k in range(runs)]
-    del train_csr, examples
+    table, fits = _fit_runs(train_set, cfg, runs)
     probs: list[list[float]] = [[] for _ in fits]
     for indptr, indices, data in _csr_blocks([r.text for r in eval_set.records], cfg):
         indices[:] = table[indices]
@@ -521,7 +518,7 @@ def protocol_matrix(
     `check_protocol` runs before any hashing.
     Each probability is held as round(p, 6), the float that write_predictions'
     6-decimal text parses back to, so the matrix equals what load_predictions
-    reads from the file run_protocol writes.
+    reads back from the file write_predictions makes of it.
     """
     check_protocol(train_set, model_specs, runs)
     tweet_ids = [r.tweet_id for r in eval_set.records]
@@ -536,18 +533,3 @@ def protocol_matrix(
         {key: (ids, array("d", [round(p, 6) for p in probs])) for key, (ids, probs) in columns.items()}
     )
 
-
-def run_protocol(
-    train_set: Dataset,
-    eval_set: Dataset,
-    model_specs: Sequence[tuple[str, BaselineConfig]],
-    runs: int,
-    out_path: str | Path,
-) -> Path:
-    """Write protocol_matrix's runs as one merged prediction file and return its path.
-
-    The file feeds straight into prediction ingestion, run averaging,
-    ensembling, and evaluation.
-    """
-    write_predictions(protocol_matrix(train_set, eval_set, model_specs, runs), out_path)
-    return Path(out_path)

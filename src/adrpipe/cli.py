@@ -433,8 +433,8 @@ def cmd_baseline(args) -> int:
     eval_set = corpus.load_dataset(doc["eval"])
     specs = _specs_from_config(doc)
     runs = _config(doc, "runs", int, 5)
-    out = baseline.run_protocol(train_set, eval_set, specs, runs, doc["output"])
-    print(f"wrote {len(specs)} specs x {runs} runs x {len(eval_set)} tweets to {out}")
+    predictions.write_predictions(baseline.protocol_matrix(train_set, eval_set, specs, runs), doc["output"])
+    print(f"wrote {len(specs)} specs x {runs} runs x {len(eval_set)} tweets to {Path(doc['output'])}")
     return 0
 
 

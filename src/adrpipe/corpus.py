@@ -61,7 +61,6 @@ class LabeledTweet(_TweetFields):
 # Builds a record from fields that the caller has already checked in bulk.
 _checked_record = partial(tuple.__new__, LabeledTweet)
 _tweet_id = itemgetter(0)
-_label = itemgetter(2)
 _LABELS = {"0": 0, "1": 1}
 
 
@@ -93,25 +92,13 @@ class Dataset(Frozen):
         return len(self.records) - self.positive_count
 
     def with_texts(self, texts: Iterable[str]) -> "Dataset":
-        """A copy with record i's text replaced by texts[i], checked as LabeledTweet checks it.
+        """A copy with record i's text replaced by texts[i], each record rebuilt through LabeledTweet.
 
-        All texts are checked in one scan of their concatenation. Only when that
-        finds a fault, or the counts differ, are the records rebuilt one at a
-        time through LabeledTweet, which raises for the first faulty text
-        before zip reports the count mismatch. `texts` is read to its end first.
-        """
+        `texts` is read to its end first; a faulty text raises before zip reports a count mismatch."""
         texts = list(texts)
-        try:
-            joined = "".join(texts)
-        except TypeError:  # a text that is not a str
-            joined = "\t"
-        if len(texts) != len(self.records) or "\t" in joined or "\n" in joined or "\r" in joined:
-            return Dataset(tuple(
-                LabeledTweet(r.tweet_id, text, r.label) for r, text in zip(self.records, texts, strict=True)
-            ))
-        return Dataset(tuple(map(
-            _checked_record, zip(map(_tweet_id, self.records), texts, map(_label, self.records))
-        )))
+        return Dataset(tuple(
+            LabeledTweet(r.tweet_id, text, r.label) for r, text in zip(self.records, texts, strict=True)
+        ))
 
     def __len__(self) -> int:
         return len(self.records)

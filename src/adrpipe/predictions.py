@@ -48,19 +48,19 @@ class RunMatrix(Frozen):
     `RunMatrix(columns)` is the one constructor; the loader, the protocol,
     `baseline predict` and `filter_runs` all call it. `columns` maps each
     (model_id, run_id) to its (tweet ids, probabilities), in any tweet order.
-    It checks ids, duplicate tweets within a key, rectangular coverage and
-    the [0, 1] range (NaN included), then lays the columns out as sorted
-    rows: probs[i][j] is the probability that run keys[i] gave tweet
-    tweet_ids[j], and keys and tweet_ids are sorted and distinct, so a
+    It checks ids, duplicate tweets within a key, rectangular coverage of at
+    least one tweet and the [0, 1] range (NaN included), then lays the columns
+    out as sorted rows: probs[i][j] is the probability that run keys[i] gave
+    tweet tweet_ids[j], and keys and tweet_ids are sorted and distinct, so a
     model's runs are adjacent rows in run_id order. One row per run rather
     than a models x runs x tweets tensor, because models may have different
     run counts. Rows are `array('d')`: 8 bytes a cell, against 32 for a boxed
-    float and its slot, and the same IEEE double. The arithmetic here is a
-    few comparisons, sums and one division per cell, which plain Python does
-    bit for bit as numpy would. A column whose ids already come in sorted
-    order, as in every file this package writes, is its row: an
-    `array('d')` is kept as it is, so it may be the very array its producer
-    parsed, and must not be changed; any other sequence is copied into one.
+    float and its slot, and the same IEEE double. The arithmetic here is a few
+    comparisons, sums and one division per cell, which plain Python does bit
+    for bit as numpy would. A column whose ids already come in sorted order,
+    as in every file this package writes, is its row: an `array('d')` is kept
+    as it is, so it may be the very array its producer parsed, and must not be
+    changed; any other sequence is copied into one.
     """
 
     _fields = ("keys", "tweet_ids", "probs")
@@ -92,6 +92,8 @@ class RunMatrix(Frozen):
                 seen.add(tweet_id)
 
         all_tweets = distinct[0] if len(distinct) == 1 else set().union(*distinct)
+        if not all_tweets:  # its file would hold only the header, which the loader refuses
+            raise ValueError("no prediction records")
         ragged = [key for key, tweets in covered.items() if len(tweets) != len(all_tweets)]
         if ragged:  # the first 10 runs are named, as truncate_ids names 10 ids, and the rest counted
             problems = []
@@ -134,7 +136,7 @@ def _layout(ids: Sequence[str], tweet_ids: tuple[str, ...]):
     """A function that takes a column in `ids` order to an `array('d')` in `tweet_ids` order.
 
     `ids` holds each of `tweet_ids` once. Where it is already in that order, as
-    in every file this package writes and always for one or no tweets, the
+    in every file this package writes and always for one tweet, the
     column is its own row; otherwise itemgetter gets the two or more indices
     it needs to return a tuple.
     """

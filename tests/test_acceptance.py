@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from adrpipe.baseline import BaselineConfig, loss_and_grad, protocol_matrix, run_protocol
+from adrpipe.baseline import BaselineConfig, loss_and_grad, protocol_matrix
 from adrpipe.corpus import Dataset, LabeledTweet, duplicate_positives, stratified_split
 from adrpipe.ensemble import EnsembleConfig, decide, single_model_decide
 from adrpipe.evaluate import (
@@ -27,7 +27,7 @@ from adrpipe.evaluate import (
     variability,
     variability_table,
 )
-from adrpipe.predictions import load_predictions, run_scores
+from adrpipe.predictions import load_predictions, run_scores, write_predictions
 from adrpipe.preprocess import PipelineConfig, preprocess
 from adrpipe.synthetic import make_synthetic_dataset
 from adrpipe.tokenize import wordpiece_tokenize
@@ -210,7 +210,8 @@ def test_criterion_6_protocol_demonstration(tmp_path, lexicon):
         ("word12", BaselineConfig(ngram_range=(1, 2), feature_mode="word", seed=400)),
         ("char35w3", BaselineConfig(ngram_range=(3, 5), feature_mode="char", positive_weight=3, seed=700)),
     ]
-    pred_path = run_protocol(train_set, dev_set, specs, runs=5, out_path=tmp_path / "preds.tsv")
+    pred_path = tmp_path / "preds.tsv"
+    write_predictions(protocol_matrix(train_set, dev_set, specs, runs=5), pred_path)
     matrix = load_predictions([pred_path])
     decisions = decide(matrix, EnsembleConfig())
     gold = dev_set.labels()

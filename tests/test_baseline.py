@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adrpipe import baseline
@@ -17,14 +17,13 @@ from adrpipe.baseline import (
     _csr,
     load_model,
     loss_and_grad,
-    predict_prob,
     predict_probs,
-    run_protocol,
+    protocol_matrix,
     save_model,
     train,
 )
 from adrpipe.corpus import Dataset, LabeledTweet, seeded_shuffle
-from adrpipe.predictions import average_runs, load_predictions
+from adrpipe.predictions import average_runs, load_predictions, write_predictions
 from adrpipe.synthetic import make_synthetic_dataset
 
 
@@ -364,6 +363,41 @@ class TestTrain:
         probs = predict_probs(model, [r.text for r in records])
         assert probs == [baseline._sigmoid(float(weights[idx] @ val) + bias) for idx, val in rows]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        start=st.integers(0, 150),
+        extra=st.lists(
+            st.tuples(st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+                              max_size=30), st.integers(0, 1)),
+            max_size=4,
+        ),
+        mode=st.sampled_from(("char", "word")),
+        log_buckets=st.integers(4, 14),
+        positive_weight=st.sampled_from((1.0, 2.5)),
+        # learning_rate 0.5 with l2 1.9 decays 0.05 a step: the scale is folded back every 7 steps
+        rates=st.sampled_from(((0.1, 0.0), (0.1, 1e-3), (0.5, 0.5), (0.5, 1.9))),
+        seed=st.integers(0, 2**16),
+    )
+    def test_train_is_the_full_space_fit_gathered_back(
+        self, fixture_corpus, start, extra, mode, log_buckets, positive_weight, rates, seed
+    ):
+        # train fits in the compact space; the oracle is _fit on rows that were never renumbered.
+        records = (
+            *fixture_corpus.records[start : start + 40],
+            *(LabeledTweet(f"x{i}", text, label) for i, (text, label) in enumerate(extra)),
+        )
+        cfg = BaselineConfig(
+            ngram_range=(2, 4) if mode == "char" else (1, 2), feature_mode=mode, feature_buckets=2**log_buckets,
+            epochs=2, learning_rate=rates[0], l2=rates[1], positive_weight=positive_weight, seed=seed,
+        )
+        d = Dataset.from_records(records)
+        assume(d.positive_count and d.negative_count)
+        examples = baseline._examples(_csr([r.text for r in records], cfg), [r.label for r in records], cfg)
+        weights, bias = baseline._fit(examples, cfg.feature_buckets, cfg)
+        model = train(d, cfg)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
+
     def test_positive_weight_lifts_training_recall(self, fixture_corpus):
         base = BaselineConfig(seed=5, epochs=4)
         weighted = dataclasses.replace(base, positive_weight=3.0)
@@ -463,7 +497,7 @@ class TestCompactSpace:
             # The matrix holds the 6-decimal values its prediction file holds.
             expected = dict(zip((r.tweet_id for r in eval_set.records), (round(p, 6) for p in probs)))
             assert dict(zip(matrix.tweet_ids, matrix.probs[k])) == expected
-            model = train(train_set, run_cfg)  # the same fit in the full space
+            model = train(train_set, run_cfg)  # the same fit, gathered back to the full space
             assert model.weights.tobytes() == weights.tobytes()
             assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
 
@@ -529,18 +563,19 @@ class TestPredict:
     def test_empty_text_gives_sigmoid_bias(self):
         model = train(toy_separable(), BaselineConfig(seed=3))
         expected = 1.0 / (1.0 + math.exp(-model.bias))
-        assert predict_prob(model, "") == pytest.approx(expected, rel=1e-12)
+        assert predict_probs(model, [""])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_strictly_inside_unit_interval(self):
         model = train(toy_separable(), BaselineConfig(seed=3))
-        for text in ("", "dizzy", "sunny park", "completely new words here"):
-            assert 0.0 < predict_prob(model, text) < 1.0
+        for p in predict_probs(model, ["", "dizzy", "sunny park", "completely new words here"]):
+            assert 0.0 < p < 1.0
 
     @pytest.mark.parametrize("mode, ngrams", [("char", (3, 5)), ("word", (1, 2))])
     def test_one_text_is_bit_equal_to_the_batch_of_one(self, mode, ngrams):
         model = train(toy_separable(), BaselineConfig(ngram_range=ngrams, feature_mode=mode, seed=3))
-        for text in ("", "feeling dizzy after dose 3", "Quetiapine → 眩暈 \U0001f600 again"):
-            one, batch = predict_prob(model, text), predict_probs(model, [text])[0]
+        texts = ["", "feeling dizzy after dose 3", "Quetiapine → 眩暈 \U0001f600 again"]
+        for text, batch in zip(texts, predict_probs(model, texts)):
+            one = predict_probs(model, [text])[0]  # the text scored alone
             assert struct.pack("<d", one) == struct.pack("<d", batch)
 
     def test_save_load_round_trip(self, tmp_path):
@@ -551,8 +586,7 @@ class TestPredict:
         assert again.config == model.config
         assert np.array_equal(again.weights, model.weights)
         texts = ["feeling dizzy", "sunny park", ""]
-        for t in texts:
-            assert predict_prob(again, t) == predict_prob(model, t)
+        assert predict_probs(again, texts) == predict_probs(model, texts)
 
 
 class TestGradient:
@@ -600,17 +634,17 @@ class TestProtocol:
             ("word", BaselineConfig(ngram_range=(1, 1), feature_mode="word", epochs=2, seed=20)),
             ("char2", BaselineConfig(ngram_range=(2, 3), epochs=2, seed=30)),
         ]
-        out = run_protocol(train_set, eval_set, specs, runs=5, out_path=tmp_path / "p.tsv")
+        out = tmp_path / "p.tsv"
+        write_predictions(protocol_matrix(train_set, eval_set, specs, runs=5), out)
         rows = out.read_text(encoding="utf-8").strip().splitlines()
         assert len(rows) == 1 + 3 * 5 * 100
 
     def test_single_run_average_is_identity(self, tmp_path):
         train_set = make_synthetic_dataset(200, 0.25, seed=3)
         eval_set = make_synthetic_dataset(50, 0.25, seed=4)
-        out = run_protocol(
-            train_set, eval_set, [("m", BaselineConfig(epochs=2, seed=5))], runs=1,
-            out_path=tmp_path / "p.tsv",
-        )
+        out = tmp_path / "p.tsv"
+        specs = [("m", BaselineConfig(epochs=2, seed=5))]
+        write_predictions(protocol_matrix(train_set, eval_set, specs, runs=1), out)
         matrix = load_predictions([out], expected_runs=1)
         avg = average_runs(matrix)["m"]
         assert matrix.keys == (("m", "r1"),)
@@ -624,7 +658,8 @@ class TestProtocol:
             ("charview", BaselineConfig(epochs=4, seed=40)),
             ("wordview", BaselineConfig(ngram_range=(1, 2), feature_mode="word", epochs=4, seed=41)),
         ]
-        out = run_protocol(train_set, eval_set, specs, runs=3, out_path=tmp_path / "p.tsv")
+        out = tmp_path / "p.tsv"
+        write_predictions(protocol_matrix(train_set, eval_set, specs, runs=3), out)
         matrix = load_predictions([out], expected_runs=3)
         avg = average_runs(matrix)
         pos = {
@@ -642,7 +677,8 @@ class TestProtocol:
             ("l2", BaselineConfig(feature_buckets=2**12, epochs=2, l2=1e-3, positive_weight=2.0, seed=3)),
         ]
         runs = 3
-        out = run_protocol(train_set, eval_set, specs, runs=runs, out_path=tmp_path / "p.tsv")
+        out = tmp_path / "p.tsv"
+        write_predictions(protocol_matrix(train_set, eval_set, specs, runs=runs), out)
         rows = {}
         for line in out.read_text(encoding="utf-8").splitlines()[1:]:
             model_id, run_id, tweet_id, prob = line.split("\t")
@@ -652,7 +688,7 @@ class TestProtocol:
             for k in range(runs):
                 model = train(train_set, dataclasses.replace(cfg, seed=cfg.seed + k))
                 for r in eval_set.records:
-                    expected[(model_id, f"r{k + 1}", r.tweet_id)] = f"{predict_prob(model, r.text):.6f}"
+                    expected[(model_id, f"r{k + 1}", r.tweet_id)] = f"{predict_probs(model, [r.text])[0]:.6f}"
         assert rows == expected
 
     def test_matrix_is_what_its_file_reads_back(self, tmp_path):
@@ -664,8 +700,9 @@ class TestProtocol:
             ("word", BaselineConfig(ngram_range=(1, 2), feature_mode="word", epochs=2, seed=2)),
             ("l2", BaselineConfig(feature_buckets=2**12, epochs=2, l2=1e-3, positive_weight=2.0, seed=3)),
         ]
-        matrix = baseline.protocol_matrix(train_set, eval_set, specs, runs=2)
-        out = run_protocol(train_set, eval_set, specs, runs=2, out_path=tmp_path / "p.tsv")
+        matrix = protocol_matrix(train_set, eval_set, specs, runs=2)
+        out = tmp_path / "p.tsv"
+        write_predictions(matrix, out)
         again = load_predictions([out], expected_runs=None)
         assert matrix == again
         assert [struct.pack("<d", p) for row in matrix.probs for p in row] == [
@@ -677,7 +714,7 @@ class TestProtocol:
         monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
         d = Dataset.from_records([LabeledTweet("t1", "x", 0), LabeledTweet("t2", "y", 0)])
         with pytest.raises(ValueError, match="^training data must contain both labels$"):
-            run_protocol(d, toy_separable(), [("m", BaselineConfig())], runs=2, out_path=tmp_path / "p.tsv")
+            write_predictions(protocol_matrix(d, toy_separable(), [("m", BaselineConfig())], 2), tmp_path / "p.tsv")
         assert calls == [] and not (tmp_path / "p.tsv").exists()
 
     def test_valid_protocol_goes_through_the_hashing_hook(self, tmp_path, monkeypatch):
@@ -692,13 +729,13 @@ class TestProtocol:
         )
         d = toy_separable()
         specs = [("a", BaselineConfig(epochs=1)), ("b", BaselineConfig(epochs=1, feature_mode="word"))]
-        run_protocol(d, d, specs, runs=2, out_path=tmp_path / "p.tsv")
+        protocol_matrix(d, d, specs, runs=2)
         assert calls == [(hook, cfg) for _, cfg in specs for hook in ("csr", "blocks", "blocks")]
 
     def test_zero_runs_rejected(self, tmp_path):
         d = toy_separable()
         with pytest.raises(ValueError, match="runs"):
-            run_protocol(d, d, [("m", BaselineConfig())], runs=0, out_path=tmp_path / "p.tsv")
+            protocol_matrix(d, d, [("m", BaselineConfig())], runs=0)
 
     def test_repeated_model_id_rejected_before_hashing(self, tmp_path, monkeypatch):
         calls = []
@@ -706,7 +743,7 @@ class TestProtocol:
         d = toy_separable()
         specs = [("b", BaselineConfig()), ("a", BaselineConfig()), ("b", BaselineConfig(seed=1))]
         with pytest.raises(ValueError, match="^duplicate model_id in specs: b$"):
-            run_protocol(d, d, specs, runs=2, out_path=tmp_path / "p.tsv")
+            write_predictions(protocol_matrix(d, d, specs, runs=2), tmp_path / "p.tsv")
         assert calls == [] and not (tmp_path / "p.tsv").exists()
 
     @pytest.mark.parametrize(
@@ -722,7 +759,9 @@ class TestProtocol:
         monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
         d = toy_separable()
         with pytest.raises(ValueError) as e:
-            run_protocol(d, d, [("ok", BaselineConfig()), (model_id, BaselineConfig())], runs=2,
-                         out_path=tmp_path / "p.tsv")
+            write_predictions(
+                protocol_matrix(d, d, [("ok", BaselineConfig()), (model_id, BaselineConfig())], runs=2),
+                tmp_path / "p.tsv",
+            )
         assert str(e.value) == message
         assert calls == [] and not (tmp_path / "p.tsv").exists()

@@ -572,7 +572,7 @@ class TestBaselineCmd:
         lines = (tmp_path / "preds.tsv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 21
 
-    def test_predict_file_equals_per_text_predict_prob(self, tmp_path, capsys):
+    def test_predict_file_equals_per_text_scores(self, tmp_path, capsys):
         from adrpipe import baseline, corpus, predictions
 
         d = small_dataset(tmp_path)
@@ -584,10 +584,33 @@ class TestBaselineCmd:
         cfg = write_config(tmp_path, {"model": str(tmp_path / "model.npz"), "input": str(tmp_path / "in.tsv"),
                                       "output": str(tmp_path / "preds.tsv"), "model_id": "m", "run_id": "r1"})
         assert run("baseline", "predict", "--config", cfg) == 0
-        per_text = [baseline.predict_prob(model, r.text) for r in records]
+        per_text = [baseline.predict_probs(model, [r.text])[0] for r in records]
         expected = predictions.RunMatrix({("m", "r1"): ([r.tweet_id for r in records], per_text)})
         predictions.write_predictions(expected, tmp_path / "expected.tsv")
         assert (tmp_path / "preds.tsv").read_bytes() == (tmp_path / "expected.tsv").read_bytes()
+
+    @pytest.mark.parametrize("action", ["predict", "protocol"])
+    def test_header_only_input_writes_nothing(self, tmp_path, capsys, action):
+        # Scoring no tweet makes a matrix that covers none, which RunMatrix refuses as the loader would.
+        d = small_dataset(tmp_path)
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("tweet_id\tlabel\ttext\n", encoding="utf-8")
+        out = tmp_path / "preds.tsv"
+        if action == "predict":
+            train_cfg = write_config(tmp_path, {"train": str(d), "model_out": str(tmp_path / "m.npz"),
+                                                "config": {"epochs": 1, "feature_buckets": 256}}, "train.json")
+            assert run("baseline", "train", "--config", train_cfg) == 0
+            doc = {"model": str(tmp_path / "m.npz"), "input": str(empty), "output": str(out), "model_id": "m",
+                   "run_id": "r1"}
+        else:
+            doc = {"train": str(d), "eval": str(empty), "output": str(out), "runs": 1,
+                   "specs": [{"model_id": "m", "epochs": 1, "feature_buckets": 256}]}
+        cfg = write_config(tmp_path, doc)
+        capsys.readouterr()
+        before = sorted(tmp_path.iterdir())
+        assert run("baseline", action, "--config", cfg) == 1
+        assert capsys.readouterr() == ("", "baseline: no prediction records\n")
+        assert sorted(tmp_path.iterdir()) == before and not out.exists()
 
     def test_missing_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

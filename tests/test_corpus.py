@@ -197,7 +197,7 @@ def load_one_at_a_time(path):
 
 
 class TestBulkRecordsAreChecked:
-    """with_texts and load_dataset build records in bulk: they must give and reject what LabeledTweet does."""
+    """load_dataset builds records in bulk, with_texts one at a time: each gives and rejects what LabeledTweet does."""
 
     @settings(max_examples=300, deadline=None)
     @given(ids=st.lists(IDS, max_size=5, unique=True), texts=st.lists(st.one_of(HOSTILE, st.none()), max_size=6),

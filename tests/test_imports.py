@@ -27,8 +27,7 @@ EXPORTS = (
     "EnsembleConfig", "EnsembleDecision", "decide", "single_model_decide",
     "AttributionBreakdown", "ConfusionCounts", "Metrics", "VariabilityReport", "attribution",
     "confusion", "metrics", "variability",
-    "BaselineConfig", "BaselineModel", "load_model", "predict_prob", "run_protocol",
-    "save_model", "train",
+    "BaselineConfig", "BaselineModel", "load_model", "save_model", "train",
     "make_synthetic_dataset",
     "__version__",
 )
@@ -97,8 +96,7 @@ def test_star_import_binds_every_export_but_the_baseline_ones():
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, encoding="utf-8", timeout=60,
     )
     names, numpy_loaded = json.loads(done.stdout)
-    baseline_names = {"BaselineConfig", "BaselineModel", "load_model", "predict_prob", "run_protocol",
-                      "save_model", "train"}
+    baseline_names = {"BaselineConfig", "BaselineModel", "load_model", "save_model", "train"}
     assert set(names) == set(EXPORTS) - baseline_names - {"__version__"}
     assert not numpy_loaded
 

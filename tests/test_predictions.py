@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adrpipe._io import truncate_ids
-from adrpipe.baseline import BaselineConfig, predict_prob, run_protocol, train
+from adrpipe.baseline import BaselineConfig, predict_probs, protocol_matrix, train
 from adrpipe.corpus import Dataset
 from adrpipe.evaluate import ConfusionCounts, confusion, metrics
 from adrpipe.predictions import (
@@ -256,8 +256,9 @@ class TestConstructor:
         one = RunMatrix({("m", "r2"): (["t1"], [0.75]), ("m", "r1"): (["t1"], [0.25])})
         assert one.probs == (array("d", [0.25]), array("d", [0.75]))
         assert average_runs(one) == {"m": array("d", [0.5])}
-        none = RunMatrix({("m", "r1"): ([], []), ("m", "r2"): ([], [])})
-        assert none.tweet_ids == () and none.probs == (array("d"), array("d"))
+        # Runs that cover no tweet would write a file with only the header, which the loader refuses.
+        with pytest.raises(ValueError, match="^no prediction records$"):
+            RunMatrix({("m", "r1"): ([], []), ("m", "r2"): ([], [])})
 
     @pytest.mark.parametrize(
         "key, message",
@@ -303,9 +304,10 @@ class TestProtocolAgainstRecordOracle:
             ("l2", BaselineConfig(feature_buckets=2**10, epochs=1, l2=1e-3, seed=5)),
         ]
         runs = 12
-        out = run_protocol(train_set, eval_set, specs, runs=runs, out_path=tmp_path / "p.tsv")
+        out = tmp_path / "p.tsv"
+        write_predictions(protocol_matrix(train_set, eval_set, specs, runs=runs), out)
         records = [
-            (model_id, f"r{k + 1}", r.tweet_id, predict_prob(model, r.text))
+            (model_id, f"r{k + 1}", r.tweet_id, predict_probs(model, [r.text])[0])
             for model_id, cfg in specs
             for k in range(runs)
             for model in [train(train_set, dataclasses.replace(cfg, seed=cfg.seed + k))]
@@ -507,7 +509,8 @@ class TestProperties:
 
 def from_columns_oracle(columns):
     """Oracle: the body of the classmethod `RunMatrix.from_columns`, which the one constructor
-    replaced, as (keys, tweet_ids, rows); its column layout is written here as a dict lookup."""
+    replaced, as (keys, tweet_ids, rows), with the one rule added since: some tweet is covered.
+    Its column layout is written here as a dict lookup."""
     if not columns:
         raise ValueError("no prediction records")
     keys = tuple(sorted(columns))
@@ -531,6 +534,8 @@ def from_columns_oracle(columns):
                 raise ValueError(f"duplicate prediction for model {model_id}, run {run_id}, tweet {tweet_id}")
             seen.add(tweet_id)
     all_tweets = distinct[0] if len(distinct) == 1 else set().union(*distinct)
+    if not all_tweets:  # the one rule the constructor added: a matrix covers at least one tweet
+        raise ValueError("no prediction records")
     ragged = [key for key, tweets in covered.items() if len(tweets) != len(all_tweets)]
     if ragged:
         problems = []
@@ -622,12 +627,6 @@ class TestOneConstructor:
         except ValueError:
             return
         write_predictions(m, tmp_path / "p.tsv")
-        if not m.tweet_ids:
-            # Runs with no tweets write no line, and a file with no line holds no run: the one
-            # matrix the format cannot carry. The loader refuses what is left, the header.
-            with pytest.raises(ValueError, match="^no prediction records$"):
-                load_predictions([tmp_path / "p.tsv"], expected_runs=None)
-            return
         again = load_predictions([tmp_path / "p.tsv"], expected_runs=None)
         assert again.keys == m.keys and again.tweet_ids == m.tweet_ids
         assert [row.tobytes() for row in again.probs] == [
