@@ -492,10 +492,12 @@ def _spec_predictions(train_set: Dataset, eval_set: Dataset, cfg: BaselineConfig
     return probs
 
 
-def check_protocol(train_set: Dataset, model_specs: Sequence[tuple[str, BaselineConfig]], runs: int) -> None:
+def check_protocol(
+    train_set: Dataset, eval_set: Dataset, model_specs: Sequence[tuple[str, BaselineConfig]], runs: int
+) -> None:
     """What protocol_matrix needs before it hashes: runs >= 1, model ids that
-    are non-empty, free of tab and newline and each given once, and both
-    labels in the training set."""
+    are non-empty, free of tab and newline and each given once, both labels
+    in the training set, and an eval set with a tweet to predict."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     model_ids = [model_id for model_id, _ in model_specs]
@@ -504,6 +506,8 @@ def check_protocol(train_set: Dataset, model_specs: Sequence[tuple[str, Baseline
     if repeated:
         raise ValueError(f"duplicate model_id in specs: {', '.join(repeated)}")
     _require_both_labels(train_set)
+    if not eval_set.records:
+        raise ValueError("no prediction records")
 
 
 def protocol_matrix(
@@ -520,7 +524,7 @@ def protocol_matrix(
     6-decimal text parses back to, so the matrix equals what load_predictions
     reads back from the file write_predictions makes of it.
     """
-    check_protocol(train_set, model_specs, runs)
+    check_protocol(train_set, eval_set, model_specs, runs)
     tweet_ids = [r.tweet_id for r in eval_set.records]
     columns = {
         (model_id, f"r{k + 1}"): (tweet_ids, probs)

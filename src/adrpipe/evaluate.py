@@ -1,5 +1,5 @@
-"""Recall-oriented evaluation: confusion counts, precision/recall/F1,
-run-to-run variability, and attribution of ensemble hits to member subsets.
+"""Recall-oriented evaluation: confusion counts, precision/recall/F1, run-to-run
+variability, attribution of ensemble hits to member subsets, and the report.
 
 Conventions: label 1 is the positive (ADR) class; precision and recall are 0
 when their denominator is 0, so an all-negative predictor scores 0 across the
@@ -9,9 +9,11 @@ board; standard deviations use the sample (n-1) estimator.
 from __future__ import annotations
 
 import operator
+import time
 from typing import Mapping, NamedTuple, Sequence
 
-from ._io import truncate_ids
+from . import __version__
+from ._io import atomic_write, truncate_ids
 
 
 class ConfusionCounts(NamedTuple):
@@ -187,3 +189,82 @@ def variability_table(reports: Sequence[VariabilityReport]) -> str:
             f"{r.scenario.ljust(name_width)}  {r.f1_std:>9.4f} {r.recall_std:>13.4f} {r.n_runs:>5}"
         )
     return "\n".join(lines)
+
+
+def manifest(command: str, inputs: dict, outputs: dict, config: dict, seeds: dict) -> dict:
+    """Everything needed to rerun a command: echoed config, paths, seeds."""
+    return {
+        "tool": "adrpipe",
+        "version": __version__,
+        "command": command,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
+        "inputs": {k: str(v) for k, v in inputs.items()},
+        "outputs": {k: str(v) for k, v in outputs.items()},
+        "config": config,
+        "seeds": seeds,
+    }
+
+
+def _metric_row(c: ConfusionCounts) -> dict:
+    m = metrics(c)
+    return {
+        "tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn,
+        "precision": round(m.precision, 4),
+        "recall": round(m.recall, 4),
+        "f1": round(m.f1, 4),
+    }
+
+
+def _subset_key(s: frozenset[str]) -> str:
+    return "+".join(sorted(s))
+
+
+def _report_to_tsv(report: dict) -> str:
+    import json
+
+    lines = ["# manifest\t" + json.dumps(report["manifest"], sort_keys=True)]
+    lines.append("row\tname\ttp\tfp\ttn\tfn\tprecision\trecall\tf1")
+    for name, row in list(report["members"].items()) + [("ensemble", report["ensemble"])]:
+        kind = "member" if name in report["members"] else "ensemble"
+        lines.append(
+            f"{kind}\t{name}\t{row['tp']}\t{row['fp']}\t{row['tn']}\t{row['fn']}"
+            f"\t{row['precision']:.4f}\t{row['recall']:.4f}\t{row['f1']:.4f}"
+        )
+    att = report["attribution"]
+    for subset in att["tp_by_subset"]:
+        lines.append(
+            f"attribution\t{subset}\t{att['tp_by_subset'][subset]}\t{att['fp_by_subset'][subset]}\t\t\t\t\t"
+        )
+    for model, frac in att["exclusive_fraction"].items():
+        lines.append(f"exclusive_fraction\t{model}\t\t\t\t\t\t\t{frac:.4f}")
+    return "\n".join(lines) + "\n"
+
+
+def write_report(decisions, gold: Mapping[str, int], manifest: dict, thresholds: Mapping[str, float], path) -> None:
+    """Score an `ensemble.Decisions` against gold, write the .json or .tsv report to `path`, print both tables."""
+    import json
+
+    ab = attribution(decisions, gold)  # checks that the decisions cover gold's tweets
+    labels = [gold[t] for t in decisions.tweet_ids]
+    ensemble_counts = count_cells(decisions.ensemble, labels)
+    members = {m: count_cells(column, labels) for m, column in decisions.verdicts.items()}
+    subsets = ab.subsets
+    report = {
+        "manifest": manifest,
+        "thresholds": {m: round(t, 4) for m, t in thresholds.items()},
+        "members": {m: _metric_row(c) for m, c in members.items()},
+        "ensemble": _metric_row(ensemble_counts),
+        "attribution": {
+            "tp_by_subset": {_subset_key(s): ab.tp_by_subset.get(s, 0) for s in subsets},
+            "fp_by_subset": {_subset_key(s): ab.fp_by_subset.get(s, 0) for s in subsets},
+            "exclusive_fraction": {m: round(v, 4) for m, v in ab.exclusive_fraction.items()},
+        },
+    }
+    as_json = str(path).endswith(".json")
+    atomic_write(path, [json.dumps(report, indent=2, sort_keys=True) + "\n" if as_json else _report_to_tsv(report)])
+    columns = {m: metrics(c) for m, c in members.items()}
+    columns["ensemble"] = metrics(ensemble_counts)
+    print(metrics_table(columns))
+    if ab.tp_by_subset or ab.fp_by_subset:
+        print()
+        print(attribution_table(ab))

@@ -142,6 +142,12 @@ class PipelineConfig(Frozen):
                 raise ValueError("lexicon required when drugnorm is enabled")
 
 
+def pipeline_config(stage_names: list[str], lexicon_path: str | None) -> PipelineConfig:
+    """The config for stages named by `preprocess --stages` or a reproduce config, and the lexicon file, if any."""
+    lexicon = load_lexicon(lexicon_path) if lexicon_path else None
+    return PipelineConfig(enabled_stages=stage_names, lexicon=lexicon)
+
+
 def _strip_emails(text: str) -> str:
     """Replace each email with its domain, left to right without overlaps.
 

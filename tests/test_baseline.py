@@ -717,6 +717,13 @@ class TestProtocol:
             write_predictions(protocol_matrix(d, toy_separable(), [("m", BaselineConfig())], 2), tmp_path / "p.tsv")
         assert calls == [] and not (tmp_path / "p.tsv").exists()
 
+    def test_empty_eval_set_rejected_before_hashing(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="^no prediction records$"):
+            protocol_matrix(toy_separable(), Dataset.from_records([]), [("m", BaselineConfig())], 2)
+        assert calls == []
+
     def test_valid_protocol_goes_through_the_hashing_hook(self, tmp_path, monkeypatch):
         # The positive control for the *_rejected_before_hashing tests: a valid call
         # hashes each spec's train side through the function they patch, before its

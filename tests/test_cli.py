@@ -1,14 +1,17 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 
 from adrpipe.cli import main
 from adrpipe.corpus import load_dataset, save_dataset
+from adrpipe.evaluate import manifest
 from adrpipe.synthetic import make_synthetic_dataset
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -60,6 +63,12 @@ class TestBasics:
         assert run("split", "--nope") == 1
         err = capsys.readouterr().err
         assert "usage" in err and "error" in err
+
+    def test_manifest_timestamp_is_utc_to_the_second(self):
+        before = datetime.now(timezone.utc).replace(microsecond=0)
+        stamp = manifest("evaluate", {}, {}, {}, {})["timestamp"]
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+        assert before <= datetime.fromisoformat(stamp) <= datetime.now(timezone.utc)
 
 
 class TestSplit:
@@ -591,7 +600,8 @@ class TestBaselineCmd:
 
     @pytest.mark.parametrize("action", ["predict", "protocol"])
     def test_header_only_input_writes_nothing(self, tmp_path, capsys, action):
-        # Scoring no tweet makes a matrix that covers none, which RunMatrix refuses as the loader would.
+        # Scoring no tweet makes a matrix that covers none, which RunMatrix refuses as the loader would;
+        # protocol refuses the empty eval set before it fits anything.
         d = small_dataset(tmp_path)
         empty = tmp_path / "empty.tsv"
         empty.write_text("tweet_id\tlabel\ttext\n", encoding="utf-8")

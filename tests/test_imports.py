@@ -1,7 +1,7 @@
 """The package's import surface: each command loads only the modules it runs,
 so every command but `baseline` and protocol-mode `reproduce` runs without
-numpy or `dataclasses`, and every name the package has exported still imports
-from `adrpipe`."""
+numpy or `dataclasses`, only those two compile the JSON-config code, and every
+name the package has exported still imports from `adrpipe`."""
 
 import json
 import os
@@ -48,6 +48,8 @@ NOT_TEXT = {"adrpipe.predictions", "adrpipe.ensemble", "adrpipe.evaluate", "adrp
             "adrpipe.baseline", "statistics", *NOT_NUMPY_FREE}
 # Modules that no prediction command (ingest, ensemble, evaluate) runs.
 NOT_PREDICTION = {"adrpipe.tokenize", "adrpipe.synthetic", "adrpipe.baseline", *NOT_NUMPY_FREE}
+# The module holding the JSON-config commands, `baseline` and `reproduce`: no other command compiles it.
+CONFIG_COMMANDS = "adrpipe._workflow"
 
 
 def run_fresh(argvs: list[list[str]]) -> tuple[list[int], set[str]]:
@@ -196,4 +198,66 @@ def test_evaluate_does_not_load_the_prediction_code(tmp_path):
          "--report", f"{tmp_path}/report.json"],
     ])
     assert codes == [0]
-    assert "adrpipe.ensemble" in modules and "adrpipe.predictions" not in modules
+    assert "adrpipe.ensemble" in modules and modules & {"adrpipe.predictions", "datetime"} == set()
+
+
+def test_only_the_config_commands_load_the_config_code(tmp_path):
+    tweets = write_tweets(tmp_path)
+    (tmp_path / "metrics.tsv").write_text("scenario\trun_id\tf1\trecall\ns\tr1\t0.5\t0.6\ns\tr2\t0.7\t0.8\n",
+                                          encoding="utf-8")
+    preds = tmp_path / "preds.tsv"
+    preds.write_text(
+        "model_id\trun_id\ttweet_id\tprob\n" + "".join(f"m\tr1\tt{i}\t{0.9 if i < 2 else 0.1}\n" for i in range(6)),
+        encoding="utf-8",
+    )
+    lexicon = f"{DATA}/drug_lexicon.tsv"
+    stage_commands = [
+        ["preprocess", "--input", str(tweets), "--lexicon", lexicon, "--output", f"{tmp_path}/clean.tsv"],
+        ["tokens", "--vocab", f"{DATA}/fixture_vocab.txt", "--stats", "--input", f"{tmp_path}/clean.tsv"],
+        ["split", "--input", str(tweets), "--fraction", "0.5", "--seed", "1"],
+        ["variability", "--metrics", f"{tmp_path}/metrics.tsv"],
+        ["ingest", "--pred", str(preds), "--expect-runs", "1", "--gold", str(tweets), "--min-dev-f1", "0.1"],
+        ["ensemble", "--pred", str(preds), "--expect-runs", "1", "--output", f"{tmp_path}/decisions.tsv"],
+        ["evaluate", "--decisions", f"{tmp_path}/decisions.tsv", "--gold", str(tweets),
+         "--report", f"{tmp_path}/report.tsv"],
+    ]
+    codes, modules = run_fresh(stage_commands)
+    assert codes == [0] * len(stage_commands) and CONFIG_COMMANDS not in modules
+
+    configs = {
+        "train.json": {"train": str(tweets), "model_out": f"{tmp_path}/m.npz", "config": {"epochs": 1}},
+        "predictions.json": {"dataset": str(tweets), "predictions": [str(preds)], "output_dir": f"{tmp_path}/p"},
+        "protocol.json": {"dataset": str(tweets), "lexicon": lexicon, "output_dir": f"{tmp_path}/q",
+                          "split": {"train_fraction": 0.5},
+                          "protocol": {"runs": 1, "specs": [{"model_id": "m", "epochs": 1}]}},
+    }
+    for name, doc in configs.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["baseline", "train"] if name == "train.json" else ["reproduce"]
+        codes, modules = run_fresh([[*argv, "--config", f"{tmp_path}/{name}"]])
+        assert codes == [0] and CONFIG_COMMANDS in modules, name
+
+
+def test_a_config_command_run_as_a_script_does_not_import_the_cli_again(tmp_path):
+    # Under `python -m adrpipe.cli` the CLI runs as `__main__`, so a config command that
+    # imported `adrpipe.cli` would compile and execute it a second time.
+    tweets = write_tweets(tmp_path)
+    preds = tmp_path / "preds.tsv"
+    preds.write_text(
+        "model_id\trun_id\ttweet_id\tprob\n" + "".join(f"m\tr1\tt{i}\t{0.9 if i < 2 else 0.1}\n" for i in range(6)),
+        encoding="utf-8",
+    )
+    config = tmp_path / "reproduce.json"
+    config.write_text(json.dumps({"dataset": str(tweets), "predictions": [str(preds)],
+                                  "output_dir": str(tmp_path / "out")}), encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import runpy, sys\n"
+         "try:\n"
+         "    runpy.run_module('adrpipe.cli', run_name='__main__', alter_sys=True)\n"
+         "except SystemExit as e:\n"
+         "    print(e.code, 'adrpipe.cli' in sys.modules, 'adrpipe._workflow' in sys.modules)",
+         "reproduce", "--config", str(config)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, encoding="utf-8", timeout=60,
+    )
+    assert done.stdout.split()[-3:] == ["0", "False", "True"], done.stderr
