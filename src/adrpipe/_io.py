@@ -2,13 +2,14 @@
 (the header, blank lines, the field count), which each reader applies in its
 own loop over the lines, the one writer of every output (streamed in chunks
 to a temp file that is renamed on success, so consumers never see a partial
-file when a write fails mid-way), the shortened id lists that error messages
-quote, and the immutable-value base of the classes that check their fields."""
+file when a write fails mid-way), the shortened id lists and fields that
+error messages quote, and the immutable-value base of the classes that
+check their fields."""
 
 from __future__ import annotations
 
+import errno
 import os
-import tempfile
 from array import array
 from contextlib import contextmanager
 from itertools import chain, islice
@@ -48,19 +49,32 @@ def require_blank(path: str | Path, width: int, lineno: int, line: str) -> None:
         raise ValueError(f"{path}: expected {width} fields at line {lineno}, got {got}")
 
 
+# Temp file names atomic_write tries beside an output before it gives up.
+_TEMP_NAMES = 100
+
+
 def atomic_write(path: str | Path, chunks: Iterable[str | bytes]) -> None:
     """Write the chunks to a temp file beside `path`, one at a time, then rename it over `path`.
 
     A str chunk is written as UTF-8 byte for byte (no newline translation), a
     bytes chunk as is. Only the chunk in hand is held, never the whole file.
     If a chunk, a write or the rename fails, the temp file is removed and
-    `path` is left as it was.
+    `path` is left as it was. The temp file, `.<name>.<pid>.<n>.tmp` with the
+    first n whose name is free, is created mode 0o666 less the umask, as
+    open(path, "w") would create `path`, so the output gets the user's mode.
     """
     target, path = path, Path(path)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.", suffix=".tmp")
-    except OSError as e:  # it names a random temp file; the output is what the user can act on
-        raise type(e)(e.errno, e.strerror, str(target)) from None
+    for n in range(_TEMP_NAMES):
+        tmp = path.parent / f".{path.name}.{os.getpid()}.{n}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as e:  # it names the temp file; the output is what the user can act on
+            raise type(e)(e.errno, e.strerror, str(target)) from None
+    else:
+        raise FileExistsError(errno.EEXIST, f"all {_TEMP_NAMES} temp file names beside it are taken", str(target))
     try:
         with os.fdopen(fd, "wb") as f:
             for chunk in chunks:
@@ -91,6 +105,13 @@ def truncate_ids(ids: Sequence[str], limit: int = 10) -> str:
     if len(ids) <= limit:
         return ", ".join(ids)
     return ", ".join(ids[:limit]) + f", ... ({len(ids) - limit} more)"
+
+
+def quote_field(text: str, limit: int = 50) -> str:
+    """`text` quoted for an error message about one line, cut after `limit` characters with a count of the rest."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text) - limit} more characters)"
 
 
 class Frozen:

@@ -8,8 +8,8 @@ power-of-two bucket space; training is plain per-example gradient descent on a
 class-weighted logistic loss, with the example order reshuffled each epoch by
 a seeded Fisher-Yates pass. Everything is deterministic given (data, config).
 
-There is one featurizer, `_csr`. It cuts the texts into blocks of about 2^16
-n-grams and turns each block into one int64 key per gram, row * stride +
+There is one featurizer, `_csr_blocks`. It cuts the texts into blocks of about
+2^15 n-grams and turns each block into one int64 key per gram, row * stride +
 bucket, which one sort turns into each row's sorted buckets and counts. Char
 grams are hashed without a call per gram: the block is encoded to UTF-8 once,
 every window start keeps its own crc32 register, and table-driven numpy steps
@@ -17,20 +17,22 @@ every window start keeps its own crc32 register, and table-driven numpy steps
 character position of the longest n-gram costs a few numpy calls for the
 first bytes, plus a few per further byte over just the windows whose
 character is multi-byte there. Word grams, which can be any length, go
-through zlib.crc32 one at a time. `_csr_blocks` yields each block as a CSR
-matrix (indptr/indices/data arrays), and `_csr` concatenates them. A fit
-(`_fit_runs`) hashes its training texts once into one CSR matrix, whose rows
-all R runs of a spec share; the protocol hashes each spec's dev side block
-by block, as `predict_probs` scores its texts.
+through zlib.crc32 one at a time. Each block is yielded as a CSR matrix
+(indptr/indices/data arrays), and no side is ever concatenated: a fit
+(`_fit_runs`) hashes its training texts once into a list of blocks, whose
+rows all R runs of a spec share, so the blocks and a joined copy of them
+are never held together; the protocol hashes each spec's dev side block by
+block, as `predict_probs` scores its texts.
 
 Training runs in a compact bucket space. A corpus of a few thousand tweets
 uses a few thousand of the 2^16 or 2^18 buckets, so `_compact` builds an
 int32 table that renumbers the k buckets a spec's train side uses to
-0..k-1 in bucket order and maps every other bucket to k. Each run trains a
-(k+1)-long weight vector instead of a feature_buckets one, and slot k,
-which training never touches, stays 0.0. Renumbering keeps every row's
-order, so each gather, dot product and update sees the same values in the
-same order as in the full space, and every output keeps its bits. The
+0..k-1 in bucket order, maps every other bucket to k, and renumbers each
+block's indices in place. Each run trains a (k+1)-long weight vector
+instead of a feature_buckets one, and slot k, which training never
+touches, stays 0.0. Renumbering keeps every row's order, so each gather,
+dot product and update sees the same values in the same order as in the
+full space, and every output keeps its bits. The
 per-row training tuples (`_examples`) are built once per spec, not once per
 run. Once all R runs are fitted, the train side is dropped, and each dev
 block is renumbered through the same table, scored for every run and
@@ -58,6 +60,7 @@ import zlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -156,39 +159,12 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def loss_and_grad(
-    weights: np.ndarray,
-    bias: float,
-    features: np.ndarray,
-    labels: np.ndarray,
-    sample_weights: np.ndarray,
-    l2: float = 0.0,
-) -> tuple[float, np.ndarray, float]:
-    """Weighted logistic loss and its analytic gradient on a dense batch.
-
-    loss = sum_i w_i * crossentropy(sigmoid(x_i . weights + bias), y_i)
-           + l2/2 * ||weights||^2
-
-    Returns (loss, d_loss/d_weights, d_loss/d_bias). The trainer's per-example
-    updates descend this same objective; tests compare this gradient against
-    central finite differences.
-    """
-    z = features @ weights + bias
-    p = 1.0 / (1.0 + np.exp(-z))
-    eps = 1e-12
-    ce = -(labels * np.log(p + eps) + (1 - labels) * np.log(1 - p + eps))
-    loss = float(np.sum(sample_weights * ce) + 0.5 * l2 * np.dot(weights, weights))
-    residual = sample_weights * (p - labels)
-    grad_w = features.T @ residual + l2 * weights
-    grad_b = float(np.sum(residual))
-    return loss, grad_w, grad_b
-
-
 # Grams hashed before a block's keys are sorted: large enough that a side
-# takes a few sorts, small enough that the keys stay a fraction of a MB. A
+# takes a few sorts, small enough that the keys (256 KB) and np.unique's
+# copies of them stay in cache and far below a spec's training rows. A
 # text is counted as len(text) grams per n-gram size: a bound on its char
 # grams, several times its word grams.
-_BLOCK_GRAMS = 1 << 16
+_BLOCK_GRAMS = 1 << 15
 # Window starts whose crc32 registers advance together: bounds the per-window
 # arrays to about 2 MB however long a text is.
 _CHUNK_WINDOWS = 1 << 15
@@ -282,7 +258,7 @@ def _blocks(texts: Sequence[str], cfg: BaselineConfig, stride: int):
 
 
 def _csr_blocks(texts: Sequence[str], cfg: BaselineConfig):
-    """Yield the CSR matrix (indptr, indices, data) of each _blocks run of texts; _csr concatenates them.
+    """Yield the CSR matrix (indptr, indices, data) of each _blocks run of texts.
 
     Row i of a block, indices[indptr[i]:indptr[i + 1]] with its data, holds the
     sorted distinct buckets (crc32 & (feature_buckets - 1)) of its text's
@@ -298,16 +274,6 @@ def _csr_blocks(texts: Sequence[str], cfg: BaselineConfig):
         indptr = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // stride, minlength=count), out=indptr[1:])
         yield indptr, keys & (stride - 1), counts.astype(np.float64)
-
-
-def _csr(texts: Sequence[str], cfg: BaselineConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hash every text once into one CSR matrix (indptr, indices, data): _csr_blocks' blocks, concatenated."""
-    indptr, indices, data = [np.zeros(1, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for ptr, idx, val in _csr_blocks(texts, cfg):
-        indptr.append(ptr[1:] + indptr[-1][-1])
-        indices.append(idx)
-        data.append(val)
-    return np.concatenate(indptr), np.concatenate(indices), np.concatenate(data)
 
 
 def _rows(csr: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -332,11 +298,11 @@ def _require_both_labels(d: Dataset) -> None:
 _MIN_SCALE = 1e-9
 
 
-def _compact(buckets: int, idx: np.ndarray) -> tuple[np.ndarray, int]:
-    """Renumber in place the k buckets idx uses to 0..k-1; return the bucket -> id table and k.
+def _compact(buckets: int, blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, int]:
+    """Renumber in place the k buckets the CSR blocks use to 0..k-1; return the bucket -> id table and k.
 
-    Ids keep bucket order, so CSR rows stay sorted. Every bucket idx does not
-    use maps to k, a weight slot that training never touches, so it stays
+    Ids keep bucket order, so CSR rows stay sorted. Every bucket the blocks do
+    not use maps to k, a weight slot that training never touches, so it stays
     0.0. A gather through the table from a (k + 1)-long weight vector then
     yields the same values in the same order as a gather from the full one,
     for any buckets, so every dot product adds the same terms in the same
@@ -345,25 +311,27 @@ def _compact(buckets: int, idx: np.ndarray) -> tuple[np.ndarray, int]:
     fancy-indexes several times faster.
     """
     table = np.zeros(buckets, dtype=np.int32)
-    table[idx] = 1
+    for _, idx, _ in blocks:
+        table[idx] = 1
     used = np.flatnonzero(table)
     table.fill(used.size)
     table[used] = np.arange(used.size, dtype=np.int32)
-    idx[:] = table[idx]
+    for _, idx, _ in blocks:
+        idx[:] = table[idx]
     return table, used.size
 
 
 def _examples(
-    csr: tuple[np.ndarray, np.ndarray, np.ndarray], labels: Sequence[int], cfg: BaselineConfig
+    blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], labels: Sequence[int], cfg: BaselineConfig
 ) -> list[tuple[np.ndarray, np.ndarray, float, float]]:
-    """Each CSR row as the tuple _fit steps on: (indices, counts, sample weight, target).
+    """Each row of the CSR blocks, in order, as the tuple _fit steps on: (indices, counts, sample weight, target).
 
     Runs of a spec differ only in seed, so the protocol builds these once per
     spec and every run shares them.
     """
     return [
         (idx, val, cfg.positive_weight if y == 1 else 1.0, float(y))
-        for (idx, val), y in zip(_rows(csr), labels)
+        for (idx, val), y in zip(chain.from_iterable(map(_rows, blocks)), labels)
     ]
 
 
@@ -416,13 +384,14 @@ def _fit(
 def _fit_runs(d: Dataset, cfg: BaselineConfig, runs: int) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
     """The bucket -> id table of d's texts and `runs` seeded fits on them; run k uses seed cfg.seed + k.
 
-    d is hashed once, its k buckets are renumbered (_compact), and the examples
+    d is hashed once, as _csr_blocks' blocks, which are never concatenated:
+    its k buckets are renumbered in every block (_compact), and the examples
     are built once: every run shares them and trains a (k + 1)-long weight
     vector, whose slot k, where every bucket d never uses maps, stays 0.0.
     """
-    csr = _csr([r.text for r in d.records], cfg)
-    table, size = _compact(cfg.feature_buckets, csr[1])
-    examples = _examples(csr, [r.label for r in d.records], cfg)
+    blocks = list(_csr_blocks([r.text for r in d.records], cfg))
+    table, size = _compact(cfg.feature_buckets, blocks)
+    examples = _examples(blocks, [r.label for r in d.records], cfg)
     return table, [_fit(examples, size + 1, dataclasses.replace(cfg, seed=cfg.seed + k)) for k in range(runs)]
 
 
@@ -472,8 +441,9 @@ def load_model(path: str | Path) -> BaselineModel:
         return BaselineModel(weights=data["weights"], bias=float(data["bias"]), config=cfg)
 
 
-def _spec_predictions(train_set: Dataset, eval_set: Dataset, cfg: BaselineConfig, runs: int) -> list[list[float]]:
-    """The eval-set probabilities of `runs` seeded fits of one spec (_fit_runs), a list per run.
+def _spec_predictions(train_set: Dataset, eval_set: Dataset, cfg: BaselineConfig, runs: int) -> list[array]:
+    """The eval-set probabilities of `runs` seeded fits of one spec (_fit_runs), rounded
+    to 6 decimals as they are scored, an `array('d')` per run.
 
     Once all runs are fitted, the train side is gone. The dev side is then
     hashed block by block (_csr_blocks); each block is renumbered through
@@ -483,12 +453,12 @@ def _spec_predictions(train_set: Dataset, eval_set: Dataset, cfg: BaselineConfig
     the runs are fitted.
     """
     table, fits = _fit_runs(train_set, cfg, runs)
-    probs: list[list[float]] = [[] for _ in fits]
+    probs = [array("d") for _ in fits]
     for indptr, indices, data in _csr_blocks([r.text for r in eval_set.records], cfg):
         indices[:] = table[indices]
         rows = _rows((indptr, indices, data))
         for (weights, bias), run_probs in zip(fits, probs):
-            run_probs.extend([_prob(weights, bias, idx, val) for idx, val in rows])
+            run_probs.extend([round(_prob(weights, bias, idx, val), 6) for idx, val in rows])
     return probs
 
 
@@ -522,18 +492,17 @@ def protocol_matrix(
     `check_protocol` runs before any hashing.
     Each probability is held as round(p, 6), the float that write_predictions'
     6-decimal text parses back to, so the matrix equals what load_predictions
-    reads back from the file write_predictions makes of it.
+    reads back from the file write_predictions makes of it. _spec_predictions
+    rounds each probability as it is scored, into one `array('d')` per run,
+    which is passed on as the run's column: no run is held unrounded, and no
+    second rounding pass copies the columns.
     """
     check_protocol(train_set, eval_set, model_specs, runs)
     tweet_ids = [r.tweet_id for r in eval_set.records]
-    columns = {
-        (model_id, f"r{k + 1}"): (tweet_ids, probs)
-        for model_id, cfg in model_specs
-        for k, probs in enumerate(_spec_predictions(train_set, eval_set, cfg, runs))
-    }
-    # Rounded once every run is trained: rounding each run as it came in raised
-    # the `protocol` workload's median peak RSS by ~0.2 MB (12 seeds, 2-vCPU VM).
     return RunMatrix(
-        {key: (ids, array("d", [round(p, 6) for p in probs])) for key, (ids, probs) in columns.items()}
+        {
+            (model_id, f"r{k + 1}"): (tweet_ids, probs)
+            for model_id, cfg in model_specs
+            for k, probs in enumerate(_spec_predictions(train_set, eval_set, cfg, runs))
+        }
     )
-

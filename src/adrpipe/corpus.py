@@ -19,7 +19,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from ._io import Frozen, atomic_write, chunked, lines_of, require_blank
+from ._io import Frozen, atomic_write, chunked, lines_of, quote_field, require_blank
 
 HEADER = "tweet_id\tlabel\ttext"
 
@@ -127,11 +127,11 @@ def read_records(path: str | Path) -> Iterator[LabeledTweet]:
                 continue
             label = _LABELS.get(label_text)
             if label is None:
-                raise ValueError(f"{path}: label out of range at line {lineno}: {label_text!r}")
+                raise ValueError(f"{path}: label out of range at line {lineno}: {quote_field(label_text)}")
             if not tweet_id:
                 raise ValueError(f"{path}: tweet_id must be non-empty at line {lineno}")
             if tweet_id in seen:
-                raise ValueError(f"{path}: duplicate tweet_id {tweet_id!r} at line {lineno}")
+                raise ValueError(f"{path}: duplicate tweet_id {quote_field(tweet_id)} at line {lineno}")
             seen[tweet_id] = None
             yield _checked_record((tweet_id, text.rstrip("\n"), label))
 

@@ -14,7 +14,7 @@ from array import array
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
-from ._io import Frozen, as_cells, atomic_write, chunked, lines_of, require_blank
+from ._io import Frozen, as_cells, atomic_write, chunked, lines_of, quote_field, require_blank
 
 if TYPE_CHECKING:
     from .predictions import RunMatrix
@@ -109,16 +109,16 @@ class Decisions(Frozen):
         rows = zip(self.tweet_ids, self.ensemble, zip(*self.verdicts.values()), zip(*self.probs.values()))
         for row, (tweet_id, ens, verdicts, probs) in enumerate(rows):
             if not tweet_id or "\t" in tweet_id or "\n" in tweet_id or "\r" in tweet_id:
-                raise RowError(f"tweet_id {tweet_id!r} cannot be encoded in a decisions file", row)
+                raise RowError(f"tweet_id {quote_field(tweet_id)} cannot be encoded in a decisions file", row)
             if tweet_id in seen:
-                raise RowError(f"duplicate tweet_id {tweet_id!r}", row)
+                raise RowError(f"duplicate tweet_id {quote_field(tweet_id)}", row)
             seen.add(tweet_id)
             # True and 1.0 equal 1, but the file would hold "True" and "1.0".
             if not all(type(v) is int and 0 <= v <= 1 for v in (ens, *verdicts)):
                 raise RowError("verdicts must be 0 or 1", row)
             for m, p in zip(models, probs):
                 if not 0.0 <= p <= 1.0:
-                    raise RowError(f"probability out of range for model {m!r}", row)
+                    raise RowError(f"probability out of range for model {quote_field(m)}", row)
             if ens != any(verdicts):
                 raise RowError(f"ensemble verdict {ens} is not the OR of the member verdicts", row)
 
@@ -161,11 +161,11 @@ def check_model_ids(model_ids: Iterable[str]) -> None:
     ensemble's own row in the report."""
     for m in model_ids:
         if not m or any(c in m for c in ",\t\n\r"):
-            raise ValueError(f"model id {m!r} cannot be encoded in a decisions file")
+            raise ValueError(f"model id {quote_field(m)} cannot be encoded in a decisions file")
         if "+" in m:
-            raise ValueError(f"model id {m!r} holds '+', which joins a voter subset's ids in the report")
+            raise ValueError(f"model id {quote_field(m)} holds '+', which joins a voter subset's ids in the report")
         if m == RESERVED_MODEL_ID:
-            raise ValueError(f"model id {m!r} is reserved for the ensemble's row in the report")
+            raise ValueError(f"model id {quote_field(m)} is reserved for the ensemble's row in the report")
 
 
 def write_decisions(decisions: Decisions, path: str | Path) -> None:

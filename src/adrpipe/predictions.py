@@ -18,7 +18,7 @@ from array import array
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from ._io import Frozen, as_cells, atomic_write, lines_of, require_blank, truncate_ids
+from ._io import Frozen, as_cells, atomic_write, lines_of, quote_field, require_blank, truncate_ids
 
 if TYPE_CHECKING:
     from .evaluate import ConfusionCounts
@@ -173,7 +173,7 @@ def _parse_file(path: str | Path, tweet_ids: dict[str, str]) -> Iterator[tuple[t
                 prob = float(prob_text)
             except ValueError:
                 text = prob_text.rstrip("\n")
-                raise ValueError(f"{path}: bad probability {text!r} at line {lineno}") from None
+                raise ValueError(f"{path}: bad probability {quote_field(text)} at line {lineno}") from None
             if not 0.0 <= prob <= 1.0:
                 text = prob_text.rstrip("\n")
                 raise ValueError(f"{path}: probability out of range at line {lineno}: {text}")

@@ -30,7 +30,7 @@ import re
 import string
 from pathlib import Path
 
-from ._io import Frozen, lines_of, require_blank
+from ._io import Frozen, lines_of, quote_field, require_blank
 
 STAGES = ("anonymize", "handles", "hashtags", "lowercase", "drugnorm")
 
@@ -107,11 +107,11 @@ def load_lexicon(path: str | Path) -> DrugLexicon:
             if not brand or not generic:
                 raise ValueError(f"{path}: lexicon entries must be non-empty at line {lineno}")
             if brand == generic:
-                raise ValueError(f"{path}: self-mapping rejected: {brand!r} at line {lineno}")
+                raise ValueError(f"{path}: self-mapping rejected: {quote_field(brand)} at line {lineno}")
             if brand in entries and entries[brand] != generic:
                 raise ValueError(
-                    f"{path}: conflicting duplicate key {brand!r} at line {lineno}: "
-                    f"{entries[brand]!r} vs {generic!r}"
+                    f"{path}: conflicting duplicate key {quote_field(brand)} at line {lineno}: "
+                    f"{quote_field(entries[brand])} vs {quote_field(generic)}"
                 )
             entries[brand] = generic
     return DrugLexicon(entries)

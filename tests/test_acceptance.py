@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from adrpipe.baseline import BaselineConfig, loss_and_grad, protocol_matrix
+from adrpipe.baseline import BaselineConfig, protocol_matrix
 from adrpipe.corpus import Dataset, LabeledTweet, duplicate_positives, stratified_split
 from adrpipe.ensemble import EnsembleConfig, decide, single_model_decide
 from adrpipe.evaluate import (
@@ -31,7 +31,7 @@ from adrpipe.predictions import load_predictions, run_scores, write_predictions
 from adrpipe.preprocess import PipelineConfig, preprocess
 from adrpipe.synthetic import make_synthetic_dataset
 from adrpipe.tokenize import wordpiece_tokenize
-from conftest import one_run_matrix
+from conftest import loss_and_grad, one_run_matrix
 
 
 def report(criterion, detail):

@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 from adrpipe import baseline
 from adrpipe.baseline import (
     BaselineConfig,
-    _csr,
     load_model,
-    loss_and_grad,
     predict_probs,
     protocol_matrix,
     save_model,
@@ -25,6 +23,7 @@ from adrpipe.baseline import (
 from adrpipe.corpus import Dataset, LabeledTweet, seeded_shuffle
 from adrpipe.predictions import average_runs, load_predictions, write_predictions
 from adrpipe.synthetic import make_synthetic_dataset
+from conftest import csr, loss_and_grad
 
 
 def toy_separable(n_per_class=10):
@@ -41,7 +40,7 @@ def toy_separable(n_per_class=10):
 
 def one_row(text, cfg):
     """The featurizer on one text: (sorted bucket indices, counts), the single row of its CSR matrix."""
-    _, indices, data = _csr([text], cfg)
+    _, indices, data = csr([text], cfg)
     return indices, data
 
 
@@ -200,11 +199,11 @@ class TestCSR:
         ],
     )
     def test_rows_equal_hashed_features(self, cfg):
-        assert _csr(self.TEXTS, cfg)[0][0] == 0
+        assert csr(self.TEXTS, cfg)[0][0] == 0
         assert_rows_equal_reference(self.TEXTS, cfg)
 
     def test_no_texts(self):
-        indptr, indices, data = _csr([], BaselineConfig())
+        indptr, indices, data = csr([], BaselineConfig())
         assert indptr.tolist() == [0] and indices.size == 0 and data.size == 0
 
 
@@ -229,7 +228,7 @@ def assert_rows_equal_reference(texts, cfg, block=baseline._BLOCK_GRAMS, chunk=b
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(baseline, "_BLOCK_GRAMS", block)
         mp.setattr(baseline, "_CHUNK_WINDOWS", chunk)
-        indptr, indices, data = _csr(texts, cfg)
+        indptr, indices, data = csr(texts, cfg)
     assert indptr.dtype == indices.dtype == np.int64 and data.dtype == np.float64
     assert indptr.shape == (len(texts) + 1,) and indptr[-1] == indices.size == data.size
     for i, text in enumerate(texts):
@@ -271,14 +270,14 @@ class TestCSRLaws:
         texts = ["", "ab", "", "\U0001f600\u4e2d", "abcd", "", "a", ""]
         cfg = BaselineConfig(ngram_range=(3, 5))
         assert_rows_equal_reference(texts, cfg, chunk=chunk)
-        indptr, _, _ = _csr(texts, cfg)
+        indptr, _, _ = csr(texts, cfg)
         assert np.diff(indptr).tolist() == [0, 0, 0, 0, 3, 0, 0, 0]
 
     @pytest.mark.parametrize("text", ["\ud800", "ab\udfff", "\udfffabcdef"])
     def test_a_lone_surrogate_raises_in_char_mode_wherever_it_falls(self, text):
         # The text is encoded whole, so even a surrogate that no 5-gram reaches raises.
         with pytest.raises(UnicodeEncodeError):
-            _csr(["fine text", text], BaselineConfig(ngram_range=(5, 5)))
+            csr(["fine text", text], BaselineConfig(ngram_range=(5, 5)))
 
 
 class TestTrain:
@@ -353,9 +352,9 @@ class TestTrain:
         # installed, as it pins predict_probs against `@`.
         records = (*fixture_corpus.records[:60], LabeledTweet("empty", "", 1))
         cfg = BaselineConfig(seed=13, epochs=3, **kwargs)
-        csr = _csr([r.text for r in records], cfg)
-        rows = baseline._rows(csr)
-        examples = baseline._examples(csr, [r.label for r in records], cfg)
+        matrix = csr([r.text for r in records], cfg)
+        rows = baseline._rows(matrix)
+        examples = baseline._examples([matrix], [r.label for r in records], cfg)
         model = baseline.BaselineModel(*baseline._fit(examples, cfg.feature_buckets, cfg), cfg)
         weights, bias = matmul_reference_fit(rows, [r.label for r in records], cfg)
         assert model.weights.tobytes() == weights.tobytes()
@@ -392,7 +391,7 @@ class TestTrain:
         )
         d = Dataset.from_records(records)
         assume(d.positive_count and d.negative_count)
-        examples = baseline._examples(_csr([r.text for r in records], cfg), [r.label for r in records], cfg)
+        examples = baseline._examples([csr([r.text for r in records], cfg)], [r.label for r in records], cfg)
         weights, bias = baseline._fit(examples, cfg.feature_buckets, cfg)
         model = train(d, cfg)
         assert model.weights.tobytes() == weights.tobytes()
@@ -434,8 +433,16 @@ class TestCompactSpace:
     def test_train_only_table_renumbers_used_buckets_and_maps_the_rest_to_a_zero_slot(self, data, log_buckets):
         buckets = 1 << log_buckets
         indices, indptr = data.draw(csr_indices(buckets))
-        before = indices.copy()
-        table, k = baseline._compact(buckets, indices)
+        # The matrix cut into blocks of whole rows at drawn edges, as _csr_blocks yields it.
+        rows = len(indptr) - 1
+        edges = [0, *sorted(data.draw(st.lists(st.integers(0, rows), max_size=3))), rows]
+        blocks = [
+            (indptr[a : b + 1] - indptr[a], indices[indptr[a] : indptr[b]].copy(), np.ones(indptr[b] - indptr[a]))
+            for a, b in zip(edges, edges[1:])
+        ]
+        before = indices
+        table, k = baseline._compact(buckets, blocks)
+        indices = np.concatenate([idx for _, idx, _ in blocks])
         used = sorted(set(before.tolist()))
         unused = sorted(set(range(buckets)) - set(used))
         assert table.dtype == np.int32 and table.shape == (buckets,) and k == len(used)
@@ -481,8 +488,8 @@ class TestCompactSpace:
             last_two = [len(eval_set) - 2, len(eval_set) - 1]
             unseen_block, empty_block = np.searchsorted(np.cumsum(counts), last_two, "right")
             assert len(counts) >= 3 and unseen_block < empty_block
-        train_rows = baseline._rows(_csr([r.text for r in train_set.records], cfg))
-        eval_rows = baseline._rows(_csr([r.text for r in eval_set.records], cfg))
+        train_rows = baseline._rows(csr([r.text for r in train_set.records], cfg))
+        eval_rows = baseline._rows(csr([r.text for r in eval_set.records], cfg))
         seen = set(np.concatenate([idx for idx, _ in train_rows]).tolist())
         assert set(eval_rows[-2][0].tolist()) - seen  # buckets that only the eval side uses
         runs = 2
@@ -493,13 +500,36 @@ class TestCompactSpace:
             run_cfg = dataclasses.replace(cfg, seed=cfg.seed + k)
             weights, bias = matmul_reference_fit(train_rows, labels, run_cfg)
             probs = [baseline._sigmoid(float(weights[idx] @ val) + bias) for idx, val in eval_rows]
-            assert spec_probs[k] == probs
-            # The matrix holds the 6-decimal values its prediction file holds.
+            # Each probability is rounded as it is scored: the 6-decimal value its prediction file holds.
+            assert spec_probs[k].tolist() == [round(p, 6) for p in probs]
             expected = dict(zip((r.tweet_id for r in eval_set.records), (round(p, 6) for p in probs)))
             assert dict(zip(matrix.tweet_ids, matrix.probs[k])) == expected
             model = train(train_set, run_cfg)  # the same fit, gathered back to the full space
             assert model.weights.tobytes() == weights.tobytes()
             assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
+
+
+class TestTrainBlocks:
+    """_fit_runs hashes its training texts as _csr_blocks blocks and never concatenates them."""
+
+    def test_fit_runs_peak_stays_below_one_and_a_half_training_matrices(self, monkeypatch):
+        # Concatenating the blocks held them and the joined copy at once: a peak of
+        # about twice the matrix. Renumbered in place, the blocks are the matrix.
+        monkeypatch.setattr(baseline, "_BLOCK_GRAMS", 2_000)
+        cfg = BaselineConfig(feature_buckets=2**12, epochs=1)
+        d = make_synthetic_dataset(1_000, 0.1, seed=4)
+        texts = [r.text for r in d.records]
+        assert sum(1 for _ in baseline._blocks(texts, cfg, cfg.feature_buckets)) >= 20
+        csr_bytes = sum(a.nbytes for a in csr(texts, cfg))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table, fits = baseline._fit_runs(d, cfg, 1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (cfg.feature_buckets,) and len(fits) == 1
+        assert peak < 1.5 * csr_bytes
 
 
 class TestDevBlocks:
@@ -512,7 +542,7 @@ class TestDevBlocks:
         eval_texts = [r.text for r in make_synthetic_dataset(1_000, 0.1, seed=4).records]
         eval_set = Dataset.from_records(LabeledTweet(f"d{i}", t, 0) for i, t in enumerate(eval_texts))
         assert sum(1 for _ in baseline._blocks(eval_texts, cfg, cfg.feature_buckets)) >= 20
-        dev_csr_bytes = sum(a.nbytes for a in _csr(eval_texts, cfg))
+        dev_csr_bytes = sum(a.nbytes for a in csr(eval_texts, cfg))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -531,7 +561,7 @@ class TestDevBlocks:
         train_set = toy_separable()
         eval_set = Dataset.from_records([*train_set.records[:3], LabeledTweet("bad", "lone \ud800 surrogate", 1)])
         with pytest.raises(UnicodeEncodeError) as expected:
-            _csr([r.text for r in eval_set.records], cfg)
+            csr([r.text for r in eval_set.records], cfg)
         with pytest.raises(UnicodeEncodeError) as raised:
             baseline.protocol_matrix(train_set, eval_set, [("m", cfg)], runs=2)
         assert str(raised.value) == str(expected.value)
@@ -546,10 +576,10 @@ class TestPredict:
         model = train(toy_separable(), cfg)
         texts = [r.text for r in make_synthetic_dataset(1_000, 0.1, seed=4).records]
         assert sum(1 for _ in baseline._blocks(texts, cfg, cfg.feature_buckets)) >= 20
-        csr = _csr(texts, cfg)
-        expected = [baseline._prob(model.weights, model.bias, idx, val) for idx, val in baseline._rows(csr)]
-        csr_bytes = sum(a.nbytes for a in csr)
-        del csr
+        matrix = csr(texts, cfg)
+        expected = [baseline._prob(model.weights, model.bias, idx, val) for idx, val in baseline._rows(matrix)]
+        csr_bytes = sum(a.nbytes for a in matrix)
+        del matrix
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -711,7 +741,7 @@ class TestProtocol:
 
     def test_single_label_rejected_before_hashing(self, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        monkeypatch.setattr(baseline, "_csr_blocks", lambda *a: calls.append(a))
         d = Dataset.from_records([LabeledTweet("t1", "x", 0), LabeledTweet("t2", "y", 0)])
         with pytest.raises(ValueError, match="^training data must contain both labels$"):
             write_predictions(protocol_matrix(d, toy_separable(), [("m", BaselineConfig())], 2), tmp_path / "p.tsv")
@@ -719,25 +749,29 @@ class TestProtocol:
 
     def test_empty_eval_set_rejected_before_hashing(self, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        monkeypatch.setattr(baseline, "_csr_blocks", lambda *a: calls.append(a))
         with pytest.raises(ValueError, match="^no prediction records$"):
             protocol_matrix(toy_separable(), Dataset.from_records([]), [("m", BaselineConfig())], 2)
         assert calls == []
 
     def test_valid_protocol_goes_through_the_hashing_hook(self, tmp_path, monkeypatch):
         # The positive control for the *_rejected_before_hashing tests: a valid call
-        # hashes each spec's train side through the function they patch, before its
-        # dev side, and both sides through _csr_blocks.
+        # hashes each spec's train side through the function they patch, fits every
+        # run, and only then hashes the dev side through it.
         calls = []
-        csr, blocks = baseline._csr, baseline._csr_blocks
-        monkeypatch.setattr(baseline, "_csr", lambda texts, cfg: calls.append(("csr", cfg)) or csr(texts, cfg))
+        blocks, fit = baseline._csr_blocks, baseline._fit
         monkeypatch.setattr(
             baseline, "_csr_blocks", lambda texts, cfg: calls.append(("blocks", cfg)) or blocks(texts, cfg)
         )
+        monkeypatch.setattr(baseline, "_fit", lambda examples, size, cfg: calls.append(("fit", cfg)) or fit(examples, size, cfg))
         d = toy_separable()
         specs = [("a", BaselineConfig(epochs=1)), ("b", BaselineConfig(epochs=1, feature_mode="word"))]
         protocol_matrix(d, d, specs, runs=2)
-        assert calls == [(hook, cfg) for _, cfg in specs for hook in ("csr", "blocks", "blocks")]
+        assert calls == [
+            call
+            for _, cfg in specs
+            for call in (("blocks", cfg), ("fit", cfg), ("fit", dataclasses.replace(cfg, seed=1)), ("blocks", cfg))
+        ]
 
     def test_zero_runs_rejected(self, tmp_path):
         d = toy_separable()
@@ -746,7 +780,7 @@ class TestProtocol:
 
     def test_repeated_model_id_rejected_before_hashing(self, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        monkeypatch.setattr(baseline, "_csr_blocks", lambda *a: calls.append(a))
         d = toy_separable()
         specs = [("b", BaselineConfig()), ("a", BaselineConfig()), ("b", BaselineConfig(seed=1))]
         with pytest.raises(ValueError, match="^duplicate model_id in specs: b$"):
@@ -763,7 +797,7 @@ class TestProtocol:
     )
     def test_unwritable_model_id_rejected_before_hashing(self, tmp_path, monkeypatch, model_id, message):
         calls = []
-        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        monkeypatch.setattr(baseline, "_csr_blocks", lambda *a: calls.append(a))
         d = toy_separable()
         with pytest.raises(ValueError) as e:
             write_predictions(

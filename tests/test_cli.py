@@ -403,7 +403,7 @@ class TestMissingOutputDirectory:
         for _ in range(3):
             assert run(*argv) == 2
             errors.append(capsys.readouterr())
-        # mkstemp's own error names a random temp file beside the output.
+        # os.open's own error names the temp file beside the output.
         assert errors == [("", f"{command}: [Errno 2] No such file or directory: {str(out)!r}\n")] * 3
         assert sorted(x.name for x in tmp_path.iterdir()) == ["d.tsv", "decisions.tsv", "p.tsv"]
 
@@ -452,7 +452,7 @@ class TestThresholdsNameModels:
         from adrpipe import baseline
 
         calls = []
-        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        monkeypatch.setattr(baseline, "_csr_blocks", lambda *a: calls.append(a))
         cfg = {**protocol_config(tmp_path, small_dataset(tmp_path)), "thresholds": {"default": 0.5, "charvew": 0.9}}
         assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
         assert capsys.readouterr().err == (
@@ -937,7 +937,7 @@ class TestReproduceWritesNothingOnConfigErrors:
         from adrpipe import baseline
 
         calls = []
-        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        monkeypatch.setattr(baseline, "_csr_blocks", lambda *a: calls.append(a))
         cfg = {**protocol_config(tmp_path, small_dataset(tmp_path)), "thresholds": {"default": None, "charview": 0.5}}
         assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
         assert capsys.readouterr().err == "reproduce: ensemble: no threshold configured for model wordview\n"
@@ -962,7 +962,7 @@ class TestReproduceWritesNothingOnConfigErrors:
         capsys.readouterr()
 
         calls = []
-        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        monkeypatch.setattr(baseline, "_csr_blocks", lambda *a: calls.append(a))
         del cfg["thresholds"]["stuck"]
         cfg["output_dir"] = str(tmp_path / "out2")
         assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
@@ -1066,7 +1066,7 @@ class TestUnwritableIds:
         from adrpipe import baseline
 
         calls = []
-        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        monkeypatch.setattr(baseline, "_csr_blocks", lambda *a: calls.append(a))
         d = small_dataset(tmp_path)
         cfg = protocol_config(tmp_path, d)
         cfg["protocol"]["specs"][1]["model_id"] = model_id
@@ -1099,7 +1099,7 @@ class TestReservedModelId:
         from adrpipe import baseline
 
         calls = []
-        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        monkeypatch.setattr(baseline, "_csr_blocks", lambda *a: calls.append(a))
         cfg = protocol_config(tmp_path, small_dataset(tmp_path))
         cfg["protocol"]["specs"][1]["model_id"] = "ensemble"
         assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
@@ -1141,7 +1141,7 @@ class TestPlusInModelId:
         from adrpipe import baseline
 
         calls = []
-        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        monkeypatch.setattr(baseline, "_csr_blocks", lambda *a: calls.append(a))
         cfg = protocol_config(tmp_path, small_dataset(tmp_path))
         cfg["protocol"]["specs"][1]["model_id"] = "a+b"
         assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 1
@@ -1186,7 +1186,7 @@ class TestReproduceCreatesOutputDirAfterItsChecks:
         from adrpipe import baseline
 
         calls = []
-        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        monkeypatch.setattr(baseline, "_csr_blocks", lambda *a: calls.append(a))
         (tmp_path / "out").write_text("not a directory\n", encoding="utf-8")
         cfg = protocol_config(tmp_path, small_dataset(tmp_path))
         assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 2
@@ -1209,7 +1209,7 @@ class TestReproduceCreatesOutputDirAfterItsChecks:
         from adrpipe import baseline
 
         calls = []
-        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        monkeypatch.setattr(baseline, "_csr_blocks", lambda *a: calls.append(a))
         negative = tmp_path / "negative.tsv"
         negative.write_text("".join(f"t{i}\t0\tsunny park walk {i}\n" for i in range(20)), encoding="utf-8")
         cfg = {**protocol_config(tmp_path, small_dataset(tmp_path)), **change}
@@ -1228,7 +1228,7 @@ class TestReproduceConfigKeys:
         from adrpipe import baseline
 
         calls = []
-        monkeypatch.setattr(baseline, "_csr", lambda *a: calls.append(a))
+        monkeypatch.setattr(baseline, "_csr_blocks", lambda *a: calls.append(a))
         yield
         assert calls == []
 
@@ -1337,3 +1337,52 @@ class TestReadmeExample:
         cfg["predictions"] = [str(tmp_path / "out" / "predictions.tsv")]
         cfg["output_dir"] = str(tmp_path / "out2")
         assert run("reproduce", "--config", write_config(tmp_path, cfg, "swapped.json")) == 0
+
+
+@pytest.fixture(params=[0o022, 0o077], ids=["umask022", "umask077"])
+def umask(request):
+    old = os.umask(request.param)
+    yield request.param
+    os.umask(old)
+
+
+class TestOutputMode:
+    """Every file a command writes is created mode 0o666 less the umask, as open(path, "w") creates one."""
+
+    def test_every_command_that_writes(self, tmp_path, capsys, umask):
+        d = small_dataset(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        preds = make_predictions(tmp_path, d)  # baseline protocol
+        assert run("preprocess", "--input", d, "--stages", "lowercase", "--output", out / "clean.tsv") == 0
+        assert run("split", "--input", d, "--seed", "7", "--train-out", out / "train.tsv",
+                   "--dev-out", out / "dev.tsv") == 0
+        assert run("ingest", "--pred", preds, "--expect-runs", "2", "--output", out / "merged.tsv") == 0
+        assert run("ensemble", "--pred", preds, "--expect-runs", "2", "--output", out / "decisions.tsv") == 0
+        assert run("evaluate", "--decisions", out / "decisions.tsv", "--gold", d, "--report", out / "report.json") == 0
+        model_cfg = {"train": str(d), "model_out": str(out / "model.npz"), "config": {"epochs": 1, "seed": 4}}
+        assert run("baseline", "train", "--config", write_config(tmp_path, model_cfg)) == 0
+        predict_cfg = {"model": str(out / "model.npz"), "input": str(d), "output": str(out / "pred.tsv"),
+                       "model_id": "m", "run_id": "r1"}
+        assert run("baseline", "predict", "--config", write_config(tmp_path, predict_cfg)) == 0
+        assert run("reproduce", "--config", write_config(tmp_path, protocol_config(out, d))) == 0
+        written = [preds, *sorted(p for p in out.rglob("*") if p.is_file())]
+        assert [p.relative_to(tmp_path).as_posix() for p in written] == [
+            "preds.tsv", "out/clean.tsv", "out/decisions.tsv", "out/dev.tsv", "out/merged.tsv", "out/model.npz",
+            "out/out/decisions.tsv", "out/out/predictions.tsv", "out/out/report.json", "out/pred.tsv",
+            "out/report.json", "out/train.tsv",
+        ]
+        assert {str(p): oct(p.stat().st_mode & 0o777) for p in written} == dict.fromkeys(
+            map(str, written), oct(0o666 & ~umask)
+        )
+        capsys.readouterr()
+
+    def test_rerun_keeps_a_readable_output_readable(self, tmp_path, capsys):
+        d = small_dataset(tmp_path)
+        old = os.umask(0o022)
+        try:
+            for _ in range(2):
+                assert run("preprocess", "--input", d, "--stages", "lowercase", "--output", tmp_path / "clean.tsv") == 0
+                assert (tmp_path / "clean.tsv").stat().st_mode & 0o777 == 0o644
+        finally:
+            os.umask(old)

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from adrpipe.baseline import BaselineConfig, _csr
+from adrpipe.baseline import BaselineConfig, _csr_blocks
 from adrpipe.preprocess import preprocess
 from adrpipe.tokenize import corpus_token_stats
 
@@ -57,10 +57,10 @@ PER_TEXT_PEAK_BYTES = 15_600_877
 
 def test_csr_on_one_long_line_is_linear_and_bounded():
     cfg = BaselineConfig()
-    assert fastest(lambda: _csr([LONG_LINE], cfg)) < BOUND_S
+    assert fastest(lambda: list(_csr_blocks([LONG_LINE], cfg))) < BOUND_S
     tracemalloc.start()
     try:
-        _csr([LONG_LINE], cfg)
+        list(_csr_blocks([LONG_LINE], cfg))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -73,10 +73,10 @@ ASTRAL_LINE = "".join(chr(0x1F600 + i % 80) for i in range(200_000))
 
 def test_csr_on_one_long_astral_line_is_linear_and_bounded():
     cfg = BaselineConfig()
-    assert fastest(lambda: _csr([ASTRAL_LINE], cfg)) < BOUND_S
+    assert fastest(lambda: list(_csr_blocks([ASTRAL_LINE], cfg))) < BOUND_S
     tracemalloc.start()
     try:
-        _csr([ASTRAL_LINE], cfg)
+        list(_csr_blocks([ASTRAL_LINE], cfg))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,11 +3,13 @@ one streaming atomic writer every output goes through."""
 
 import argparse
 import contextlib
+import errno
 import io
+import os
 
 import pytest
 
-from adrpipe._io import atomic_write, chunked
+from adrpipe._io import _TEMP_NAMES, atomic_write, chunked, quote_field
 from adrpipe.cli import cmd_variability, main
 from adrpipe.corpus import load_dataset
 from adrpipe.ensemble import read_decisions
@@ -120,9 +122,82 @@ class TestAtomicWrite:
         assert "ingest: cannot rename" in capsys.readouterr().err
         assert sorted(x.name for x in tmp_path.iterdir()) == ["pred.tsv"]
 
+    @pytest.mark.parametrize("mask", [0o002, 0o022, 0o077])
+    def test_output_mode_is_0666_less_the_umask(self, tmp_path, mask):
+        p = tmp_path / "out.tsv"
+        old = os.umask(mask)
+        try:
+            atomic_write(p, ["x\n"])
+        finally:
+            os.umask(old)
+        assert p.stat().st_mode & 0o777 == 0o666 & ~mask
+
+    def test_a_taken_temp_name_moves_on_to_the_next(self, tmp_path):
+        p = tmp_path / "out.tsv"
+        taken = tmp_path / f".out.tsv.{os.getpid()}.0.tmp"
+        taken.write_bytes(b"someone else's\n")
+        atomic_write(p, ["new\n"])
+        assert p.read_bytes() == b"new\n" and taken.read_bytes() == b"someone else's\n"
+        assert sorted(x.name for x in tmp_path.iterdir()) == [taken.name, "out.tsv"]
+
+    def test_every_temp_name_taken_is_an_error_naming_the_output(self, tmp_path):
+        p = tmp_path / "out.tsv"
+        p.write_bytes(b"old contents\n")
+        for n in range(_TEMP_NAMES):
+            (tmp_path / f".out.tsv.{os.getpid()}.{n}.tmp").touch()
+        with pytest.raises(FileExistsError) as e:
+            atomic_write(p, ["new\n"])
+        assert e.value.errno == errno.EEXIST and e.value.filename == str(p)
+        assert p.read_bytes() == b"old contents\n" and len(list(tmp_path.iterdir())) == _TEMP_NAMES + 1
+
     @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 4095, 4096, 4097, 10_000])
     def test_chunked_keeps_every_line_in_order(self, n):
         lines = [f"line {i}\n" for i in range(n)]
         chunks = list(chunked(lines))
         assert "".join(chunks) == "".join(lines)
         assert [c.count("\n") for c in chunks] == [1024] * (n // 1024) + [n % 1024] * (n % 1024 > 0)
+
+
+class TestQuoteField:
+    def test_a_short_field_is_its_repr(self):
+        assert quote_field("") == "''"
+        assert quote_field("x" * 50) == repr("x" * 50)
+        assert quote_field("a\tb") == "'a\\tb'"
+
+    def test_a_long_field_is_cut_with_a_count_of_the_rest(self):
+        assert quote_field("x" * 51) == repr("x" * 50) + "... (1 more characters)"
+        assert quote_field("y" * 2_000_000, limit=3) == "'yyy'... (1999997 more characters)"
+
+
+HUGE = "9" * 2_000_000  # 2 MB of one field
+GOLD = "tweet_id\tlabel\ttext\nt1\t1\thello\n"
+DECISION = "t1\tm:0.5\tm:1\t1\n"
+
+
+# command, the files it reads with the one holding the huge field last, and the start of its message
+@pytest.mark.parametrize(
+    "command, files, message",
+    [
+        ("ingest --check --expect-runs 0 --pred",
+         {"p.tsv": f"model_id\trun_id\ttweet_id\tprob\nm\tr1\tt1\t0.5\nm\tr1\tt2\tx{HUGE}\n"},
+         "bad probability 'x9999"),
+        ("evaluate --report r.json --decisions dec.tsv --gold",
+         {"dec.tsv": DECISION, "gold.tsv": f"tweet_id\tlabel\ttext\nt1\t{HUGE}\thello\n"},
+         "label out of range at line 2: '9999"),
+        ("evaluate --report r.json --gold gold.tsv --decisions",
+         {"gold.tsv": GOLD, "dec.tsv": f"t{HUGE}\tm:0.5\tm:1\t1\n" * 2},
+         "duplicate tweet_id 't9999"),
+        ("preprocess --input gold.tsv --output o.tsv --lexicon",
+         {"gold.tsv": GOLD, "lex.tsv": f"{HUGE}\t{HUGE}\n"},
+         "self-mapping rejected: '9999"),
+    ],
+    ids=["probability", "label", "decision_tweet_id", "lexicon_brand"],
+)
+def test_a_2mb_field_gives_a_line_error_under_1kb(tmp_path, capsys, monkeypatch, command, files, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main([*command.split(), name]) == 1
+    err = capsys.readouterr().err
+    assert len(err.encode("utf-8")) < 1024
+    assert err.count("\n") == 1 and f"{name}: {message}" in err and "more characters)" in err
