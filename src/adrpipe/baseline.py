@@ -55,7 +55,10 @@ import io
 import json
 import math
 import numbers
+import os
+import pickle
 import random
+import signal
 import zlib
 from array import array
 from collections import Counter
@@ -381,8 +384,8 @@ def _fit(
     return weights, bias
 
 
-def _fit_runs(d: Dataset, cfg: BaselineConfig, runs: int) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
-    """The bucket -> id table of d's texts and `runs` seeded fits on them; run k uses seed cfg.seed + k.
+def _fit_runs(d: Dataset, cfg: BaselineConfig, offsets: list[int]) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
+    """The bucket -> id table of d's texts and one seeded fit on them per run offset k, with seed cfg.seed + k.
 
     d is hashed once, as _csr_blocks' blocks, which are never concatenated:
     its k buckets are renumbered in every block (_compact), and the examples
@@ -392,7 +395,7 @@ def _fit_runs(d: Dataset, cfg: BaselineConfig, runs: int) -> tuple[np.ndarray, l
     blocks = list(_csr_blocks([r.text for r in d.records], cfg))
     table, size = _compact(cfg.feature_buckets, blocks)
     examples = _examples(blocks, [r.label for r in d.records], cfg)
-    return table, [_fit(examples, size + 1, dataclasses.replace(cfg, seed=cfg.seed + k)) for k in range(runs)]
+    return table, [_fit(examples, size + 1, dataclasses.replace(cfg, seed=cfg.seed + k)) for k in offsets]
 
 
 def train(d: Dataset, cfg: BaselineConfig) -> BaselineModel:
@@ -404,7 +407,7 @@ def train(d: Dataset, cfg: BaselineConfig) -> BaselineModel:
     through its table: every bucket training never saw reads slot k, 0.0.
     """
     _require_both_labels(d)
-    table, [(weights, bias)] = _fit_runs(d, cfg, 1)
+    table, [(weights, bias)] = _fit_runs(d, cfg, [0])
     return BaselineModel(weights=weights[table], bias=bias, config=cfg)
 
 
@@ -441,9 +444,9 @@ def load_model(path: str | Path) -> BaselineModel:
         return BaselineModel(weights=data["weights"], bias=float(data["bias"]), config=cfg)
 
 
-def _spec_predictions(train_set: Dataset, eval_set: Dataset, cfg: BaselineConfig, runs: int) -> list[array]:
-    """The eval-set probabilities of `runs` seeded fits of one spec (_fit_runs), rounded
-    to 6 decimals as they are scored, an `array('d')` per run.
+def _spec_predictions(train_set: Dataset, eval_set: Dataset, cfg: BaselineConfig, offsets: list[int]) -> list[array]:
+    """The eval-set probabilities of one spec's seeded fits at the run offsets (_fit_runs),
+    rounded to 6 decimals as they are scored, an `array('d')` per run.
 
     Once all runs are fitted, the train side is gone. The dev side is then
     hashed block by block (_csr_blocks); each block is renumbered through
@@ -452,7 +455,7 @@ def _spec_predictions(train_set: Dataset, eval_set: Dataset, cfg: BaselineConfig
     whole dev side, and a dev text that cannot be hashed raises only after
     the runs are fitted.
     """
-    table, fits = _fit_runs(train_set, cfg, runs)
+    table, fits = _fit_runs(train_set, cfg, offsets)
     probs = [array("d") for _ in fits]
     for indptr, indices, data in _csr_blocks([r.text for r in eval_set.records], cfg):
         indices[:] = table[indices]
@@ -480,6 +483,29 @@ def check_protocol(
         raise ValueError("no prediction records")
 
 
+_MAX_SHARES = 2  # each share holds close to the one-process peak; machine-wide memory is measured at 2 only
+
+
+def _shares(jobs: int) -> int:
+    """How many processes share the protocol's jobs: one per usable CPU, at most one per job and _MAX_SHARES,
+    and 1 where a fork is unsafe: off Linux, or with an OS thread besides this one, which a child would lack."""
+    if jobs < 2 or not hasattr(os, "sched_getaffinity") or not os.path.isdir("/proc/self/task"):  # not Linux
+        return 1
+    return min(len(os.sched_getaffinity(0)), jobs, _MAX_SHARES) if len(os.listdir("/proc/self/task")) == 1 else 1
+
+
+def _share(train_set: Dataset, eval_set: Dataset, model_specs, jobs: list[tuple[int, int]]):
+    """(len(model_specs), the dev columns of `jobs`, spec-major (spec index, run offset) pairs, in order),
+    or (the index of the first of their specs that failed, its exception)."""
+    columns = []
+    for s in sorted({spec for spec, _ in jobs}):
+        try:
+            columns += _spec_predictions(train_set, eval_set, model_specs[s][1], [k for spec, k in jobs if spec == s])
+        except Exception as e:
+            return s, e
+    return len(model_specs), columns
+
+
 def protocol_matrix(
     train_set: Dataset,
     eval_set: Dataset,
@@ -496,13 +522,59 @@ def protocol_matrix(
     rounds each probability as it is scored, into one `array('d')` per run,
     which is passed on as the run's column: no run is held unrounded, and no
     second rounding pass copies the columns.
+
+    The spec-major (spec, run) jobs are cut into `_shares` contiguous slices. Slice 0 runs here, the others in
+    children forked after the checks (or here, if a fork fails); a child pickles its columns or error to a pipe
+    only this process reads, so it exits if this one dies. Fits are independent: any share count gives this
+    matrix, or the lowest failing spec's error.
     """
     check_protocol(train_set, eval_set, model_specs, runs)
+    jobs = [(s, k) for s in range(len(model_specs)) for k in range(runs)]
+    n = _shares(len(jobs))
+    deals = [jobs[i * len(jobs) // n : (i + 1) * len(jobs) // n] for i in range(n)]
+    results, children = [None] * n, {}
+    try:
+        for i in range(1, n):
+            r, w = os.pipe()
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # no KeyboardInterrupt until pid is kept
+            try:
+                pid = os.fork()
+            except OSError:  # share i runs here
+                pid = None
+            if pid == 0:  # the child ends in os._exit: no caller's frame, atexit handler or stdio flush runs
+                try:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    os.close(r)
+                    for _, f in children.values():  # the read ends of earlier shares' pipes
+                        f.close()
+                    with open(w, "wb") as f:
+                        pickle.dump(_share(train_set, eval_set, model_specs, deals[i]), f)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            if pid:
+                children[i] = pid, open(r, "rb")
+            else:
+                os.close(r)
+            os.close(w)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for i in set(range(n)) - children.keys():
+            results[i] = _share(train_set, eval_set, model_specs, deals[i])
+        for i, (pid, f) in list(children.items()):
+            data = f.read()  # to EOF: the child has sent all it will and is exiting
+            del children[i]
+            f.close()
+            if status := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+                raise ChildProcessError(f"protocol worker exited with status {status}")
+            results[i] = pickle.loads(data)
+    finally:  # on any exception, KeyboardInterrupt too
+        for pid, f in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            f.close()
+    failed, error = min(results, key=lambda result: result[0])
+    if failed < len(model_specs):
+        raise error
+    columns = (c for _, share_columns in results for c in share_columns)
     tweet_ids = [r.tweet_id for r in eval_set.records]
-    return RunMatrix(
-        {
-            (model_id, f"r{k + 1}"): (tweet_ids, probs)
-            for model_id, cfg in model_specs
-            for k, probs in enumerate(_spec_predictions(train_set, eval_set, cfg, runs))
-        }
-    )
+    return RunMatrix({(model_specs[s][0], f"r{k + 1}"): (tweet_ids, c) for (s, k), c in zip(jobs, columns)})

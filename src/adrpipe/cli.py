@@ -25,6 +25,7 @@ files, the largest module a command compiles sets a floor under its peak RSS.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -227,9 +228,16 @@ def cmd_split(args) -> int:
 
 def _config_command(args) -> int:
     """`baseline` or `reproduce`: the JSON-config commands, compiled only when one of them runs."""
-    from . import _workflow
+    # One BLAS thread while the command runs, unless the user set one: a pool keeps the protocol in one process.
+    added = [n for n in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS") if n not in os.environ]
+    os.environ.update(dict.fromkeys(added, "1"))  # read when numpy loads
+    try:
+        from . import _workflow
 
-    return getattr(_workflow, f"cmd_{args.command}")(args)
+        return getattr(_workflow, f"cmd_{args.command}")(args)
+    finally:
+        for name in added:
+            os.environ.pop(name, None)
 
 
 # ------------------------------------------------------------------- parser

@@ -251,7 +251,7 @@ def write_report(decisions, gold: Mapping[str, int], manifest: dict, thresholds:
     subsets = ab.subsets
     report = {
         "manifest": manifest,
-        "thresholds": {m: round(t, 4) for m, t in thresholds.items()},
+        "thresholds": dict(thresholds),  # in full: the verdicts were cut at these, not at a rounding of them
         "members": {m: _metric_row(c) for m, c in members.items()},
         "ensemble": _metric_row(ensemble_counts),
         "attribution": {

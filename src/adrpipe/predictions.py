@@ -176,7 +176,7 @@ def _parse_file(path: str | Path, tweet_ids: dict[str, str]) -> Iterator[tuple[t
                 raise ValueError(f"{path}: bad probability {quote_field(text)} at line {lineno}") from None
             if not 0.0 <= prob <= 1.0:
                 text = prob_text.rstrip("\n")
-                raise ValueError(f"{path}: probability out of range at line {lineno}: {text}")
+                raise ValueError(f"{path}: probability out of range at line {lineno}: {quote_field(text)}")
             if not (model_id and run_id and tweet_id):
                 raise ValueError(
                     f"{path}: model_id, run_id and tweet_id must be non-empty at line {lineno}"

@@ -493,7 +493,7 @@ class TestCompactSpace:
         seen = set(np.concatenate([idx for idx, _ in train_rows]).tolist())
         assert set(eval_rows[-2][0].tolist()) - seen  # buckets that only the eval side uses
         runs = 2
-        spec_probs = list(baseline._spec_predictions(train_set, eval_set, cfg, runs))
+        spec_probs = list(baseline._spec_predictions(train_set, eval_set, cfg, list(range(runs))))
         matrix = baseline.protocol_matrix(train_set, eval_set, [("m", cfg)], runs)
         labels = [r.label for r in train_set.records]
         for k in range(runs):
@@ -524,7 +524,7 @@ class TestTrainBlocks:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            table, fits = baseline._fit_runs(d, cfg, 1)
+            table, fits = baseline._fit_runs(d, cfg, [0])
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -546,7 +546,7 @@ class TestDevBlocks:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            probs = list(baseline._spec_predictions(train_set, eval_set, cfg, runs=2))
+            probs = list(baseline._spec_predictions(train_set, eval_set, cfg, [0, 1]))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -557,6 +557,7 @@ class TestDevBlocks:
         fits = []
         fit = baseline._fit
         monkeypatch.setattr(baseline, "_fit", lambda *a: fits.append(a) or fit(*a))
+        monkeypatch.setattr(baseline, "_shares", lambda jobs: 1)  # one process, which records every fit
         cfg = BaselineConfig(epochs=1)
         train_set = toy_separable()
         eval_set = Dataset.from_records([*train_set.records[:3], LabeledTweet("bad", "lone \ud800 surrogate", 1)])
@@ -764,6 +765,7 @@ class TestProtocol:
             baseline, "_csr_blocks", lambda texts, cfg: calls.append(("blocks", cfg)) or blocks(texts, cfg)
         )
         monkeypatch.setattr(baseline, "_fit", lambda examples, size, cfg: calls.append(("fit", cfg)) or fit(examples, size, cfg))
+        monkeypatch.setattr(baseline, "_shares", lambda jobs: 1)  # one process, which records every call
         d = toy_separable()
         specs = [("a", BaselineConfig(epochs=1)), ("b", BaselineConfig(epochs=1, feature_mode="word"))]
         protocol_matrix(d, d, specs, runs=2)

@@ -630,6 +630,21 @@ class TestBaselineCmd:
 
 
 class TestReproduce:
+    def test_report_holds_the_threshold_the_verdicts_were_cut_at(self, tmp_path, capsys):
+        # 0.50004 cuts a tweet at 0.500020 to 0; a report rounding it to 4 decimals said 0.5, which cuts it to 1.
+        (tmp_path / "gold.tsv").write_text("tweet_id\tlabel\ttext\nt1\t1\ta\nt2\t0\tb\n", encoding="utf-8")
+        (tmp_path / "p.tsv").write_text(
+            "model_id\trun_id\ttweet_id\tprob\nm\tr1\tt1\t0.500020\nm\tr1\tt2\t0.1\n", encoding="utf-8"
+        )
+        cfg = {"dataset": str(tmp_path / "gold.tsv"), "predictions": [str(tmp_path / "p.tsv")],
+               "thresholds": {"default": 0.50004}, "output_dir": str(tmp_path / "out")}
+        assert run("reproduce", "--config", write_config(tmp_path, cfg)) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert report["thresholds"] == {"m": 0.50004}
+        assert (report["ensemble"]["tp"], report["ensemble"]["fn"]) == (0, 1)
+        assert '"m": 0.50004' in (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+        capsys.readouterr()
+
     def test_full_chain(self, tmp_path, capsys):
         d = small_dataset(tmp_path)
         cfg_path = tmp_path / "repro.json"

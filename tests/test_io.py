@@ -181,6 +181,9 @@ DECISION = "t1\tm:0.5\tm:1\t1\n"
         ("ingest --check --expect-runs 0 --pred",
          {"p.tsv": f"model_id\trun_id\ttweet_id\tprob\nm\tr1\tt1\t0.5\nm\tr1\tt2\tx{HUGE}\n"},
          "bad probability 'x9999"),
+        ("ingest --check --expect-runs 0 --pred",
+         {"p.tsv": f"model_id\trun_id\ttweet_id\tprob\nm\tr1\tt1\t2{'0' * 3_000}\n"},
+         "probability out of range at line 2: '2000"),
         ("evaluate --report r.json --decisions dec.tsv --gold",
          {"dec.tsv": DECISION, "gold.tsv": f"tweet_id\tlabel\ttext\nt1\t{HUGE}\thello\n"},
          "label out of range at line 2: '9999"),
@@ -191,7 +194,7 @@ DECISION = "t1\tm:0.5\tm:1\t1\n"
          {"gold.tsv": GOLD, "lex.tsv": f"{HUGE}\t{HUGE}\n"},
          "self-mapping rejected: '9999"),
     ],
-    ids=["probability", "label", "decision_tweet_id", "lexicon_brand"],
+    ids=["probability", "out_of_range_probability", "label", "decision_tweet_id", "lexicon_brand"],
 )
 def test_a_2mb_field_gives_a_line_error_under_1kb(tmp_path, capsys, monkeypatch, command, files, message):
     monkeypatch.chdir(tmp_path)

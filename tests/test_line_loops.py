@@ -57,7 +57,7 @@ def oracle_parse_file(path, tweet_ids):
         except ValueError:
             raise ValueError(f"{path}: bad probability {prob_text!r} at line {lineno}") from None
         if not 0.0 <= prob <= 1.0:
-            raise ValueError(f"{path}: probability out of range at line {lineno}: {prob_text}")
+            raise ValueError(f"{path}: probability out of range at line {lineno}: {prob_text!r}")
         if not (model_id and run_id and tweet_id):
             raise ValueError(f"{path}: model_id, run_id and tweet_id must be non-empty at line {lineno}")
         if run_id != run or model_id != model:
@@ -256,7 +256,7 @@ class TestPredictionLoop:
         [
             ("m\tr1\tt1\t", "bad probability '' at line 2"),
             ("m\tr1\tt1\t0.5x", "bad probability '0.5x' at line 2"),
-            ("m\tr1\tt1\t 1.5 ", "probability out of range at line 2:  1.5 "),
+            ("m\tr1\tt1\t 1.5 ", "probability out of range at line 2: ' 1.5 '"),
         ],
         ids=["empty", "not-a-number", "out-of-range"],
     )
