@@ -43,7 +43,7 @@ _LAZY = {
         ("RunMatrix", "average_runs", "filter_runs", "load_predictions", "write_predictions"),
         "predictions",
     ),
-    **dict.fromkeys(("EnsembleConfig", "EnsembleDecision", "decide", "single_model_decide"), "ensemble"),
+    **dict.fromkeys(("EnsembleConfig", "EnsembleDecision", "decide"), "ensemble"),
     **dict.fromkeys(
         ("AttributionBreakdown", "ConfusionCounts", "Metrics", "VariabilityReport", "attribution",
          "confusion", "metrics", "variability"),

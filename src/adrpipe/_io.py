@@ -1,10 +1,10 @@
 """Helpers shared by the modules: the line rules of every tab-separated file
-(the header, blank lines, the field count), which each reader applies in its
-own loop over the lines, the one writer of every output (streamed in chunks
-to a temp file that is renamed on success, so consumers never see a partial
-file when a write fails mid-way), the shortened id lists and fields that
-error messages quote, and the immutable-value base of the classes that
-check their fields."""
+(the header, blank lines, the field count, a byte that is not UTF-8), which
+each reader applies in its own loop over the lines, the one writer of every
+output (streamed in chunks to a temp file that is renamed on success, so
+consumers never see a partial file when a write fails mid-way), the
+shortened id lists and fields that error messages quote, and the
+immutable-value base of the classes that check their fields."""
 
 from __future__ import annotations
 
@@ -26,19 +26,43 @@ def lines_of(path: str | Path, header: str | None = None, *, header_required=Fal
     never str.splitlines(), which also breaks at \x1c, \x85 or \u2028,
     characters an id may hold. Each line keeps its "\n", if it has one. A
     first line equal to `header` is skipped; with `header_required` any other
-    first line is an error.
+    first line is an error. A byte that is not UTF-8, met here or in the
+    caller's loop over the lines, is an error naming its line (not_utf8).
     """
-    with open(path, encoding="utf-8") as f:
-        if header is None:
-            yield f, 1
-            return
-        first = f.readline()
-        if first.rstrip("\n") == header:
-            yield f, 2
-        elif header_required:
-            raise ValueError(f"{path}: missing or malformed header (expected {header!r})")
-        else:
-            yield chain([first], f), 1
+    try:
+        with open(path, encoding="utf-8") as f:
+            if header is None:
+                yield f, 1
+                return
+            first = f.readline()
+            if first.rstrip("\n") == header:
+                yield f, 2
+            elif header_required:
+                raise ValueError(f"{path}: missing or malformed header (expected {header!r})")
+            else:
+                yield chain([first], f), 1
+    except UnicodeDecodeError as e:
+        raise not_utf8(path, e) from None
+
+
+def not_utf8(path: str | Path, error: UnicodeDecodeError) -> Exception:
+    r"""The error for a file whose text raised `error`: `<path>: not UTF-8 at line L: byte 0xNN`.
+
+    Only this error path rereads the file, as bytes, one b"\n"-ended piece at
+    a time (no multi-byte UTF-8 sequence holds that byte), and counts lines as
+    lines_of does: a break is \n, \r\n or a lone \r. If the file now decodes,
+    it is `error` itself.
+    """
+    lineno = 1
+    with open(path, "rb") as f:
+        for piece in f:
+            try:
+                piece.decode("utf-8")
+            except UnicodeDecodeError as e:
+                lineno += piece.count(b"\r", 0, e.start)  # lone: no \n comes before e.start
+                return ValueError(f"{path}: not UTF-8 at line {lineno}: byte 0x{piece[e.start]:02x}")
+            lineno += piece.count(b"\n") + piece.count(b"\r") - piece.count(b"\r\n")
+    return error
 
 
 def require_blank(path: str | Path, width: int, lineno: int, line: str) -> None:

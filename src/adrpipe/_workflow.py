@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import corpus
-from ._io import truncate_ids
+from ._io import not_utf8, truncate_ids
 from .preprocess import STAGES, pipeline_config, preprocess as apply_pipeline
 
 if TYPE_CHECKING:
@@ -31,6 +31,8 @@ def _load_json(path: str | Path) -> dict:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}: invalid JSON: {e}") from None
+        except UnicodeDecodeError as e:
+            raise not_utf8(path, e) from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top-level JSON value must be an object")
     return doc

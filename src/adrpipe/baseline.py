@@ -483,27 +483,19 @@ def check_protocol(
         raise ValueError("no prediction records")
 
 
-_MAX_SHARES = 2  # each share holds close to the one-process peak; machine-wide memory is measured at 2 only
+def _can_fork(jobs: int) -> bool:
+    """Whether the protocol forks one child for half of its jobs: with 2 jobs or more and 2 usable CPUs or more, on
+    Linux, and with no OS thread besides this one, which a child would lack. Memory is measured at 2 processes only."""
+    linux = hasattr(os, "sched_getaffinity") and os.path.isdir("/proc/self/task")
+    return jobs >= 2 and linux and len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
 
 
-def _shares(jobs: int) -> int:
-    """How many processes share the protocol's jobs: one per usable CPU, at most one per job and _MAX_SHARES,
-    and 1 where a fork is unsafe: off Linux, or with an OS thread besides this one, which a child would lack."""
-    if jobs < 2 or not hasattr(os, "sched_getaffinity") or not os.path.isdir("/proc/self/task"):  # not Linux
-        return 1
-    return min(len(os.sched_getaffinity(0)), jobs, _MAX_SHARES) if len(os.listdir("/proc/self/task")) == 1 else 1
-
-
-def _share(train_set: Dataset, eval_set: Dataset, model_specs, jobs: list[tuple[int, int]]):
-    """(len(model_specs), the dev columns of `jobs`, spec-major (spec index, run offset) pairs, in order),
-    or (the index of the first of their specs that failed, its exception)."""
+def _columns(train_set: Dataset, eval_set: Dataset, model_specs, jobs: list[tuple[int, int]]) -> list[array]:
+    """The dev columns of `jobs`, spec-major (spec index, run offset) pairs, in order; the first failing spec raises."""
     columns = []
     for s in sorted({spec for spec, _ in jobs}):
-        try:
-            columns += _spec_predictions(train_set, eval_set, model_specs[s][1], [k for spec, k in jobs if spec == s])
-        except Exception as e:
-            return s, e
-    return len(model_specs), columns
+        columns += _spec_predictions(train_set, eval_set, model_specs[s][1], [k for spec, k in jobs if spec == s])
+    return columns
 
 
 def protocol_matrix(
@@ -523,58 +515,56 @@ def protocol_matrix(
     which is passed on as the run's column: no run is held unrounded, and no
     second rounding pass copies the columns.
 
-    The spec-major (spec, run) jobs are cut into `_shares` contiguous slices. Slice 0 runs here, the others in
-    children forked after the checks (or here, if a fork fails); a child pickles its columns or error to a pipe
-    only this process reads, so it exits if this one dies. Fits are independent: any share count gives this
-    matrix, or the lowest failing spec's error.
+    Where `_can_fork`, a child forked after the checks fits the second half of the spec-major (spec, run) jobs and
+    pickles its columns, or the exception it caught, to a pipe only this process reads, so it exits if this one dies.
+    This process fits the first half (every job, if the fork fails), whose specs all come first, and raises its own
+    error at once: one process or two give this matrix, or the lowest failing spec's error.
     """
     check_protocol(train_set, eval_set, model_specs, runs)
     jobs = [(s, k) for s in range(len(model_specs)) for k in range(runs)]
-    n = _shares(len(jobs))
-    deals = [jobs[i * len(jobs) // n : (i + 1) * len(jobs) // n] for i in range(n)]
-    results, children = [None] * n, {}
+    half, child = len(jobs) // 2, None  # child: (pid, the read end of its pipe) until it is reaped
     try:
-        for i in range(1, n):
+        if _can_fork(len(jobs)):
             r, w = os.pipe()
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # no KeyboardInterrupt until pid is kept
             try:
                 pid = os.fork()
-            except OSError:  # share i runs here
+            except OSError:  # every job runs here
                 pid = None
             if pid == 0:  # the child ends in os._exit: no caller's frame, atexit handler or stdio flush runs
                 try:
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     os.close(r)
-                    for _, f in children.values():  # the read ends of earlier shares' pipes
-                        f.close()
+                    try:
+                        result = _columns(train_set, eval_set, model_specs, jobs[half:])
+                    except Exception as e:
+                        result = e
                     with open(w, "wb") as f:
-                        pickle.dump(_share(train_set, eval_set, model_specs, deals[i]), f)
+                        pickle.dump(result, f)
                     os._exit(0)
                 finally:
                     os._exit(1)
             if pid:
-                children[i] = pid, open(r, "rb")
+                child = pid, open(r, "rb")
             else:
                 os.close(r)
             os.close(w)
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for i in set(range(n)) - children.keys():
-            results[i] = _share(train_set, eval_set, model_specs, deals[i])
-        for i, (pid, f) in list(children.items()):
-            data = f.read()  # to EOF: the child has sent all it will and is exiting
-            del children[i]
-            f.close()
+        columns = _columns(train_set, eval_set, model_specs, jobs[:half] if child else jobs)
+        if child:
+            with child[1] as f:
+                data = f.read()  # to EOF: the child has sent all it will and is exiting
+            pid, child = child[0], None
             if status := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
                 raise ChildProcessError(f"protocol worker exited with status {status}")
-            results[i] = pickle.loads(data)
+            result = pickle.loads(data)
+            if isinstance(result, Exception):
+                raise result
+            columns += result
     finally:  # on any exception, KeyboardInterrupt too
-        for pid, f in children.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            f.close()
-    failed, error = min(results, key=lambda result: result[0])
-    if failed < len(model_specs):
-        raise error
-    columns = (c for _, share_columns in results for c in share_columns)
+        if child:
+            os.kill(child[0], signal.SIGKILL)
+            os.waitpid(child[0], 0)
+            child[1].close()
     tweet_ids = [r.tweet_id for r in eval_set.records]
     return RunMatrix({(model_specs[s][0], f"r{k + 1}"): (tweet_ids, c) for (s, k), c in zip(jobs, columns)})

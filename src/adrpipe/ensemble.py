@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from array import array
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from ._io import Frozen, as_cells, atomic_write, chunked, lines_of, quote_field, require_blank
 
@@ -132,11 +132,6 @@ class Decisions(Frozen):
 
     def __iter__(self) -> Iterator[EnsembleDecision]:
         return map(self.__getitem__, range(len(self)))
-
-
-def single_model_decide(probs: Mapping[str, float], threshold: float) -> dict[str, int]:
-    """Threshold one model's averaged probabilities into 0/1 verdicts."""
-    return {t: int(p >= threshold) for t, p in probs.items()}
 
 
 def decide(m: RunMatrix, cfg: EnsembleConfig) -> Decisions:

@@ -15,7 +15,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from ._io import Frozen
+from ._io import Frozen, lines_of
 
 CONTINUATION_PREFIX = "##"
 UNKNOWN_TOKEN = "[UNK]"
@@ -58,12 +58,8 @@ class TokenStats(NamedTuple):
 
 def load_vocab(path: str | Path) -> SubwordVocab:
     """Read a one-token-per-line vocabulary file (UTF-8, blank lines skipped)."""
-    tokens = set()
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            token = line.strip()
-            if token:
-                tokens.add(token)
+    with lines_of(path) as (lines, _):
+        tokens = {token for line in lines if (token := line.strip())}
     return SubwordVocab(tokens=frozenset(tokens))
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from adrpipe.baseline import BaselineConfig, protocol_matrix
 from adrpipe.corpus import Dataset, LabeledTweet, duplicate_positives, stratified_split
-from adrpipe.ensemble import EnsembleConfig, decide, single_model_decide
+from adrpipe.ensemble import EnsembleConfig, decide
 from adrpipe.evaluate import (
     Metrics,
     attribution,
@@ -107,8 +107,7 @@ def test_criterion_2_ensemble_union_laws():
 
         member_pos = {}
         for m in avg:
-            verdicts = single_model_decide(avg[m], theta)
-            member_pos[m] = {t for t, v in verdicts.items() if v == 1}
+            member_pos[m] = {t for t, p in avg[m].items() if p >= theta}
         assert ens_pos == set().union(*member_pos.values())
 
         gold_pos = {t for t, g in gold.items() if g == 1}

@@ -13,7 +13,6 @@ from adrpipe.ensemble import (
     EnsembleDecision,
     decide,
     read_decisions,
-    single_model_decide,
     write_decisions,
 )
 from adrpipe.predictions import RunMatrix, average_runs
@@ -158,17 +157,22 @@ class TestDecide:
 
 
 class TestSingleModel:
+    @staticmethod
+    def verdicts(probs: dict[str, float], threshold: float) -> list[int]:
+        """decide's verdict column for one model's averages, in sorted tweet order."""
+        return list(decide(one_run_matrix({"m": probs}), EnsembleConfig(default_threshold=threshold)).verdicts["m"])
+
     def test_boundary_goes_positive(self):
-        assert single_model_decide({"t1": 0.5}, 0.5) == {"t1": 1}
+        assert self.verdicts({"t1": 0.5}, 0.5) == [1]
 
     def test_extremes(self):
         for threshold in (0.1, 0.5, 0.9):
-            assert single_model_decide({"t": 0.0}, threshold) == {"t": 0}
-            assert single_model_decide({"t": 1.0}, threshold) == {"t": 1}
+            assert self.verdicts({"t": 0.0}, threshold) == [0]
+            assert self.verdicts({"t": 1.0}, threshold) == [1]
 
     def test_threshold_monotonicity(self):
-        assert single_model_decide({"t": 0.55}, 0.5) == {"t": 1}
-        assert single_model_decide({"t": 0.55}, 0.6) == {"t": 0}
+        assert self.verdicts({"t": 0.55}, 0.5) == [1]
+        assert self.verdicts({"t": 0.55}, 0.6) == [0]
 
 
 class TestEnsembleLaws:
@@ -183,8 +187,7 @@ class TestEnsembleLaws:
             ens_pos = {d.tweet_id for d in decisions if d.ensemble_verdict == 1}
             member_union = set()
             for m in avg:
-                verdicts = single_model_decide(avg[m], cfg.threshold_for(m))
-                member_union |= {t for t, v in verdicts.items() if v == 1}
+                member_union |= {t for t, p in avg[m].items() if p >= cfg.threshold_for(m)}
             assert ens_pos == member_union
 
     @settings(max_examples=100, deadline=None)

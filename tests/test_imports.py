@@ -24,7 +24,7 @@ EXPORTS = (
     "overlap_report", "wordpiece_tokenize",
     "RunMatrix", "average_runs", "filter_runs", "load_predictions",
     "write_predictions",
-    "EnsembleConfig", "EnsembleDecision", "decide", "single_model_decide",
+    "EnsembleConfig", "EnsembleDecision", "decide",
     "AttributionBreakdown", "ConfusionCounts", "Metrics", "VariabilityReport", "attribution",
     "confusion", "metrics", "variability",
     "BaselineConfig", "BaselineModel", "load_model", "save_model", "train",

@@ -8,6 +8,8 @@ import io
 import os
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from adrpipe._io import _TEMP_NAMES, atomic_write, chunked, quote_field
 from adrpipe.cli import cmd_variability, main
@@ -204,3 +206,57 @@ def test_a_2mb_field_gives_a_line_error_under_1kb(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert len(err.encode("utf-8")) < 1024
     assert err.count("\n") == 1 and f"{name}: {message}" in err and "more characters)" in err
+
+
+# Each reader's file as lines (no line breaks), valid and past the decoder's 8 KB buffer; and each reader's command,
+# with the file under test last, after the valid files it reads first.
+ROWS = range(1500)
+VALID = {
+    "p.tsv": ["model_id\trun_id\ttweet_id\tprob", *(f"m\tr1\tt{i}\t0.5" for i in ROWS)],
+    "dec.tsv": ["tweet_id\tmodel_probs\tmodel_verdicts\tensemble", *(f"t{i}\tm:0.500000\tm:1\t1" for i in ROWS)],
+    "d.tsv": ["tweet_id\tlabel\ttext", *(f"t{i}\t{i % 2}\tfelt dizzy after dose {i}" for i in ROWS)],
+    "lex.tsv": ["# brand, generic", *(f"brand{i}\tgeneric{i}" for i in ROWS)],
+    "vocab.txt": ["[UNK]", *(f"token{i}" for i in ROWS)],
+    "m.tsv": ["scenario\trun_id\tf1\trecall", *(f"s\tr{i}\t0.5\t0.4" for i in ROWS)],
+    "c.json": ["{", *(f'  "key{i}": {i},' for i in ROWS), '  "last": 0', "}"],
+}
+READERS = {
+    "predictions": "ingest --check --expect-runs 0 --pred p.tsv",
+    "decisions": "evaluate --report r.json --gold d.tsv --decisions dec.tsv",
+    "gold": "evaluate --report r.json --decisions dec.tsv --gold d.tsv",
+    "dataset": "preprocess --lexicon lex.tsv --output o.tsv --input d.tsv",
+    "lexicon": "preprocess --input d.tsv --output o.tsv --lexicon lex.tsv",
+    "vocab": "tokens --compare a b --vocab vocab.txt",
+    "metrics": "variability --metrics m.tsv",
+    "config": "reproduce --config c.json",
+}
+
+
+@pytest.mark.parametrize("command", READERS.values(), ids=READERS.keys())
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(at_line=st.floats(0, 1), at_byte=st.floats(0, 1),
+       endings=st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=1, max_size=3))
+@example(at_line=0.0, at_byte=0.0, endings=[b"\n"])  # the first byte of line 1
+@example(at_line=1.0, at_byte=1.0, endings=[b"\r", b"\n"])  # the end of the last line, past the first 8 KB
+def test_a_byte_that_is_not_utf8_is_one_message_naming_its_line(tmp_path, monkeypatch, command, at_line, at_byte,
+                                                                 endings):
+    """Line i ends in endings[i % len(endings)], so a file may mix the three line breaks."""
+    *args, name = command.split()
+    monkeypatch.chdir(tmp_path)
+
+    def write(name, lines):
+        (tmp_path / name).write_bytes(b"".join(line + endings[i % len(endings)] for i, line in enumerate(lines)))
+
+    for file, lines in VALID.items():
+        write(file, [line.encode("utf-8") for line in lines])
+    lines = [line.encode("utf-8") for line in VALID[name]]
+    assert len(b"\n".join(lines)) > 8192
+    lineno = 1 + round(at_line * (len(lines) - 1))
+    line = lines[lineno - 1]
+    cut = round(at_byte * len(line))
+    lines[lineno - 1] = line[:cut] + b"\xff" + line[cut:]
+    write(name, lines)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main([*args, name]) == 1
+    assert err.getvalue() == f"{args[0]}: {name}: not UTF-8 at line {lineno}: byte 0xff\n"

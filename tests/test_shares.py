@@ -1,5 +1,5 @@
-"""protocol_matrix's shares: the (spec, run) jobs dealt over forked children give the one-process matrix,
-its errors and nothing else: no output twice, no process or temp file left behind.
+"""protocol_matrix's forked child: the (spec, run) jobs split between this process and one child give the
+one-process matrix, its errors and nothing else: no output twice, no process or temp file left behind.
 
 A test that forks runs in a fresh interpreter whose BLAS is single-threaded, as the CLI makes it,
 so the interpreter has one OS thread and may fork. Python 3.12+ warns at a fork in a process with
@@ -47,7 +47,7 @@ def python(code: str, *args: str) -> subprocess.CompletedProcess:
     return proc
 
 
-# Fits the fixture corpus's halves at shares 1, 2 and 3, counting forks; prints what each matrix holds.
+# Fits the fixture corpus's halves in one process and in two, counting forks; prints what each matrix holds.
 MATRICES = """
 import hashlib, json, os, struct, sys
 from adrpipe import baseline
@@ -62,8 +62,8 @@ specs = [
 forks, fork = [], os.fork
 os.fork = lambda: forks.append(1) or fork()
 out = {}
-for n in (1, 2, 3):
-    baseline._shares = lambda jobs: min(n, jobs)
+for n in (1, 2):
+    baseline._can_fork = lambda jobs: n == 2
     m = baseline.protocol_matrix(train, dev, specs, 3)
     cells = b"".join(struct.pack("<d", p) for row in m.probs for p in row)
     out[n] = [m.keys, m.tweet_ids, hashlib.sha256(cells).hexdigest(), len(forks)]
@@ -71,12 +71,12 @@ print(json.dumps(out))
 """
 
 
-def test_one_two_and_three_shares_give_the_same_matrix():
+def test_one_and_two_processes_give_the_same_matrix():
     proc = python(MATRICES, CORPUS)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert [out[n][:3] for n in "23"] == [out["1"][:3]] * 2
-    assert [out[n][3] for n in "123"] == [0, 1, 3]  # shares 2 and 3 fork 1 and 2 children
+    assert out["2"][:3] == out["1"][:3]
+    assert [out[n][3] for n in "12"] == [0, 1]
     assert len(out["1"][0]) == 9
 
 
@@ -92,7 +92,7 @@ from adrpipe import baseline
 from adrpipe.baseline import BaselineConfig
 from adrpipe.corpus import Dataset, LabeledTweet
 n = int(sys.argv[1])
-baseline._shares = lambda jobs: min(n, jobs)
+baseline._can_fork = lambda jobs: n == 2
 specs = [(f"s{i}", BaselineConfig(**spec)) for i, spec in enumerate(eval(sys.argv[2]))]
 texts = ["feeling dizzy today", "a sunny walk", chr(0xD800)]
 d = Dataset.from_records(LabeledTweet(f"t{i}", t, i % 2) for i, t in enumerate(texts))
@@ -108,11 +108,12 @@ except Exception as e:
 @pytest.mark.parametrize(
     "specs",
     [
-        [WORD_TWO, WORD_ONE],  # share 0 passes; the child's spec fails
-        [WORD_TWO, WORD_ONE, CHAR],  # share 0 passes; both of the child's specs fail, and its first wins
-        [CHAR, WORD_ONE],  # both shares fail; share 0's spec is the lower
+        [WORD_TWO, WORD_ONE],  # the parent's spec passes; the child's fails
+        [WORD_TWO, WORD_ONE, CHAR],  # the parent's spec passes; both of the child's fail, and its first wins
+        [CHAR, WORD_ONE],  # both halves fail; the parent's spec is the lower
+        [CHAR, WORD_TWO],  # the parent's spec fails; the child's passes
     ],
-    ids=["child-only", "child-first", "parent-lower"],
+    ids=["child-only", "child-first", "parent-lower", "parent-only"],
 )
 def test_a_failing_share_raises_what_one_process_raises(specs):
     spec_text = repr([{"ngram_range": c.ngram_range, "feature_mode": c.feature_mode, "epochs": 1} for c in specs])
@@ -130,7 +131,7 @@ import atexit, os, sys
 from adrpipe import baseline
 from adrpipe.baseline import BaselineConfig
 from adrpipe.corpus import load_dataset
-baseline._shares = lambda jobs: min(3, jobs)
+baseline._can_fork = lambda jobs: True
 atexit.register(print, "atexit ran")
 forks, fork = [], os.fork
 os.fork = lambda: forks.append(1) or fork()
@@ -144,13 +145,13 @@ print(len(forks), "forks")
 def test_a_child_never_flushes_what_the_parent_printed_nor_runs_its_exit_handlers():
     proc = python(UNFLUSHED, CORPUS)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "printed before the fork 2 forks\natexit ran\n"
+    assert proc.stdout == "printed before the fork 1 forks\natexit ran\n"
 
 
 def test_a_share_whose_fork_fails_runs_in_this_process(monkeypatch):
     d = load_dataset(CORPUS)
     specs = [("c", BaselineConfig(feature_buckets=2**12, epochs=1)), ("w", WORD_ONE)]
-    monkeypatch.setattr(baseline, "_shares", lambda jobs: 1)
+    monkeypatch.setattr(baseline, "_can_fork", lambda jobs: False)
     expected = protocol_matrix(d, d, specs, 2)
     forks = []
 
@@ -159,15 +160,15 @@ def test_a_share_whose_fork_fails_runs_in_this_process(monkeypatch):
         raise OSError("fork refused")
 
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(baseline, "_shares", lambda jobs: min(3, jobs))
+    monkeypatch.setattr(baseline, "_can_fork", lambda jobs: True)
     assert protocol_matrix(d, d, specs, 2) == expected
-    assert len(forks) == 2
+    assert len(forks) == 1
 
 
 def test_the_checks_come_before_any_fork(monkeypatch):
     forks = []
     monkeypatch.setattr(os, "fork", lambda: forks.append(1))
-    monkeypatch.setattr(baseline, "_shares", lambda jobs: jobs)
+    monkeypatch.setattr(baseline, "_can_fork", lambda jobs: True)
     d = load_dataset(CORPUS)
     with pytest.raises(ValueError, match="^duplicate model_id in specs: m$"):
         protocol_matrix(d, d, [("m", BaselineConfig()), ("m", BaselineConfig(seed=1))], 2)
@@ -181,13 +182,13 @@ import os, signal, sys
 from adrpipe import baseline
 from adrpipe.baseline import BaselineConfig
 from adrpipe.corpus import load_dataset
-baseline._shares = lambda jobs: min(2, jobs)
-pid, share = os.getpid(), baseline._share
+baseline._can_fork = lambda jobs: True
+pid, columns = os.getpid(), baseline._columns
 def dies_in_a_child(*args):
     if os.getpid() != pid:
         os.kill(os.getpid(), signal.SIGKILL)
-    return share(*args)
-baseline._share = dies_in_a_child
+    return columns(*args)
+baseline._columns = dies_in_a_child
 d = load_dataset(sys.argv[1])
 try:
     baseline.protocol_matrix(d, d, [("m", BaselineConfig(feature_buckets=2**12, epochs=1))], 2)
@@ -200,6 +201,38 @@ def test_a_child_that_dies_without_its_columns_is_an_error():
     proc = python(KILLED_CHILD, CORPUS)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"protocol worker exited with status {-int(signal.SIGKILL)}\n"
+
+
+# Two specs, one a half: the parent's fails at once, the child's would take 20 s.
+PARENT_FAILS = """
+import os, sys, time
+from adrpipe import baseline
+from adrpipe.baseline import BaselineConfig
+from adrpipe.corpus import load_dataset
+baseline._can_fork = lambda jobs: True
+parent = os.getpid()
+def spec_predictions(*args):
+    if os.getpid() != parent:
+        time.sleep(20)
+    raise ValueError("a half failed")
+baseline._spec_predictions = spec_predictions
+d = load_dataset(sys.argv[1])
+start = time.monotonic()
+try:
+    baseline.protocol_matrix(d, d, [("a", BaselineConfig()), ("b", BaselineConfig())], 1)
+except ValueError as e:
+    print(e, "after", "under 10 s" if time.monotonic() - start < 10 else "10 s or more")
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+def test_a_failure_in_the_parents_half_does_not_wait_for_the_childs():
+    proc = python(PARENT_FAILS, CORPUS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "a half failed after under 10 s\nno child left\n"
 
 
 def reproduce_config(tmp_path: Path, specs: list[dict], tweets: int = 300, runs: int = 1) -> Path:
@@ -325,16 +358,16 @@ class TestSessionEndings:
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or not Path("/proc/self/task").is_dir(), reason="Linux only")
-def test_one_share_per_usable_cpu_up_to_the_cap_in_a_one_thread_process(monkeypatch):
+def test_a_child_is_forked_for_two_jobs_and_two_cpus_in_a_one_thread_process(monkeypatch):
     tasks, listdir = ["1"], os.listdir
     monkeypatch.setattr(os, "listdir", lambda path: tasks if path == "/proc/self/task" else listdir(path))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
-    assert [baseline._shares(jobs) for jobs in (1, 2, 15)] == [1, 2, baseline._MAX_SHARES] == [1, 2, 2]
+    assert [baseline._can_fork(jobs) for jobs in (1, 2, 15)] == [False, True, True]
     tasks.append("2")  # a second OS thread, which a child would lack
-    assert baseline._shares(15) == 1
+    assert not baseline._can_fork(15)
     tasks.pop()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert baseline._shares(15) == 1
+    assert not baseline._can_fork(15)
 
 
 # `adrpipe reproduce` in a process with no BLAS setting: its one-thread default reaches numpy's load
