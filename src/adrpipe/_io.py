@@ -1,10 +1,10 @@
 """Helpers shared by the modules: the line rules of every tab-separated file
-(the header, blank lines, the field count, a byte that is not UTF-8), which
-each reader applies in its own loop over the lines, the one writer of every
-output (streamed in chunks to a temp file that is renamed on success, so
-consumers never see a partial file when a write fails mid-way), the
-shortened id lists and fields that error messages quote, and the
-immutable-value base of the classes that check their fields."""
+(the header, blank lines, the field count, a byte that is not UTF-8, a
+byte-order mark), which each reader applies in its own loop over the lines,
+the one writer of every output (streamed in chunks to a temp file that is
+renamed on success, so consumers never see a partial file when a write fails
+mid-way), the shortened id lists and fields that error messages quote, and
+the immutable-value base of the classes that check their fields."""
 
 from __future__ import annotations
 
@@ -27,15 +27,15 @@ def lines_of(path: str | Path, header: str | None = None, *, header_required=Fal
     characters an id may hold. Each line keeps its "\n", if it has one. A
     first line equal to `header` is skipped; with `header_required` any other
     first line is an error. A byte that is not UTF-8, met here or in the
-    caller's loop over the lines, is an error naming its line (not_utf8).
+    caller's loop over the lines, is an error naming its line (not_utf8), and
+    so is a byte-order mark, which would silently join the first field.
     """
     try:
         with open(path, encoding="utf-8") as f:
-            if header is None:
-                yield f, 1
-                return
             first = f.readline()
-            if first.rstrip("\n") == header:
+            if first.startswith("\ufeff"):
+                raise ValueError(f"{path}: starts with a byte-order mark (U+FEFF) at line 1")
+            if header is not None and first.rstrip("\n") == header:
                 yield f, 2
             elif header_required:
                 raise ValueError(f"{path}: missing or malformed header (expected {header!r})")

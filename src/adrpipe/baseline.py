@@ -55,10 +55,7 @@ import io
 import json
 import math
 import numbers
-import os
-import pickle
 import random
-import signal
 import zlib
 from array import array
 from collections import Counter
@@ -69,6 +66,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _fork
 from ._io import atomic_write
 from .corpus import Dataset, seeded_shuffle
 from .predictions import RunMatrix, _check_ids
@@ -483,13 +481,6 @@ def check_protocol(
         raise ValueError("no prediction records")
 
 
-def _can_fork(jobs: int) -> bool:
-    """Whether the protocol forks one child for half of its jobs: with 2 jobs or more and 2 usable CPUs or more, on
-    Linux, and with no OS thread besides this one, which a child would lack. Memory is measured at 2 processes only."""
-    linux = hasattr(os, "sched_getaffinity") and os.path.isdir("/proc/self/task")
-    return jobs >= 2 and linux and len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
-
-
 def _columns(train_set: Dataset, eval_set: Dataset, model_specs, jobs: list[tuple[int, int]]) -> list[array]:
     """The dev columns of `jobs`, spec-major (spec index, run offset) pairs, in order; the first failing spec raises."""
     columns = []
@@ -515,56 +506,21 @@ def protocol_matrix(
     which is passed on as the run's column: no run is held unrounded, and no
     second rounding pass copies the columns.
 
-    Where `_can_fork`, a child forked after the checks fits the second half of the spec-major (spec, run) jobs and
-    pickles its columns, or the exception it caught, to a pipe only this process reads, so it exits if this one dies.
-    This process fits the first half (every job, if the fork fails), whose specs all come first, and raises its own
-    error at once: one process or two give this matrix, or the lowest failing spec's error.
+    Where `_fork` can fork, a child forked after the checks fits the second half of the spec-major (spec, run) jobs
+    and sends their columns back as bytes, which keep every cell's bits. This process fits the first half, whose specs
+    all come first, and raises its own error at once. If the fork fails, or the child fails or dies, this process fits
+    the second half too: one process or two give this matrix, or the lowest failing spec's error.
     """
     check_protocol(train_set, eval_set, model_specs, runs)
     jobs = [(s, k) for s in range(len(model_specs)) for k in range(runs)]
-    half, child = len(jobs) // 2, None  # child: (pid, the read end of its pipe) until it is reaped
-    try:
-        if _can_fork(len(jobs)):
-            r, w = os.pipe()
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # no KeyboardInterrupt until pid is kept
-            try:
-                pid = os.fork()
-            except OSError:  # every job runs here
-                pid = None
-            if pid == 0:  # the child ends in os._exit: no caller's frame, atexit handler or stdio flush runs
-                try:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                    os.close(r)
-                    try:
-                        result = _columns(train_set, eval_set, model_specs, jobs[half:])
-                    except Exception as e:
-                        result = e
-                    with open(w, "wb") as f:
-                        pickle.dump(result, f)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            if pid:
-                child = pid, open(r, "rb")
-            else:
-                os.close(r)
-            os.close(w)
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        columns = _columns(train_set, eval_set, model_specs, jobs[:half] if child else jobs)
-        if child:
-            with child[1] as f:
-                data = f.read()  # to EOF: the child has sent all it will and is exiting
-            pid, child = child[0], None
-            if status := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
-                raise ChildProcessError(f"protocol worker exited with status {status}")
-            result = pickle.loads(data)
-            if isinstance(result, Exception):
-                raise result
-            columns += result
-    finally:  # on any exception, KeyboardInterrupt too
-        if child:
-            os.kill(child[0], signal.SIGKILL)
-            os.waitpid(child[0], 0)
-            child[1].close()
+    half = len(jobs) // 2 if _fork._can_fork() else 0  # one process fits all its jobs in one pass
+    mine, theirs = (jobs[:half], jobs[half:]) if half else (jobs, [])
+
+    def columns(share):
+        return [c.tobytes() for c in _columns(train_set, eval_set, model_specs, share)]
+
+    with _fork.worker(columns) as submit:
+        sent = submit(theirs) if theirs else list  # list() is the empty result
+        cells = _columns(train_set, eval_set, model_specs, mine) + [array("d", b) for b in sent()]
     tweet_ids = [r.tweet_id for r in eval_set.records]
-    return RunMatrix({(model_specs[s][0], f"r{k + 1}"): (tweet_ids, c) for (s, k), c in zip(jobs, columns)})
+    return RunMatrix({(model_specs[s][0], f"r{k + 1}"): (tweet_ids, c) for (s, k), c in zip(jobs, cells)})

@@ -28,6 +28,8 @@ import argparse
 import os
 import sys
 import warnings
+from contextlib import closing
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -69,19 +71,54 @@ def _threshold_config(pairs: list[str], default: float | None) -> ensemble.Ensem
 # ---------------------------------------------------------------- subcommands
 
 
+# Records in a block the preprocess worker cleans: 1,024 raised the command's peak by 0.4 MB over 256, for no speed.
+_BLOCK = 256
+
+
 def _cleaned(records, cfg: PipelineConfig):
-    """Each record with its text cleaned; a text holding a tab or line break raises LabeledTweet's error."""
-    for tweet_id, text, label in records:
-        text = apply_pipeline(text, cfg)
-        if "\t" in text or "\n" in text or "\r" in text:
-            corpus.LabeledTweet(tweet_id, text, label)
-        yield tweet_id, text, label
+    """Each record with its text cleaned; a text holding a tab or line break raises LabeledTweet's error.
+
+    Records are read two blocks at a time, and a forked worker (`_fork.worker`) cleans the second block's texts while
+    this process cleans the first. This process checks and yields every record in order, and holds a read error until
+    the records read before it are yielded, so the errors come as one process meets them.
+    """
+    from . import _fork
+
+    def block():
+        nonlocal error
+        taken = []
+        try:
+            for record in islice(records, 0 if error else _BLOCK):
+                taken.append(record)
+        except Exception as e:  # the reader's, which has stopped
+            error = e
+        return taken
+
+    def clean(texts):
+        return [apply_pipeline(text, cfg) for text in texts]
+
+    def checked(taken, texts):
+        for (tweet_id, _, label), text in zip(taken, texts):
+            if "\t" in text or "\n" in text or "\r" in text:
+                corpus.LabeledTweet(tweet_id, text, label)
+            yield tweet_id, text, label
+
+    records, error = iter(records), None
+    with _fork.worker(clean) as submit:
+        while mine := block():
+            theirs = block()
+            sent = submit([text for _, text, _ in theirs]) if theirs else list  # list() is the empty result
+            yield from checked(mine, clean([text for _, text, _ in mine]))
+            yield from checked(theirs, sent())
+    if error:
+        raise error
 
 
 def cmd_preprocess(args) -> int:
     cfg = pipeline_config([s.strip() for s in args.stages.split(",") if s.strip()], args.lexicon)
     open(args.input, "rb").close()  # a missing input is named before a missing output directory
-    written = corpus.write_records(_cleaned(corpus.read_records(args.input), cfg), args.output)
+    with closing(_cleaned(corpus.read_records(args.input), cfg)) as records:  # its worker ends with the command
+        written = corpus.write_records(records, args.output)
     print(f"wrote {written} records to {args.output}")
     return 0
 

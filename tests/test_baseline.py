@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from adrpipe import baseline
+from adrpipe import _fork, baseline
 from adrpipe.baseline import (
     BaselineConfig,
     load_model,
@@ -557,7 +557,7 @@ class TestDevBlocks:
         fits = []
         fit = baseline._fit
         monkeypatch.setattr(baseline, "_fit", lambda *a: fits.append(a) or fit(*a))
-        monkeypatch.setattr(baseline, "_can_fork", lambda jobs: False)  # one process, which records every fit
+        monkeypatch.setattr(_fork, "_can_fork", lambda: False)  # one process, which records every fit
         cfg = BaselineConfig(epochs=1)
         train_set = toy_separable()
         eval_set = Dataset.from_records([*train_set.records[:3], LabeledTweet("bad", "lone \ud800 surrogate", 1)])
@@ -765,7 +765,7 @@ class TestProtocol:
             baseline, "_csr_blocks", lambda texts, cfg: calls.append(("blocks", cfg)) or blocks(texts, cfg)
         )
         monkeypatch.setattr(baseline, "_fit", lambda examples, size, cfg: calls.append(("fit", cfg)) or fit(examples, size, cfg))
-        monkeypatch.setattr(baseline, "_can_fork", lambda jobs: False)  # one process, which records every call
+        monkeypatch.setattr(_fork, "_can_fork", lambda: False)  # one process, which records every call
         d = toy_separable()
         specs = [("a", BaselineConfig(epochs=1)), ("b", BaselineConfig(epochs=1, feature_mode="word"))]
         protocol_matrix(d, d, specs, runs=2)

@@ -1,6 +1,7 @@
 """The package's import surface: each command loads only the modules it runs,
 so every command but `baseline` and protocol-mode `reproduce` runs without
-numpy or `dataclasses`, only those two compile the JSON-config code, and every
+numpy or `dataclasses`, only those two compile the JSON-config code, only they
+and `preprocess` load the fork worker, no text command loads `pickle`, and every
 name the package has exported still imports from `adrpipe`."""
 
 import json
@@ -43,11 +44,13 @@ print(json.dumps([codes, sorted(sys.modules)]), file=sys.stderr)
 
 # Modules that no numpy-free command loads: numpy, and `dataclasses`, which imports inspect and ast.
 NOT_NUMPY_FREE = {"numpy", "dataclasses"}
-# Modules that neither `preprocess` nor `tokens` runs.
+# Modules that neither `preprocess` nor `tokens` runs; `preprocess`'s worker sends its blocks with marshal.
 NOT_TEXT = {"adrpipe.predictions", "adrpipe.ensemble", "adrpipe.evaluate", "adrpipe.synthetic",
-            "adrpipe.baseline", "statistics", *NOT_NUMPY_FREE}
+            "adrpipe.baseline", "statistics", "pickle", *NOT_NUMPY_FREE}
+# The fork worker: only `preprocess`, `baseline` and `reproduce` load it.
+FORK = "adrpipe._fork"
 # Modules that no prediction command (ingest, ensemble, evaluate) runs.
-NOT_PREDICTION = {"adrpipe.tokenize", "adrpipe.synthetic", "adrpipe.baseline", *NOT_NUMPY_FREE}
+NOT_PREDICTION = {"adrpipe.tokenize", "adrpipe.synthetic", "adrpipe.baseline", FORK, *NOT_NUMPY_FREE}
 # The module holding the JSON-config commands, `baseline` and `reproduce`: no other command compiles it.
 CONFIG_COMMANDS = "adrpipe._workflow"
 
@@ -122,7 +125,7 @@ def test_text_commands_load_no_prediction_code(tmp_path):
     ]
     codes, modules = run_fresh(argvs)
     assert codes == [0, 0]
-    assert modules & NOT_TEXT == set()
+    assert modules & NOT_TEXT == set() and FORK in modules
 
 
 def test_text_only_commands_do_not_load_numpy(tmp_path):
@@ -223,6 +226,8 @@ def test_only_the_config_commands_load_the_config_code(tmp_path):
     ]
     codes, modules = run_fresh(stage_commands)
     assert codes == [0] * len(stage_commands) and CONFIG_COMMANDS not in modules
+    codes, modules = run_fresh(stage_commands[1:])  # all but preprocess
+    assert codes == [0] * (len(stage_commands) - 1) and FORK not in modules
 
     configs = {
         "train.json": {"train": str(tweets), "model_out": f"{tmp_path}/m.npz", "config": {"epochs": 1}},
@@ -236,6 +241,7 @@ def test_only_the_config_commands_load_the_config_code(tmp_path):
         argv = ["baseline", "train"] if name == "train.json" else ["reproduce"]
         codes, modules = run_fresh([[*argv, "--config", f"{tmp_path}/{name}"]])
         assert codes == [0] and CONFIG_COMMANDS in modules, name
+        assert (FORK in modules) == (name != "predictions.json"), name  # the prediction workflow fits nothing
 
 
 def test_a_config_command_run_as_a_script_does_not_import_the_cli_again(tmp_path):

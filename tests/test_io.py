@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from adrpipe import _fork
 from adrpipe._io import _TEMP_NAMES, atomic_write, chunked, quote_field
 from adrpipe.cli import cmd_variability, main
 from adrpipe.corpus import load_dataset
@@ -260,3 +261,29 @@ def test_a_byte_that_is_not_utf8_is_one_message_naming_its_line(tmp_path, monkey
     with contextlib.redirect_stderr(err):
         assert main([*args, name]) == 1
     assert err.getvalue() == f"{args[0]}: {name}: not UTF-8 at line {lineno}: byte 0xff\n"
+
+
+BOM_READERS = {name: command for name, command in READERS.items() if name != "config"}  # json.load rejects one
+
+
+@pytest.mark.parametrize("command", BOM_READERS.values(), ids=BOM_READERS.keys())
+def test_a_byte_order_mark_is_one_message_naming_the_file(tmp_path, monkeypatch, command):
+    """A UTF-8 byte-order mark would join the first field: a lexicon's first brand would never match, a dataset's
+    header would be read as a record. Every reader, headerless or not, rejects it before `preprocess` forks."""
+    *args, name = command.split()
+    monkeypatch.chdir(tmp_path)
+    for file, lines in VALID.items():
+        (tmp_path / file).write_text("\ufeff" * (file == name) + "\n".join(lines) + "\n", encoding="utf-8")
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(_fork, "_can_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", fork)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main([*args, name]) == 1
+    assert err.getvalue() == f"{args[0]}: {name}: starts with a byte-order mark (U+FEFF) at line 1\n"
+    assert len(err.getvalue().encode("utf-8")) < 1024 and forks == []
